@@ -10,7 +10,9 @@
                    --smoke --out ground_smoke.json`.
    - --smoke       seconds-scale subsets (what `dune runtest` runs);
                    without it, the full sweeps that refresh the committed
-                   BENCH_*.json files.
+                   BENCH_*.json files. A smoke run never writes those: its
+                   per-bench JSON defaults to <name>_smoke.json in the
+                   current directory.
    - --out PATH    override the per-bench JSON path; only meaningful when
                    the filter selects exactly one bench.
    - --json PATH   also write the cross-bench summary table as JSON rows.
@@ -160,7 +162,12 @@ let () =
     List.concat_map
       (fun (b : Registry.bench) ->
         Printf.eprintf "== %s ==\n%!" b.Registry.name;
-        let out = Option.value ~default:b.Registry.default_out o.out in
+        let out =
+          match o.out with
+          | Some path -> path
+          | None when o.smoke -> b.Registry.name ^ "_smoke.json"
+          | None -> b.Registry.default_out
+        in
         List.map (fun r -> (b.Registry.name, r)) (b.Registry.run ~smoke:o.smoke ~out))
       picked
   in

@@ -1,26 +1,39 @@
-(* Propagation-only tier for tight-shaped, conflict-free programs: the
-   chain / pinned / dense-choice shapes of the reference encodings, where
-   full CDNL machinery (completion clauses, VSIDS, watches) costs more
-   than the enumeration itself.
+(* Propagation-only tier for programs whose negation the well-founded
+   bounds decide: the chain / pinned / dense-choice shapes of the
+   reference encodings and the stratified what-if simulations of the
+   sweeps, where full CDNL machinery (completion clauses, preprocessing,
+   VSIDS, watches) costs more than the enumeration itself.
 
-   The fragment: no aggregates, no negation in rule bodies or choice
-   guards, no choice bounds. In that fragment a candidate is stable iff
-   it is the least fixpoint of the definite rules over the facts plus a
-   subset of *licensed* choice atoms — foundedness holds by construction,
-   so the classifier is sound on non-tight programs too (a positive loop
-   without external support simply never enters the closure).
+   The fragment: no aggregates, no choice bounds, and every negated
+   literal in a live rule body or choice guard decided by the
+   well-founded bounds. Classification computes two closures as an
+   alternating fixpoint:
+   - [cf] (facts + forced choices; a rule fires only if none of its
+     negated atoms is in [cm]) — a lower bound on every stable model;
+   - [cm] (additionally seeding every non-banned choice candidate; a rule
+     fires only if none of its negated atoms is in [cf]) — an upper bound.
+   Each closure is recomputed against the other until both are stable.
+   By induction over the alternation, [cf ⊆ M ⊆ cm] for every stable
+   model [M]: a rule firing in [cf] has its negated atoms outside
+   [cm ⊇ M], so it belongs to the reduct of [M]; a rule of the reduct of
+   [M] has its negated atoms outside [M ⊇ cf], so it fires in [cm].
 
-   Classification runs a forcing fixpoint over two closures:
-   [cf] (facts + forced choices — a lower bound on every model) and
-   [cm] (additionally seeding every non-banned candidate — an upper
-   bound). Every choice-element guard must be decided (inside [cf] or
-   outside [cm]); every constraint must be dead, or have exactly one
-   undecided literal that is a free choice atom, which the fixpoint
-   forces in or out. Anything else — an undecided guard, a multi-literal
-   pending constraint, a constraint pending on a derived atom, a banned
-   atom still derivable — rejects to the full CDNL tier, which is always
-   safe. A constraint with no pending literal left is violated in every
-   model: unsat, proven without search.
+   A rule is then dropped when it is blocked (a negated atom in [cf]),
+   dead (a positive premise outside [cm]) or redundant (its head in
+   [cf]); every remaining negated literal must be outside [cm] — true in
+   every model — and is read as true, else the program goes to CDNL. What
+   is left is definite, so a candidate is stable iff it is the least
+   fixpoint of the kept rules over [cf] plus a subset of licensed choice
+   atoms: foundedness holds by construction, on non-tight programs too
+   (a positive loop without external support never enters the closure).
+   Every choice-element guard must be decided (true in every model, or
+   false in every model); every constraint must be dead, or have exactly
+   one undecided literal that is a free choice atom, which the fixpoint
+   forces in or out. Anything else — an undecided negated literal or
+   guard, a multi-literal pending constraint, a constraint pending on a
+   derived atom, a banned atom still derivable — rejects to the full CDNL
+   tier, which is always safe. A constraint with no pending literal left
+   is violated in every model: unsat, proven without search.
 
    Solving is then direct choice expansion: DFS over the free atoms with
    an incremental closure (per-rule missing-premise counters, trail-based
@@ -33,67 +46,95 @@ exception Done
 
 let gate (p : Interned.t) =
   (not p.Interned.has_counts)
-  && Array.for_all (fun (r : Interned.rule) -> Array.length r.Interned.neg = 0)
-       p.Interned.rules
   && Array.for_all
        (fun (c : Interned.choice) ->
-         c.Interned.lower = None
-         && c.Interned.upper = None
-         && Array.length c.Interned.cneg = 0
-         && Array.for_all
-              (fun (e : Interned.elem) -> Array.length e.Interned.egneg = 0)
-              c.Interned.elems)
+         c.Interned.lower = None && c.Interned.upper = None)
        p.Interned.choices
 
 type plan = {
   cf : Bitset.t;  (* forced closure: a subset of every model *)
   free : int array;  (* free choice atoms, ascending *)
-  occ : (int * int) list array;  (* atom -> (rule, multiplicity) *)
-  base_missing : int array;  (* rule -> total positive premises *)
-  heads : int array;
+  occ : int array array;  (* atom -> kept rules, once per premise occurrence *)
+  base_missing : int array;  (* kept rule -> total positive premises *)
+  heads : int array;  (* kept rule -> head *)
 }
+
+(* atom -> indices of the rules with it as a positive premise, repeated
+   once per occurrence, so a missing-premise counter that starts at the
+   body length reaches 0 exactly when every premise holds *)
+let occurrences n1 (rules : Interned.rule array) =
+  let deg = Array.make n1 0 in
+  Array.iter
+    (fun (r : Interned.rule) ->
+      Array.iter (fun a -> deg.(a) <- deg.(a) + 1) r.Interned.pos)
+    rules;
+  let occ = Array.map (fun d -> if d = 0 then [||] else Array.make d 0) deg in
+  Array.iteri
+    (fun ri (r : Interned.rule) ->
+      Array.iter
+        (fun a ->
+          deg.(a) <- deg.(a) - 1;
+          occ.(a).(deg.(a)) <- ri)
+        r.Interned.pos)
+    rules;
+  occ
+
+let body_length (r : Interned.rule) = Array.length r.Interned.pos
 
 let classify (p : Interned.t) =
   if not (gate p) then `Full
   else begin
     let n1 = max p.Interned.n_atoms 1 in
-    let n_rules = Array.length p.Interned.rules in
-    let heads = Array.map (fun (r : Interned.rule) -> r.Interned.head) p.Interned.rules in
-    let occ = Array.make n1 [] in
-    let base_missing = Array.make (max n_rules 1) 0 in
-    Array.iteri
-      (fun ri (r : Interned.rule) ->
-        base_missing.(ri) <- Array.length r.Interned.pos;
-        let mult = Hashtbl.create 4 in
-        Array.iter
-          (fun a ->
-            Hashtbl.replace mult a
-              (1 + Option.value ~default:0 (Hashtbl.find_opt mult a)))
-          r.Interned.pos;
-        Hashtbl.iter (fun a m -> occ.(a) <- (ri, m) :: occ.(a)) mult)
-      p.Interned.rules;
-    let closure seeds =
+    let rules = p.Interned.rules in
+    let occ = occurrences n1 rules in
+    let base_missing = Array.map body_length rules in
+    let work = Array.make n1 0 in
+    (* least fixpoint over [seeds], firing a rule only if none of its
+       negated atoms is in [against]; [settled] is false when [against]
+       blocked some rule whose premises all held *)
+    let closure ~against seeds =
       let cur = Bitset.create n1 in
-      let missing = Array.sub base_missing 0 n_rules in
-      let q = Queue.create () in
+      let missing = Array.copy base_missing in
+      let settled = ref true in
+      let sp = ref 0 in
       let add a =
         if not (Bitset.get cur a) then begin
           Bitset.set cur a;
-          Queue.add a q
+          work.(!sp) <- a;
+          incr sp
         end
+      in
+      let fire ri =
+        let r = rules.(ri) in
+        if Array.exists (Bitset.get against) r.Interned.neg then
+          settled := false
+        else add r.Interned.head
       in
       Array.iter add p.Interned.facts;
       List.iter add seeds;
-      Array.iteri (fun ri m -> if m = 0 then add heads.(ri)) missing;
-      while not (Queue.is_empty q) do
-        let a = Queue.pop q in
-        List.iter
-          (fun (ri, m) ->
-            missing.(ri) <- missing.(ri) - m;
-            if missing.(ri) = 0 then add heads.(ri))
-          occ.(a)
+      Array.iteri (fun ri m -> if m = 0 then fire ri) missing;
+      while !sp > 0 do
+        decr sp;
+        Array.iter
+          (fun ri ->
+            missing.(ri) <- missing.(ri) - 1;
+            if missing.(ri) = 0 then fire ri)
+          occ.(work.(!sp))
       done;
-      cur
+      (cur, !settled)
+    in
+    (* the alternating fixpoint, starting from the trivial upper bound *)
+    let bounds ~lower_seeds ~upper_seeds =
+      let rec go cm =
+        let cf, settled = closure ~against:cm lower_seeds in
+        let cm', _ = closure ~against:cf upper_seeds in
+        if settled || Bitset.equal cm' cm then (cf, cm') else go cm'
+      in
+      let all = Bitset.create n1 in
+      for a = 0 to n1 - 1 do
+        Bitset.set all a
+      done;
+      go all
     in
     let candidates = Bitset.create n1 in
     Array.iter
@@ -108,16 +149,16 @@ let classify (p : Interned.t) =
     try
       let unsat = ref false in
       let final_cf = ref (Bitset.create n1) in
+      let final_cm = ref (Bitset.create n1) in
       let final_free = ref (Bitset.create n1) in
       let continue = ref true in
       while !continue && not !unsat do
         continue := false;
-        let cf = closure !chosen in
         let cand_seed = ref !chosen in
         Bitset.iter_true
           (fun a -> if not (Bitset.get banned_b a) then cand_seed := a :: !cand_seed)
           candidates;
-        let cm = closure !cand_seed in
+        let cf, cm = bounds ~lower_seeds:!chosen ~upper_seeds:!cand_seed in
         (* a banned atom still derivable cannot be kept out by not
            choosing it: give up (the ban came from a constraint, so the
            full tier will handle it) *)
@@ -125,21 +166,32 @@ let classify (p : Interned.t) =
           (fun b -> if Bitset.get cm b then raise Full_tier)
           banned_b;
         (* every guard must be decided at the fixpoint *)
+        let holds_in_every pos neg =
+          Array.for_all (Bitset.get cf) pos
+          && not (Array.exists (Bitset.get cm) neg)
+        in
+        let fails_in_every pos neg =
+          Array.exists (fun a -> not (Bitset.get cm a)) pos
+          || Array.exists (Bitset.get cf) neg
+        in
         let free_b = Bitset.create n1 in
         Array.iter
           (fun (c : Interned.choice) ->
             Array.iter
               (fun (e : Interned.elem) ->
-                let guard_in s =
-                  Array.for_all (Bitset.get s) c.Interned.cpos
-                  && Array.for_all (Bitset.get s) e.Interned.egpos
-                in
-                if guard_in cf then begin
+                if
+                  holds_in_every c.Interned.cpos c.Interned.cneg
+                  && holds_in_every e.Interned.egpos e.Interned.egneg
+                then begin
                   let a = e.Interned.eatom in
                   if (not (Bitset.get cf a)) && not (Bitset.get banned_b a)
                   then Bitset.set free_b a
                 end
-                else if guard_in cm then raise Full_tier
+                else if
+                  not
+                    (fails_in_every c.Interned.cpos c.Interned.cneg
+                    || fails_in_every e.Interned.egpos e.Interned.egneg)
+                then raise Full_tier
                 (* else: dead element, never licensed *))
               c.Interned.elems)
           p.Interned.choices;
@@ -181,19 +233,38 @@ let classify (p : Interned.t) =
             end)
           p.Interned.constraints;
         final_cf := cf;
+        final_cm := cm;
         final_free := free_b
       done;
       if !unsat then `Unsat
       else begin
+        let cf = !final_cf and cm = !final_cm in
+        (* keep the rules that can still matter inside the bounds; their
+           negated literals must all be true in every model. The bounds
+           have converged, so [cf] is closed under the kept rules: each
+           has a premise outside [cf], which expansion relies on *)
+        let kept =
+          Array.to_list rules
+          |> List.filter (fun (r : Interned.rule) ->
+                 let live =
+                   (not (Bitset.get cf r.Interned.head))
+                   && Array.for_all (Bitset.get cm) r.Interned.pos
+                   && not (Array.exists (Bitset.get cf) r.Interned.neg)
+                 in
+                 if live && Array.exists (Bitset.get cm) r.Interned.neg then
+                   raise Full_tier;
+                 live)
+          |> Array.of_list
+        in
         let free = ref [] in
         Bitset.iter_true (fun a -> free := a :: !free) !final_free;
         `Plan
           {
-            cf = !final_cf;
+            cf;
             free = Array.of_list (List.rev !free);
-            occ;
-            base_missing;
-            heads;
+            occ = occurrences n1 kept;
+            base_missing = Array.map body_length kept;
+            heads = Array.map (fun (r : Interned.rule) -> r.Interned.head) kept;
           }
       end
     with Full_tier -> `Full
@@ -205,8 +276,7 @@ let expand ?limit ~stats (p : Interned.t) plan =
   let n1 = max p.Interned.n_atoms 1 in
   let missing = Array.copy plan.base_missing in
   Bitset.iter_true
-    (fun a ->
-      List.iter (fun (ri, m) -> missing.(ri) <- missing.(ri) - m) plan.occ.(a))
+    (fun a -> Array.iter (fun ri -> missing.(ri) <- missing.(ri) - 1) plan.occ.(a))
     plan.cf;
   let cur = Bitset.copy plan.cf in
   let trail = Array.make n1 0 in
@@ -225,9 +295,9 @@ let expand ?limit ~stats (p : Interned.t) plan =
     while !i < !sp do
       let x = trail.(!i) in
       incr i;
-      List.iter
-        (fun (ri, m) ->
-          missing.(ri) <- missing.(ri) - m;
+      Array.iter
+        (fun ri ->
+          missing.(ri) <- missing.(ri) - 1;
           if missing.(ri) = 0 then begin
             let h = plan.heads.(ri) in
             if not (Bitset.get cur h) then begin
@@ -245,7 +315,7 @@ let expand ?limit ~stats (p : Interned.t) plan =
       decr sp;
       let x = trail.(!sp) in
       Bitset.clear cur x;
-      List.iter (fun (ri, m) -> missing.(ri) <- missing.(ri) + m) plan.occ.(x)
+      Array.iter (fun ri -> missing.(ri) <- missing.(ri) + 1) plan.occ.(x)
     done
   in
   let models = ref [] in

@@ -30,9 +30,16 @@ type weak = {
   terms : Term.t list;
 }
 
+module AtomTbl = Hashtbl.Make (struct
+  type t = Atom.t
+
+  let equal = Atom.equal
+  let hash = Atom.hash
+end)
+
 type t = {
   atoms : Atom.t array;
-  index : (Atom.t, int) Hashtbl.t;
+  index : int AtomTbl.t;
   n_atoms : int;
   facts : int array;
   rules : rule array;
@@ -48,17 +55,17 @@ type t = {
 
 (* table : Atom.t -> id, shared during compilation only *)
 let intern table atoms_rev next a =
-  match Hashtbl.find_opt table a with
+  match AtomTbl.find_opt table a with
   | Some i -> i
   | None ->
       let i = !next in
-      Hashtbl.replace table a i;
+      AtomTbl.replace table a i;
       atoms_rev := a :: !atoms_rev;
       incr next;
       i
 
 let compile (g : Ground.t) =
-  let table = Hashtbl.create 1024 in
+  let table = AtomTbl.create 1024 in
   let atoms_rev = ref [] in
   let next = ref 0 in
   let id a = intern table atoms_rev next a in
@@ -177,7 +184,7 @@ let compile (g : Ground.t) =
     has_negative_weight = Array.exists (fun w -> w.weight < 0) weaks;
   }
 
-let id p a = Hashtbl.find p.index a
+let id p a = AtomTbl.find p.index a
 
 let atoms_of_bitset p bits =
   let acc = ref Model.AtomSet.empty in

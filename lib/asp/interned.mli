@@ -41,9 +41,13 @@ type weak = {
   terms : Term.t list;
 }
 
+module AtomTbl : Hashtbl.S with type key = Atom.t
+(** Keyed on {!Atom.hash}/{!Atom.equal}: the precomputed term hashes,
+    not polymorphic hashing over the atom structure. *)
+
 type t = {
   atoms : Atom.t array;  (** id -> atom *)
-  index : (Atom.t, int) Hashtbl.t;  (** atom -> id *)
+  index : int AtomTbl.t;  (** atom -> id *)
   n_atoms : int;
   facts : int array;
   rules : rule array;

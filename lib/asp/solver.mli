@@ -36,8 +36,14 @@
     Before search, the completion nogoods run through {!Preprocess}
     (unit propagation to fixpoint, duplicate and subsumed-clause
     elimination, and — on tight programs — body-variable equivalence and
-    pure-literal reduction); programs in the propagation-only fragment
-    skip CDNL entirely ({!Cheap}). Both are on by default and switchable
+    pure-literal reduction). Programs whose negation the well-founded
+    bounds decide skip completion, preprocessing and CDNL entirely
+    ({!Cheap}): a lower and an upper closure, computed as an alternating
+    fixpoint over the negated literals, enclose every stable model, so
+    when no negated literal or choice guard is left undecided the models
+    are the least fixpoints of the remaining definite rules over the free
+    choice atoms. Stratified programs — the sweeps' what-if simulations
+    among them — always qualify. Both are on by default and switchable
     via {!Config}.
 
     [?assumptions] fixes atom values under dedicated decision levels
@@ -68,8 +74,11 @@ module Config : sig
         (** run {!Preprocess} over the completion nogoods (default on) *)
     cheap_tier : bool;
         (** dispatch eligible programs to the propagation-only {!Cheap}
-            tier (default on); disabled automatically under assumptions
-            and under optimization with weak constraints *)
+            tier (default on): no aggregates or choice bounds, and every
+            negated literal and choice guard decided by the well-founded
+            bounds, which enclose every stable model. Disabled
+            automatically under assumptions and under optimization with
+            weak constraints *)
     exchange : (Exchange.t * int) option;
         (** learned-nogood sharing: the hub and this solver's path id
             (default [None]) *)

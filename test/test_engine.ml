@@ -282,6 +282,50 @@ let test_sweep_matches_reference () =
         (Cpsrisk.Sweeps.verdicts r))
     report.Engine.Sweep.results
 
+(* The paper's whole fault x mitigation what-if space at the benchmark
+   horizon: every mutation is a stratified simulation, so the cheap
+   tier's well-founded bounds must decide each job without CDNL, and the
+   verdicts must equal the direct qualitative simulation's. *)
+let test_sweep_cheap_tier () =
+  let horizon = 48 in
+  let rec subsets = function
+    | [] -> [ [] ]
+    | x :: rest ->
+        let s = subsets rest in
+        s @ List.map (fun l -> x :: l) s
+  in
+  let deltas =
+    List.concat_map
+      (fun mitigations ->
+        Cpsrisk.Sweeps.all_fault_deltas ~mitigations Cpsrisk.Water_tank.faults)
+      (subsets [ "M1"; "M2"; "M3" ])
+  in
+  check Alcotest.int "fault x mitigation deltas" 128 (List.length deltas);
+  let report =
+    Engine.Sweep.run ~jobs:1 (Cpsrisk.Sweeps.water_tank_spec ~horizon deltas)
+  in
+  check Alcotest.int "every job fresh" 128 report.Engine.Sweep.misses;
+  Array.iter
+    (fun (r : Engine.Job.result) ->
+      let label = Engine.Delta.label r.Engine.Job.delta in
+      checkb (label ^ ": cheap tier") true
+        r.Engine.Job.stats.Asp.Solver.Stats.cheap;
+      let row =
+        Epa.Analysis.run_scenario ~horizon Cpsrisk.Water_tank.system
+          (Cpsrisk.Sweeps.delta_scenario r.Engine.Job.delta)
+      in
+      let violated = Epa.Analysis.violations row in
+      check
+        (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.bool))
+        label
+        (List.map
+           (fun (req : Epa.Requirement.t) ->
+             let id = req.Epa.Requirement.id in
+             (id, List.mem id violated))
+           Cpsrisk.Water_tank.requirements)
+        (Cpsrisk.Sweeps.verdicts r))
+    report.Engine.Sweep.results
+
 let test_topology_sweep () =
   let config = Cpsrisk.Pipeline.water_tank_config () in
   let report, impacts = Cpsrisk.Pipeline.topology_sweep ~jobs:1 config in
@@ -431,6 +475,8 @@ let suites =
           test_mode_not_conflated;
         Alcotest.test_case "sweep: agrees with per-scenario encoding" `Quick
           test_sweep_matches_reference;
+        Alcotest.test_case "sweep: what-if space decided by the cheap tier"
+          `Quick test_sweep_cheap_tier;
         Alcotest.test_case "sweep: pipeline topology what-ifs" `Quick
           test_topology_sweep;
         Alcotest.test_case "par: enumeration equals sequential" `Quick

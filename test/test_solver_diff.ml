@@ -81,6 +81,38 @@ let gen_program rng =
   done;
   Buffer.contents buf
 
+(* Normal programs: facts, rules with default negation and integrity
+   constraints, no choice rules, so every model is decided by the rules
+   alone. With [stratified] every body atom has a lower index than its
+   head (no cycles at all); otherwise bodies range over the whole
+   vocabulary, reaching even and odd negative loops and positive loops.
+   This is the well-founded fragment of the cheap tier. *)
+let gen_normal_program ~stratified rng =
+  let int n = Random.State.int rng n in
+  let n_atoms = 4 + int 5 in
+  let atom i = Printf.sprintf "a%d" i in
+  let buf = Buffer.create 256 in
+  let stmt fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
+  for _ = 1 to 1 + int 2 do
+    stmt "%s." (atom (int n_atoms))
+  done;
+  for _ = 1 to 3 + int 6 do
+    let head = if stratified then 1 + int (n_atoms - 1) else int n_atoms in
+    let body_atom () = atom (if stratified then int head else int n_atoms) in
+    let lits =
+      List.init (1 + int 3) (fun _ ->
+          (if int 2 = 0 then "not " else "") ^ body_atom ())
+    in
+    stmt "%s :- %s." (atom head) (String.concat ", " lits)
+  done;
+  for _ = 1 to int 2 do
+    stmt ":- %s."
+      (String.concat ", "
+         (List.init (1 + int 2) (fun _ ->
+              (if int 3 = 0 then "not " else "") ^ atom (int n_atoms))))
+  done;
+  Buffer.contents buf
+
 (* ------------------------------------------------------------------ *)
 (* Outcome comparison                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -261,6 +293,26 @@ let test_differential_seeded () =
     diff_one (gen_program rng)
   done
 
+(* A stratified program's well-founded model is total, so the cheap tier
+   must take every one of them; the non-stratified half must also reach
+   CDNL, or the comparison would not cover both tiers. *)
+let test_differential_normal () =
+  let full = ref 0 in
+  for seed = 0 to 99 do
+    let rng = Random.State.make [| 0x4E0; seed |] in
+    let stratified = seed mod 2 = 0 in
+    let src = gen_normal_program ~stratified rng in
+    let eligible =
+      Asp.Solver.cheap_eligible
+        (Asp.Grounder.ground (Asp.Parser.parse_program src))
+    in
+    if stratified && not eligible then
+      fail (Printf.sprintf "stratified program left the cheap tier:\n%s" src);
+    if not eligible then incr full;
+    diff_one src
+  done;
+  check Alcotest.bool "some non-stratified programs reach CDNL" true (!full > 0)
+
 (* hand-picked programs covering the corners the generator reaches only
    rarely *)
 let test_differential_corners () =
@@ -370,15 +422,15 @@ let test_cheap_classifier () =
      so the positive p/q loop cannot smuggle in an unfounded model *)
   check Alcotest.bool "non-tight choice-supported loop" true
     (eligible "{ c }. p :- q. q :- p. p :- c.");
-  (* same program plus a negated constraint: negation leaves the
-     fragment, CDNL must take over *)
+  (* same program plus a negated constraint: it is pending on the
+     derived atom p, which no choice can force, so CDNL must take over *)
   check Alcotest.bool "negated constraint rejects" false
     (eligible "{ c }. p :- q. q :- p. p :- c. :- not p.");
   (* a constraint pending on two free atoms cannot be resolved by
      forcing: full tier *)
   check Alcotest.bool "two-pending constraint rejects" false
     (eligible "{ a ; b }. :- a, b.");
-  (* negation in a rule body leaves the fragment *)
+  (* negation over an undecided choice atom leaves the fragment *)
   check Alcotest.bool "rule negation rejects" false
     (eligible "{ a }. b :- not a.");
   (* choice bounds leave the fragment *)
@@ -395,6 +447,39 @@ let test_cheap_classifier () =
   check Alcotest.bool "unsat proven in the cheap tier" true
     s.Asp.Solver.Stats.cheap;
   check Alcotest.int "no search needed" 0 s.Asp.Solver.Stats.guesses;
+  (* negation the well-founded bounds decide stays in the fragment and
+     is answered without CDNL *)
+  let cheap_models ~what src expected =
+    let g = Asp.Grounder.ground (Asp.Parser.parse_program src) in
+    check Alcotest.bool (what ^ " eligible") true (Asp.Solver.cheap_eligible g);
+    let ms, s = Asp.Solver.solve_with_stats g in
+    check
+      Alcotest.(list (list string))
+      (what ^ " models") expected
+      (List.map
+         (fun m -> List.map Asp.Atom.to_string (Asp.Model.to_list m))
+         ms);
+    check Alcotest.bool (what ^ " solved in the cheap tier") true
+      s.Asp.Solver.Stats.cheap
+  in
+  cheap_models ~what:"stratified chain" "a. b :- a. c :- not b. d :- not c."
+    [ [ "a"; "b"; "d" ] ];
+  cheap_models ~what:"negation over a fact" "{ c }. d :- c, not b. b."
+    [ [ "b" ]; [ "b"; "c" ] ];
+  (* undecided negation goes to CDNL *)
+  check Alcotest.bool "even loop rejects" false
+    (eligible "a :- not b. b :- not a.");
+  let odd = "p :- not p." in
+  check Alcotest.bool "odd loop rejects" false (eligible odd);
+  let ms, s =
+    Asp.Solver.solve_with_stats
+      (Asp.Grounder.ground (Asp.Parser.parse_program odd))
+  in
+  check Alcotest.int "odd loop is unsat" 0 (List.length ms);
+  check Alcotest.bool "odd loop answered by CDNL" false
+    s.Asp.Solver.Stats.cheap;
+  check Alcotest.bool "undecided negated guard rejects" false
+    (eligible "{ a }. { b : not a }.");
   (* the reference chain shape solves in the cheap tier *)
   let chain =
     "{ s }. a1 :- s. a2 :- a1. a3 :- a2. a4 :- a3. goal :- a4."
@@ -441,6 +526,8 @@ let suites =
       [
         Alcotest.test_case "100 seeded random programs" `Quick
           test_differential_seeded;
+        Alcotest.test_case "100 seeded normal programs" `Quick
+          test_differential_normal;
         Alcotest.test_case "corner programs" `Quick test_differential_corners;
         Alcotest.test_case "cheap-tier classifier" `Quick
           test_cheap_classifier;
