@@ -1,39 +1,22 @@
 (* Semantic-analysis bench: wall-time of the Analysis.Infer fixpoint and
-   the payoff of its selectivity-based join ordering on the grounder, on
-   four workload shapes:
+   the accuracy of its cardinality prediction, on three workload shapes:
 
    - tank h:   the water-tank temporal encoding at horizon h (the paper's
                actual workload shape);
    - pigeon h: h+1 pigeons into h holes — the grounding-blowup shape L212
                warns about;
    - tc n:     transitive closure over an n-node chain (recursive,
-               interval-heavy);
-   - join n:   a skewed triple join (two wide relations, one tiny filter)
-               where enumerating the filter first shrinks the search from
-               O(n²) to O(n) — the shape `join_order` exists for.
+               interval-heavy).
 
-   Every entry times the analysis itself, compares the predicted ground
+   Every entry times the analysis itself and compares the predicted ground
    universe against the actual one (the within-10x contract pinned by
-   test_analysis), and grounds each program twice — unordered and with
-   `~order:(Infer.join_order info)` — checking the two results bit-for-bit
-   equal and reporting the speedup. Ordered grounding must never be
-   slower: entries large enough to time reliably (>= 10 ms unordered)
-   fail the bench past a noise tolerance. Emits JSON (committed as
-   BENCH_analysis.json at the repo root for the full sweep;
-   `dune build @analysis-smoke` runs a seconds-scale subset as part of
-   the test tree). *)
+   test_analysis), next to the wall time of grounding the same program, so
+   the analysis cost reads against the work it predicts. Emits JSON
+   (committed as BENCH_analysis.json at the repo root for the full sweep;
+   `dune build @analysis-smoke` runs a seconds-scale subset as part of the
+   test tree). *)
 
-let time ~reps f =
-  let best = ref infinity in
-  let result = ref None in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt;
-    result := Some r
-  done;
-  (Option.get !result, !best)
+let time = Registry.time
 
 let pigeon_program holes =
   let pigeons = holes + 1 in
@@ -46,29 +29,15 @@ let pigeon_program holes =
   Buffer.add_string buf ":- at(P,H), at(Q,H), P < Q.\n";
   Asp.Parser.parse_program (Buffer.contents buf)
 
-let join_program n =
-  Asp.Parser.parse_program
-    (Printf.sprintf
-       "big(1..%d).\nsel(1). sel(2). sel(3).\nhit(X) :- big(X), sel(X).\n\
-        pair(X, Y) :- big(X), big(Y), sel(Y).\n#show pair/2.\n"
-       n)
-
 type entry = {
   workload : string;
   param : int;
   analysis_s : float;
   predicted_atoms : float;
   ground_atoms : int;
-  unordered_s : float;
-  ordered_s : float;
-  reordered : int;  (* rules for which join_order adopted a permutation *)
+  ground_s : float;
   rules : int;
 }
-
-(* noise tolerance for the never-slower check; only enforced on entries
-   whose unordered grounding takes long enough to time reliably *)
-let tolerance = 1.25
-let min_reliable_s = 0.010
 
 let run ~reps name param program =
   let info, analysis_s = time ~reps (fun () -> Analysis.Infer.analyze program) in
@@ -78,51 +47,21 @@ let run ~reps name param program =
       0.0
       (Analysis.Infer.preds info)
   in
-  let g_plain, unordered_s =
-    time ~reps (fun () -> Asp.Grounder.ground program)
-  in
-  (* the permutation search itself is analysis-time work a caller does
-     once per program — memoize it so the timed region measures only the
-     grounder's ordered enumeration *)
-  let orders = Hashtbl.create 64 in
-  List.iter
-    (fun r -> Hashtbl.replace orders r (Analysis.Infer.join_order info r))
-    (Asp.Program.rules program);
-  let order r = Option.join (Hashtbl.find_opt orders r) in
-  let g_ordered, ordered_s =
-    time ~reps (fun () -> Asp.Grounder.ground ~order program)
-  in
-  if not (Asp.Ground.equal g_plain g_ordered) then begin
-    Printf.eprintf "ordered/unordered grounding disagree on %s %d\n" name param;
-    exit 2
-  end;
-  if unordered_s >= min_reliable_s && ordered_s > unordered_s *. tolerance
-  then begin
-    Printf.eprintf "ordered grounding slower on %s %d: %.4fs vs %.4fs\n" name
-      param ordered_s unordered_s;
-    exit 2
-  end;
-  let rules = Asp.Program.rules program in
-  let reordered =
-    List.length (List.filter (fun r -> order r <> None) rules)
-  in
-  let ground_atoms = Asp.Ground.atom_count g_plain in
+  let g, ground_s = time ~reps (fun () -> Asp.Grounder.ground program) in
+  let rules = List.length (Asp.Program.rules program) in
+  let ground_atoms = Asp.Ground.atom_count g in
   Printf.eprintf
     "  %-6s %4d: analyze %8.4fs, predicted %8.0f / actual %6d atoms, \
-     ground %8.4fs -> ordered %8.4fs (%.2fx, %d/%d rules reordered)\n%!"
-    name param analysis_s predicted_atoms ground_atoms unordered_s ordered_s
-    (unordered_s /. ordered_s)
-    reordered (List.length rules);
+     ground %8.4fs (%d rules)\n%!"
+    name param analysis_s predicted_atoms ground_atoms ground_s rules;
   {
     workload = name;
     param;
     analysis_s;
     predicted_atoms;
     ground_atoms;
-    unordered_s;
-    ordered_s;
-    reordered;
-    rules = List.length rules;
+    ground_s;
+    rules;
   }
 
 let emit_json out mode entries =
@@ -131,9 +70,7 @@ let emit_json out mode entries =
   p "{\n";
   p "  \"bench\": \"semantic-analysis\",\n";
   p "  \"mode\": %S,\n" mode;
-  p
-    "  \"reference\": \"Asp.Grounder.ground without ~order; ordered output \
-     checked bit-for-bit equal\",\n";
+  p "  \"reference\": \"Asp.Grounder.ground of the analysed program\",\n";
   p "  \"entries\": [\n";
   List.iteri
     (fun i e ->
@@ -141,14 +78,10 @@ let emit_json out mode entries =
         "    {\"workload\": %S, \"param\": %d, \"analysis_s\": %.6f,\n\
         \     \"predicted_atoms\": %.1f, \"ground_atoms\": %d, \
          \"card_ratio\": %.3f,\n\
-        \     \"unordered_s\": %.6f, \"ordered_s\": %.6f, \
-         \"order_speedup\": %.3f,\n\
-        \     \"reordered_rules\": %d, \"rules\": %d}%s\n"
+        \     \"ground_s\": %.6f, \"rules\": %d}%s\n"
         e.workload e.param e.analysis_s e.predicted_atoms e.ground_atoms
         (e.predicted_atoms /. float_of_int (max 1 e.ground_atoms))
-        e.unordered_s e.ordered_s
-        (e.unordered_s /. e.ordered_s)
-        e.reordered e.rules
+        e.ground_s e.rules
         (if i = List.length entries - 1 then "" else ","))
     entries;
   p "  ]\n}\n";
@@ -159,7 +92,6 @@ let run_bench ~smoke ~out =
   let tank_hs = if smoke then [ 6 ] else [ 6; 12; 24; 48 ] in
   let pigeon_hs = if smoke then [ 6 ] else [ 6; 10; 14 ] in
   let tc_ns = if smoke then [ 40 ] else [ 40; 80; 120; 200 ] in
-  let join_ns = if smoke then [ 200 ] else [ 200; 400; 800 ] in
   let entries =
     List.map
       (fun h ->
@@ -172,7 +104,6 @@ let run_bench ~smoke ~out =
     @ List.map
         (fun n -> run ~reps "tc" n (Cpsrisk.Cascade.asp_chain_program n))
         tc_ns
-    @ List.map (fun n -> run ~reps "join" n (join_program n)) join_ns
   in
   emit_json out (if smoke then "smoke" else "full") entries;
   Printf.eprintf "wrote %s\n" out;
@@ -180,16 +111,16 @@ let run_bench ~smoke ~out =
     (fun e ->
       Registry.row ~ground_atoms:e.ground_atoms
         ~note:
-          (Printf.sprintf "ordered %.2fx, %d/%d rules reordered"
-             (e.unordered_s /. e.ordered_s)
-             e.reordered e.rules)
-        ~param:(string_of_int e.param) e.workload e.ordered_s)
+          (Printf.sprintf "analyze %.4fs, predicted/actual %.2f"
+             e.analysis_s
+             (e.predicted_atoms /. float_of_int (max 1 e.ground_atoms)))
+        ~param:(string_of_int e.param) e.workload e.ground_s)
     entries
 
 let bench =
   {
     Registry.name = "analysis";
-    descr = "semantic-analysis fixpoint + join-ordering payoff";
+    descr = "semantic-analysis fixpoint + cardinality prediction";
     default_out = "BENCH_analysis.json";
     run = run_bench;
   }

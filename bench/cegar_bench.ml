@@ -83,8 +83,10 @@ let run ~smoke ~out =
   let levels = if smoke then 6 else 10 in
   let entries = if smoke then 9 else 14 in
   (* scratch pays per round: reground the whole accumulated program and
-     re-assess every surviving candidate with no cache and no hub *)
-  let reps = if smoke then 1 else 3 in
+     re-assess every surviving candidate with no cache and no hub. Smoke
+     mode also takes the best of three: one 20-50 ms sample per side is
+     too noisy for the never-slower guard on a loaded host *)
+  let reps = 3 in
   let best f =
     let r = ref None and w = ref infinity in
     for _ = 1 to reps do

@@ -1,7 +1,7 @@
 (* Grounder scaling sweep: the production grounding path (Asp.Grounder —
    semi-naive fixpoint with snapshot rounds, hash-consed terms,
    multi-position/composite/range discrimination indexes, incremental
-   extend) against the retained naive oracle (Asp.Naive_ground —
+   extend) against the retained naive oracle (Asp_oracle.Naive_ground —
    ground-everything-every-pass fixpoint with linear signature scans), on
    four workload shapes:
 
@@ -100,7 +100,9 @@ let run_oneshot ~reps ~oracle_cap name param program =
   let g, new_s = time ~reps (fun () -> Asp.Grounder.ground ~stats program) in
   let oracle_s =
     if param <= oracle_cap then begin
-      let og, dt = time ~reps (fun () -> Asp.Naive_ground.ground program) in
+      let og, dt =
+        time ~reps (fun () -> Asp_oracle.Naive_ground.ground program)
+      in
       (* the sweep doubles as a differential check *)
       if not (Asp.Ground.equal g og) then begin
         Printf.eprintf "grounder/oracle disagree on %s %d\n" name param;
@@ -208,8 +210,8 @@ let emit_json out mode entries =
   p "{\n";
   p "  \"bench\": \"asp-grounder-scaling\",\n";
   p "  \"mode\": %S,\n" mode;
-  p "  \"reference\": \"Asp.Naive_ground (naive fixpoint, linear signature \
-     scans); extend rows reference fresh base+delta grounding\",\n";
+  p "  \"reference\": \"Asp_oracle.Naive_ground (naive fixpoint, linear \
+     signature scans); extend rows reference fresh base+delta grounding\",\n";
   p "  \"guards\": {\"never_slower_tolerance\": %.2f, \"min_reliable_s\": \
      %.3f, \"probe_budget\": {%s}},\n"
     tolerance min_reliable_s

@@ -1,8 +1,8 @@
 (* Solver scaling sweep: the production solver (Asp.Solver — cheap
    propagation tier + CDNL with preprocessing, conflict-driven nogood
    learning, backjumping, unfounded-set checks) against the retained
-   pruned DFS (Asp.Dfs, the previous production path) and the exhaustive
-   reference (Asp.Naive), on five workload shapes:
+   pruned DFS (Asp_oracle.Dfs, the previous production path) and the
+   exhaustive reference (Asp_oracle.Naive), on five workload shapes:
 
    - chain n:   deterministic transitive closure over an n-node chain; no
                 choices, measures pure propagation (cheap tier).
@@ -161,22 +161,22 @@ let run_workload ~reps ~dfs_cap ~naive_cap name param program =
   in
   let dfs =
     if param <= dfs_cap then begin
-      match time ~reps (fun () -> Asp.Dfs.solve g) with
+      match time ~reps (fun () -> Asp_oracle.Dfs.solve g) with
       | dfs_models, dt ->
           (* the sweep doubles as a coarse differential check *)
           check_count "dfs" (List.length dfs_models);
           Ran dt
-      | exception Asp.Dfs.Unsupported _ -> Skipped "unsupported"
+      | exception Asp_oracle.Dfs.Unsupported _ -> Skipped "unsupported"
     end
     else Skipped "timeout"
   in
   let naive =
     if param <= naive_cap then begin
-      match time ~reps (fun () -> Asp.Naive.solve ~max_guess:64 g) with
+      match time ~reps (fun () -> Asp_oracle.Naive.solve ~max_guess:64 g) with
       | naive_models, dt ->
           check_count "naive" (List.length naive_models);
           Ran dt
-      | exception Asp.Naive.Unsupported _ -> Skipped "unsupported"
+      | exception Asp_oracle.Naive.Unsupported _ -> Skipped "unsupported"
     end
     else Skipped "timeout"
   in
@@ -305,8 +305,8 @@ let emit_json out mode entries par_entries =
      preprocessed completion nogoods, 1-UIP learning, unfounded-set \
      checks)\",\n";
   p
-    "  \"baselines\": [\"Asp.Dfs (retained pruned DFS)\", \"Asp.Naive \
-     (exhaustive subset enumeration)\"],\n";
+    "  \"baselines\": [\"Asp_oracle.Dfs (retained pruned DFS)\", \
+     \"Asp_oracle.Naive (exhaustive subset enumeration)\"],\n";
   p "  \"host_domains\": %d,\n" (Domain.recommended_domain_count ());
   p
     "  \"never_slower\": {\"workloads\": [%s], \"tolerance\": %.2f, \

@@ -414,8 +414,7 @@ let threats_cmd =
 (* solve                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let solve file limit optimal stats max_guess solver jobs no_preprocess no_share
-    =
+let solve file limit optimal stats jobs =
   match Asp.Parser.parse_program (read_file file) with
   | exception Asp.Parser.Error msg ->
       Printf.eprintf "parse error: %s\n" msg;
@@ -427,77 +426,61 @@ let solve file limit optimal stats max_guess solver jobs no_preprocess no_share
           Printf.eprintf "grounding error: %s\n" msg;
           1
       | ground -> (
-          (* --no-preprocess means "raw CDNL": both the clause-level
-             preprocessing and the propagation-only tier are bypassed *)
-          let config =
-            {
-              Asp.Solver.Config.default with
-              Asp.Solver.Config.preprocess = not no_preprocess;
-              cheap_tier = not no_preprocess;
-            }
+          let models, search_stats =
+            match jobs with
+            | Some j when j > 1 ->
+                let r =
+                  if optimal then Engine.Par.optimal ~jobs:j ground
+                  else Engine.Par.enumerate ~jobs:j ?limit ground
+                in
+                (r.Engine.Par.models, r.Engine.Par.stats)
+            | _ ->
+                if optimal then Asp.Solver.solve_optimal_with_stats ground
+                else Asp.Solver.solve_with_stats ?limit ground
           in
-          match
-            match solver with
-            | `Dfs ->
-                if optimal then Asp.Dfs.solve_optimal_with_stats ?max_guess ground
-                else Asp.Dfs.solve_with_stats ?limit ?max_guess ground
-            | `Cdnl -> (
-                match jobs with
-                | Some j when j > 1 ->
-                    let share = not no_share in
-                    let r =
-                      if optimal then
-                        Engine.Par.optimal ~jobs:j ~share ~config ground
-                      else Engine.Par.enumerate ~jobs:j ?limit ~share ~config
-                          ground
-                    in
-                    (r.Engine.Par.models, r.Engine.Par.stats)
-                | _ ->
-                    if optimal then
-                      Asp.Solver.solve_optimal_with_stats ?max_guess ~config
-                        ground
-                    else
-                      Asp.Solver.solve_with_stats ?limit ?max_guess ~config
-                        ground)
-          with
-          | exception Asp.Dfs.Unsupported msg ->
-              Printf.eprintf "unsupported program: %s\n" msg;
+          let shows = ground.Asp.Ground.shows in
+          let project m = if shows = [] then m else Asp.Model.project shows m in
+          let report_stats () =
+            if stats then begin
+              Printf.printf "Ground: %s\n"
+                (Asp.Grounder.Stats.to_string ground_stats);
+              Printf.printf "Stats: %s\n"
+                (Asp.Solver.Stats.to_string search_stats)
+            end
+          in
+          match models with
+          | [] ->
+              print_endline "UNSATISFIABLE";
+              report_stats ();
               1
-          | models, search_stats -> (
-              let shows = ground.Asp.Ground.shows in
-              let project m =
-                if shows = [] then m else Asp.Model.project shows m
-              in
-              let report_stats () =
-                if stats then begin
-                  Printf.printf "Ground: %s\n"
-                    (Asp.Grounder.Stats.to_string ground_stats);
-                  Printf.printf "Stats: %s\n"
-                    (Asp.Solver.Stats.to_string search_stats)
-                end
-              in
-              match models with
-              | [] ->
-                  print_endline "UNSATISFIABLE";
-                  report_stats ();
-                  1
-              | models ->
-                  List.iteri
-                    (fun i m ->
-                      Printf.printf "Answer %d: %s\n" (i + 1)
-                        (Asp.Model.to_string (project m)))
-                    models;
-                  Printf.printf "SATISFIABLE (%d model%s)\n"
-                    (List.length models)
-                    (if List.length models = 1 then "" else "s");
-                  report_stats ();
-                  0)))
+          | models ->
+              List.iteri
+                (fun i m ->
+                  Printf.printf "Answer %d: %s\n" (i + 1)
+                    (Asp.Model.to_string (project m)))
+                models;
+              Printf.printf "SATISFIABLE (%d model%s)\n" (List.length models)
+                (if List.length models = 1 then "" else "s");
+              report_stats ();
+              0))
+
+(* a model limit below 1 is a usage error, not a request for one model *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ ->
+        Error (`Msg (Printf.sprintf "expected a count of at least 1, got %s" s))
+    | None -> Error (`Msg (Printf.sprintf "invalid integer %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
 
 let limit_arg =
   Arg.(
     value
-    & opt (some int) None
-    & info [ "n"; "models" ] ~docv:"N" ~doc:"Stop after $(docv) models.")
+    & opt (some positive_int) None
+    & info [ "n"; "models" ] ~docv:"N"
+        ~doc:"Stop after $(docv) models (at least 1).")
 
 let optimal_arg =
   Arg.(
@@ -509,27 +492,8 @@ let stats_arg =
     value & flag
     & info [ "stats" ]
         ~doc:
-          "Print search statistics (decisions, pruned subtrees, rule \
-           firings, leaves, models, wall time) after solving.")
-
-let max_guess_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "max-guess" ] ~docv:"N"
-        ~doc:
-          "With $(b,--solver=dfs): refuse programs whose choice space spans \
-           more than $(docv) atoms (default 64). The CDNL solver has no cap \
-           and ignores this option.")
-
-let solver_arg =
-  Arg.(
-    value
-    & opt (enum [ ("cdnl", `Cdnl); ("dfs", `Dfs) ]) `Cdnl
-    & info [ "solver" ] ~docv:"NAME"
-        ~doc:
-          "Solving engine: $(b,cdnl) (conflict-driven nogood learning, the \
-           default) or $(b,dfs) (the retained pruned depth-first search).")
+          "Print grounding and search statistics (rule firings, decisions, \
+           conflicts, models, wall time) after solving.")
 
 let jobs_arg =
   Arg.(
@@ -538,36 +502,13 @@ let jobs_arg =
     & info [ "jobs" ] ~docv:"N"
         ~doc:
           "Enumerate on $(docv) worker domains via guiding-path splitting \
-           (CDNL only; the merged result is identical to a sequential \
-           solve).")
-
-let no_preprocess_arg =
-  Arg.(
-    value & flag
-    & info [ "no-preprocess" ]
-        ~doc:
-          "Disable completion-nogood preprocessing (unit propagation, \
-           duplicate/subsumed-clause removal, body-variable equivalence and \
-           pure-literal reduction) and the propagation-only cheap tier; the \
-           CDNL search then runs on the raw completion. Mainly for A/B \
-           measurement and differential testing.")
-
-let no_share_arg =
-  Arg.(
-    value & flag
-    & info [ "no-share" ]
-        ~doc:
-          "With $(b,--jobs): disable learned-nogood sharing between the \
-           guiding-path worker domains. The result is identical either way; \
-           only the work per domain changes.")
+           (the merged result is identical to a sequential solve).")
 
 let solve_cmd =
   Cmd.v
     (Cmd.info "solve" ~doc:"Run the embedded ASP solver on a program file")
     Term.(
-      const solve $ file_arg $ limit_arg $ optimal_arg $ stats_arg
-      $ max_guess_arg $ solver_arg $ jobs_arg $ no_preprocess_arg
-      $ no_share_arg)
+      const solve $ file_arg $ limit_arg $ optimal_arg $ stats_arg $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* score                                                                *)
@@ -668,25 +609,7 @@ let dot_cmd =
 (* sweep                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let sweep mutations model jobs horizon stats json no_preprocess no_share =
-  ignore no_share;
-  (* sweep jobs solve distinct programs, so there is no nogood exchange to
-     disable; --no-share is accepted for symmetry with solve --jobs *)
-  let solver_config =
-    if no_preprocess then
-      Some
-        {
-          Asp.Solver.Config.default with
-          Asp.Solver.Config.preprocess = false;
-          cheap_tier = false;
-        }
-    else None
-  in
-  let with_config spec =
-    match solver_config with
-    | None -> spec
-    | Some _ -> { spec with Engine.Job.solver_config }
-  in
+let sweep mutations model jobs horizon stats json =
   let deltas =
     match mutations with
     | None -> None
@@ -706,7 +629,7 @@ let sweep mutations model jobs horizon stats json no_preprocess no_share =
         | Some ds -> ds
         | None -> Cpsrisk.Sweeps.all_fault_deltas Cpsrisk.Water_tank.faults
       in
-      let spec = with_config (Cpsrisk.Sweeps.water_tank_spec ?horizon deltas) in
+      let spec = Cpsrisk.Sweeps.water_tank_spec ?horizon deltas in
       let report = Engine.Sweep.run ?jobs spec in
       if json then print_endline (Engine.Sweep.to_json report)
       else begin
@@ -739,7 +662,7 @@ let sweep mutations model jobs horizon stats json no_preprocess no_share =
             | Some ds -> ds
             | None -> Cpsrisk.Sweeps.model_element_deltas m
           in
-          let spec = with_config (Cpsrisk.Sweeps.topology_spec m deltas) in
+          let spec = Cpsrisk.Sweeps.topology_spec m deltas in
           let report = Engine.Sweep.run ?jobs spec in
           if json then print_endline (Engine.Sweep.to_json report)
           else begin
@@ -826,7 +749,7 @@ let sweep_cmd =
          ])
     Term.(
       const sweep $ mutations_arg $ sweep_model_arg $ jobs_arg $ horizon_arg
-      $ sweep_stats_flag $ sweep_json_flag $ no_preprocess_arg $ no_share_arg)
+      $ sweep_stats_flag $ sweep_json_flag)
 
 (* ------------------------------------------------------------------ *)
 (* refine / mitigate                                                    *)
@@ -1308,8 +1231,9 @@ let request_cmd =
   let limit_arg =
     Arg.(
       value
-      & opt (some int) None
-      & info [ "limit" ] ~docv:"N" ~doc:"For $(b,solve): stop after N models.")
+      & opt (some positive_int) None
+      & info [ "limit" ] ~docv:"N"
+          ~doc:"For $(b,solve): stop after N models (at least 1).")
   in
   let optimal_flag =
     Arg.(

@@ -694,226 +694,3 @@ let eval_term _t env term =
   let tbl = Hashtbl.create 8 in
   List.iter (fun (v, d) -> Hashtbl.replace tbl v d) env;
   eval_term_env tbl term
-
-(* ------------------------------------------------------------------ *)
-(* Selectivity-based join ordering                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* The grounder enumerates candidates for each positive literal in body
-   order, probing its discrimination indexes on every argument position
-   that is already ground — a composite key over all bound positions when
-   more than one is, a single-position bucket otherwise. The cost model
-   mirrors that: scanning a literal costs its relation size divided by
-   the product of the bound columns' distinct-value counts (capped at the
-   relation size — an index cannot return less than the matching rows);
-   surviving rows multiply by the estimated matches. Identity order wins
-   ties — we only deviate on a >10% predicted improvement, so well-written
-   programs keep their order (and their grounding output trivially
-   unchanged). *)
-
-let max_order_lits = 6
-
-let rec permutations = function
-  | [] -> [ [] ]
-  | l ->
-      List.concat_map
-        (fun x ->
-          let rest = List.filter (fun y -> y != x) l in
-          List.map (fun p -> x :: p) (permutations rest))
-        l
-
-module StrSet = Set.Make (String)
-
-let join_order t rule =
-  let body = Rule.body rule in
-  let positives =
-    List.filter_map (function Lit.Pos a -> Some a | _ -> None) body
-  in
-  let k = List.length positives in
-  if k < 2 || k > max_order_lits then None
-  else begin
-    let env = Hashtbl.create 8 in
-    let ri = List.find_opt (fun ri -> ri.rule == rule) t.rinfos in
-    (match ri with
-    | Some ri -> List.iter (fun (v, d) -> Hashtbl.replace env v d) ri.env
-    | None ->
-        (* rule not from the analysed program: rebuild a local env from
-           predicate domains *)
-        List.iter
-          (fun (a : Atom.t) ->
-            match find_pred t (Atom.signature a) with
-            | None -> ()
-            | Some info ->
-                List.iteri
-                  (fun i (arg : Term.t) ->
-                    match arg.Term.node with
-                    | Term.Var v ->
-                        let cur =
-                          Option.value ~default:Domain.top
-                            (Hashtbl.find_opt env v)
-                        in
-                        Hashtbl.replace env v (Domain.meet cur info.doms.(i))
-                    | _ -> ())
-                  a.Atom.args)
-          positives);
-    (* Reordering must not move a [Term.eval] failure (symbolic operand in
-       arithmetic, division by zero): under a different prefix the failing
-       substitution may never be enumerated, diverging from the in-order
-       grounding by exception instead of by output. Only reorder when every
-       arithmetic subterm of the positive patterns and comparisons provably
-       evaluates: variables drawn from all-integer producer positions
-       (joined over every occurrence — the narrowed [env] is not enough,
-       since narrowing happens after the candidate is tried), integer
-       leaves, and no division/modulo at all. *)
-    let prod = Hashtbl.create 8 in
-    List.iter
-      (fun (a : Atom.t) ->
-        let dom i =
-          match find_pred t (Atom.signature a) with
-          | Some info when Array.length info.doms > i -> info.doms.(i)
-          | _ -> Domain.top
-        in
-        List.iteri
-          (fun i (arg : Term.t) ->
-            match arg.Term.node with
-            | Term.Var v ->
-                let cur =
-                  Option.value ~default:Domain.bot (Hashtbl.find_opt prod v)
-                in
-                Hashtbl.replace prod v (Domain.join cur (dom i))
-            | _ -> ())
-          a.Atom.args)
-      positives;
-    let var_ints v =
-      match Hashtbl.find_opt prod v with
-      | Some d -> Domain.all_ints d
-      | None -> false
-    in
-    let rec term_safe ~in_arith (t : Term.t) =
-      match t.Term.node with
-      | Term.Int _ -> true
-      | Term.Const _ | Term.Str _ -> not in_arith
-      | Term.Var v -> (not in_arith) || var_ints v
-      | Term.Func (("/" | "mod"), _) -> false
-      | Term.Func (f, args) ->
-          let arith = List.mem f Term.arith_ops in
-          ((not in_arith) || arith)
-          && List.for_all (term_safe ~in_arith:(in_arith || arith)) args
-    in
-    let eval_safe =
-      List.for_all
-        (fun (a : Atom.t) -> List.for_all (term_safe ~in_arith:false) a.Atom.args)
-        positives
-      && List.for_all
-           (function
-             | Lit.Cmp (l, _, r) ->
-                 term_safe ~in_arith:false l && term_safe ~in_arith:false r
-             | _ -> true)
-           body
-    in
-    let count (a : Atom.t) =
-      match find_pred t (Atom.signature a) with
-      | Some info -> Float.max 1.0 info.card
-      | None -> 1.0
-    in
-    (* combined selectivity of the index probe: product of the
-       distinct-value counts of every argument position that will be
-       ground at enumeration time (the composite key the grounder builds).
-       1.0 when nothing is bound — a full scan. *)
-    let probe_selectivity (a : Atom.t) in_bound =
-      match find_pred t (Atom.signature a) with
-      | None -> 1.0
-      | Some info ->
-          List.fold_left
-            (fun (i, sel) (arg : Term.t) ->
-              let arg_bound =
-                Term.is_ground arg
-                || List.for_all (fun v -> StrSet.mem v in_bound) (Term.vars arg)
-              in
-              if arg_bound && Array.length info.doms > i then
-                (i + 1, sel *. Float.max 1.0 (dom_card_f t.universe info.doms.(i)))
-              else (i + 1, sel))
-            (0, 1.0) a.Atom.args
-          |> snd
-    in
-    (* distinct values a variable can take in its column(s) of [a] — the
-       V(R, y) of the textbook join-size estimate *)
-    let column_card (a : Atom.t) v =
-      match find_pred t (Atom.signature a) with
-      | Some info ->
-          List.fold_left
-            (fun (i, acc) (arg : Term.t) ->
-              match arg.Term.node with
-              | Term.Var v' when v' = v && Array.length info.doms > i ->
-                  (i + 1, Float.min acc (dom_card_f t.universe info.doms.(i)))
-              | _ -> (i + 1, acc))
-            (0, infinity) a.Atom.args
-          |> fun (_, acc) -> if acc = infinity then 1.0 else Float.max 1.0 acc
-      | None -> 1.0
-    in
-    let indexed = Array.of_list positives in
-    let cost_of perm =
-      let bound = ref StrSet.empty in
-      (* per bound variable, the distinct-value count of the join column
-         so far (shrinks as more atoms constrain it) *)
-      let vcard = Hashtbl.create 8 in
-      let rows = ref 1.0 in
-      let total = ref 0.0 in
-      List.iter
-        (fun idx ->
-          let a = indexed.(idx) in
-          let cnt = count a in
-          let vars = Atom.vars a in
-          let scan =
-            Float.max 1.0 (cnt /. probe_selectivity a !bound)
-          in
-          total := !total +. (!rows *. scan);
-          let matches =
-            List.fold_left
-              (fun m v ->
-                let col = column_card a v in
-                if StrSet.mem v !bound then begin
-                  let prev =
-                    Option.value ~default:1.0 (Hashtbl.find_opt vcard v)
-                  in
-                  (* |R ⋈ S| ≈ |R|·|S| / max(V(R,v), V(S,v)) *)
-                  let m = m /. Float.max prev col in
-                  Hashtbl.replace vcard v (Float.max 1.0 (Float.min prev col));
-                  m
-                end
-                else begin
-                  Hashtbl.replace vcard v col;
-                  m
-                end)
-              cnt vars
-          in
-          rows := Float.max 1e-3 (!rows *. matches);
-          List.iter (fun v -> bound := StrSet.add v !bound) vars)
-        perm;
-      (!total, !rows)
-    in
-    let identity = List.init k (fun i -> i) in
-    let id_cost, id_rows = cost_of identity in
-    let best, best_cost =
-      List.fold_left
-        (fun (bp, bc) p ->
-          let c, _ = cost_of p in
-          if c < bc then (p, c) else (bp, bc))
-        (identity, id_cost)
-        (permutations identity)
-    in
-    (* permuted enumeration is not free: the grounder re-sorts each rule's
-       matches into canonical order, re-evaluating every positive atom per
-       match to build the sort key. That overhead is proportional to the
-       match count (order-independent) times the body size, so a
-       permutation is only adopted when its predicted probe savings also
-       clear that bill — small rules keep program order even when a
-       cheaper join order exists on paper. *)
-    let sort_overhead = 2.0 *. id_rows *. float_of_int k in
-    if
-      eval_safe && best <> identity
-      && id_cost >= 16.0 (* below this everything is estimation noise *)
-      && best_cost +. sort_overhead < 0.9 *. id_cost
-    then Some (Array.of_list best)
-    else None
-  end

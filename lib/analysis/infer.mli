@@ -6,8 +6,7 @@
     of its derivable ground instances, and, for every rule, a satisfiable /
     dead verdict plus an estimated grounding cost. The domains drive the
     L2xx semantic lint family ({!Semlint}); the cardinalities drive the
-    grounding-cost report and the selectivity-based join ordering consumed
-    by {!Asp.Grounder}.
+    grounding-cost report and the L212 blowup lint.
 
     Soundness contract: domains and derivability only over-approximate, so
     [dead <> None] and every {!dead_cause} are proofs; cardinalities and
@@ -82,14 +81,3 @@ val total_cost : t -> float
 val eval_term : t -> (string * Domain.t) list -> Asp.Term.t -> Domain.t
 (** Abstract value of a term under a variable environment (e.g. a
     {!rule_info.env}). *)
-
-val join_order : t -> Asp.Rule.t -> int array option
-(** Selectivity-based ordering of a rule's positive body literals:
-    [Some perm] maps enumeration position to original positive-literal
-    index. [None] when the original order is already within 10% of the
-    best found, the body is too small/large to search, or reordering could
-    move a [Term.eval] failure (arithmetic over a possibly non-integer
-    variable, any division/modulo) — callers keep program order in those
-    cases, which is what makes the result safe to feed to
-    [Asp.Grounder.ground ~order]. The cost model accounts for the
-    grounder's first-argument discrimination index. *)

@@ -10,9 +10,9 @@
 
     Aggregate variables, choice bounds and weak constraints carry no
     clauses; the solver evaluates them lazily once their atom scope is
-    fully assigned, matching the reference semantics ({!Naive}) where
-    aggregates are tested against the total candidate and contribute no
-    foundedness. For non-tight programs the module precomputes the
+    fully assigned, matching the reference semantics of the test oracles,
+    where aggregates are tested against the total candidate and
+    contribute no foundedness. For non-tight programs the module precomputes the
     non-trivial SCCs of the positive atom dependency graph and per-atom
     support bodies, the inputs of the solver's unfounded-set check. *)
 

@@ -58,8 +58,8 @@ val atom_count : t -> int
 
 val equal : t -> t -> bool
 (** Structural equality, rule-for-rule and in order: the relation the
-    grounder differential suite enforces between {!Grounder} and
-    {!Naive_ground} output. *)
+    grounder differential suite enforces between {!Grounder} and the
+    test-only reference grounder's output. *)
 
 val equal_rule : grule -> grule -> bool
 (** Structural rule equality via {!Term.equal} on the interned terms —

@@ -177,19 +177,12 @@ let ground_keys (pat' : Atom.t) =
    in index probes, generation windows and the incremental new/old/full
    partition; [~pending] gives it the still-undischarged builtins under
    the current substitution, which range-aware indexes use to narrow
-   integer-keyed scans. [perm] permutes the enumeration only: the [j]-th
-   literal joined is the [perm.(j)]-th positive literal, and [cands] is
-   still queried with the original position, so windowed callers stay
-   exact. [err] is the located message for the (statically unreachable
-   after {!check_rule}) leftover-builtin case. *)
-let matches_gen ?perm ~cands ~err subst0 lits ~on_match =
+   integer-keyed scans. Literals are joined in body order. [err] is the
+   located message for the (statically unreachable after {!check_rule})
+   leftover-builtin case. *)
+let matches_gen ~cands ~err subst0 lits ~on_match =
   let pats = Array.of_list (positives lits) in
   let n = Array.length pats in
-  let order =
-    match perm with
-    | Some p when Array.length p = n -> p
-    | Some _ | None -> Array.init n (fun i -> i)
-  in
   let builtins = builtins_of lits in
   let rec go j subst builtins =
     if j = n then
@@ -201,8 +194,7 @@ let matches_gen ?perm ~cands ~err subst0 lits ~on_match =
       match discharge subst builtins with
       | None -> ()
       | Some (subst, builtins) ->
-          let k = order.(j) in
-          let pat' = Atom.substitute subst pats.(k) in
+          let pat' = Atom.substitute subst pats.(j) in
           let pending () =
             List.map
               (fun (l, op, r) ->
@@ -214,7 +206,7 @@ let matches_gen ?perm ~cands ~err subst0 lits ~on_match =
               match unify_atom subst pat' ga with
               | Some subst -> go (j + 1) subst builtins
               | None -> ())
-            (cands k pat' ~pending)
+            (cands j pat' ~pending)
   in
   go 0 subst0 builtins
 
@@ -573,9 +565,9 @@ let run_fixpoint ?par st (stats : Stats.t) templates entries_for ~initial =
 
 (* A [view] answers candidate queries over an immutable universe with
    every bucket sorted ascending by [Atom.compare] — the canonical order
-   shared with {!Naive_ground}, which is what makes the two grounders'
-   outputs bit-for-bit comparable (any index is a superset filter: the
-   subset enumerated in ascending order yields the oracle's match
+   shared with the test-only reference grounder, which is what makes the
+   two grounders' outputs bit-for-bit comparable (any index is a superset
+   filter: the subset enumerated in ascending order yields the oracle's match
    sequence).
 
    Three probe tiers, most selective first:
@@ -819,36 +811,13 @@ let view_cands ?(pending = no_pending) view (stats : Stats.t) (pat' : Atom.t) =
    modulo the discrimination indexes and hashed (instead of quadratic)
    dedup of aggregate / choice elements. [body_cands], when given,
    overrides candidate selection for the rule's outer body join only —
-   {!extend} uses it to enumerate just the joins that involve new atoms.
-   [perm] reorders the outer body join's enumeration (selectivity-first
-   orderings from {!Analysis}); the matches are then replayed sorted by
-   their chosen-atom tuple in original body order — exactly the order the
-   in-order nested-loop join produces, since candidate buckets are sorted
-   ascending and the substitution is a function of that tuple — so the
-   emitted instances are bit-for-bit those of the unordered join. *)
-let instantiate snap (stats : Stats.t) ?body_cands ?perm ~emit r =
+   {!extend} uses it to enumerate just the joins that involve new atoms. *)
+let instantiate snap (stats : Stats.t) ?body_cands ~emit r =
   let rule_str = Rule.to_string r in
   let err = unbound_err r in
   let default_cands _ pat' ~pending = view_cands ~pending snap.sn_view stats pat' in
   let body_cands = Option.value ~default:default_cands body_cands in
-  let body_matches lits ~on_match =
-    match perm with
-    | None -> matches_gen ~cands:body_cands ~err [] lits ~on_match
-    | Some _ ->
-        let pats = positives lits in
-        let batch = ref [] in
-        matches_gen ?perm ~cands:body_cands ~err [] lits
-          ~on_match:(fun subst ->
-            let key =
-              List.map (fun a -> Atom.eval (Atom.substitute subst a)) pats
-            in
-            batch := (key, subst) :: !batch);
-        List.iter
-          (fun (_, subst) -> on_match subst)
-          (List.sort
-             (fun (k1, _) (k2, _) -> List.compare Atom.compare k1 k2)
-             !batch)
-  in
+  let body_matches = matches_gen ~cands:body_cands ~err [] in
   let simplify_negs negs =
     List.filter snap.sn_mem (List.map (fun a -> Atom.eval a) negs)
   in
@@ -968,9 +937,7 @@ let phase1 ?par ~max_atoms stats p =
 let universe_of st base =
   AtomTbl.fold (fun a _ acc -> Model.AtomSet.add a acc) st.st_univ base
 
-let no_order : Rule.t -> int array option = fun _ -> None
-
-let ground ?(max_atoms = 200_000) ?(order = no_order) ?par ?stats p =
+let ground ?(max_atoms = 200_000) ?par ?stats p =
   let stats = match stats with Some s -> s | None -> Stats.create () in
   let t0 = Unix.gettimeofday () in
   let st, _, _ = phase1 ?par ~max_atoms stats p in
@@ -990,7 +957,7 @@ let ground ?(max_atoms = 200_000) ?(order = no_order) ?par ?stats p =
       out := gr :: !out
     end
   in
-  List.iter (fun r -> instantiate snap stats ?perm:(order r) ~emit r) (Program.rules p);
+  List.iter (fun r -> instantiate snap stats ~emit r) (Program.rules p);
   let g =
     {
       Ground.rules = List.rev !out;
@@ -1024,10 +991,9 @@ type prepared = {
   p_tindex : (int * int) list SigTbl.t;
   p_universe : Model.AtomSet.t;
   p_rules : Ground.grule list; (* globally deduped, = [ground] output *)
-  p_order : Rule.t -> int array option;
 }
 
-let prepare ?(max_atoms = 200_000) ?(order = no_order) ?par ?stats p =
+let prepare ?(max_atoms = 200_000) ?par ?stats p =
   let stats = match stats with Some s -> s | None -> Stats.create () in
   let t0 = Unix.gettimeofday () in
   let st, templates, tindex = phase1 ?par ~max_atoms stats p in
@@ -1042,7 +1008,7 @@ let prepare ?(max_atoms = 200_000) ?(order = no_order) ?par ?stats p =
           stats.Stats.fresh_rules <- stats.Stats.fresh_rules + 1;
           acc := gr :: !acc
         in
-        instantiate snap stats ?perm:(order r) ~emit r;
+        instantiate snap stats ~emit r;
         {
           e_rule = r;
           e_pos_sigs = Array.of_list (Deps.positive_body_signatures r);
@@ -1081,7 +1047,6 @@ let prepare ?(max_atoms = 200_000) ?(order = no_order) ?par ?stats p =
       p_tindex = tindex;
       p_universe = universe_of st Model.AtomSet.empty;
       p_rules = rules;
-      p_order = order;
     }
   in
   stats.Stats.wall_s <- stats.Stats.wall_s +. (Unix.gettimeofday () -. t0);
@@ -1166,9 +1131,8 @@ let extend ?par ?stats prep dp =
      - nothing touched -> share wholesale. *)
   Array.iter
     (fun e ->
-      let perm = prep.p_order e.e_rule in
       if List.exists touched e.e_cond_sigs then
-        instantiate snap stats ?perm ~emit e.e_rule
+        instantiate snap stats ~emit e.e_rule
       else begin
         stats.Stats.reused_rules <-
           stats.Stats.reused_rules + List.length e.e_instances;
@@ -1181,14 +1145,12 @@ let extend ?par ?stats prep dp =
                 else if k < i then view_cands ~pending prep.p_view stats pat'
                 else view_cands ~pending full_view stats pat'
               in
-              instantiate snap stats ~body_cands ?perm ~emit e.e_rule
+              instantiate snap stats ~body_cands ~emit e.e_rule
             end)
           e.e_pos_sigs
       end)
     prep.p_entries;
-  List.iter
-    (fun r -> instantiate snap stats ?perm:(prep.p_order r) ~emit r)
-    (Program.rules dp);
+  List.iter (fun r -> instantiate snap stats ~emit r) (Program.rules dp);
   let g =
     {
       Ground.rules = List.rev !out;
@@ -1249,20 +1211,19 @@ let extend_prepare ?par ?stats prep dp =
      instances stay shared (and keep their emission order), delta-exact
      new joins are appended, cond-touched rules are recomputed. *)
   let entries = ref [] in
-  let recompute ?body_cands perm r =
+  let recompute ?body_cands r =
     let acc = ref [] in
     let emit gr =
       stats.Stats.fresh_rules <- stats.Stats.fresh_rules + 1;
       acc := gr :: !acc
     in
-    instantiate snap stats ?body_cands ?perm ~emit r;
+    instantiate snap stats ?body_cands ~emit r;
     List.rev !acc
   in
   Array.iter
     (fun e ->
-      let perm = prep.p_order e.e_rule in
       let insts =
-        if List.exists touched e.e_cond_sigs then recompute perm e.e_rule
+        if List.exists touched e.e_cond_sigs then recompute e.e_rule
         else begin
           stats.Stats.reused_rules <-
             stats.Stats.reused_rules + List.length e.e_instances;
@@ -1275,7 +1236,7 @@ let extend_prepare ?par ?stats prep dp =
                   else if k < i then view_cands ~pending prep.p_view stats pat'
                   else view_cands ~pending view stats pat'
                 in
-                extra := !extra @ recompute ~body_cands perm e.e_rule
+                extra := !extra @ recompute ~body_cands e.e_rule
               end)
             e.e_pos_sigs;
           e.e_instances @ !extra
@@ -1290,7 +1251,7 @@ let extend_prepare ?par ?stats prep dp =
           e_rule = r;
           e_pos_sigs = Array.of_list (Deps.positive_body_signatures r);
           e_cond_sigs = Deps.condition_signatures r;
-          e_instances = recompute (prep.p_order r) r;
+          e_instances = recompute r;
         }
         :: !entries)
     (Program.rules dp);
@@ -1323,7 +1284,6 @@ let extend_prepare ?par ?stats prep dp =
       p_tindex = tindex;
       p_universe = universe_of store Model.AtomSet.empty;
       p_rules = rules;
-      p_order = prep.p_order;
     }
   in
   stats.Stats.wall_s <- stats.Stats.wall_s +. (Unix.gettimeofday () -. t0);

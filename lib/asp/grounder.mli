@@ -20,9 +20,9 @@
     [X = expr] equality with a ground right-hand side acts as an
     assignment, as in clingo).
 
-    The pre-rewrite naive grounder survives as {!Naive_ground}, the
-    differential oracle: on any accepted program both produce structurally
-    equal [Ground.t] values ([test/test_grounder_diff.ml]).
+    The pre-rewrite naive grounder survives as a test-only differential
+    oracle in [test/oracle/]: on any accepted program both produce
+    structurally equal [Ground.t] values ([test/test_grounder_diff.ml]).
 
     Safety: every variable of a rule must be bound by a positive body
     literal, an assignment, or — for choice elements — the element's own
@@ -70,24 +70,13 @@ type par = { pmap : 'a. (int -> 'a) -> int -> 'a array; min_items : int }
 
 val ground :
   ?max_atoms:int ->
-  ?order:(Rule.t -> int array option) ->
   ?par:par ->
   ?stats:Stats.t ->
   Program.t ->
   Ground.t
 (** One-shot grounding. [max_atoms] defaults to 200_000; effort is added to
-    [stats] when given. Bit-for-bit equal to {!Naive_ground.ground} on any
-    program both accept.
-
-    [order], when given, may return for a rule a permutation of its
-    positive body literals (enumeration position -> original index) and the
-    phase-2 join for that rule is enumerated in that order — the hook
-    through which [Analysis.Infer.join_order] plugs selectivity-ascending
-    orderings. Output is unaffected: each rule's matches are replayed in
-    canonical (original-order nested-loop) order before emission, so the
-    result stays bit-for-bit equal to the unordered and naive groundings.
-    The ordering function must be exception-safe for the program (see
-    [Analysis.Infer.join_order], which proves this before reordering). *)
+    [stats] when given. Bit-for-bit equal to the reference grounder's
+    output on any program both accept. *)
 
 type prepared
 (** Reusable grounding state for a base program: its closed universe with
@@ -98,15 +87,12 @@ type prepared
 
 val prepare :
   ?max_atoms:int ->
-  ?order:(Rule.t -> int array option) ->
   ?par:par ->
   ?stats:Stats.t ->
   Program.t ->
   prepared
 (** Ground the base once, keeping the state an increment can extend.
-    [order] is as in {!ground} and is retained: {!extend} re-applies it to
-    base rules it re-instantiates and to delta rules. Raises like {!ground}
-    if the base itself is unsafe or overflows. *)
+    Raises like {!ground} if the base itself is unsafe or overflows. *)
 
 val base : prepared -> Ground.t
 (** The base program's own grounding (what [ground base] returns). *)

@@ -2,15 +2,8 @@
    solving path. See solver.mli for the architecture overview and
    DESIGN.md §10 for the full derivation. *)
 
-exception Unsupported of string
-
 module AtomSet = Model.AtomSet
 module Stats = Solver_stats
-
-(* accepted (and ignored) for API compatibility with the retained DFS
-   path: CDNL search is polynomial-space in the guess dimension, so no
-   cap is needed *)
-let default_max_guess = 64
 
 module Config = struct
   type t = {
@@ -748,9 +741,8 @@ let solve_full ?limit ~config ~assumptions ~optimal ~stats (p : Interned.t) =
    enumeration (no assumptions, and no weak constraints when optimizing —
    a zero-cost optimum is just the enumeration); everything else runs the
    full CDNL tier *)
-let solve_core ?limit ?max_guess ?(assumptions = []) ?(config = Config.default)
-    ~optimal (g : Ground.t) =
-  ignore max_guess;
+let solve_core ?limit ?(assumptions = []) ?(config = Config.default) ~optimal
+    (g : Ground.t) =
   let t0 = Unix.gettimeofday () in
   let stats = Stats.create () in
   let p = Interned.compile g in
@@ -770,19 +762,19 @@ let solve_core ?limit ?max_guess ?(assumptions = []) ?(config = Config.default)
   stats.Stats.wall_s <- Unix.gettimeofday () -. t0;
   (result, stats)
 
-let solve_with_stats ?limit ?max_guess ?assumptions ?config g =
-  solve_core ?limit ?max_guess ?assumptions ?config ~optimal:false g
+let solve_with_stats ?limit ?assumptions ?config g =
+  solve_core ?limit ?assumptions ?config ~optimal:false g
 
-let solve ?limit ?max_guess ?assumptions ?config g =
-  fst (solve_with_stats ?limit ?max_guess ?assumptions ?config g)
+let solve ?limit ?assumptions ?config g =
+  fst (solve_with_stats ?limit ?assumptions ?config g)
 
-let solve_optimal_with_stats ?max_guess ?assumptions ?config g =
-  solve_core ?max_guess ?assumptions ?config ~optimal:true g
+let solve_optimal_with_stats ?assumptions ?config g =
+  solve_core ?assumptions ?config ~optimal:true g
 
-let solve_optimal ?max_guess ?assumptions ?config g =
-  fst (solve_optimal_with_stats ?max_guess ?assumptions ?config g)
+let solve_optimal ?assumptions ?config g =
+  fst (solve_optimal_with_stats ?assumptions ?config g)
 
-let satisfiable ?max_guess ?config g = solve ?max_guess ?config ~limit:1 g <> []
+let satisfiable ?config g = solve ?config ~limit:1 g <> []
 
 let cheap_eligible g = Cheap.eligible (Interned.compile g)
 
@@ -825,7 +817,3 @@ let guiding_atoms (g : Ground.t) n =
     end;
     List.rev !acc
   end
-
-(* Gelfond–Lifschitz verification stays on the reference implementation:
-   the oracle must share no code with the fast path it validates. *)
-let is_stable_model = Naive.is_stable_model

@@ -1,13 +1,13 @@
 (** Stable-model search by conflict-driven nogood learning (CDNL-ASP).
 
-    The production solving path, superseding the pruned DFS (retained
-    verbatim as {!Dfs}). The ground program is compiled to its Clark
-    completion over atom, aggregate and body variables ({!Completion});
-    search is a CDCL loop ({!Nogood}): two-watched-literal unit
-    propagation over a trail with decision levels, 1-UIP conflict
-    analysis with clause learning, non-chronological backjumping, VSIDS
-    decision heuristic with saved phases, Luby restarts, and
-    activity-based deletion of learned nogoods. On top of the clausal
+    The one solving path the library ships. The ground program is
+    compiled to its Clark completion over atom, aggregate and body
+    variables ({!Completion}); search is a CDCL loop ({!Nogood}):
+    two-watched-literal unit propagation over a trail with decision
+    levels, 1-UIP conflict analysis with clause learning,
+    non-chronological backjumping, VSIDS decision heuristic with saved
+    phases, Luby restarts, and activity-based deletion of learned
+    nogoods. On top of the clausal
     core sit three lazy ASP propagators:
 
     - {b aggregates} are evaluated against the candidate once every atom
@@ -20,15 +20,17 @@
       positive dependency graph whenever a support body becomes false:
       atoms without external support get loop nogoods (Lin–Zhao for
       arbitrary sets), so non-tight and non-stratified programs are
-      solved natively — the old exhaustive [2^n] fallback and its
-      64-atom guess cap are gone.
+      solved natively, with no cap on the guess dimension.
 
     Models are enumerated with {e blocking nogoods under chronological
     backtracking}: recording a model pops one decision level and resumes
     instead of learning and restarting, so adjacent models are reached
     without rebuilding the assignment prefix (see DESIGN.md §12.3).
-    Results are returned sorted, bit-for-bit identical to {!Naive} and
-    {!Dfs}. {!solve_optimal} keeps branch-and-bound and learns a decision
+    Results are returned sorted, bit-for-bit identical to the test-only
+    oracles in [test/oracle/] (an exhaustive enumerator and the pre-CDNL
+    pruned search), which also hold the independent Gelfond–Lifschitz
+    model check.
+    {!solve_optimal} keeps branch-and-bound and learns a decision
     nogood from every bound violation; the bound is a per-priority-level
     lower bound that adds the weights of still-undecided negative tuples,
     so pruning stays sound (and enabled) under mixed-sign weights.
@@ -43,8 +45,9 @@
     when no negated literal or choice guard is left undecided the models
     are the least fixpoints of the remaining definite rules over the free
     choice atoms. Stratified programs — the sweeps' what-if simulations
-    among them — always qualify. Both are on by default and switchable
-    via {!Config}.
+    among them — always qualify. Both are on by default; the {!Config}
+    switches are library-level, for the differential tests and benches
+    that A/B them — no shipped command exposes them.
 
     [?assumptions] fixes atom values under dedicated decision levels
     before search starts — the guiding-path mechanism used by
@@ -54,15 +57,6 @@
     path-local nogoods are published, so imports are sound under any
     other path's assumptions and the merged result stays bit-for-bit
     identical to a sequential solve. *)
-
-exception Unsupported of string
-(** Retained for API compatibility with {!Dfs}; the CDNL path has no
-    unsupported ground form and never raises it. *)
-
-val default_max_guess : int
-(** 64 — only meaningful to {!Dfs}. The CDNL solver accepts [?max_guess]
-    for drop-in compatibility and ignores it: search is polynomial-space
-    in the guess dimension, so no cap is needed. *)
 
 module Stats = Solver_stats
 (** Search statistics; fresh per [solve_*_with_stats] call, so repeated
@@ -89,7 +83,6 @@ end
 
 val solve :
   ?limit:int ->
-  ?max_guess:int ->
   ?assumptions:(Atom.t * bool) list ->
   ?config:Config.t ->
   Ground.t ->
@@ -101,7 +94,6 @@ val solve :
 
 val solve_with_stats :
   ?limit:int ->
-  ?max_guess:int ->
   ?assumptions:(Atom.t * bool) list ->
   ?config:Config.t ->
   Ground.t ->
@@ -109,7 +101,6 @@ val solve_with_stats :
 (** Same as {!solve}, also returning search statistics. *)
 
 val solve_optimal :
-  ?max_guess:int ->
   ?assumptions:(Atom.t * bool) list ->
   ?config:Config.t ->
   Ground.t ->
@@ -117,13 +108,12 @@ val solve_optimal :
 (** Models with the minimal weak-constraint cost (all optima). *)
 
 val solve_optimal_with_stats :
-  ?max_guess:int ->
   ?assumptions:(Atom.t * bool) list ->
   ?config:Config.t ->
   Ground.t ->
   Model.t list * Stats.t
 
-val satisfiable : ?max_guess:int -> ?config:Config.t -> Ground.t -> bool
+val satisfiable : ?config:Config.t -> Ground.t -> bool
 
 val cheap_eligible : Ground.t -> bool
 (** Whether the cheap-tier classifier accepts the program (exposed for
@@ -134,7 +124,3 @@ val guiding_atoms : Ground.t -> int -> Atom.t list
     atoms in interned id order, then atoms under negation. Conditioning
     on any atom set partitions the model space, so fanning out over all
     [2^k] sign vectors and merging is equivalent to a sequential solve. *)
-
-val is_stable_model : Ground.t -> Model.AtomSet.t -> bool
-(** Independent Gelfond–Lifschitz verification, delegated to the retained
-    {!Naive} reference so the oracle shares no code with the fast path. *)

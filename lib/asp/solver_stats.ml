@@ -1,7 +1,7 @@
-(* Search statistics shared by the CDNL solver (Solver) and the retained
-   DFS solver (Dfs). Every [solve_*_with_stats] entry point allocates a
-   fresh record per call, so re-entrant and repeated solves never
-   accumulate into each other's counters or wall times. *)
+(* Search statistics of the CDNL solver (Solver), also filled by the
+   test-only pruned-DFS oracle. Every [solve_*_with_stats] entry point
+   allocates a fresh record per call, so re-entrant and repeated solves
+   never accumulate into each other's counters or wall times. *)
 
 type t = {
   mutable guesses : int;

@@ -1,5 +1,5 @@
-(** Search statistics shared by the CDNL solver ({!Solver}) and the
-    retained DFS solver ({!Dfs}).
+(** Search statistics of the CDNL solver ({!Solver}), also filled by the
+    test-only pruned-DFS oracle.
 
     Every [solve_*_with_stats] entry point allocates a fresh record per
     call: consecutive or re-entrant solves report independent counters and

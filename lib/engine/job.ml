@@ -5,16 +5,11 @@ type spec = {
   compile : Delta.t -> Asp.Program.t;
   deltas : Delta.t list;
   mode : mode;
-  max_guess : int option;
   max_atoms : int option;
-  solver_config : Asp.Solver.Config.t option;
-      (* not fingerprinted: the config changes the work, never the models,
-         so cached results stay valid across config switches *)
 }
 
-let spec ?(mode = Enumerate None) ?max_guess ?max_atoms ?solver_config ~compile
-    ~deltas base =
-  { base; compile; deltas; mode; max_guess; max_atoms; solver_config }
+let spec ?(mode = Enumerate None) ?max_atoms ~compile ~deltas base =
+  { base; compile; deltas; mode; max_atoms }
 
 type result = {
   index : int;
@@ -41,7 +36,6 @@ let mode_fingerprint s =
       | Enumerate None -> 0
       | Enumerate (Some l) -> 1 + l
       | Optimal -> -1);
-      Option.value ~default:(-1) s.max_guess;
       Option.value ~default:(-1) s.max_atoms;
     ]
 
@@ -74,11 +68,7 @@ let solve p delta =
   let ground = Asp.Grounder.extend ~stats:gstats p.p_ground (s.compile delta) in
   let models, stats =
     match s.mode with
-    | Enumerate limit ->
-        Asp.Solver.solve_with_stats ?limit ?max_guess:s.max_guess
-          ?config:s.solver_config ground
-    | Optimal ->
-        Asp.Solver.solve_optimal_with_stats ?max_guess:s.max_guess
-          ?config:s.solver_config ground
+    | Enumerate limit -> Asp.Solver.solve_with_stats ?limit ground
+    | Optimal -> Asp.Solver.solve_optimal_with_stats ground
   in
   (models, stats, gstats)

@@ -18,17 +18,11 @@ type spec = {
   compile : Delta.t -> Asp.Program.t;  (** delta -> program increment *)
   deltas : Delta.t list;  (** one job per delta, in order *)
   mode : mode;
-  max_guess : int option;  (** per-solve cap, default solver's *)
   max_atoms : int option;  (** grounder universe cap, default grounder's *)
-  solver_config : Asp.Solver.Config.t option;
-      (** per-solve {!Asp.Solver.Config}; [None] uses the default. Not
-          part of the fingerprint — the config changes the work, never
-          the models, so cached results stay valid across switches *)
 }
 
 val spec :
-  ?mode:mode -> ?max_guess:int -> ?max_atoms:int ->
-  ?solver_config:Asp.Solver.Config.t ->
+  ?mode:mode -> ?max_atoms:int ->
   compile:(Delta.t -> Asp.Program.t) -> deltas:Delta.t list ->
   Asp.Program.t -> spec
 (** [mode] defaults to [Enumerate None]. *)
@@ -64,7 +58,7 @@ val base_atoms : prepared -> int
 
 val fingerprint : prepared -> Delta.t -> Fingerprint.t
 (** Content address of the job: base extended with the compiled increment,
-    mixed with the solve mode and caps. *)
+    mixed with the solve mode and the grounder's atom cap. *)
 
 val solve :
   prepared -> Delta.t ->

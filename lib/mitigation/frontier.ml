@@ -68,12 +68,8 @@ let scratch_problem t =
         let g = Asp.Grounder.ground ?max_atoms:spec.Engine.Job.max_atoms p in
         let models =
           match spec.Engine.Job.mode with
-          | Engine.Job.Enumerate limit ->
-              Asp.Solver.solve ?limit ?max_guess:spec.Engine.Job.max_guess
-                ?config:spec.Engine.Job.solver_config g
-          | Engine.Job.Optimal ->
-              Asp.Solver.solve_optimal ?max_guess:spec.Engine.Job.max_guess
-                ?config:spec.Engine.Job.solver_config g
+          | Engine.Job.Enumerate limit -> Asp.Solver.solve ?limit g
+          | Engine.Job.Optimal -> Asp.Solver.solve_optimal g
         in
         t.f_measure models);
   }

@@ -182,16 +182,22 @@ let request_of_json json =
       | "solve" -> (
           match Json.mem_string "program" json with
           | None -> Error "solve: missing \"program\""
-          | Some program ->
-              Ok
-                (Solve
-                   {
-                     program;
-                     limit = Json.mem_int "limit" json;
-                     optimal =
-                       Option.value ~default:false
-                         (Json.mem_bool "optimal" json);
-                   }))
+          | Some program -> (
+              match Json.mem_int "limit" json with
+              | Some l when l < 1 ->
+                  Error
+                    (Printf.sprintf
+                       "solve: \"limit\" must be at least 1, got %d" l)
+              | limit ->
+                  Ok
+                    (Solve
+                       {
+                         program;
+                         limit;
+                         optimal =
+                           Option.value ~default:false
+                             (Json.mem_bool "optimal" json);
+                       })))
       | "status" -> Ok Status
       | "stats" -> Ok Stats
       | "list-models" -> Ok List_models

@@ -44,6 +44,8 @@ type request =
       (** mitigation-frontier search answered from the model's warm
           prepared state, through its solve cache *)
   | Solve of { program : string; limit : int option; optimal : bool }
+      (** [limit], when given, is at least 1: decoding rejects a smaller
+          one *)
   | Status  (** daemon liveness, uptime, queue + store summary *)
   | Stats  (** per-model cache counters and store counters *)
   | List_models

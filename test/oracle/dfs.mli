@@ -1,5 +1,5 @@
 (** The retained pruned-DFS solving path (pre-CDNL), kept verbatim as a
-    second oracle next to {!Naive}.
+    second test-only oracle next to {!Naive}.
 
     The ground program is compiled once into a dense interned form
     ({!Interned}): atoms become contiguous int ids, assignments become
@@ -25,7 +25,7 @@
     Programs that are not stratified modulo choices fall back to exhaustive
     guessing over choice and negated atoms with a per-leaf reduct check,
     interned but still [2^n] and capped at {!default_max_guess} atoms —
-    the limitation that motivated the CDNL rewrite ({!Solver}). Results
+    the limitation that motivated the CDNL rewrite ([Asp.Solver]). Results
     are bit-for-bit identical to {!Naive} on any program both accept. *)
 
 exception Unsupported of string
@@ -59,5 +59,4 @@ val solve_optimal_with_stats :
 val satisfiable : ?max_guess:int -> Ground.t -> bool
 
 val is_stable_model : Ground.t -> Model.AtomSet.t -> bool
-(** Independent Gelfond–Lifschitz verification, delegated to the retained
-    {!Naive} reference so the oracle shares no code with the fast path. *)
+(** {!Naive.is_stable_model}. *)

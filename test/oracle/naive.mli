@@ -1,15 +1,16 @@
 (** The original exhaustive stable-model enumerator, retained verbatim as
-    the reference implementation.
+    the reference implementation. Test-only: the differential suites and
+    the solver bench link it; the shipped [asp] library does not.
 
-    [Solver] is the production path (interned atoms, watch-indexed
-    propagation, pruned decision search); this module keeps the obviously
-    correct 2^n-subset enumeration with structural [AtomSet] models so the
-    differential test suite can compare the two on randomized programs, and
-    so {!Solver.is_stable_model} has an oracle that shares no code with the
-    fast path.
+    [Asp.Solver] is the production path (CDNL search over the Clark
+    completion); this module keeps the obviously correct 2^n-subset
+    enumeration with structural [AtomSet] models so the differential test
+    suite can compare the two on randomized programs, and so
+    {!is_stable_model} is a model check that shares no code with the fast
+    path.
 
-    Do not call this from production code paths — on anything but tiny
-    guess spaces it is orders of magnitude slower than {!Solver}. *)
+    On anything but tiny guess spaces it is orders of magnitude slower
+    than [Asp.Solver]. *)
 
 exception Unsupported of string
 (** The guess space is too large ([> max_guess] atoms) for exhaustive
@@ -28,4 +29,5 @@ val satisfiable : ?max_guess:int -> Ground.t -> bool
 val is_stable_model : Ground.t -> Model.AtomSet.t -> bool
 (** Independent Gelfond–Lifschitz verification: [m] is the least model of
     the reduct of the program w.r.t. [m], and satisfies all integrity
-    constraints and choice bounds. *)
+    constraints and choice bounds. The suites check every model
+    [Asp.Solver] reports with it. *)

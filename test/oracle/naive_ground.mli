@@ -1,6 +1,6 @@
 (** Reference grounder — the pre-rewrite naive two-phase implementation,
-    retained as the differential oracle for {!Grounder} (the role {!Naive}
-    plays for {!Solver}).
+    retained as the test-only differential oracle for [Asp.Grounder] (the
+    role {!Naive} plays for [Asp.Solver]).
 
     Phase-2 candidate enumeration is canonicalised to ascending
     {!Atom.compare} order, and {!Grounder} does the same, so on any program

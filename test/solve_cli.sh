@@ -1,0 +1,86 @@
+#!/usr/bin/env bash
+# `cpsrisk solve` at the CLI level, over every example program plus the
+# test fixtures:
+#   1. exit 0 on a satisfiable program, 1 on an unsatisfiable one;
+#   2. the Answer lines of `--jobs 2` equal those of the sequential run;
+#   3. `-n 1` reports exactly one of the sequential answers;
+#   4. `--opt` reports only optimal models;
+#   5. `--stats` prints the Ground: and Stats: lines;
+#   6. a model limit below 1 is a usage error (exit 124).
+# Usage: solve_cli.sh CLI FIXTURE_DIR EXAMPLE_DIR
+set -eu
+
+CLI=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
+fixtures=$(cd "$2" && pwd)
+examples=$(cd "$3" && pwd)
+dir=$(mktemp -d)
+trap 'rm -rf "$dir"' EXIT
+cd "$dir"
+
+fail() { echo "solve-cli: $*" >&2; exit 1; }
+
+# run ARGS...: stdout to out.txt, stderr to err.txt, exit status in $code
+run() { code=0; "$CLI" solve "$@" > out.txt 2> err.txt || code=$?; }
+
+expect_code() {
+  [ "$code" -eq "$1" ] || fail "solve $2: expected exit $1, got $code"
+}
+
+for f in "$examples"/*.lp; do
+  name=$(basename "$f")
+  run "$f"
+  expect_code 0 "$name"
+  grep '^Answer' out.txt > seq.txt || fail "$name: no Answer lines"
+  grep -q '^SATISFIABLE' out.txt || fail "$name: no SATISFIABLE line"
+
+  run --jobs 2 "$f"
+  expect_code 0 "--jobs 2 $name"
+  grep '^Answer' out.txt > par.txt || true
+  cmp -s seq.txt par.txt || fail "--jobs 2 $name: answers differ from sequential"
+
+  run -n 1 "$f"
+  expect_code 0 "-n 1 $name"
+  [ "$(grep -c '^Answer' out.txt)" -eq 1 ] || fail "-n 1 $name: not one answer"
+  grep -q '^SATISFIABLE (1 model)$' out.txt || fail "-n 1 $name: bad summary"
+  model=$(sed -n 's/^Answer 1: //p' out.txt)
+  sed 's/^Answer [0-9]*: //' seq.txt | grep -qxF "$model" \
+    || fail "-n 1 $name: answer $model is not a sequential answer"
+
+  run --opt "$f"
+  expect_code 0 "--opt $name"
+
+  run --stats "$f"
+  expect_code 0 "--stats $name"
+  grep -q '^Ground: ' out.txt || fail "--stats $name: no Ground: line"
+  grep -q '^Stats: ' out.txt || fail "--stats $name: no Stats: line"
+done
+
+run "$fixtures/unsat.lp"
+expect_code 1 unsat.lp
+[ "$(cat out.txt)" = UNSATISFIABLE ] || fail "unsat.lp: expected UNSATISFIABLE"
+run --jobs 2 "$fixtures/unsat.lp"
+expect_code 1 "--jobs 2 unsat.lp"
+run --stats "$fixtures/unsat.lp"
+expect_code 1 "--stats unsat.lp"
+grep -q '^Ground: ' out.txt && grep -q '^Stats: ' out.txt \
+  || fail "--stats unsat.lp: missing statistics"
+
+cat > opt.txt <<'OUT'
+Answer 1: {b} cost[1@0]
+Answer 2: {b, c} cost[1@0]
+SATISFIABLE (2 models)
+OUT
+for jobs in 1 2; do
+  run --opt --jobs "$jobs" "$fixtures/weak.lp"
+  expect_code 0 "--opt --jobs $jobs weak.lp"
+  cmp -s opt.txt out.txt || fail "--opt --jobs $jobs weak.lp: not the two optima"
+done
+
+for limit in 0 -2; do
+  run "--models=$limit" "$examples/tank_schedule.lp"
+  expect_code 124 "--models=$limit"
+  grep -q 'at least 1' err.txt || fail "--models=$limit: no usage message"
+  [ ! -s out.txt ] || fail "--models=$limit: printed answers"
+done
+
+echo "solve-cli: exit codes, --jobs parity, -n, --opt, --stats and limit checks pass"

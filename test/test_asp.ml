@@ -349,8 +349,8 @@ let test_solver_guess_bound () =
   in
   let src = Printf.sprintf "{ %s }." atoms in
   let g = Asp.Grounder.ground (Asp.Parser.parse_program src) in
-  (match Asp.Dfs.solve g with
-  | exception Asp.Dfs.Unsupported _ -> ()
+  (match Asp_oracle.Dfs.solve g with
+  | exception Asp_oracle.Dfs.Unsupported _ -> ()
   | _ -> fail "expected Dfs.Unsupported for a 70-atom guess space");
   check Alcotest.bool "cdnl satisfiable" true (Asp.Solver.satisfiable g);
   check Alcotest.int "cdnl limited enumeration" 4
@@ -469,7 +469,7 @@ let prop_models_are_stable =
       let g = Asp.Grounder.ground (Asp.Parser.parse_program src) in
       let models = Asp.Solver.solve g in
       List.for_all
-        (fun m -> Asp.Solver.is_stable_model g (Asp.Model.atoms m))
+        (fun m -> Asp_oracle.Naive.is_stable_model g (Asp.Model.atoms m))
         models)
 
 let prop_models_unique =

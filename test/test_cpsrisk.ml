@@ -132,7 +132,7 @@ let test_asp_program_is_stratified_single_model () =
   let models = Asp.Solver.solve g in
   check Alcotest.int "unique stable model" 1 (List.length models);
   check Alcotest.bool "passes the GL oracle" true
-    (Asp.Solver.is_stable_model g (Asp.Model.atoms (List.hd models)))
+    (Asp_oracle.Naive.is_stable_model g (Asp.Model.atoms (List.hd models)))
 
 let test_dynamics_trace_shape () =
   (* fault-free: level cycles low..high, never overflow *)

@@ -76,6 +76,23 @@ let test_fp_golden () =
     "da2bfb225e0d1f050000000000000000"
     (Engine.Fingerprint.to_hex (Engine.Fingerprint.ints [ 1; 2; 3 ]))
 
+(* Job keys: base + compiled increment, combined with the solve mode and
+   the grounder's atom cap. Every Engine.Cache and Serve.Store entry is
+   addressed by this value, so a change to what [Job.fingerprint] mixes
+   in (a field added or dropped from the mode part) re-keys every
+   persisted answer — pinned here so such a change is deliberate. *)
+let test_job_fp_golden () =
+  let delta =
+    match Engine.Delta.parse_line "s2: F2 / M1" with
+    | Ok (Some d) -> d
+    | _ -> Alcotest.fail "delta did not parse"
+  in
+  let spec = Cpsrisk.Sweeps.water_tank_spec ~horizon:6 [ delta ] in
+  check Alcotest.string "water-tank h6, F2 / M1"
+    "19064283e0f1c3200000000000000000"
+    (Engine.Fingerprint.to_hex
+       (Engine.Job.fingerprint (Engine.Job.prepare spec) delta))
+
 (* ------------------------------------------------------------------ *)
 (* Delta parsing                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -457,6 +474,8 @@ let suites =
           test_fp_extend_append;
         Alcotest.test_case "fingerprint: golden values (store format)" `Quick
           test_fp_golden;
+        Alcotest.test_case "job: fingerprint golden (job-key layout)" `Quick
+          test_job_fp_golden;
         Alcotest.test_case "delta: mutations-file parsing" `Quick
           test_delta_parse;
         Alcotest.test_case "delta: error positions" `Quick

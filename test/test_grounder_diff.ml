@@ -1,7 +1,7 @@
 (* Differential tests for the grounder rewrite: the production grounder
    (Asp.Grounder — semi-naive fixpoint, first-argument indexes, incremental
-   extend) against the retained naive oracle (Asp.Naive_ground) on seeded
-   random non-ground programs and hand-picked corners. One-shot grounding
+   extend) against the retained naive oracle (Asp_oracle.Naive_ground) on
+   seeded random non-ground programs and hand-picked corners. One-shot grounding
    must agree bit-for-bit on the produced Ground.t; prepare/extend must
    agree with grounding base+delta from scratch up to the duplicate-rule
    caveat documented on [Asp.Grounder.extend]. *)
@@ -286,10 +286,10 @@ let run_new p =
   | exception Asp.Grounder.Overflow _ -> Overflow
 
 let run_oracle p =
-  match Asp.Naive_ground.ground ~max_atoms p with
+  match Asp_oracle.Naive_ground.ground ~max_atoms p with
   | g -> Grounded g
-  | exception Asp.Naive_ground.Unsafe _ -> Unsafe
-  | exception Asp.Naive_ground.Overflow _ -> Overflow
+  | exception Asp_oracle.Naive_ground.Unsafe _ -> Unsafe
+  | exception Asp_oracle.Naive_ground.Overflow _ -> Overflow
 
 let render g =
   String.concat "\n"
@@ -373,93 +373,6 @@ let corners =
   ]
 
 let test_diff_corners () = List.iter diff_one corners
-
-(* ------------------------------------------------------------------ *)
-(* Selectivity-ordered grounding: still bit-for-bit                    *)
-(* ------------------------------------------------------------------ *)
-
-(* [ground ~order] with the analysis-inferred join ordering must stay
-   bit-for-bit equal to the oracle: the permutation only changes the
-   enumeration, and the per-rule sort restores canonical emission order. *)
-
-let run_ordered p =
-  let order = Analysis.Infer.join_order (Analysis.Infer.analyze p) in
-  match Asp.Grounder.ground ~max_atoms ~order p with
-  | g -> Grounded g
-  | exception Asp.Grounder.Unsafe _ -> Unsafe
-  | exception Asp.Grounder.Overflow _ -> Overflow
-
-let diff_one_ordered src =
-  let p = Asp.Parser.parse_program src in
-  let a = run_ordered p and b = run_oracle p in
-  match (a, b) with
-  | Grounded ga, Grounded gb ->
-      if not (Asp.Ground.equal ga gb) then
-        fail
-          (Printf.sprintf
-             "ordered grounder diverged on program:\n%s\n--- ordered:\n%s\n\
-              --- oracle:\n%s"
-             src (render ga) (render gb))
-  | Unsafe, Unsafe | Overflow, Overflow -> ()
-  | a, b ->
-      fail
-        (Printf.sprintf
-           "ordered outcome divergence on program:\n%s\n  ordered: %s\n\
-           \  oracle: %s"
-           src (outcome_name a) (outcome_name b))
-
-let test_ordered_seeded () =
-  for seed = 0 to 199 do
-    let rng = Random.State.make [| 0x96D; seed |] in
-    diff_one_ordered (gen_program rng)
-  done
-
-let test_ordered_corners () = List.iter diff_one_ordered corners
-
-(* the ordering must actually fire on a join written worst-first, and the
-   output must still match both the unordered and the naive groundings *)
-let test_ordered_reorders () =
-  let src =
-    "big(1..60). tiny(1). tiny(2). tiny(3).\n\
-     hit(X) :- big(X), tiny(X).\n\
-     pair(X,Y) :- big(X), big(Y), tiny(Y)."
-  in
-  let p = Asp.Parser.parse_program src in
-  let info = Analysis.Infer.analyze p in
-  let order = Analysis.Infer.join_order info in
-  let reordered =
-    List.exists
-      (fun r -> Asp.Rule.body r <> [] && order r <> None)
-      (Asp.Program.rules p)
-  in
-  check Alcotest.bool "some rule was reordered" true reordered;
-  let ga = Asp.Grounder.ground ~order p in
-  let gu = Asp.Grounder.ground p in
-  let gn = Asp.Naive_ground.ground p in
-  check Alcotest.bool "ordered = unordered" true (Asp.Ground.equal ga gu);
-  check Alcotest.bool "ordered = naive" true (Asp.Ground.equal ga gn)
-
-(* prepare/extend with an ordering: base equals the unordered one-shot
-   grounding, and extending stays equivalent to grounding from scratch *)
-let test_ordered_prepare_extend () =
-  let base_src =
-    "e(1,2). e(2,3). e(3,4). n(1..40).\n\
-     path(X,Y) :- e(X,Y). path(X,Z) :- path(X,Y), e(Y,Z).\n\
-     touch(X) :- n(X), path(1,X)."
-  in
-  let base = Asp.Parser.parse_program base_src in
-  let order = Analysis.Infer.join_order (Analysis.Infer.analyze base) in
-  let st = Asp.Grounder.prepare ~order base in
-  check Alcotest.bool "ordered base = unordered ground" true
-    (Asp.Ground.equal (Asp.Grounder.base st) (Asp.Grounder.ground base));
-  let delta = Asp.Parser.parse_program "e(4,5). e(5,6)." in
-  let ge = Asp.Grounder.extend st delta in
-  let gs = Asp.Grounder.ground (Asp.Program.append base delta) in
-  check Alcotest.bool "universes" true
-    (Asp.Model.AtomSet.equal ge.Asp.Ground.universe gs.Asp.Ground.universe);
-  let canon rules = List.sort_uniq compare rules in
-  if canon ge.Asp.Ground.rules <> canon gs.Asp.Ground.rules then
-    fail "ordered extend diverged from scratch grounding"
 
 (* ------------------------------------------------------------------ *)
 (* prepare/extend soundness                                             *)
@@ -788,14 +701,6 @@ let suites =
         Alcotest.test_case "interval: 100 seeded programs" `Quick
           test_diff_interval_seeded;
         Alcotest.test_case "corner programs" `Quick test_diff_corners;
-        Alcotest.test_case "ordered: 200 seeded random programs" `Quick
-          test_ordered_seeded;
-        Alcotest.test_case "ordered: corner programs" `Quick
-          test_ordered_corners;
-        Alcotest.test_case "ordered: reorders and stays exact" `Quick
-          test_ordered_reorders;
-        Alcotest.test_case "ordered: prepare/extend" `Quick
-          test_ordered_prepare_extend;
         Alcotest.test_case "extend vs scratch (120 seeded)" `Quick
           test_extend_seeded;
         Alcotest.test_case "extend vs scratch (corners)" `Quick
@@ -804,16 +709,18 @@ let suites =
           test_extend_builtin_seeded;
         Alcotest.test_case "extend vs scratch (60 interval)" `Quick
           test_extend_interval_seeded;
-        Alcotest.test_case "parallel: 200 seeded bit-for-bit" `Quick
-          test_par_seeded;
-        Alcotest.test_case "parallel: corner programs" `Quick test_par_corners;
-        Alcotest.test_case "parallel: prepare/extend (60 seeded)" `Quick
-          test_par_prepare_extend;
         Alcotest.test_case "extend reuses base instances" `Quick
           test_extend_reuses;
         Alcotest.test_case "extend_prepare chains vs scratch (80 seeded)"
           `Quick test_extend_prepare_seeded;
         Alcotest.test_case "extend_prepare chains vs scratch (corners)" `Quick
           test_extend_prepare_corners;
+        (* the parallel block last, so its seeded case keeps its suite
+           index (12): alcotest ids of numbered cases carry the index *)
+        Alcotest.test_case "parallel: corner programs" `Quick test_par_corners;
+        Alcotest.test_case "parallel: 200 seeded bit-for-bit" `Quick
+          test_par_seeded;
+        Alcotest.test_case "parallel: prepare/extend (60 seeded)" `Quick
+          test_par_prepare_extend;
       ] );
   ]

@@ -383,6 +383,28 @@ let test_protocol_errors () =
   | Error "nope" -> ()
   | _ -> Alcotest.fail "error response must surface its message"
 
+(* a model limit below 1 is a malformed request, not a request for one
+   model: decode must refuse it with a message naming the field *)
+let test_protocol_solve_limit () =
+  let decode limit =
+    Serve.Protocol.parse_request
+      (Printf.sprintf {|{"op":"solve","program":"p.","limit":%d}|} limit)
+  in
+  List.iter
+    (fun l ->
+      match decode l with
+      | Error e ->
+          checkb
+            (Printf.sprintf "limit %d error names the field: %s" l e)
+            true
+            (e = Printf.sprintf "solve: \"limit\" must be at least 1, got %d" l)
+      | Ok _ -> Alcotest.fail (Printf.sprintf "limit %d should be rejected" l))
+    [ 0; -3 ];
+  match decode 1 with
+  | Ok (Serve.Protocol.Solve { limit = Some 1; _ }) -> ()
+  | Ok _ -> Alcotest.fail "limit 1 decoded to the wrong request"
+  | Error e -> Alcotest.fail e
+
 (* ------------------------------------------------------------------ *)
 (* Registry                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -448,6 +470,8 @@ let suites =
           test_protocol_roundtrip;
         Alcotest.test_case "protocol: rejections and responses" `Quick
           test_protocol_errors;
+        Alcotest.test_case "protocol: solve limit below 1 rejected" `Quick
+          test_protocol_solve_limit;
         Alcotest.test_case "registry: load, serve, re-load from disk" `Quick
           test_registry;
       ] );

@@ -1,7 +1,7 @@
 (* Differential tests: the production CDNL solver (Asp.Solver) against
-   both retained oracles — the pruned DFS (Asp.Dfs, the previous
-   production path) and the exhaustive reference (Asp.Naive) — on seeded
-   random ground programs. Where the oracles accept a program all three
+   both test-only oracles — the pruned DFS (Asp_oracle.Dfs, the previous
+   production path) and the exhaustive reference (Asp_oracle.Naive) — on
+   seeded random ground programs. Where the oracles accept a program all three
    must agree bit-for-bit on the model sets, the per-model
    weak-constraint costs and the optimal fronts; where the oracles
    reject (guess caps, aggregates under their stratification
@@ -131,8 +131,8 @@ let outcome_of_models models =
 let run f =
   match f () with
   | models -> outcome_of_models models
-  | exception Asp.Dfs.Unsupported msg -> Rejected msg
-  | exception Asp.Naive.Unsupported msg -> Rejected msg
+  | exception Asp_oracle.Dfs.Unsupported msg -> Rejected msg
+  | exception Asp_oracle.Naive.Unsupported msg -> Rejected msg
 
 let pp_outcome = function
   | Rejected msg -> "Unsupported: " ^ msg
@@ -179,7 +179,7 @@ let assert_stable ~what src g models =
     fail (Printf.sprintf "%s: unsorted or duplicated models on:\n%s" what src);
   List.iter
     (fun m ->
-      if not (Asp.Solver.is_stable_model g (Asp.Model.atoms m)) then
+      if not (Asp_oracle.Naive.is_stable_model g (Asp.Model.atoms m)) then
         fail
           (Printf.sprintf "%s produced a non-stable model {%s} on:\n%s" what
              (String.concat ","
@@ -196,8 +196,8 @@ let diff_one src =
   let g = Asp.Grounder.ground (Asp.Parser.parse_program src) in
   (* legacy parity: the retained DFS still agrees with the reference,
      including which programs are rejected and with what message *)
-  let dfs = run (fun () -> Asp.Dfs.solve ~max_guess g) in
-  let naive = run (fun () -> Asp.Naive.solve ~max_guess g) in
+  let dfs = run (fun () -> Asp_oracle.Dfs.solve ~max_guess g) in
+  let naive = run (fun () -> Asp_oracle.Naive.solve ~max_guess g) in
   compare_on ~what:"solve (dfs vs naive)" ~names:("dfs", "naive") src dfs naive;
   let cdnl_models = Asp.Solver.solve g in
   let cdnl = outcome_of_models cdnl_models in
@@ -209,8 +209,8 @@ let diff_one src =
       (* the oracles gave up; verify the CDNL answer independently *)
       assert_stable ~what:"solve (cdnl)" src g cdnl_models);
   (* optima *)
-  let dfs_opt = run (fun () -> Asp.Dfs.solve_optimal ~max_guess g) in
-  let naive_opt = run (fun () -> Asp.Naive.solve_optimal ~max_guess g) in
+  let dfs_opt = run (fun () -> Asp_oracle.Dfs.solve_optimal ~max_guess g) in
+  let naive_opt = run (fun () -> Asp_oracle.Naive.solve_optimal ~max_guess g) in
   compare_on ~what:"solve_optimal (dfs vs naive)" ~names:("dfs", "naive") src
     dfs_opt naive_opt;
   let cdnl_opt_models = Asp.Solver.solve_optimal g in
@@ -265,7 +265,7 @@ let diff_one src =
       compare_on ~what ~names:(what, "default") src (outcome_of_models ms)
         cdnl)
     [
-      ( "solve --no-preprocess",
+      ( "solve no-preprocess",
         { Asp.Solver.Config.default with preprocess = false } );
       ("solve no-cheap", { Asp.Solver.Config.default with cheap_tier = false });
       ( "solve raw",
@@ -355,7 +355,7 @@ let test_differential_corners () =
 let test_beyond_oracle_aggregate () =
   let src = "a :- not b. b :- not a. c :- #count { 1 : a } > 0." in
   let g = Asp.Grounder.ground (Asp.Parser.parse_program src) in
-  (match run (fun () -> Asp.Naive.solve ~max_guess g) with
+  (match run (fun () -> Asp_oracle.Naive.solve ~max_guess g) with
   | Rejected _ -> ()
   | Models _ -> fail "expected Naive to reject the non-stratified aggregate");
   let models =
@@ -374,10 +374,10 @@ let test_beyond_oracle_aggregate () =
    2^80 models, so the checks go through [limit] and [satisfiable]. *)
 let test_beyond_guess_cap () =
   let check_rejected ~what g =
-    (match run (fun () -> Asp.Dfs.solve ~max_guess g) with
+    (match run (fun () -> Asp_oracle.Dfs.solve ~max_guess g) with
     | Rejected _ -> ()
     | Models _ -> fail (what ^ ": expected Dfs to reject"));
-    match run (fun () -> Asp.Naive.solve ~max_guess g) with
+    match run (fun () -> Asp_oracle.Naive.solve ~max_guess g) with
     | Rejected _ -> ()
     | Models _ -> fail (what ^ ": expected Naive to reject")
   in
@@ -400,7 +400,7 @@ let test_beyond_guess_cap () =
            Printf.sprintf "a%d :- not b%d. b%d :- not a%d." i i i i))
   in
   let g = Asp.Grounder.ground (Asp.Parser.parse_program loops) in
-  (match run (fun () -> Asp.Dfs.solve g) with
+  (match run (fun () -> Asp_oracle.Dfs.solve g) with
   | Rejected _ -> ()
   | Models _ -> fail "expected Dfs to reject 80 guess atoms at its default cap");
   check Alcotest.bool "80-atom loops satisfiable" true

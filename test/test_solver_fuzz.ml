@@ -24,8 +24,8 @@ let outcome_of_models models =
 let run f =
   match f () with
   | models -> outcome_of_models models
-  | exception Asp.Dfs.Unsupported msg -> Rejected msg
-  | exception Asp.Naive.Unsupported msg -> Rejected msg
+  | exception Asp_oracle.Dfs.Unsupported msg -> Rejected msg
+  | exception Asp_oracle.Naive.Unsupported msg -> Rejected msg
 
 let agree a b =
   match (a, b) with
@@ -40,7 +40,7 @@ let agree a b =
 let assert_stable ~tag src g models =
   List.iter
     (fun m ->
-      if not (Asp.Solver.is_stable_model g (Asp.Model.atoms m)) then
+      if not (Asp_oracle.Naive.is_stable_model g (Asp.Model.atoms m)) then
         Alcotest.fail
           (Printf.sprintf "%s: non-stable model {%s} on:\n%s" tag
              (String.concat ","
@@ -62,8 +62,8 @@ let diff3 ~tag seed src =
          | _ -> "model sets")
          tag seed src)
   in
-  let naive = run (fun () -> Asp.Naive.solve ~max_guess:16 g) in
-  let dfs = run (fun () -> Asp.Dfs.solve ~max_guess:16 g) in
+  let naive = run (fun () -> Asp_oracle.Naive.solve ~max_guess:16 g) in
+  let dfs = run (fun () -> Asp_oracle.Dfs.solve ~max_guess:16 g) in
   if not (agree dfs naive) then fail_diverge "solve dfs/naive" dfs naive;
   let cdnl_models = Asp.Solver.solve g in
   let cdnl = outcome_of_models cdnl_models in
@@ -71,8 +71,10 @@ let diff3 ~tag seed src =
   | Models _ ->
       if not (agree cdnl naive) then fail_diverge "solve cdnl/naive" cdnl naive
   | Rejected _ -> assert_stable ~tag src g cdnl_models);
-  let naive_opt = run (fun () -> Asp.Naive.solve_optimal ~max_guess:16 g) in
-  let dfs_opt = run (fun () -> Asp.Dfs.solve_optimal ~max_guess:16 g) in
+  let naive_opt =
+    run (fun () -> Asp_oracle.Naive.solve_optimal ~max_guess:16 g)
+  in
+  let dfs_opt = run (fun () -> Asp_oracle.Dfs.solve_optimal ~max_guess:16 g) in
   if not (agree dfs_opt naive_opt) then
     fail_diverge "solve_optimal dfs/naive" dfs_opt naive_opt;
   let cdnl_opt = outcome_of_models (Asp.Solver.solve_optimal g) in
@@ -285,12 +287,12 @@ let test_stats_reentrant () =
   Alcotest.check Alcotest.int "same models both times" (List.length ms1)
     (List.length ms2);
   (* same property for the retained DFS *)
-  let _, d1 = Asp.Dfs.solve_with_stats g in
-  let dw1 = d1.Asp.Dfs.Stats.wall_s in
-  let _, d2 = Asp.Dfs.solve_with_stats g in
+  let _, d1 = Asp_oracle.Dfs.solve_with_stats g in
+  let dw1 = d1.Asp_oracle.Dfs.Stats.wall_s in
+  let _, d2 = Asp_oracle.Dfs.solve_with_stats g in
   if d1 == d2 then Alcotest.fail "Dfs.solve_with_stats reused the stats record";
   Alcotest.check (Alcotest.float 0.0) "dfs first wall time left untouched" dw1
-    d1.Asp.Dfs.Stats.wall_s
+    d1.Asp_oracle.Dfs.Stats.wall_s
 
 let suites =
   [
