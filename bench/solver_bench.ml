@@ -127,6 +127,19 @@ let pigeon_direct_program holes =
   done;
   Asp.Parser.parse_program (Buffer.contents buf)
 
+(* the first "model name" of /proc/cpuinfo, or "unknown" off Linux *)
+let cpu_model () =
+  let rec find ic =
+    match In_channel.input_line ic with
+    | None -> "unknown"
+    | Some l -> (
+        match String.index_opt l ':' with
+        | Some i when String.starts_with ~prefix:"model name" l ->
+            String.trim (String.sub l (i + 1) (String.length l - i - 1))
+        | _ -> find ic)
+  in
+  try In_channel.with_open_text "/proc/cpuinfo" find with Sys_error _ -> "unknown"
+
 (* a baseline column: the oracle ran, or was skipped for a stated reason *)
 type baseline = Ran of float | Skipped of string
 
@@ -308,6 +321,8 @@ let emit_json out mode entries par_entries =
     "  \"baselines\": [\"Asp_oracle.Dfs (retained pruned DFS)\", \
      \"Asp_oracle.Naive (exhaustive subset enumeration)\"],\n";
   p "  \"host_domains\": %d,\n" (Domain.recommended_domain_count ());
+  p "  \"host\": {\"cpu\": %S, \"ocaml\": %S},\n" (cpu_model ())
+    Sys.ocaml_version;
   p
     "  \"never_slower\": {\"workloads\": [%s], \"tolerance\": %.2f, \
      \"min_reliable_s\": %.3f},\n"
@@ -341,8 +356,7 @@ let emit_json out mode entries par_entries =
         \     \"stats\": {\"guesses\": %d, \"firings\": %d, \"conflicts\": \
          %d, \"learned\": %d, \"restarts\": %d, \"model_blocks\": %d, \
          \"backjumped\": %d, \"unfounded_checks\": %d, \"unfounded_sets\": \
-         %d, \"pre_units\": %d, \"pre_subsumed\": %d, \"pre_equivs\": %d, \
-         \"pre_pure\": %d}}%s\n"
+         %d, \"pre_units\": %d, \"pre_equivs\": %d}}%s\n"
         e.workload e.param e.atoms e.models e.cdnl_s (per_s e.models)
         (per_s s.Asp.Solver.Stats.conflicts)
         (if s.Asp.Solver.Stats.cheap then "cheap" else "cdnl")
@@ -352,8 +366,7 @@ let emit_json out mode entries par_entries =
         s.Asp.Solver.Stats.restarts s.Asp.Solver.Stats.model_blocks
         s.Asp.Solver.Stats.backjumped s.Asp.Solver.Stats.unfounded_checks
         s.Asp.Solver.Stats.unfounded_sets s.Asp.Solver.Stats.pre_units
-        s.Asp.Solver.Stats.pre_subsumed s.Asp.Solver.Stats.pre_equivs
-        s.Asp.Solver.Stats.pre_pure
+        s.Asp.Solver.Stats.pre_equivs
         (if i = List.length entries - 1 then "" else ",");
       ())
     entries;

@@ -42,18 +42,6 @@ module Stats = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Parallel hook                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* [lib/asp] cannot depend on [lib/engine], so the fixpoint's parallel
-   rounds are driven through an injected map: [pmap f n] must return
-   [[| f 0; …; f (n-1) |]] (slots may be computed on any domain, results
-   land by index). [Engine.Pool.map] is the production implementation.
-   [min_items] gates spawning: rounds with fewer work items run inline,
-   since domain spawn latency dwarfs small joins. *)
-type par = { pmap : 'a. (int -> 'a) -> int -> 'a array; min_items : int }
-
-(* ------------------------------------------------------------------ *)
 (* Safety                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -890,41 +878,28 @@ let head_atom env c =
    committed sequentially in item order afterwards — so an atom's
    generation is exactly its derivation depth and every join result is
    found exactly once, at the round after its newest constituent atom was
-   derived (leftmost-newest position). Freezing the store is also what
-   makes the rounds parallelizable: items only read it, so [par] may fan
-   them out across domains and the deterministic sequential commit keeps
-   the result bit-for-bit equal to the inline path. *)
-let run_fixpoint ?par st (stats : Stats.t) templates entries_for ~initial =
+   derived (leftmost-newest position). *)
+let run_fixpoint st (stats : Stats.t) templates entries_for ~initial =
   let added = ref [] in
   let run_round ~round items =
     stats.Stats.passes <- stats.Stats.passes + 1;
-    let n = Array.length items in
-    let fire_item i =
-      let ti, dpos = items.(i) in
+    let fire_item (ti, dpos) =
       let t = templates.(ti) in
-      let local = Stats.create () in
       let heads = ref [] in
       eval_errors t.t_rule (fun () ->
-          fire st local t ~round ~dpos ~on_match:(fun env ->
-              local.Stats.firings <- local.Stats.firings + 1;
+          fire st stats t ~round ~dpos ~on_match:(fun env ->
+              stats.Stats.firings <- stats.Stats.firings + 1;
               heads := head_atom env t.t_head :: !heads));
-      (t, local, List.rev !heads)
-    in
-    let results =
-      match par with
-      | Some p when n >= p.min_items && n > 1 -> p.pmap fire_item n
-      | _ -> Array.init n fire_item
+      (t, List.rev !heads)
     in
     Array.iter
-      (fun (t, local, heads) ->
-        stats.Stats.firings <- stats.Stats.firings + local.Stats.firings;
-        stats.Stats.probes <- stats.Stats.probes + local.Stats.probes;
+      (fun (t, heads) ->
         eval_errors t.t_rule (fun () ->
             List.iter
               (fun a ->
                 add_atom st ~gen:round a ~on_new:(fun a -> added := a :: !added))
               heads))
-      results
+      (Array.map fire_item items)
   in
   run_round ~round:1
     (Array.of_list (List.map (fun ti -> (ti, -1)) initial));
@@ -1319,24 +1294,24 @@ let instantiate snap stats ?views ~emit cr =
 
 let all_indices n = List.init n (fun i -> i)
 
-let phase1 ?par ~max_atoms stats p =
+let phase1 ~max_atoms stats p =
   List.iter check_rule (Program.rules p);
   let st = new_store ~max_atoms None in
   let templates, tindex = build_templates (Program.rules p) in
   let entries_for sg =
     Option.value ~default:[] (SigTbl.find_opt tindex sg)
   in
-  run_fixpoint ?par st stats templates entries_for
+  run_fixpoint st stats templates entries_for
     ~initial:(all_indices (Array.length templates));
   (st, templates, tindex)
 
 let universe_of st base =
   AtomTbl.fold (fun a _ acc -> Model.AtomSet.add a acc) st.st_univ base
 
-let ground ?(max_atoms = 200_000) ?par ?stats p =
+let ground ?(max_atoms = 200_000) ?stats p =
   let stats = match stats with Some s -> s | None -> Stats.create () in
   let t0 = Unix.gettimeofday () in
-  let st, _, _ = phase1 ?par ~max_atoms stats p in
+  let st, _, _ = phase1 ~max_atoms stats p in
   let tables = sorted_tables st in
   let snap =
     {
@@ -1391,10 +1366,10 @@ type prepared = {
   p_rules : Ground.grule list; (* globally deduped, = [ground] output *)
 }
 
-let prepare ?(max_atoms = 200_000) ?par ?stats p =
+let prepare ?(max_atoms = 200_000) ?stats p =
   let stats = match stats with Some s -> s | None -> Stats.create () in
   let t0 = Unix.gettimeofday () in
-  let st, templates, tindex = phase1 ?par ~max_atoms stats p in
+  let st, templates, tindex = phase1 ~max_atoms stats p in
   let tables = sorted_tables st in
   let view = view_of_tables tables in
   let snap = { sn_view = view; sn_mem = (fun a -> AtomTbl.mem st.st_univ a) } in
@@ -1518,7 +1493,7 @@ let layered_view base overlay =
     v_cache = new_cache ();
   }
 
-let overlay_phase1 ?par ~stats prep dp =
+let overlay_phase1 ~stats prep dp =
   List.iter check_rule (Program.rules dp);
   let st = new_store ~max_atoms:prep.p_max_atoms (Some prep.p_store) in
   let nbase = Array.length prep.p_templates in
@@ -1530,19 +1505,19 @@ let overlay_phase1 ?par ~stats prep dp =
     | None -> b
     | Some d -> b @ List.map (fun (ti, pos) -> (ti + nbase, pos)) d
   in
-  run_fixpoint ?par st stats templates entries_for
+  run_fixpoint st stats templates entries_for
     ~initial:
       (List.map (fun i -> i + nbase) (all_indices (Array.length dtemplates)));
   (st, dtemplates, dtindex, templates)
 
-let extend ?par ?stats prep dp =
+let extend ?stats prep dp =
   let stats = match stats with Some s -> s | None -> Stats.create () in
   let t0 = Unix.gettimeofday () in
   (* Overlay phase 1: close the base universe under base + delta rules,
      starting from a naive pass over the delta's templates only (the base
      is already closed). Only reads the prepared state, so concurrent
      extends of one [prepared] are safe. *)
-  let st, _, _, _ = overlay_phase1 ?par ~stats prep dp in
+  let st, _, _, _ = overlay_phase1 ~stats prep dp in
   let ntables = sorted_tables st in
   let full_view = layered_view prep.p_tables ntables in
   let new_view = view_of_tables ntables in
@@ -1619,12 +1594,12 @@ let flatten_store ~max_atoms base overlay =
   copy overlay;
   flat
 
-let extend_prepare ?par ?stats prep dp =
+let extend_prepare ?stats prep dp =
   let stats = match stats with Some s -> s | None -> Stats.create () in
   let t0 = Unix.gettimeofday () in
   (* Overlay phase 1, exactly as in {!extend} — but the merged template
      index is kept: it becomes the new prepared's [p_tindex]. *)
-  let st, _, dtindex, templates = overlay_phase1 ?par ~stats prep dp in
+  let st, _, dtindex, templates = overlay_phase1 ~stats prep dp in
   let nbase = Array.length prep.p_templates in
   let tindex = SigTbl.copy prep.p_tindex in
   SigTbl.iter

@@ -19,11 +19,9 @@
     literal is joined first (its one-generation window is the most
     selective), except that a literal with an arithmetic argument waits
     for the variables it reads; each join result is derived exactly once.
-    Because the store is frozen while a round's work items fire
-    (derivations are buffered and committed in deterministic order
-    between rounds), the items can be fanned out across domains ({!par})
-    with bit-for-bit identical results. Phase 2 instantiates every rule
-    with its body-order plan against per-signature candidate tables
+    The store is frozen while a round's work items fire: derivations are
+    buffered and committed in item order between rounds. Phase 2
+    instantiates every rule with its body-order plan against per-signature candidate tables
     discriminated per argument position (smallest-bucket selection over
     every key, lazily materialized composite multi-argument group tables,
     and range narrowing for integer-keyed positions), in canonical
@@ -72,19 +70,8 @@ module Stats : sig
   val pp : Format.formatter -> t -> unit
 end
 
-type par = { pmap : 'a. (int -> 'a) -> int -> 'a array; min_items : int }
-(** Parallel-map hook for phase-1 fixpoint rounds. [pmap f n] must return
-    [[| f 0; …; f (n-1) |]]; slots may run on any domain ([Engine.Pool.map]
-    is the production implementation — [lib/asp] cannot depend on
-    [lib/engine], hence the injection). Rounds with fewer than [min_items]
-    work items run inline: domain spawn latency dwarfs small joins. The
-    result is bit-for-bit identical to the sequential path — work items
-    only read the round's frozen store, and their derivations are
-    committed sequentially in item order either way. *)
-
 val ground :
   ?max_atoms:int ->
-  ?par:par ->
   ?stats:Stats.t ->
   Program.t ->
   Ground.t
@@ -101,7 +88,6 @@ type prepared
 
 val prepare :
   ?max_atoms:int ->
-  ?par:par ->
   ?stats:Stats.t ->
   Program.t ->
   prepared
@@ -113,7 +99,7 @@ val base : prepared -> Ground.t
 
 val base_universe : prepared -> Model.AtomSet.t
 
-val extend : ?par:par -> ?stats:Stats.t -> prepared -> Program.t -> Ground.t
+val extend : ?stats:Stats.t -> prepared -> Program.t -> Ground.t
 (** [extend state delta] grounds base + delta doing work proportional to
     what the delta adds. The universe fixpoint restarts from the delta's
     rules only (the base is already closed); base rules are then classified
@@ -131,8 +117,7 @@ val extend : ?par:par -> ?stats:Stats.t -> prepared -> Program.t -> Ground.t
     Raises like {!ground} if the delta is unsafe or the combined universe
     overflows [prepare]'s [max_atoms]. *)
 
-val extend_prepare :
-  ?par:par -> ?stats:Stats.t -> prepared -> Program.t -> prepared
+val extend_prepare : ?stats:Stats.t -> prepared -> Program.t -> prepared
 (** [extend_prepare state delta] is to {!prepare} what {!extend} is to
     {!ground}: it absorbs [delta] as a permanent structural increment and
     returns warm state for [base + delta], doing instance work

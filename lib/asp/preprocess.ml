@@ -1,23 +1,17 @@
 (* Clause-level preprocessing over completion nogoods, run once before
-   CDNL search: unit propagation to fixpoint, duplicate and subsumed
-   clause elimination, and — when the caller allows it — binary-clause
-   equivalence reduction and pure-literal elimination restricted to body
-   variables.
+   CDNL search: unit propagation to fixpoint and — when the caller allows
+   it — binary-clause equivalence reduction restricted to body variables.
 
    The restriction matters for soundness. Atom variables are the model
-   projection, so merging or pure-forcing them would change the reported
-   models; aggregate variables are evaluated lazily against the total
-   candidate, so they must stay materialized for the solver's
-   explanations. Body variables of a *tight* program carry no semantic
+   projection, so merging them would change the reported models;
+   aggregate variables are evaluated lazily against the total candidate,
+   so they must stay materialized for the solver's explanations. Body variables of a *tight* program carry no semantic
    weight beyond their defining clauses: the unfounded-set machinery
    (which reads body-variable values directly) never runs, eliminated
    variables are simply auto-decided at the fringe, and the model
    projection is untouched. Callers therefore pass [elim_bodies = tight].
 
-   Unit propagation, duplicate removal and subsumption are sound
-   unconditionally (for enumeration too): removing a clause D that is a
-   superset of a kept clause C can only make propagation stronger, never
-   weaker, so lazy checks keyed on variable values still fire. *)
+   Unit propagation is sound unconditionally (for enumeration too). *)
 
 type result = {
   clauses : int array list;  (* surviving clauses, >= 2 literals each *)
@@ -212,139 +206,6 @@ let equiv_reduce st ~nvars ~body_base clauses =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Duplicate removal and backward subsumption                           *)
-(* ------------------------------------------------------------------ *)
-
-let dedup_subsume clauses =
-  let removed = ref 0 in
-  let seen = Hashtbl.create 256 in
-  let uniq =
-    List.filter
-      (fun lits ->
-        if Hashtbl.mem seen lits then begin
-          incr removed;
-          false
-        end
-        else begin
-          Hashtbl.replace seen lits ();
-          true
-        end)
-      clauses
-  in
-  let arr = Array.of_list (List.map Array.of_list uniq) in
-  let n = Array.length arr in
-  let dead = Array.make n false in
-  let occ = Hashtbl.create 256 in
-  Array.iteri
-    (fun i c ->
-      Array.iter
-        (fun l ->
-          Hashtbl.replace occ l (i :: Option.value ~default:[] (Hashtbl.find_opt occ l)))
-        c)
-    arr;
-  (* sorted-array subset check *)
-  let subset c d =
-    let lc = Array.length c and ld = Array.length d in
-    let rec go i j =
-      if i >= lc then true
-      else if j >= ld then false
-      else if c.(i) = d.(j) then go (i + 1) (j + 1)
-      else if c.(i) > d.(j) then go i (j + 1)
-      else false
-    in
-    go 0 0
-  in
-  let order = Array.init n (fun i -> i) in
-  Array.sort
-    (fun i j ->
-      match compare (Array.length arr.(i)) (Array.length arr.(j)) with
-      | 0 -> compare i j
-      | c -> c)
-    order;
-  Array.iter
-    (fun i ->
-      if not dead.(i) then begin
-        let c = arr.(i) in
-        (* probe the occurrence list of the rarest literal of [c] *)
-        let best = ref [] in
-        let best_n = ref max_int in
-        Array.iter
-          (fun l ->
-            let o = Option.value ~default:[] (Hashtbl.find_opt occ l) in
-            let n = List.length o in
-            if n < !best_n then begin
-              best_n := n;
-              best := o
-            end)
-          c;
-        List.iter
-          (fun j ->
-            if
-              j <> i
-              && (not dead.(j))
-              && Array.length arr.(j) > Array.length c
-              && subset c arr.(j)
-            then begin
-              dead.(j) <- true;
-              incr removed
-            end)
-          !best
-      end)
-    order;
-  let out = ref [] in
-  for i = n - 1 downto 0 do
-    if not dead.(i) then out := Array.to_list arr.(i) :: !out
-  done;
-  (!out, !removed)
-
-(* ------------------------------------------------------------------ *)
-(* Pure-literal elimination (body variables only)                       *)
-(* ------------------------------------------------------------------ *)
-
-(* a body variable whose remaining occurrences all have one polarity is
-   forced to the satisfying polarity and its clauses dropped; iterated,
-   since dropping clauses can expose further pure variables. Completion
-   structure never produces these on its own — they appear when
-   subsumption removes a body's forward clause (e.g. a constraint
-   subsuming it), leaving the body variable only in its backward
-   definitions. *)
-let pure_eliminate st ~nvars ~body_base clauses =
-  let eliminated = ref 0 in
-  let clauses = ref clauses in
-  let changed = ref true in
-  while !changed && not st.unsat do
-    changed := false;
-    let occ = Array.make (2 * max nvars 1) 0 in
-    List.iter
-      (fun lits -> List.iter (fun l -> occ.(l) <- occ.(l) + 1) lits)
-      !clauses;
-    let dropped = Hashtbl.create 8 in
-    for v = body_base to nvars - 1 do
-      if st.value.(v) = 0 then begin
-        let pos = occ.(2 * v) and neg = occ.((2 * v) + 1) in
-        if pos = 0 && neg > 0 then begin
-          ignore (assign st ((2 * v) + 1));
-          Hashtbl.replace dropped ((2 * v) + 1) ();
-          incr eliminated;
-          changed := true
-        end
-        else if neg = 0 && pos > 0 then begin
-          ignore (assign st (2 * v));
-          Hashtbl.replace dropped (2 * v) ();
-          incr eliminated;
-          changed := true
-        end
-      end
-    done;
-    if !changed then
-      clauses :=
-        List.filter
-          (fun lits -> not (List.exists (Hashtbl.mem dropped) lits))
-          !clauses
-  done;
-  (!clauses, !eliminated)
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -366,18 +227,10 @@ let run ?(elim_bodies = false) ~nvars ~body_base ~stats clauses =
       equiv_reduce st ~nvars ~body_base cls
     else (cls, 0)
   in
-  let cls, subsumed = if st.unsat then ([], 0) else dedup_subsume cls in
-  let cls, pure =
-    if elim_bodies && not st.unsat then
-      pure_eliminate st ~nvars ~body_base cls
-    else (cls, 0)
-  in
   let forced = List.rev st.forced_rev in
   stats.Solver_stats.pre_units <-
     stats.Solver_stats.pre_units + List.length forced;
-  stats.Solver_stats.pre_subsumed <- stats.Solver_stats.pre_subsumed + subsumed;
   stats.Solver_stats.pre_equivs <- stats.Solver_stats.pre_equivs + equivs;
-  stats.Solver_stats.pre_pure <- stats.Solver_stats.pre_pure + pure;
   {
     clauses = (if st.unsat then [] else List.map Array.of_list cls);
     forced;

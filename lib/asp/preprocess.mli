@@ -1,19 +1,15 @@
 (** Clause-level preprocessing over completion nogoods ({!Completion}),
     run once before CDNL search ({!Solver}).
 
-    Four reductions, in order: unit propagation to fixpoint; binary-clause
-    equivalence reduction (body variables merged into a representative);
-    duplicate removal and backward subsumption; pure-literal elimination
-    of body variables. Unit propagation, duplicates and subsumption are
-    sound unconditionally — subsumption only ever strengthens unit
-    propagation, so the solver's lazy value-keyed checks still fire.
-    Equivalence and pure-literal reduction touch only variables at or
-    above [body_base] and only when [elim_bodies] is set, which callers
-    tie to the program being tight: body variables of a tight program
-    carry no semantics beyond their clauses (no unfounded-set check reads
-    them) and are auto-decided at the search fringe, so merging or
-    force-assigning them preserves the enumerated atom projections
-    bit for bit. Counts land in the [pre_*] fields of the given
+    Two reductions, in order: unit propagation to fixpoint, which is sound
+    unconditionally; and binary-clause equivalence reduction, which
+    merges body variables into a representative. Equivalence reduction
+    touches only variables at or above [body_base] and only when
+    [elim_bodies] is set, which callers tie to the program being tight:
+    body variables of a tight program carry no semantics beyond their
+    clauses (no unfounded-set check reads them) and are auto-decided at
+    the search fringe, so merging them preserves the enumerated atom
+    projections bit for bit. Counts land in the [pre_*] fields of the given
     {!Solver_stats.t}. *)
 
 type result = {
@@ -21,7 +17,7 @@ type result = {
       (** surviving simplified clauses, each with at least two literals,
           in input order *)
   forced : int list;
-      (** literals fixed at level 0 (units, pure assignments), in
+      (** literals fixed at level 0 (units), in
           derivation order; assert these before attaching [clauses] *)
   unsat : bool;  (** a contradiction surfaced: the clause set has no model *)
 }
@@ -34,6 +30,6 @@ val run :
   int array list ->
   result
 (** [elim_bodies] (default false) enables the body-variable-only
-    equivalence and pure-literal reductions; pass the completion's
+    equivalence reduction; pass the completion's
     tightness flag. Deterministic: identical inputs produce identical
     outputs regardless of hash-table iteration order. *)

@@ -36,9 +36,8 @@
     so pruning stays sound (and enabled) under mixed-sign weights.
 
     Before search, the completion nogoods run through {!Preprocess}
-    (unit propagation to fixpoint, duplicate and subsumed-clause
-    elimination, and — on tight programs — body-variable equivalence and
-    pure-literal reduction). Programs whose negation the well-founded
+    (unit propagation to fixpoint and, on tight programs, body-variable
+    equivalence reduction). Programs whose negation the well-founded
     bounds decide skip completion, preprocessing and CDNL entirely
     ({!Cheap}): a lower and an upper closure, computed as an alternating
     fixpoint over the negated literals, enclose every stable model, so

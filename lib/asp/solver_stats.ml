@@ -17,9 +17,7 @@ type t = {
   mutable unfounded_checks : int;
   mutable unfounded_sets : int;
   mutable pre_units : int;
-  mutable pre_subsumed : int;
   mutable pre_equivs : int;
-  mutable pre_pure : int;
   mutable shared_out : int;
   mutable shared_in : int;
   mutable cheap : bool;
@@ -41,9 +39,7 @@ let create () =
     unfounded_checks = 0;
     unfounded_sets = 0;
     pre_units = 0;
-    pre_subsumed = 0;
     pre_equivs = 0;
-    pre_pure = 0;
     shared_out = 0;
     shared_in = 0;
     cheap = false;
@@ -64,9 +60,7 @@ let accumulate dst src =
   dst.unfounded_checks <- dst.unfounded_checks + src.unfounded_checks;
   dst.unfounded_sets <- dst.unfounded_sets + src.unfounded_sets;
   dst.pre_units <- dst.pre_units + src.pre_units;
-  dst.pre_subsumed <- dst.pre_subsumed + src.pre_subsumed;
   dst.pre_equivs <- dst.pre_equivs + src.pre_equivs;
-  dst.pre_pure <- dst.pre_pure + src.pre_pure;
   dst.shared_out <- dst.shared_out + src.shared_out;
   dst.shared_in <- dst.shared_in + src.shared_in;
   dst.cheap <- dst.cheap || src.cheap;
@@ -76,11 +70,11 @@ let to_string s =
   Printf.sprintf
     "guesses=%d pruned=%d firings=%d leaves=%d models=%d conflicts=%d \
      learned=%d restarts=%d blocks=%d backjumped=%d unfounded=%d/%d \
-     pre=%d/%d/%d/%d shared=%d/%d tier=%s wall=%.6fs"
+     pre=%d/%d shared=%d/%d tier=%s wall=%.6fs"
     s.guesses s.pruned s.firings s.leaves s.models s.conflicts s.learned
     s.restarts s.model_blocks s.backjumped s.unfounded_sets
-    s.unfounded_checks s.pre_units s.pre_subsumed s.pre_equivs s.pre_pure
-    s.shared_out s.shared_in
+    s.unfounded_checks s.pre_units s.pre_equivs s.shared_out
+    s.shared_in
     (if s.cheap then "cheap" else "full")
     s.wall_s
 

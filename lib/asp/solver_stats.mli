@@ -23,9 +23,7 @@ type t = {
   mutable unfounded_checks : int;  (** unfounded-set checks run *)
   mutable unfounded_sets : int;  (** non-empty unfounded sets found *)
   mutable pre_units : int;  (** preprocessing: literals fixed at level 0 *)
-  mutable pre_subsumed : int;  (** preprocessing: duplicate + subsumed clauses *)
   mutable pre_equivs : int;  (** preprocessing: body vars merged by equivalence *)
-  mutable pre_pure : int;  (** preprocessing: pure body vars eliminated *)
   mutable shared_out : int;  (** learnt nogoods published to the exchange *)
   mutable shared_in : int;  (** learnt nogoods imported from other domains *)
   mutable cheap : bool;  (** solved on the propagation-only cheap tier *)

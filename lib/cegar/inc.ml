@@ -69,15 +69,6 @@ let candidate_fp mode fp c =
 
 let fingerprint spec level c = candidate_fp spec.mode (level_fp spec level) c
 
-let add_gstats (acc : Asp.Grounder.Stats.t) (d : Asp.Grounder.Stats.t) =
-  let open Asp.Grounder.Stats in
-  acc.passes <- acc.passes + d.passes;
-  acc.firings <- acc.firings + d.firings;
-  acc.probes <- acc.probes + d.probes;
-  acc.fresh_rules <- acc.fresh_rules + d.fresh_rules;
-  acc.reused_rules <- acc.reused_rules + d.reused_rules;
-  acc.wall_s <- acc.wall_s +. d.wall_s
-
 let run ?jobs ?oversubscribe ?(share = true) ?cache spec =
   if spec.candidates = [] then invalid_arg "Cegar.Inc.run: no candidates";
   let t0 = Unix.gettimeofday () in
@@ -143,7 +134,7 @@ let run ?jobs ?oversubscribe ?(share = true) ?cache spec =
             incr solves;
             carried := !carried + ss.Asp.Solver.Stats.shared_in;
             published := !published + ss.Asp.Solver.Stats.shared_out;
-            add_gstats gstats gs
+            Asp.Grounder.Stats.add ~into:gstats gs
         | Engine.Cache.Memory -> incr hits
         | Engine.Cache.Disk -> incr disk)
       results

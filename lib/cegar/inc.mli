@@ -1,5 +1,5 @@
-(** Incremental CEGAR on the engine: the refinement loop of {!Loop},
-    rebuilt as deltas over warm grounder state instead of fresh
+(** Incremental CEGAR on the engine: the refinement loop of Fig. 1 step
+    5, run as deltas over warm grounder state instead of fresh
     pipelines.
 
     A refinement schedule is a base ASP program plus a list of structural

@@ -163,38 +163,23 @@ let run config =
          (Epa.Propagation.analyze config.topology ~active)
        <> []
   in
-  let outcome =
-    Cegar.Loop.run ~equal:(fun a b -> label a = label b)
-      ~initial:(fun () -> List.filter topological_candidate rows)
-      ~refine:(fun level candidates ->
-        match level with
-        | 0 ->
-            Some
-              (List.filter
-                 (fun row -> Epa.Analysis.violations row <> [])
-                 candidates)
-        | _ -> None)
-      ()
+  let candidates = List.filter topological_candidate rows in
+  (* refinement: the behaviour-level EPA confirms a candidate when it
+     violates a requirement; the rest are spurious *)
+  let confirmed, spurious =
+    List.partition (fun row -> Epa.Analysis.violations row <> []) candidates
   in
-  let candidate_hazards =
-    match outcome.Cegar.Loop.rounds with
-    | first :: _ -> List.map label first.Cegar.Loop.candidates
-    | [] -> []
-  in
-  let spurious_eliminated =
-    List.concat_map
-      (fun r -> List.map label r.Cegar.Loop.eliminated)
-      outcome.Cegar.Loop.rounds
-  in
+  let candidate_hazards = List.map label candidates in
+  let spurious_eliminated = List.map label spurious in
   logf
     "step 5 (refinement): %d topology-level candidates, %d spurious \
      eliminated, %d confirmed"
     (List.length candidate_hazards)
     (List.length spurious_eliminated)
-    (List.length outcome.Cegar.Loop.confirmed);
+    (List.length confirmed);
   (* 6. quantitative (qualitative-scale) risk analysis *)
   let confirmed_hazards =
-    Epa.Analysis.most_severe outcome.Cegar.Loop.confirmed
+    Epa.Analysis.most_severe confirmed
     |> List.map (fun row -> { row; risk = rank_risk row })
   in
   (match confirmed_hazards with

@@ -40,16 +40,11 @@ let mode_fingerprint s =
     ]
 
 let prepare s =
-  (* prepare runs on the calling domain, before any sweep fans out: safe
-     to parallelize its fixpoint rounds. [solve] is not — it runs inside
-     Pool workers during sweeps, where nested spawns would oversubscribe *)
   {
     p_spec = s;
     p_base_fp = Fingerprint.program s.base;
     p_mode_fp = mode_fingerprint s;
-    p_ground =
-      Asp.Grounder.prepare ?max_atoms:s.max_atoms ~par:(Pool.grounder_par ())
-        s.base;
+    p_ground = Asp.Grounder.prepare ?max_atoms:s.max_atoms s.base;
   }
 
 let prepared_spec p = p.p_spec

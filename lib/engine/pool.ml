@@ -36,11 +36,3 @@ let map ?(oversubscribe = false) ?jobs f n =
         | None -> assert false (* every index below [n] was claimed *))
       slots
   end
-
-(* Grounder parallel hook: fan semi-naive fixpoint rounds out over this
-   pool. [min_items] keeps small rounds inline — spawning domains costs
-   more than a handful of joins. Do not pass this into work that already
-   runs inside a {!map} worker (e.g. per-delta [Grounder.extend] during a
-   sweep): nested spawns oversubscribe the machine. *)
-let grounder_par ?(min_items = 32) () =
-  { Asp.Grounder.pmap = (fun f n -> map f n); min_items }

@@ -26,10 +26,3 @@ val map : ?oversubscribe:bool -> ?jobs:int -> (int -> 'a) -> int -> 'a array
     execution on single-core machines). If tasks raise, every task still
     runs to completion and the exception of the lowest-indexed failing
     task is re-raised — again deterministic. *)
-
-val grounder_par : ?min_items:int -> unit -> Asp.Grounder.par
-(** An {!Asp.Grounder.par} backed by {!map}: plug into
-    [Grounder.ground/prepare] to fan phase-1 fixpoint rounds out over
-    domains (bit-for-bit identical output). [min_items] (default 32) is
-    the round size below which items run inline. Never pass into grounding
-    performed {e inside} a {!map} task — nested spawns oversubscribe. *)

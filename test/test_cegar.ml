@@ -100,121 +100,6 @@ let test_refine_errors () =
   | exception Invalid_argument _ -> ()
   | _ -> fail "id collision accepted"
 
-(* -------------------------------------------------------------------- *)
-(* CEGAR loop                                                            *)
-(* -------------------------------------------------------------------- *)
-
-let test_loop_eliminates_spurious () =
-  (* abstraction: candidates 1..6; level 1 removes odd; level 2 removes >4 *)
-  let refine level candidates =
-    match level with
-    | 0 -> Some (List.filter (fun c -> c mod 2 = 0) candidates)
-    | 1 -> Some (List.filter (fun c -> c <= 4) candidates)
-    | _ -> None
-  in
-  let outcome =
-    Cegar.Loop.run ~equal:Int.equal
-      ~initial:(fun () -> [ 1; 2; 3; 4; 5; 6 ])
-      ~refine ()
-  in
-  check (Alcotest.list Alcotest.int) "confirmed" [ 2; 4 ]
-    outcome.Cegar.Loop.confirmed;
-  check Alcotest.bool "converged" true outcome.Cegar.Loop.converged;
-  check Alcotest.int "three rounds recorded" 3
-    (List.length outcome.Cegar.Loop.rounds);
-  let round1 = List.nth outcome.Cegar.Loop.rounds 1 in
-  check (Alcotest.list Alcotest.int) "eliminated at level 1" [ 1; 3; 5 ]
-    round1.Cegar.Loop.eliminated
-
-let test_loop_rejects_unsound_refinement () =
-  let refine _ _ = Some [ 42 ] in
-  match
-    Cegar.Loop.run ~equal:Int.equal ~initial:(fun () -> [ 1 ]) ~refine ()
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> fail "refinement introducing candidates accepted"
-
-let test_loop_max_rounds () =
-  (* refinement that never terminates: stop at max_rounds, not converged *)
-  let refine _ candidates = Some candidates in
-  let outcome =
-    Cegar.Loop.run ~max_rounds:4 ~equal:Int.equal
-      ~initial:(fun () -> [ 1; 2 ])
-      ~refine ()
-  in
-  check Alcotest.bool "not converged" false outcome.Cegar.Loop.converged;
-  check Alcotest.int "bounded rounds" 5 (List.length outcome.Cegar.Loop.rounds)
-
-let test_loop_immediate_convergence () =
-  let outcome =
-    Cegar.Loop.run ~equal:Int.equal
-      ~initial:(fun () -> [ 7 ])
-      ~refine:(fun _ _ -> None)
-      ()
-  in
-  check Alcotest.bool "converged" true outcome.Cegar.Loop.converged;
-  check (Alcotest.list Alcotest.int) "kept" [ 7 ] outcome.Cegar.Loop.confirmed
-
-let prop_loop_candidates_shrink =
-  QCheck.Test.make ~name:"cegar: candidate sets only shrink" ~count:100
-    (QCheck.make
-       QCheck.Gen.(list_size (int_range 0 8) (int_range 0 20)))
-    (fun initial ->
-      let initial = List.sort_uniq compare initial in
-      let refine level candidates =
-        if level >= 3 then None
-        else Some (List.filter (fun c -> c mod (level + 2) <> 0) candidates)
-      in
-      let outcome =
-        Cegar.Loop.run ~equal:Int.equal ~initial:(fun () -> initial) ~refine ()
-      in
-      let sizes =
-        List.map
-          (fun r -> List.length r.Cegar.Loop.candidates)
-          outcome.Cegar.Loop.rounds
-      in
-      let rec non_increasing = function
-        | a :: (b :: _ as rest) -> a >= b && non_increasing rest
-        | [ _ ] | [] -> true
-      in
-      non_increasing sizes)
-
-let test_loop_keyed_matches_unkeyed () =
-  let refine level candidates =
-    match level with
-    | 0 -> Some (List.filter (fun c -> c mod 2 = 0) candidates)
-    | 1 -> Some (List.filter (fun c -> c <= 4) candidates)
-    | _ -> None
-  in
-  let initial () = [ 1; 2; 3; 4; 5; 6 ] in
-  let plain = Cegar.Loop.run ~equal:Int.equal ~initial ~refine () in
-  let keyed =
-    Cegar.Loop.run ~key:string_of_int ~equal:Int.equal ~initial ~refine ()
-  in
-  check (Alcotest.list Alcotest.int) "same confirmed"
-    plain.Cegar.Loop.confirmed keyed.Cegar.Loop.confirmed;
-  check Alcotest.int "same rounds"
-    (List.length plain.Cegar.Loop.rounds)
-    (List.length keyed.Cegar.Loop.rounds);
-  List.iter2
-    (fun (a : int Cegar.Loop.round) (b : int Cegar.Loop.round) ->
-      check (Alcotest.list Alcotest.int) "same survivors"
-        a.Cegar.Loop.candidates b.Cegar.Loop.candidates;
-      check (Alcotest.list Alcotest.int) "same eliminated"
-        a.Cegar.Loop.eliminated b.Cegar.Loop.eliminated)
-    plain.Cegar.Loop.rounds keyed.Cegar.Loop.rounds
-
-let test_loop_keyed_rejects_unsound () =
-  (* the soundness check must fire through the hashed key sets too *)
-  let refine _ _ = Some [ 42 ] in
-  match
-    Cegar.Loop.run ~key:string_of_int ~equal:Int.equal
-      ~initial:(fun () -> [ 1 ])
-      ~refine ()
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> fail "keyed run accepted an introduced candidate"
-
 let test_refine_flatten_nested () =
   (* refine, then refine a part; flattening the root must remove the
      transitive decomposition, not just the direct parts *)
@@ -378,8 +263,6 @@ let test_inc_empty_candidates () =
   | exception Invalid_argument _ -> ()
   | _ -> fail "empty candidate list accepted by scratch driver"
 
-let qcheck t = QCheck_alcotest.to_alcotest t
-
 let suites =
   [
     ( "cegar.levels",
@@ -398,21 +281,6 @@ let suites =
         Alcotest.test_case "flatten nested composition" `Quick
           test_refine_flatten_nested;
         Alcotest.test_case "errors" `Quick test_refine_errors;
-      ] );
-    ( "cegar.loop",
-      [
-        Alcotest.test_case "eliminates spurious" `Quick
-          test_loop_eliminates_spurious;
-        Alcotest.test_case "rejects unsound refinement" `Quick
-          test_loop_rejects_unsound_refinement;
-        Alcotest.test_case "max rounds" `Quick test_loop_max_rounds;
-        Alcotest.test_case "immediate convergence" `Quick
-          test_loop_immediate_convergence;
-        Alcotest.test_case "keyed matches unkeyed" `Quick
-          test_loop_keyed_matches_unkeyed;
-        Alcotest.test_case "keyed rejects unsound refinement" `Quick
-          test_loop_keyed_rejects_unsound;
-        qcheck prop_loop_candidates_shrink;
       ] );
     ( "cegar.inc",
       [

@@ -195,35 +195,22 @@ let test_uncertain_has_spurious_hazards () =
 
 let test_uncertain_cegar_refinement () =
   (* CEGAR: abstract (uncertain) candidates refined by the exact model *)
-  let label (r : Epa.Analysis.row) = Epa.Scenario.label r.Epa.Analysis.scenario in
-  let outcome =
-    Cegar.Loop.run
-      ~equal:(fun a b -> label a = label b)
-      ~initial:(fun () ->
-        Epa.Analysis.hazardous
-          (Epa.Analysis.run ~horizon:12 Cpsrisk.Water_tank.uncertain_system))
-      ~refine:(fun level candidates ->
-        match level with
-        | 0 ->
-            Some
-              (List.filter
-                 (fun (row : Epa.Analysis.row) ->
-                   Epa.Analysis.violations
-                     (Epa.Analysis.run_scenario Cpsrisk.Water_tank.system
-                        row.Epa.Analysis.scenario)
-                   <> [])
-                 candidates)
-        | _ -> None)
-      ()
+  let candidates =
+    Epa.Analysis.hazardous
+      (Epa.Analysis.run ~horizon:12 Cpsrisk.Water_tank.uncertain_system)
   in
-  check Alcotest.int "16 abstract candidates" 16
-    (List.length (List.hd outcome.Cegar.Loop.rounds).Cegar.Loop.candidates);
-  check Alcotest.int "12 confirmed" 12 (List.length outcome.Cegar.Loop.confirmed);
-  check Alcotest.int "4 spurious eliminated" 4
-    (List.length
-       (List.concat_map
-          (fun r -> r.Cegar.Loop.eliminated)
-          outcome.Cegar.Loop.rounds))
+  let confirmed, spurious =
+    List.partition
+      (fun (row : Epa.Analysis.row) ->
+        Epa.Analysis.violations
+          (Epa.Analysis.run_scenario Cpsrisk.Water_tank.system
+             row.Epa.Analysis.scenario)
+        <> [])
+      candidates
+  in
+  check Alcotest.int "16 abstract candidates" 16 (List.length candidates);
+  check Alcotest.int "12 confirmed" 12 (List.length confirmed);
+  check Alcotest.int "4 spurious eliminated" 4 (List.length spurious)
 
 (* -------------------------------------------------------------------- *)
 (* §II.C cost-metric search inside the reasoner                          *)
@@ -389,6 +376,28 @@ let test_pipeline_end_to_end () =
       check Alcotest.bool "confirmed violates" true
         (Epa.Analysis.violations h.Cpsrisk.Pipeline.row <> []))
     artifacts.Cpsrisk.Pipeline.confirmed_hazards
+
+let test_pipeline_step5_labels () =
+  (* Fig. 1 step 5 on the water tank: the topology-level candidates, the
+     spurious ones the behaviour level removes, and the confirmed hazards
+     in the risk order of step 6 *)
+  let a = Cpsrisk.Pipeline.run (Cpsrisk.Pipeline.water_tank_config ()) in
+  let labels = Alcotest.list Alcotest.string in
+  check labels "candidate hazards"
+    [ "{F1}"; "{F2}"; "{F3}"; "{F4}"; "{F1,F2}"; "{F1,F3}"; "{F1,F4}";
+      "{F2,F3}"; "{F2,F4}"; "{F3,F4}"; "{F1,F2,F3}"; "{F1,F2,F4}";
+      "{F1,F3,F4}"; "{F2,F3,F4}"; "{F1,F2,F3,F4}" ]
+    a.Cpsrisk.Pipeline.candidate_hazards;
+  check labels "spurious eliminated" [ "{F1}"; "{F3}"; "{F1,F3}" ]
+    a.Cpsrisk.Pipeline.spurious_eliminated;
+  check labels "confirmed"
+    [ "{F4}"; "{F1,F4}"; "{F2,F3}"; "{F2,F4}"; "{F3,F4}"; "{F1,F2,F3}";
+      "{F1,F2,F4}"; "{F1,F3,F4}"; "{F2,F3,F4}"; "{F1,F2,F3,F4}"; "{F2}";
+      "{F1,F2}" ]
+    (List.map
+       (fun (h : Cpsrisk.Pipeline.ranked_hazard) ->
+         Epa.Scenario.label h.Cpsrisk.Pipeline.row.Epa.Analysis.scenario)
+       a.Cpsrisk.Pipeline.confirmed_hazards)
 
 let test_pipeline_budget_respected () =
   let artifacts =
@@ -577,6 +586,7 @@ let suites =
     ( "cpsrisk.pipeline",
       [
         Alcotest.test_case "end to end" `Quick test_pipeline_end_to_end;
+        Alcotest.test_case "step 5 labels" `Quick test_pipeline_step5_labels;
         Alcotest.test_case "budget respected" `Quick test_pipeline_budget_respected;
         Alcotest.test_case "semantic gate" `Quick test_pipeline_semantic_gate;
         Alcotest.test_case "over-approximation" `Quick

@@ -774,89 +774,6 @@ let test_extend_prepare_corners () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Parallel grounding: bit-for-bit vs sequential                        *)
-(* ------------------------------------------------------------------ *)
-
-(* [min_items:1] forces every multi-item fixpoint round through the
-   domain pool, so the partition/merge path is exercised across the whole
-   corpus rather than only on wide rounds. The contract is exact: the
-   parallel grounding is the same Ground.t, bit for bit. *)
-let par = Engine.Pool.grounder_par ~min_items:1 ()
-
-let run_par p =
-  match Asp.Grounder.ground ~max_atoms ~par p with
-  | g -> Grounded g
-  | exception Asp.Grounder.Unsafe _ -> Unsafe
-  | exception Asp.Grounder.Overflow _ -> Overflow
-
-let diff_one_par src =
-  let p = Asp.Parser.parse_program src in
-  match (run_par p, run_new p) with
-  | Grounded ga, Grounded gb ->
-      if not (Asp.Ground.equal ga gb) then
-        fail
-          (Printf.sprintf
-             "parallel grounding diverged on program:\n%s\n--- parallel:\n\
-              %s\n--- sequential:\n%s"
-             src (render ga) (render gb))
-  | Unsafe, Unsafe | Overflow, Overflow -> ()
-  | a, b ->
-      fail
-        (Printf.sprintf
-           "parallel outcome divergence on program:\n%s\n  parallel: %s\n\
-           \  sequential: %s"
-           src (outcome_name a) (outcome_name b))
-
-let test_par_seeded () =
-  for seed = 0 to 199 do
-    let rng = Random.State.make [| 0x96D; seed |] in
-    diff_one_par (gen_program rng)
-  done
-
-let test_par_corners () = List.iter diff_one_par corners
-
-(* prepare/extend under the pool: base grounding and every extension stay
-   bit-for-bit equal to their sequential counterparts *)
-let par_prepare_extend ~key ~n gen gen_delta =
-  for seed = 0 to n - 1 do
-    let rng = Random.State.make [| key; seed |] in
-    let base = Asp.Parser.parse_program (gen rng) in
-    let delta = Asp.Parser.parse_program (gen_delta rng) in
-    let prep p =
-      match Asp.Grounder.prepare ~max_atoms ?par:p base with
-      | st -> Some st
-      | exception (Asp.Grounder.Unsafe _ | Asp.Grounder.Overflow _) -> None
-    in
-    match (prep (Some par), prep None) with
-    | None, None -> ()
-    | Some _, None | None, Some _ ->
-        fail "parallel prepare outcome diverged from sequential"
-    | Some stp, Some sts -> (
-        if
-          not
-            (Asp.Ground.equal (Asp.Grounder.base stp) (Asp.Grounder.base sts))
-        then fail "parallel prepare grounding diverged from sequential";
-        let ext st p =
-          match Asp.Grounder.extend ?par:p st delta with
-          | g -> Grounded g
-          | exception Asp.Grounder.Unsafe _ -> Unsafe
-          | exception Asp.Grounder.Overflow _ -> Overflow
-        in
-        match (ext stp (Some par), ext sts None) with
-        | Grounded ge, Grounded gs ->
-            if not (Asp.Ground.equal ge gs) then
-              fail "parallel extend diverged from sequential"
-        | Unsafe, Unsafe | Overflow, Overflow -> ()
-        | e, s ->
-            fail
-              (Printf.sprintf "parallel extend outcome %s vs sequential %s"
-                 (outcome_name e) (outcome_name s)))
-  done
-
-let test_par_prepare_extend () =
-  par_prepare_extend ~key:0xFA2 ~n:60 gen_program gen_delta
-
-(* ------------------------------------------------------------------ *)
 (* Symbolic terms, nested patterns, evaluation errors                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -917,14 +834,6 @@ let test_sym_extend_prepare () =
     extend_prepare_one base d1 d2 probe
   done
 
-let test_sym_par () =
-  for seed = 0 to 199 do
-    let rng = Random.State.make [| 0x5E1; seed |] in
-    diff_one_par (gen_sym_program rng)
-  done;
-  List.iter diff_one_par sym_corners;
-  par_prepare_extend ~key:0x5E4 ~n:60 gen_sym_program gen_sym_delta
-
 let suites =
   [
     ( "asp.grounder_diff",
@@ -949,13 +858,6 @@ let suites =
           `Quick test_extend_prepare_seeded;
         Alcotest.test_case "extend_prepare chains vs scratch (corners)" `Quick
           test_extend_prepare_corners;
-        (* the parallel block last, so its seeded case keeps its suite
-           index (12): alcotest ids of numbered cases carry the index *)
-        Alcotest.test_case "parallel: corner programs" `Quick test_par_corners;
-        Alcotest.test_case "parallel: 200 seeded bit-for-bit" `Quick
-          test_par_seeded;
-        Alcotest.test_case "parallel: prepare/extend (60 seeded)" `Quick
-          test_par_prepare_extend;
         Alcotest.test_case "symbolic: 200 seeded programs" `Quick
           test_sym_seeded;
         Alcotest.test_case "symbolic: corner programs" `Quick test_sym_corners;
@@ -963,6 +865,5 @@ let suites =
           test_sym_extend;
         Alcotest.test_case "symbolic: extend_prepare chains (80 seeded)" `Quick
           test_sym_extend_prepare;
-        Alcotest.test_case "symbolic: parallel bit-for-bit" `Quick test_sym_par;
       ] );
   ]

@@ -501,24 +501,34 @@ let test_preprocess_stats () =
   let _, s = Asp.Solver.solve_with_stats ~config:no_cheap g in
   check Alcotest.bool "unit propagation fired"
     true (s.Asp.Solver.Stats.pre_units > 0);
-  (* x and y only ever appear together in one body: the body variable is
-     pure once the constraint removes the joint assignment *)
+  (* x and y only ever appear together in one body, which the constraint
+     then forbids *)
   let src = "a :- x, y. { x ; y }. :- x, y." in
   let g = Asp.Grounder.ground (Asp.Parser.parse_program src) in
   let ms, s = Asp.Solver.solve_with_stats ~config:no_cheap g in
-  check Alcotest.int "pure-literal program models" 3 (List.length ms);
+  check Alcotest.int "constrained-body program models" 3 (List.length ms);
   check Alcotest.bool "some reduction fired" true
-    (s.Asp.Solver.Stats.pre_units > 0
-    || s.Asp.Solver.Stats.pre_pure > 0
-    || s.Asp.Solver.Stats.pre_equivs > 0
-    || s.Asp.Solver.Stats.pre_subsumed > 0);
-  (* preprocessing off: all four counters stay at zero *)
+    (s.Asp.Solver.Stats.pre_units > 0 || s.Asp.Solver.Stats.pre_equivs > 0);
+  (* preprocessing off: both counters stay at zero *)
   let raw = { no_cheap with preprocess = false } in
   let _, s0 = Asp.Solver.solve_with_stats ~config:raw g in
   check Alcotest.int "no-preprocess leaves units at 0" 0
     s0.Asp.Solver.Stats.pre_units;
-  check Alcotest.int "no-preprocess leaves pure at 0" 0
-    s0.Asp.Solver.Stats.pre_pure
+  check Alcotest.int "no-preprocess leaves equivs at 0" 0
+    s0.Asp.Solver.Stats.pre_equivs;
+  (* the solver bench's pigeonhole encoding (5 holes): equivalence
+     reduction is the pass that cuts its conflict count, so it must
+     fire there *)
+  let src =
+    "pigeon(1..6). hole(1..5). { at(P,H) : hole(H) } :- pigeon(P).\n\
+     placed(P) :- at(P,H). :- pigeon(P), not placed(P).\n\
+     :- at(P,H), at(Q,H), P < Q."
+  in
+  let g = Asp.Grounder.ground (Asp.Parser.parse_program src) in
+  let ms, s = Asp.Solver.solve_with_stats ~config:no_cheap g in
+  check Alcotest.int "pigeon 5 is unsatisfiable" 0 (List.length ms);
+  check Alcotest.bool "pigeon 5 merges body variables" true
+    (s.Asp.Solver.Stats.pre_equivs > 0)
 
 let suites =
   [
