@@ -58,3 +58,16 @@ let wall f =
 
 let per_s count seconds =
   if seconds > 0.0 then float_of_int count /. seconds else 0.0
+
+(* the first "model name" of /proc/cpuinfo, or "unknown" off Linux *)
+let cpu_model () =
+  let rec find ic =
+    match In_channel.input_line ic with
+    | None -> "unknown"
+    | Some l -> (
+        match String.index_opt l ':' with
+        | Some i when String.starts_with ~prefix:"model name" l ->
+            String.trim (String.sub l (i + 1) (String.length l - i - 1))
+        | _ -> find ic)
+  in
+  try In_channel.with_open_text "/proc/cpuinfo" find with Sys_error _ -> "unknown"

@@ -196,6 +196,15 @@ let run ~smoke ~out =
   ignore (must (Serve.Client.call client Serve.Protocol.Shutdown));
   Serve.Client.close client;
   Thread.join daemon;
+  let entry_sizes =
+    Sys.readdir cache_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".ent")
+    |> List.map (fun f -> (Unix.stat (Filename.concat cache_dir f)).Unix.st_size)
+  in
+  let store_entries = List.length entry_sizes in
+  let bytes_per_entry = List.fold_left ( + ) 0 entry_sizes / max 1 store_entries in
+  Printf.eprintf "  store         : %d entries, %d bytes per entry\n%!"
+    store_entries bytes_per_entry;
   rm_rf cache_dir;
 
   (* the restarted daemon must have done no fresh work, and all three
@@ -233,6 +242,11 @@ let run ~smoke ~out =
   p "  \"deltas\": %d,\n" n;
   p "  \"horizon\": %d,\n" horizon;
   p "  \"seed\": %d,\n" seed;
+  p "  \"host_domains\": %d,\n" (Domain.recommended_domain_count ());
+  p "  \"host\": {\"cpu\": %S, \"ocaml\": %S},\n" (Registry.cpu_model ())
+    Sys.ocaml_version;
+  p "  \"store\": {\"entries\": %d, \"bytes_per_entry\": %d},\n" store_entries
+    bytes_per_entry;
   p "  \"load_s\": [%.6f, %.6f],\n" load1_s load2_s;
   p "  \"entries\": [\n";
   List.iteri

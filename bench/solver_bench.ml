@@ -127,19 +127,6 @@ let pigeon_direct_program holes =
   done;
   Asp.Parser.parse_program (Buffer.contents buf)
 
-(* the first "model name" of /proc/cpuinfo, or "unknown" off Linux *)
-let cpu_model () =
-  let rec find ic =
-    match In_channel.input_line ic with
-    | None -> "unknown"
-    | Some l -> (
-        match String.index_opt l ':' with
-        | Some i when String.starts_with ~prefix:"model name" l ->
-            String.trim (String.sub l (i + 1) (String.length l - i - 1))
-        | _ -> find ic)
-  in
-  try In_channel.with_open_text "/proc/cpuinfo" find with Sys_error _ -> "unknown"
-
 (* a baseline column: the oracle ran, or was skipped for a stated reason *)
 type baseline = Ran of float | Skipped of string
 
@@ -321,7 +308,7 @@ let emit_json out mode entries par_entries =
     "  \"baselines\": [\"Asp_oracle.Dfs (retained pruned DFS)\", \
      \"Asp_oracle.Naive (exhaustive subset enumeration)\"],\n";
   p "  \"host_domains\": %d,\n" (Domain.recommended_domain_count ());
-  p "  \"host\": {\"cpu\": %S, \"ocaml\": %S},\n" (cpu_model ())
+  p "  \"host\": {\"cpu\": %S, \"ocaml\": %S},\n" (Registry.cpu_model ())
     Sys.ocaml_version;
   p
     "  \"never_slower\": {\"workloads\": [%s], \"tolerance\": %.2f, \

@@ -94,14 +94,18 @@ let run ~smoke ~out =
   let spec = Cpsrisk.Sweeps.water_tank_spec ~horizon deltas in
 
   (* reference: the pre-engine loop — full rebuild + cold grounding per
-     delta, no sharing of any kind *)
+     delta, no sharing of any kind — with the spec's projection *)
   let cold, cold_s =
     wall (fun () ->
         List.map
           (fun d ->
             let scenario = Cpsrisk.Sweeps.delta_scenario d in
-            let p = Cpsrisk.Water_tank.asp_program ~horizon ~scenario () in
-            model_sets (Asp.Solver.solve (Asp.Grounder.ground p)))
+            let p =
+              Asp.Program.add_show Cpsrisk.Sweeps.violated_sig
+                (Cpsrisk.Water_tank.asp_program ~horizon ~scenario ())
+            in
+            let g = Asp.Grounder.ground p in
+            model_sets (Asp.Ground.project g (Asp.Solver.solve g)))
           deltas)
   in
   Printf.eprintf "  seq-cold      : %8.4fs (%d jobs)\n%!" cold_s n;

@@ -41,6 +41,11 @@ type t = {
   shows : (string * int) list;
 }
 
+let project g models =
+  match g.shows with
+  | [] -> models
+  | shows -> List.map (Model.project shows) models
+
 let rule_count g = List.length g.rules
 let atom_count g = Model.AtomSet.cardinal g.universe
 

@@ -53,6 +53,11 @@ type t = {
   shows : (string * int) list;
 }
 
+val project : t -> Model.t list -> Model.t list
+(** Each model restricted to the program's [#show] signatures, in order
+    and without deduplication (the model count is kept); the identity when
+    [shows = []]. *)
+
 val rule_count : t -> int
 val atom_count : t -> int
 

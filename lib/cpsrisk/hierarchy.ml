@@ -190,13 +190,16 @@ let frontier_compile (d : Engine.Delta.t) =
 
 let frontier_delta ~active = Engine.Delta.make ~mitigations:active []
 
+(* The one predicate the residual reads: the spec shows it, so cached
+   models hold nothing else. *)
+let error_sig = ("error", 1)
+
 let frontier_measure = function
   | [ m ] ->
       List.fold_left
         (fun acc (c, w) ->
-          if Asp.Model.holds m (Asp.Atom.make "error" [ Asp.Term.const c ])
-          then acc + w
-          else acc)
+          let erred = Asp.Atom.make (fst error_sig) [ Asp.Term.const c ] in
+          if Asp.Model.holds m erred then acc + w else acc)
         0 weights
   | models ->
       invalid_arg
@@ -205,7 +208,8 @@ let frontier_measure = function
            (List.length models))
 
 let frontier_spec () =
-  Engine.Job.spec ~compile:frontier_compile ~deltas:[] frontier_base
+  Engine.Job.spec ~compile:frontier_compile ~deltas:[]
+    (Asp.Program.add_show error_sig frontier_base)
 
 let frontier_of ?cache prepared =
   Mitigation.Frontier.make ?cache ~actions:frontier_actions

@@ -72,13 +72,16 @@ val frontier_compile : Engine.Delta.t -> Asp.Program.t
 
 val frontier_delta : active:string list -> Engine.Delta.t
 
+val error_sig : string * int
+(** [error/1], the one predicate {!frontier_measure} reads. *)
+
 val frontier_measure : Asp.Model.t list -> int
 (** Severity-weighted erred assets of the unique stable model; raises
     [Invalid_argument] if the model is not unique. *)
 
 val frontier_spec : unit -> Engine.Job.spec
-(** {!frontier_base} + {!frontier_compile}, no deltas — prepare it once
-    and hand it to {!Mitigation.Frontier.make}. *)
+(** {!frontier_base} with [#show error/1] + {!frontier_compile}, no
+    deltas — prepare it once and hand it to {!Mitigation.Frontier.make}. *)
 
 val frontier_of :
   ?cache:Mitigation.Frontier.value Engine.Cache.t ->

@@ -266,15 +266,9 @@ type frontier_answer =
 let water_tank_measure = function
   | [ m ] ->
       List.fold_left
-        (fun acc ((req : Epa.Requirement.t), weight) ->
-          let atom =
-            Asp.Atom.make "violated"
-              [
-                Asp.Term.const
-                  (String.lowercase_ascii req.Epa.Requirement.id);
-              ]
-          in
-          if Asp.Model.holds m atom then acc + weight else acc)
+        (fun acc (req, weight) ->
+          if Asp.Model.holds m (Sweeps.violated_atom req) then acc + weight
+          else acc)
         0
         (List.map2
            (fun r w -> (r, w))

@@ -36,20 +36,25 @@ let water_tank_compile d =
     (Water_tank.asp_activation_facts (delta_scenario d))
     (extra_program d)
 
+(* The one predicate a water-tank reading looks at ({!verdicts} and the
+   frontier residual): the spec shows it, so cached models hold nothing
+   else. *)
+let violated_sig = ("violated", 1)
+
+let violated_atom (req : Epa.Requirement.t) =
+  Asp.Atom.make (fst violated_sig)
+    [ Asp.Term.const (String.lowercase_ascii req.Epa.Requirement.id) ]
+
 let water_tank_spec ?horizon ?mode deltas =
   Engine.Job.spec ?mode ~compile:water_tank_compile ~deltas
-    (Water_tank.asp_base ?horizon ())
+    (Asp.Program.add_show violated_sig (Water_tank.asp_base ?horizon ()))
 
 let verdicts (r : Engine.Job.result) =
   match r.Engine.Job.models with
   | [ m ] ->
       List.map
         (fun (req : Epa.Requirement.t) ->
-          let atom =
-            Asp.Atom.make "violated"
-              [ Asp.Term.const (String.lowercase_ascii req.Epa.Requirement.id) ]
-          in
-          (req.Epa.Requirement.id, Asp.Model.holds m atom))
+          (req.Epa.Requirement.id, Asp.Model.holds m (violated_atom req)))
         Water_tank.requirements
   | models ->
       invalid_arg
@@ -90,11 +95,15 @@ let topology_compile (d : Engine.Delta.t) =
     (Asp.Parser.parse_program (Buffer.contents buf))
     (extra_program d)
 
+(* Same for the topology reading ({!affected}). *)
+let affected_sig = ("affected", 1)
+
 let topology_spec model deltas =
   Engine.Job.spec ~compile:topology_compile ~deltas
-    (Asp.Program.append
-       (Archimate.To_asp.facts model)
-       (Asp.Parser.parse_program topology_rules))
+    (Asp.Program.add_show affected_sig
+       (Asp.Program.append
+          (Archimate.To_asp.facts model)
+          (Asp.Parser.parse_program topology_rules)))
 
 let model_element_deltas model =
   List.filter_map
@@ -112,7 +121,7 @@ let model_element_deltas model =
 let affected (r : Engine.Job.result) =
   match r.Engine.Job.models with
   | [ m ] ->
-      Asp.Model.by_predicate m "affected"
+      Asp.Model.by_predicate m (fst affected_sig)
       |> List.filter_map (fun (a : Asp.Atom.t) ->
              match a.Asp.Atom.args with
              | [ { Asp.Term.node = Asp.Term.Const c; _ } ] -> Some c

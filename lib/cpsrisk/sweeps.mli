@@ -24,10 +24,17 @@ val random_deltas :
 
 (** {2 Water-tank temporal backend} *)
 
+val violated_sig : string * int
+(** [violated/1], the one predicate a water-tank reading uses. *)
+
+val violated_atom : Epa.Requirement.t -> Asp.Atom.t
+(** The {!violated_sig} atom of a requirement. *)
+
 val water_tank_spec :
   ?horizon:int -> ?mode:Engine.Job.mode -> Engine.Delta.t list ->
   Engine.Job.spec
-(** Jobs over {!Water_tank.asp_base} (built once), each delta compiled to
+(** Jobs over {!Water_tank.asp_base} (built once) with [#show violated/1],
+    so job models hold only {!violated_sig} atoms; each delta compiled to
     its activation facts via {!Water_tank.asp_activation_facts}; [extra]
     delta statements are parsed and appended. *)
 
@@ -37,6 +44,9 @@ val verdicts : Engine.Job.result -> (string * bool) list
 
 (** {2 Generic topology backend} *)
 
+val affected_sig : string * int
+(** [affected/1], the one predicate the topology reading uses. *)
+
 val topology_spec :
   Archimate.Model.t -> Engine.Delta.t list -> Engine.Job.spec
 (** Static error propagation over any system model (§VI focus 1): the base
@@ -44,7 +54,8 @@ val topology_spec :
     rules along [flow/2] edges; a delta's faults are {e component ids}
     whose elements are error sources ([injected/1] facts), its mitigations
     become [active_mitigation/1] facts that shield the named components.
-    Each job has one stable model listing the [affected/1] components. *)
+    Each job has one stable model listing the [affected/1] components;
+    the base shows {!affected_sig}, so that is all the model holds. *)
 
 val model_element_deltas : Archimate.Model.t -> Engine.Delta.t list
 (** One single-injection delta per element that carries a

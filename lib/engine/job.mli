@@ -31,7 +31,7 @@ type result = {
   index : int;  (** position of the delta in [spec.deltas] *)
   delta : Delta.t;
   fingerprint : Fingerprint.t;  (** of base + increment + mode *)
-  models : Asp.Model.t list;
+  models : Asp.Model.t list;  (** projected on [#show], as {!solve} returns them *)
   stats : Asp.Solver.Stats.t;
       (** stats of the solve that produced [models]; for a cached result
           these are the original solve's stats, not new work *)
@@ -63,5 +63,9 @@ val fingerprint : prepared -> Delta.t -> Fingerprint.t
 val solve :
   prepared -> Delta.t ->
   Asp.Model.t list * Asp.Solver.Stats.t * Asp.Grounder.Stats.t
-(** Ground the increment with {!Asp.Grounder.extend} and solve. The
-    prepared state is only read: safe to call from any domain. *)
+(** Ground the increment with {!Asp.Grounder.extend}, solve, and project
+    each model on the grounded program's [#show] signatures (base plus
+    increment) with {!Asp.Ground.project}: what the cache and the store
+    keep is only what an answer is read from. A program without [#show]
+    keeps whole models. The prepared state is only read: safe to call
+    from any domain. *)

@@ -21,7 +21,9 @@
 
 type value = Asp.Model.t list * Asp.Solver.Stats.t * Asp.Grounder.Stats.t
 (** What the cache memoizes per fingerprint — the {!Engine.Sweep} cache
-    triple, shareable with a serve-layer {!Engine.Cache}. *)
+    triple, shareable with a serve-layer {!Engine.Cache}. The models are
+    {!Engine.Job.solve}'s, projected on the spec's [#show] predicates, so
+    [measure] sees only the shown atoms. *)
 
 type t
 

@@ -191,9 +191,7 @@ let solve ?jobs ?limit ~optimal src =
                 if optimal then Asp.Solver.solve_optimal_with_stats ground
                 else Asp.Solver.solve_with_stats ?limit ground
           in
-          let shows = ground.Asp.Ground.shows in
-          let project m = if shows = [] then m else Asp.Model.project shows m in
-          Ok { answers = List.map project models; stats; ground_stats })
+          Ok { answers = Asp.Ground.project ground models; stats; ground_stats })
 
 let solved s =
   [

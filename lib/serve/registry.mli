@@ -11,7 +11,9 @@
 
 type value = Asp.Model.t list * Asp.Solver.Stats.t * Asp.Grounder.Stats.t
 (** What the caches memoize per fingerprint — the {!Engine.Sweep} cache
-    triple. *)
+    triple, with models projected on the backend's [#show] predicate
+    ({!Engine.Job.solve}): answer-sized, and what a {!Store} entry
+    holds. *)
 
 type entry = {
   name : string;

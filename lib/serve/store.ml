@@ -6,9 +6,11 @@ let magic = "cpsrisk-store"
        containing terms changed layout, so every v1 entry is unreadable
        as the new type. Reading a v1 entry as v2 would not fail Marshal
        (the type is erased) — it would produce garbage — hence the bump:
-       v1 entries are classified [Corrupt "stale format version"] and
-       deleted on first touch. *)
-let version = 2
+       v1 entries are classified stale and deleted on first touch.
+   3 — payloads hold job models projected on the backend's [#show]
+       predicates (answer-sized values); a v2 entry reads as a clean miss
+       and is deleted. *)
+let version = 3
 let manifest_magic = "cpsrisk-manifest"
 let manifest_name = "manifest"
 let entry_suffix = ".ent"
@@ -53,7 +55,10 @@ let locked t f =
 
    followed by exactly <payload-len> bytes of marshalled payload. The
    OCaml version participates because the Marshal format is tied to the
-   compiler: entries written by another runtime are stale, not readable. *)
+   compiler: entries written by another runtime are stale, not readable.
+   A stale entry (another format version or runtime) is an expected
+   upgrade leftover, a clean miss; anything else that fails to verify is
+   damage, counted as corrupt. *)
 
 let write_entry_file path hex payload =
   let oc = open_out_bin path in
@@ -65,7 +70,7 @@ let write_entry_file path hex payload =
         (Digest.to_hex (Digest.string payload));
       output_string oc payload)
 
-type read_outcome = Value of string | Corrupt of string | Missing
+type read_outcome = Value of string | Stale | Corrupt of string | Missing
 
 let read_entry_file path hex =
   match open_in_bin path with
@@ -80,12 +85,8 @@ let read_entry_file path hex =
               match String.split_on_char ' ' header with
               | [ m; v; ocaml; fp; len; digest ] -> (
                   if m <> magic then Corrupt "bad magic"
-                  else if v <> string_of_int version then
-                    Corrupt (Printf.sprintf "stale format version %s" v)
-                  else if ocaml <> Sys.ocaml_version then
-                    Corrupt
-                      (Printf.sprintf "written by OCaml %s, running %s" ocaml
-                         Sys.ocaml_version)
+                  else if v <> string_of_int version || ocaml <> Sys.ocaml_version
+                  then Stale
                   else if fp <> hex then Corrupt "fingerprint mismatch"
                   else
                     match int_of_string_opt len with
@@ -234,15 +235,20 @@ let evict_until_unlocked t budget =
         (try Sys.remove (entry_path t hex) with Sys_error _ -> ())
   done
 
-let drop_unlocked t hex reason =
-  ignore reason;
+(* Forget an entry that cannot be served and delete its file; the
+   caller counts the miss (and, for damage, the corruption). *)
+let drop_unlocked t hex =
   (match Hashtbl.find_opt t.index hex with
   | Some m ->
       Hashtbl.remove t.index hex;
       t.bytes <- t.bytes - m.size
   | None -> ());
-  t.stats.corrupt <- t.stats.corrupt + 1;
+  t.stats.misses <- t.stats.misses + 1;
   try Sys.remove (entry_path t hex) with Sys_error _ -> ()
+
+let drop_corrupt_unlocked t hex =
+  t.stats.corrupt <- t.stats.corrupt + 1;
+  drop_unlocked t hex
 
 (* ------------------------------------------------------------------ *)
 (* Operations                                                          *)
@@ -261,10 +267,11 @@ let find t key =
           | None -> ());
           t.stats.misses <- t.stats.misses + 1);
       None
-  | Corrupt _reason ->
-      locked t (fun () ->
-          drop_unlocked t hex _reason;
-          t.stats.misses <- t.stats.misses + 1);
+  | Stale ->
+      locked t (fun () -> drop_unlocked t hex);
+      None
+  | Corrupt _ ->
+      locked t (fun () -> drop_corrupt_unlocked t hex);
       None
   | Value payload -> (
       match Marshal.from_string payload 0 with
@@ -281,9 +288,7 @@ let find t key =
                   t.bytes <- t.bytes + String.length payload);
           Some v
       | exception _ ->
-          locked t (fun () ->
-              drop_unlocked t hex "unreadable marshal payload";
-              t.stats.misses <- t.stats.misses + 1);
+          locked t (fun () -> drop_corrupt_unlocked t hex);
           None)
 
 let store t key v =

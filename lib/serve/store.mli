@@ -7,11 +7,18 @@
     {2 Format and crash safety}
 
     An entry file [<fp-hex>.ent] is one header line — magic, format
-    version, writing OCaml version, fingerprint, payload length, MD5 — then
-    the marshalled payload. Readers verify all six fields; any mismatch
-    (bad magic, stale format {e or} stale OCaml runtime, truncation,
-    checksum failure) classifies the entry as corrupt: it is deleted and
-    reported as a miss, never misread.
+    version, writing OCaml version, fingerprint, payload length, MD5 —
+
+    {v cpsrisk-store 3 <ocaml-version> <fp-hex> <payload-len> <md5-hex> v}
+
+    then the marshalled payload (format v3: job models projected on the
+    backend's [#show] predicates). Readers verify all six fields. An entry
+    of another format version or written by another OCaml runtime is
+    {e stale}: a clean miss, deleted and counted in [misses] only. Any
+    other mismatch (bad magic, fingerprint mismatch, bad length,
+    truncation, trailing bytes, checksum failure, a payload that will not
+    unmarshal) is damage: the entry is deleted and counted in [corrupt]
+    as well as [misses]. Either way it is recomputed, never misread.
 
     Writes go to a [tmp-]-prefixed file in the same directory and are
     published with an atomic [rename], so concurrent readers — including
@@ -43,10 +50,10 @@ type 'a t
 
 type stats = {
   mutable hits : int;  (** entries found, verified and unmarshalled *)
-  mutable misses : int;  (** absent entries, plus corrupt ones *)
+  mutable misses : int;  (** absent entries, plus stale and corrupt ones *)
   mutable stored : int;  (** successful writes *)
   mutable evicted : int;  (** entries removed by the size bound *)
-  mutable corrupt : int;  (** entries rejected and deleted *)
+  mutable corrupt : int;  (** damaged entries rejected and deleted *)
 }
 
 val open_ : ?max_bytes:int -> string -> 'a t
@@ -56,9 +63,9 @@ val open_ : ?max_bytes:int -> string -> 'a t
     omitted means unbounded. *)
 
 val find : 'a t -> Engine.Fingerprint.t -> 'a option
-(** Read and verify an entry. [None] on a miss {e and} on a corrupt entry
-    (which is deleted and counted in [stats.corrupt]). A hit refreshes the
-    entry's LRU stamp. *)
+(** Read and verify an entry. [None] on a miss, on a stale entry (deleted)
+    {e and} on a corrupt entry (deleted and counted in [stats.corrupt]).
+    A hit refreshes the entry's LRU stamp. *)
 
 val store : 'a t -> Engine.Fingerprint.t -> 'a -> unit
 (** Atomically publish an entry (tmp file + rename), then evict down to

@@ -80,7 +80,8 @@ let test_fp_golden () =
    the grounder's atom cap. Every Engine.Cache and Serve.Store entry is
    addressed by this value, so a change to what [Job.fingerprint] mixes
    in (a field added or dropped from the mode part) re-keys every
-   persisted answer — pinned here so such a change is deliberate. *)
+   persisted answer — pinned here so such a change is deliberate. The
+   last 16 hex digits are the [#show] half: the spec shows violated/1. *)
 let test_job_fp_golden () =
   let delta =
     match Engine.Delta.parse_line "s2: F2 / M1" with
@@ -89,7 +90,7 @@ let test_job_fp_golden () =
   in
   let spec = Cpsrisk.Sweeps.water_tank_spec ~horizon:6 [ delta ] in
   check Alcotest.string "water-tank h6, F2 / M1"
-    "19064283e0f1c3200000000000000000"
+    "19064283e0f1c3207307ee5f2e4a144e"
     (Engine.Fingerprint.to_hex
        (Engine.Job.fingerprint (Engine.Job.prepare spec) delta))
 
@@ -439,6 +440,83 @@ let test_topology_sweep () =
     "mitigated e-mail client contained" []
     (Cpsrisk.Sweeps.affected shielded.Engine.Sweep.results.(0))
 
+(* Job models are projected on the backend's [#show] predicate before the
+   cache keeps them: every atom of every cached model has a shown
+   signature, the model count is kept, and each backend's reading of the
+   projected models equals its reading of the whole models that a scratch
+   ground + solve of base and increment produces. *)
+let check_projection (target : Cpsrisk.Backend.target) deltas =
+  let spec = { target.Cpsrisk.Backend.spec with Engine.Job.deltas } in
+  let shows = Asp.Program.shows spec.Engine.Job.base in
+  let backend = target.Cpsrisk.Backend.backend in
+  let name = Cpsrisk.Backend.name backend in
+  checkb (name ^ ": base declares a #show") true (shows <> []);
+  let cache = Engine.Cache.create () in
+  let report = Engine.Sweep.run ~jobs:1 ~cache spec in
+  Array.iter
+    (fun (r : Engine.Job.result) ->
+      let label = name ^ " " ^ Engine.Delta.label r.Engine.Job.delta in
+      let models, _, _ =
+        fst
+          (Engine.Cache.find_or_compute cache r.Engine.Job.fingerprint
+             (fun () -> Alcotest.fail (label ^ ": not cached")))
+      in
+      List.iter
+        (fun m ->
+          Asp.Model.AtomSet.iter
+            (fun a ->
+              if not (List.mem (Asp.Atom.signature a) shows) then
+                Alcotest.failf "%s: cached atom %s is not shown" label
+                  (Asp.Atom.to_string a))
+            (Asp.Model.atoms m))
+        models;
+      let oracle =
+        Asp.Solver.solve
+          (Asp.Grounder.ground
+             (Asp.Program.append spec.Engine.Job.base
+                (spec.Engine.Job.compile r.Engine.Job.delta)))
+      in
+      check Alcotest.int (label ^ ": model count") (List.length oracle)
+        (List.length models);
+      let reading = Cpsrisk.Backend.read backend in
+      let projected = reading { r with Engine.Job.models } in
+      checkb (label ^ ": reads") true (projected <> None);
+      checkb (label ^ ": reading equals the unprojected oracle's") true
+        (projected = reading { r with Engine.Job.models = oracle }))
+    report.Engine.Sweep.results
+
+let test_projection_readings () =
+  let rec subsets = function
+    | [] -> [ [] ]
+    | x :: rest ->
+        let s = subsets rest in
+        s @ List.map (fun l -> x :: l) s
+  in
+  check_projection
+    (Cpsrisk.Backend.target ~horizon:12 Cpsrisk.Backend.Water_tank)
+    (List.concat_map
+       (fun mitigations ->
+         Cpsrisk.Sweeps.all_fault_deltas ~mitigations Cpsrisk.Water_tank.faults)
+       (subsets [ "M1"; "M2"; "M3" ]));
+  let model =
+    Archimate.Text.parse
+      (In_channel.with_open_bin "../examples/models/press_cell.model"
+         In_channel.input_all)
+  in
+  let topology = Cpsrisk.Backend.target ~model Cpsrisk.Backend.Topology in
+  check_projection topology topology.Cpsrisk.Backend.what_if;
+  let rng = Random.State.make [| 0x5e0; 17 |] in
+  let ids =
+    List.map
+      (fun (a : Mitigation.Action.t) -> a.Mitigation.Action.id)
+      Cpsrisk.Hierarchy.frontier_actions
+  in
+  check_projection
+    (Cpsrisk.Backend.target Cpsrisk.Backend.Hierarchy)
+    (List.init 256 (fun _ ->
+         Cpsrisk.Hierarchy.frontier_delta
+           ~active:(List.filter (fun _ -> Random.State.bool rng) ids)))
+
 (* ------------------------------------------------------------------ *)
 (* Optimizer: parallel entry points                                     *)
 (* ------------------------------------------------------------------ *)
@@ -563,6 +641,8 @@ let suites =
           `Quick test_sweep_cheap_tier;
         Alcotest.test_case "sweep: pipeline topology what-ifs" `Quick
           test_topology_sweep;
+        Alcotest.test_case "job: cached models projected on #show" `Quick
+          test_projection_readings;
         Alcotest.test_case "par: enumeration equals sequential" `Quick
           test_par_enumerate;
         Alcotest.test_case "par: optima equal sequential" `Quick

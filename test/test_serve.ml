@@ -184,6 +184,48 @@ let test_store_corruption () =
   checki "flip counted corrupt" 1 (Serve.Store.stats s).Serve.Store.corrupt;
   Serve.Store.close s
 
+(* An entry of another store format or written by another OCaml runtime
+   is an upgrade leftover, not damage: it reads as a clean miss, is
+   deleted, and is not counted corrupt. *)
+let test_store_stale () =
+  let write_entry dir key ~version ~ocaml v =
+    let hex = Engine.Fingerprint.to_hex key in
+    let payload = Marshal.to_string v [] in
+    let file = Filename.concat dir (hex ^ ".ent") in
+    Out_channel.with_open_bin file (fun oc ->
+        Printf.fprintf oc "cpsrisk-store %s %s %s %d %s\n%s" version ocaml hex
+          (String.length payload)
+          (Digest.to_hex (Digest.string payload))
+          payload);
+    file
+  in
+  with_tmp_dir @@ fun dir ->
+  Serve.Store.close (Serve.Store.open_ dir);
+  (* the same hand-written layout under the current header is a hit *)
+  ignore (write_entry dir (fp 1) ~version:"3" ~ocaml:Sys.ocaml_version "current");
+  let s = Serve.Store.open_ dir in
+  check (Alcotest.option Alcotest.string) "current header hits" (Some "current")
+    (Serve.Store.find s (fp 1));
+  Serve.Store.close s;
+  List.iter
+    (fun (what, key, file) ->
+      let s = Serve.Store.open_ dir in
+      check (Alcotest.option Alcotest.string) (what ^ " is a miss") None
+        (Serve.Store.find s key);
+      let st = Serve.Store.stats s in
+      checki (what ^ ": not corrupt") 0 st.Serve.Store.corrupt;
+      checki (what ^ ": one miss") 1 st.Serve.Store.misses;
+      checkb (what ^ ": file removed") false (Sys.file_exists file);
+      Serve.Store.close s)
+    [
+      ( "v2 entry",
+        fp 2,
+        write_entry dir (fp 2) ~version:"2" ~ocaml:Sys.ocaml_version "old" );
+      ( "other-runtime entry",
+        fp 3,
+        write_entry dir (fp 3) ~version:"3" ~ocaml:"4.02.3" "foreign" );
+    ]
+
 let test_store_killed_writer () =
   with_tmp_dir @@ fun dir ->
   let s = Serve.Store.open_ dir in
@@ -536,7 +578,7 @@ let test_registry () =
 
 (* A daemon on a private socket for the duration of [f]; one worker
    domain so cache provenance and search counters are deterministic. *)
-let with_daemon f =
+let with_daemon ?cache_dir f =
   with_tmp_dir @@ fun dir ->
   Unix.mkdir dir 0o700;
   let socket = Filename.concat dir "s.sock" in
@@ -547,7 +589,9 @@ let with_daemon f =
         ready := true;
         Condition.signal up)
   in
-  let config = { Serve.Server.default_config with socket; jobs = Some 1 } in
+  let config =
+    { Serve.Server.default_config with socket; cache_dir; jobs = Some 1 }
+  in
   let daemon = Thread.create (fun () -> Serve.Server.run ~on_ready config) () in
   Mutex.protect lock (fun () ->
       while not !ready do
@@ -597,18 +641,18 @@ let wire_golden_requests =
 
 let wire_golden_responses =
   [
-    "{\"ok\":true,\"model\":\"wt\",\"deltas\":4,\"hits\":1,\"disk_hits\":0,\"misses\":3,\"fresh\":{\"guesses\":0,\"firings\":0,\"conflicts\":0,\"models\":3,\"wall_s\":\"*\"},\"ground\":{\"fresh_rules\":312,\"reused_rules\":303},\"batched_with\":0,\"batch_wall_s\":\"*\",\"wall_s\":\"*\",\"results\":[{\"label\":\"s1\",\"fingerprint\":\"e8b8fb8d97698cb90000000000000000\",\"models\":1,\"source\":\"fresh\",\"verdicts\":{\"R1\":false,\"R2\":false}},{\"label\":\"s2\",\"fingerprint\":\"19064283e0f1c3200000000000000000\",\"models\":1,\"source\":\"fresh\",\"verdicts\":{\"R1\":true,\"R2\":false}},{\"label\":\"again\",\"fingerprint\":\"19064283e0f1c3200000000000000000\",\"models\":1,\"source\":\"memory\",\"verdicts\":{\"R1\":true,\"R2\":false}},{\"label\":\"Z\195\188ndung\",\"fingerprint\":\"8894926e9fc452da0000000000000000\",\"models\":1,\"source\":\"fresh\",\"verdicts\":{\"R1\":false,\"R2\":false}}]}";
+    "{\"ok\":true,\"model\":\"wt\",\"deltas\":4,\"hits\":1,\"disk_hits\":0,\"misses\":3,\"fresh\":{\"guesses\":0,\"firings\":0,\"conflicts\":0,\"models\":3,\"wall_s\":\"*\"},\"ground\":{\"fresh_rules\":312,\"reused_rules\":303},\"batched_with\":0,\"batch_wall_s\":\"*\",\"wall_s\":\"*\",\"results\":[{\"label\":\"s1\",\"fingerprint\":\"e8b8fb8d97698cb97307ee5f2e4a144e\",\"models\":1,\"source\":\"fresh\",\"verdicts\":{\"R1\":false,\"R2\":false}},{\"label\":\"s2\",\"fingerprint\":\"19064283e0f1c3207307ee5f2e4a144e\",\"models\":1,\"source\":\"fresh\",\"verdicts\":{\"R1\":true,\"R2\":false}},{\"label\":\"again\",\"fingerprint\":\"19064283e0f1c3207307ee5f2e4a144e\",\"models\":1,\"source\":\"memory\",\"verdicts\":{\"R1\":true,\"R2\":false}},{\"label\":\"Z\195\188ndung\",\"fingerprint\":\"8894926e9fc452da7307ee5f2e4a144e\",\"models\":1,\"source\":\"fresh\",\"verdicts\":{\"R1\":false,\"R2\":false}}]}";
     "{\"ok\":true,\"model\":\"wt\",\"search\":\"optimal\",\"optimal\":{\"selected\":[\"M1\"],\"cost\":2,\"residual\":0},\"report\":{\"evals\":27,\"hits\":12,\"disk_hits\":0,\"fresh\":15,\"pruned\":11,\"sum_s\":\"*\",\"critical_s\":\"*\",\"wall_s\":\"*\"},\"wall_s\":\"*\"}";
     "{\"ok\":true,\"model\":\"wt\",\"search\":\"optimal\",\"optimal\":{\"selected\":[],\"cost\":0,\"residual\":4},\"report\":{\"evals\":1,\"hits\":1,\"disk_hits\":0,\"fresh\":0,\"pruned\":0,\"sum_s\":\"*\",\"critical_s\":\"*\",\"wall_s\":\"*\"},\"wall_s\":\"*\"}";
     "{\"ok\":true,\"model\":\"wt\",\"search\":\"pareto\",\"pareto\":[{\"selected\":[],\"cost\":0,\"residual\":4},{\"selected\":[\"M1\"],\"cost\":2,\"residual\":0}],\"report\":{\"evals\":32,\"hits\":15,\"disk_hits\":0,\"fresh\":17,\"pruned\":0,\"sum_s\":\"*\",\"critical_s\":\"*\",\"wall_s\":\"*\"},\"wall_s\":\"*\"}";
     "{\"ok\":true,\"model\":\"wt\",\"search\":\"budget-curve\",\"curve\":[{\"budget\":0,\"solution\":{\"selected\":[],\"cost\":0,\"residual\":4}},{\"budget\":1,\"solution\":{\"selected\":[],\"cost\":0,\"residual\":4}},{\"budget\":5,\"solution\":{\"selected\":[\"M1\"],\"cost\":2,\"residual\":0}}],\"report\":{\"evals\":6,\"hits\":6,\"disk_hits\":0,\"fresh\":0,\"pruned\":0,\"sum_s\":\"*\",\"critical_s\":\"*\",\"wall_s\":\"*\"},\"wall_s\":\"*\"}";
-    "{\"ok\":true,\"model\":\"hier\",\"deltas\":2,\"hits\":0,\"disk_hits\":0,\"misses\":2,\"fresh\":{\"guesses\":0,\"firings\":0,\"conflicts\":0,\"models\":2,\"wall_s\":\"*\"},\"ground\":{\"fresh_rules\":35,\"reused_rules\":123},\"batched_with\":0,\"batch_wall_s\":\"*\",\"wall_s\":\"*\",\"results\":[{\"label\":\"bare\",\"fingerprint\":\"b4b5f8b4a825f3010000000000000000\",\"models\":1,\"source\":\"fresh\",\"residual\":29},{\"label\":\"shield\",\"fingerprint\":\"22697f8f2ba78f210000000000000000\",\"models\":1,\"source\":\"fresh\",\"residual\":26}]}";
-    "{\"ok\":true,\"model\":\"wt\",\"deltas\":1,\"hits\":0,\"disk_hits\":0,\"misses\":1,\"fresh\":{\"guesses\":4,\"firings\":272,\"conflicts\":2,\"models\":3,\"wall_s\":\"*\"},\"ground\":{\"fresh_rules\":47,\"reused_rules\":113},\"batched_with\":0,\"batch_wall_s\":\"*\",\"wall_s\":\"*\",\"results\":[{\"label\":\"two models\",\"fingerprint\":\"8e2a652b21afaa1b0000000000000000\",\"models\":3,\"source\":\"fresh\"}]}";
+    "{\"ok\":true,\"model\":\"hier\",\"deltas\":2,\"hits\":0,\"disk_hits\":0,\"misses\":2,\"fresh\":{\"guesses\":0,\"firings\":0,\"conflicts\":0,\"models\":2,\"wall_s\":\"*\"},\"ground\":{\"fresh_rules\":35,\"reused_rules\":123},\"batched_with\":0,\"batch_wall_s\":\"*\",\"wall_s\":\"*\",\"results\":[{\"label\":\"bare\",\"fingerprint\":\"b4b5f8b4a825f3016d5d8926f07571e7\",\"models\":1,\"source\":\"fresh\",\"residual\":29},{\"label\":\"shield\",\"fingerprint\":\"22697f8f2ba78f216d5d8926f07571e7\",\"models\":1,\"source\":\"fresh\",\"residual\":26}]}";
+    "{\"ok\":true,\"model\":\"wt\",\"deltas\":1,\"hits\":0,\"disk_hits\":0,\"misses\":1,\"fresh\":{\"guesses\":4,\"firings\":272,\"conflicts\":2,\"models\":3,\"wall_s\":\"*\"},\"ground\":{\"fresh_rules\":47,\"reused_rules\":113},\"batched_with\":0,\"batch_wall_s\":\"*\",\"wall_s\":\"*\",\"results\":[{\"label\":\"two models\",\"fingerprint\":\"8e2a652b21afaa1b7307ee5f2e4a144e\",\"models\":3,\"source\":\"fresh\"}]}";
     "{\"ok\":true,\"models\":2,\"answers\":[\"{}\",\"{b}\"],\"guesses\":4,\"conflicts\":0,\"wall_s\":\"*\"}";
     "{\"ok\":true,\"models\":1,\"answers\":[\"{p(1), p(2), p(3), q(1), q(3), r(2)} cost[4@1]\"],\"guesses\":0,\"conflicts\":0,\"wall_s\":\"*\"}";
     "{\"ok\":true,\"models\":0,\"answers\":[],\"guesses\":0,\"conflicts\":0,\"wall_s\":\"*\"}";
     "error: parse error: line 1, col 3: expected a term (found ':-')";
-    "{\"ok\":true,\"model\":\"cell\",\"deltas\":3,\"hits\":0,\"disk_hits\":0,\"misses\":3,\"fresh\":{\"guesses\":0,\"firings\":0,\"conflicts\":0,\"models\":3,\"wall_s\":\"*\"},\"ground\":{\"fresh_rules\":34,\"reused_rules\":192},\"batched_with\":0,\"batch_wall_s\":\"*\",\"wall_s\":\"*\",\"results\":[{\"label\":\"{plc}\",\"fingerprint\":\"97286ef5cd38282d0000000000000000\",\"models\":1,\"source\":\"fresh\",\"affected\":[\"conveyor\",\"panel\",\"plc\",\"press\"]},{\"label\":\"guarded\",\"fingerprint\":\"a5c935466e84b9a60000000000000000\",\"models\":1,\"source\":\"fresh\",\"affected\":[\"conveyor\",\"panel\",\"plc\",\"press\"]},{\"label\":\"{office}\",\"fingerprint\":\"97607c00060a52d90000000000000000\",\"models\":1,\"source\":\"fresh\",\"affected\":[\"conveyor\",\"fw\",\"office\",\"panel\",\"plc\",\"press\",\"scada\"]}]}";
+    "{\"ok\":true,\"model\":\"cell\",\"deltas\":3,\"hits\":0,\"disk_hits\":0,\"misses\":3,\"fresh\":{\"guesses\":0,\"firings\":0,\"conflicts\":0,\"models\":3,\"wall_s\":\"*\"},\"ground\":{\"fresh_rules\":34,\"reused_rules\":192},\"batched_with\":0,\"batch_wall_s\":\"*\",\"wall_s\":\"*\",\"results\":[{\"label\":\"{plc}\",\"fingerprint\":\"97286ef5cd38282dd4aa3bf2b759e0a0\",\"models\":1,\"source\":\"fresh\",\"affected\":[\"conveyor\",\"panel\",\"plc\",\"press\"]},{\"label\":\"guarded\",\"fingerprint\":\"a5c935466e84b9a6d4aa3bf2b759e0a0\",\"models\":1,\"source\":\"fresh\",\"affected\":[\"conveyor\",\"panel\",\"plc\",\"press\"]},{\"label\":\"{office}\",\"fingerprint\":\"97607c00060a52d9d4aa3bf2b759e0a0\",\"models\":1,\"source\":\"fresh\",\"affected\":[\"conveyor\",\"fw\",\"office\",\"panel\",\"plc\",\"press\",\"scada\"]}]}";
     "error: model \"cell\" (topology backend) carries no action catalog";
   ]
 
@@ -658,6 +702,107 @@ let test_wire_golden () =
     Alcotest.(list string)
     "daemon responses" wire_golden_responses pinned
 
+(* A daemon restarted over its own store answers the same press_cell
+   sweep from disk, result for result identical but for [source]; the
+   entries hold models projected on [#show affected/1], so each stays
+   answer-sized. *)
+let test_restart_from_store () =
+  let src =
+    In_channel.with_open_bin "../examples/models/press_cell.model"
+      In_channel.input_all
+  in
+  let model = Archimate.Text.parse src in
+  let lines =
+    List.map
+      (fun (d : Engine.Delta.t) ->
+        Printf.sprintf "%s: %s\n" (Engine.Delta.label d)
+          (String.concat ", " d.Engine.Delta.faults))
+      (Cpsrisk.Sweeps.model_element_deltas model)
+    @ [ "guarded: plc / fw\n" ]
+  in
+  let mutations = String.concat "" lines in
+  let results ~cache_dir =
+    with_daemon ~cache_dir @@ fun socket ->
+    let ask fields =
+      match Serve.Client.request ~socket (Serve.Json.Obj fields) with
+      | Ok r -> r
+      | Error e -> Alcotest.fail e
+    in
+    ignore
+      (ask
+         [
+           ("op", Serve.Json.String "load-model");
+           ("name", Serve.Json.String "cell");
+           ("backend", Serve.Json.String "topology");
+           ("model_src", Serve.Json.String src);
+         ]);
+    match
+      Serve.Json.mem_list "results"
+        (ask
+           [
+             ("op", Serve.Json.String "sweep");
+             ("model", Serve.Json.String "cell");
+             ("mutations", Serve.Json.String mutations);
+           ])
+    with
+    | Some rs -> rs
+    | None -> Alcotest.fail "sweep: no results"
+  in
+  let split rs =
+    List.map
+      (function
+        | Serve.Json.Obj fields ->
+            ( List.assoc_opt "source" fields,
+              Serve.Json.to_string
+                (Serve.Json.Obj (List.remove_assoc "source" fields)) )
+        | r -> Alcotest.fail ("result: " ^ Serve.Json.to_string r))
+      rs
+  in
+  with_tmp_dir @@ fun cache_dir ->
+  let first = split (results ~cache_dir) in
+  let second = split (results ~cache_dir) in
+  checki "every delta answered" (List.length lines) (List.length first);
+  check
+    Alcotest.(list string)
+    "restarted answers identical but for source" (List.map snd first)
+    (List.map snd second);
+  List.iter
+    (fun (source, _) ->
+      checkb "answered from disk" true (source = Some (Serve.Json.String "disk")))
+    second;
+  let entries =
+    List.filter (fun f -> Filename.check_suffix f ".ent") (entry_files cache_dir)
+  in
+  checki "one entry per delta" (List.length first) (List.length entries);
+  List.iter
+    (fun f ->
+      let size = (Unix.stat (Filename.concat cache_dir f)).Unix.st_size in
+      checkb (Printf.sprintf "%s: %d bytes < 4 KB" f size) true (size < 4096))
+    entries;
+  (* read every entry back under the job key the library computes *)
+  let spec = (Cpsrisk.Backend.target ~model Cpsrisk.Backend.Topology).spec in
+  let prepared = Engine.Job.prepare spec in
+  let store : Serve.Registry.value Serve.Store.t = Serve.Store.open_ cache_dir in
+  (match Engine.Delta.parse mutations with
+  | Error e -> Alcotest.fail (Engine.Delta.error_to_string e)
+  | Ok deltas ->
+      List.iter
+        (fun d ->
+          match Serve.Store.find store (Engine.Job.fingerprint prepared d) with
+          | None -> Alcotest.fail (Engine.Delta.label d ^ ": no store entry")
+          | Some (models, _, _) ->
+              List.iter
+                (fun m ->
+                  checkb
+                    (Engine.Delta.label d ^ ": entry holds only affected/1")
+                    true
+                    (List.for_all
+                       (fun a -> Asp.Atom.signature a = Cpsrisk.Sweeps.affected_sig)
+                       (Asp.Model.to_list m)))
+                models)
+        deltas);
+  Serve.Store.close store
+
 (* arithmetic on a symbol is the program's grounding error, answered as
    such — not an escaped exception *)
 let test_solve_eval_error () =
@@ -690,6 +835,8 @@ let suites =
           test_store_eviction;
         Alcotest.test_case "store: corrupt entries detected and skipped"
           `Quick test_store_corruption;
+        Alcotest.test_case "store: stale entries are clean misses" `Quick
+          test_store_stale;
         Alcotest.test_case "store: killed-writer debris swept" `Quick
           test_store_killed_writer;
         Alcotest.test_case "store: concurrent readers vs writer" `Quick
@@ -714,6 +861,8 @@ let suites =
           test_registry;
         Alcotest.test_case "wire: sweep, mitigate and solve golden" `Quick
           test_wire_golden;
+        Alcotest.test_case "wire: restarted daemon answers from its store"
+          `Quick test_restart_from_store;
         Alcotest.test_case "solve: evaluation error is a grounding error"
           `Quick test_solve_eval_error;
       ] );
