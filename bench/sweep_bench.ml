@@ -68,6 +68,8 @@ let emit_json out mode ~deltas ~horizon ~seed ~base_atoms entries =
   p "  \"seed\": %d,\n" seed;
   p "  \"base_atoms\": %d,\n" base_atoms;
   p "  \"recommended_domains\": %d,\n" (Domain.recommended_domain_count ());
+  p "  \"host\": {\"cpu\": %S, \"ocaml\": %S},\n" (Registry.cpu_model ())
+    Sys.ocaml_version;
   p "  \"entries\": [\n";
   List.iteri
     (fun i e ->
@@ -94,7 +96,7 @@ let run ~smoke ~out =
   let spec = Cpsrisk.Sweeps.water_tank_spec ~horizon deltas in
 
   (* reference: the pre-engine loop — full rebuild + cold grounding per
-     delta, no sharing of any kind — with the spec's projection *)
+     delta, no sharing of any kind — showing what the spec shows *)
   let cold, cold_s =
     wall (fun () ->
         List.map
@@ -105,7 +107,7 @@ let run ~smoke ~out =
                 (Cpsrisk.Water_tank.asp_program ~horizon ~scenario ())
             in
             let g = Asp.Grounder.ground p in
-            model_sets (Asp.Ground.project g (Asp.Solver.solve g)))
+            model_sets (Asp.Solver.solve g))
           deltas)
   in
   Printf.eprintf "  seq-cold      : %8.4fs (%d jobs)\n%!" cold_s n;

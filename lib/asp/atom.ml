@@ -50,3 +50,10 @@ let to_string a =
         (String.concat "," (List.map Term.to_string args))
 
 let pp ppf a = Format.pp_print_string ppf (to_string a)
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)

@@ -27,3 +27,7 @@ val rehydrate : t -> t
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+
+module Tbl : Hashtbl.S with type key = t
+(** Keyed on {!hash}/{!equal}: the precomputed term hashes, not
+    polymorphic hashing over the atom structure. *)

@@ -35,24 +35,27 @@ type grule =
       terms : Term.t list;
     }
 
+type numbering = { by_id : Atom.t array; ids : int Atom.Tbl.t }
+
 type t = {
   rules : grule list;
   universe : Model.AtomSet.t;
   shows : (string * int) list;
+  numbering : numbering;
 }
 
-let project g models =
-  match g.shows with
-  | [] -> models
-  | shows -> List.map (Model.project shows) models
+let number ?table universe =
+  let by_id = Array.of_list (Model.AtomSet.elements universe) in
+  let ids =
+    match table with
+    | Some t -> t
+    | None -> Atom.Tbl.create (Array.length by_id)
+  in
+  Array.iteri (fun i a -> Atom.Tbl.replace ids a i) by_id;
+  { by_id; ids }
 
 let rule_count g = List.length g.rules
 let atom_count g = Model.AtomSet.cardinal g.universe
-
-let equal a b =
-  Model.AtomSet.equal a.universe b.universe
-  && a.shows = b.shows
-  && a.rules = b.rules
 
 (* Structural hash/equality over ground rules built on the terms'
    precomputed hkeys and interned spines. The grounder's dedup tables
@@ -200,6 +203,11 @@ let rule_to_string = function
       Printf.sprintf ":~ %s. [%d@%d%s]"
         (body_to_string pos neg counts)
         weight priority terms_str
+
+let equal a b =
+  Model.AtomSet.equal a.universe b.universe
+  && a.shows = b.shows
+  && List.equal equal_rule a.rules b.rules
 
 let pp_rule ppf r = Format.pp_print_string ppf (rule_to_string r)
 

@@ -47,24 +47,37 @@ type grule =
       terms : Term.t list;
     }
 
+type numbering = private { by_id : Atom.t array; ids : int Atom.Tbl.t }
+(** Dense atom ids [0 .. n-1] over a closed universe, in {!Atom.compare}
+    order: [by_id.(i)] is the atom with id [i], [ids] the inverse.
+    Read-only once built, so one numbering is shared by every domain that
+    compiles a program grounded on it. *)
+
 type t = {
   rules : grule list;
   universe : Model.AtomSet.t;  (** over-approximation of derivable atoms *)
   shows : (string * int) list;
+  numbering : numbering;
+      (** The numbering the program was grounded on: its whole universe
+          for {!Grounder.ground}, the base universe for
+          {!Grounder.extend}. {!Interned.compile} takes every id it holds
+          and numbers only the atoms outside it. *)
 }
 
-val project : t -> Model.t list -> Model.t list
-(** Each model restricted to the program's [#show] signatures, in order
-    and without deduplication (the model count is kept); the identity when
-    [shows = []]. *)
+val number : ?table:int Atom.Tbl.t -> Model.AtomSet.t -> numbering
+(** Number a universe in {!Atom.compare} order. The ids are recorded in
+    [table] when given (the grounder passes the universe table it already
+    has; values it held are overwritten), else in a fresh table. *)
 
 val rule_count : t -> int
 val atom_count : t -> int
 
 val equal : t -> t -> bool
-(** Structural equality, rule-for-rule and in order: the relation the
-    grounder differential suite enforces between {!Grounder} and the
-    test-only reference grounder's output. *)
+(** Structural equality, rule-for-rule ({!equal_rule}) and in order, of
+    the universes, [#show] lists and rules: the relation the grounder
+    differential suite enforces between {!Grounder} and the test-only
+    reference grounder's output. The numbering follows from the universe
+    and is not compared. *)
 
 val equal_rule : grule -> grule -> bool
 (** Structural rule equality via {!Term.equal} on the interned terms —

@@ -598,12 +598,7 @@ let execute plan env matched ~cands ~on_match =
 (* frozen base store (the {!extend} overlay), whose atoms all count    *)
 (* as generation 0.                                                    *)
 (* ------------------------------------------------------------------ *)
-module AtomTbl = Hashtbl.Make (struct
-  type t = Atom.t
-
-  let equal = Atom.equal
-  let hash = Atom.hash
-end)
+module AtomTbl = Atom.Tbl
 
 (* Predicate strings are interned ({!Atom.make} routes them through
    [Term.intern_string]), so physical equality catches nearly every
@@ -670,7 +665,7 @@ end)
 type bucket = { mutable b_len : int; mutable b_items : (Atom.t * int) list }
 
 type store = {
-  st_univ : int AtomTbl.t; (* atom -> generation *)
+  st_univ : int AtomTbl.t; (* atom -> id once numbered, -1 until then *)
   st_by_sig : bucket SigTbl.t;
   st_by_pos : bucket PosTbl.t;
   mutable st_count : int; (* includes the base layer's count *)
@@ -718,7 +713,7 @@ let add_atom st ~gen a ~on_new =
   if not (Atom.is_ground a) then
     raise (Unsafe ("derived non-ground atom " ^ Atom.to_string a));
   if not (store_mem st a) then begin
-    AtomTbl.replace st.st_univ a gen;
+    AtomTbl.replace st.st_univ a (-1);
     st.st_count <- st.st_count + 1;
     if st.st_count > st.st_max then
       raise
@@ -1308,6 +1303,12 @@ let phase1 ~max_atoms stats p =
 let universe_of st base =
   AtomTbl.fold (fun a _ acc -> Model.AtomSet.add a acc) st.st_univ base
 
+(* A closed single-layer store's universe, numbered in the table that
+   already holds it: the ids cost no second table. *)
+let numbered st =
+  let universe = universe_of st Model.AtomSet.empty in
+  (universe, Ground.number ~table:st.st_univ universe)
+
 let ground ?(max_atoms = 200_000) ?stats p =
   let stats = match stats with Some s -> s | None -> Stats.create () in
   let t0 = Unix.gettimeofday () in
@@ -1331,12 +1332,9 @@ let ground ?(max_atoms = 200_000) ?stats p =
   List.iter
     (fun r -> instantiate snap stats ~emit (compile_rule r))
     (Program.rules p);
+  let universe, numbering = numbered st in
   let g =
-    {
-      Ground.rules = List.rev !out;
-      universe = universe_of st Model.AtomSet.empty;
-      shows = Program.shows p;
-    }
+    { Ground.rules = List.rev !out; universe; shows = Program.shows p; numbering }
   in
   stats.Stats.wall_s <- stats.Stats.wall_s +. (Unix.gettimeofday () -. t0);
   g
@@ -1363,6 +1361,7 @@ type prepared = {
   p_templates : template array;
   p_tindex : (int * int) list SigTbl.t;
   p_universe : Model.AtomSet.t;
+  p_numbering : Ground.numbering; (* of [p_universe], in [p_store]'s table *)
   p_rules : Ground.grule list; (* globally deduped, = [ground] output *)
 }
 
@@ -1408,6 +1407,7 @@ let prepare ?(max_atoms = 200_000) ?stats p =
   (* the view is about to become shared, read-only state: no further
      composite-mask materialization (concurrent extends read the cache) *)
   view.v_cache.cc_frozen <- true;
+  let universe, numbering = numbered st in
   let prep =
     {
       p_program = p;
@@ -1419,7 +1419,8 @@ let prepare ?(max_atoms = 200_000) ?stats p =
       p_entries = Array.of_list entries;
       p_templates = templates;
       p_tindex = tindex;
-      p_universe = universe_of st Model.AtomSet.empty;
+      p_universe = universe;
+      p_numbering = numbering;
       p_rules = rules;
     }
   in
@@ -1427,7 +1428,12 @@ let prepare ?(max_atoms = 200_000) ?stats p =
   prep
 
 let base p =
-  { Ground.rules = p.p_rules; universe = p.p_universe; shows = Program.shows p.p_program }
+  {
+    Ground.rules = p.p_rules;
+    universe = p.p_universe;
+    shows = Program.shows p.p_program;
+    numbering = p.p_numbering;
+  }
 
 let base_universe p = p.p_universe
 
@@ -1564,6 +1570,7 @@ let extend ?stats prep dp =
       Ground.rules = List.rev !out;
       universe = universe_of st prep.p_universe;
       shows = Program.shows prep.p_program @ Program.shows dp;
+      numbering = prep.p_numbering;
     }
   in
   stats.Stats.wall_s <- stats.Stats.wall_s +. (Unix.gettimeofday () -. t0);
@@ -1584,7 +1591,7 @@ let flatten_store ~max_atoms base overlay =
     AtomTbl.iter
       (fun a _ ->
         if not (AtomTbl.mem flat.st_univ a) then begin
-          AtomTbl.replace flat.st_univ a 0;
+          AtomTbl.replace flat.st_univ a (-1);
           flat.st_count <- flat.st_count + 1;
           index_atom flat a 0
         end)
@@ -1679,6 +1686,7 @@ let extend_prepare ?stats prep dp =
       entries
   in
   view.v_cache.cc_frozen <- true;
+  let universe, numbering = numbered store in
   let next =
     {
       p_program = Program.append prep.p_program dp;
@@ -1690,7 +1698,8 @@ let extend_prepare ?stats prep dp =
       p_entries = Array.of_list entries;
       p_templates = templates;
       p_tindex = tindex;
-      p_universe = universe_of store Model.AtomSet.empty;
+      p_universe = universe;
+      p_numbering = numbering;
       p_rules = rules;
     }
   in

@@ -77,25 +77,30 @@ val ground :
   Ground.t
 (** One-shot grounding. [max_atoms] defaults to 200_000; effort is added to
     [stats] when given. Bit-for-bit equal to the reference grounder's
-    output on any program both accept. *)
+    output on any program both accept. The result's {!Ground.numbering}
+    covers its whole universe. *)
 
 type prepared
 (** Reusable grounding state for a base program: its closed universe with
-    candidate indexes, head-derivation templates, and per-rule ground
-    instances with the signature metadata {!extend} classifies against.
-    Read-only after {!prepare} — one [prepared] may be extended from many
-    domains concurrently. *)
+    candidate indexes and its {!Ground.numbering}, head-derivation
+    templates, and per-rule ground instances with the signature metadata
+    {!extend} classifies against. Read-only after {!prepare} — one
+    [prepared] may be extended from many domains concurrently. *)
 
 val prepare :
   ?max_atoms:int ->
   ?stats:Stats.t ->
   Program.t ->
   prepared
-(** Ground the base once, keeping the state an increment can extend.
-    Raises like {!ground} if the base itself is unsafe or overflows. *)
+(** Ground the base once, keeping the state an increment can extend. The
+    base universe is numbered here, once, in {!Atom.compare} order; the
+    ids are stored in the universe table the grounder already keeps, so
+    the numbering costs no second table. Raises like {!ground} if the
+    base itself is unsafe or overflows. *)
 
 val base : prepared -> Ground.t
-(** The base program's own grounding (what [ground base] returns). *)
+(** The base program's own grounding (what [ground base] returns, with
+    the same numbering). *)
 
 val base_universe : prepared -> Model.AtomSet.t
 
@@ -114,6 +119,9 @@ val extend : ?stats:Stats.t -> prepared -> Program.t -> Ground.t
     ground rules across source rules (each source rule's instances are
     exact; the global cross-rule dedup of {!ground} is not re-applied to
     shared instances): same universe, same stable models, same costs.
+    The result carries the base's numbering, shared and unchanged, so a
+    compiled increment ({!Interned.compile}) keeps every base atom's id
+    and numbers only the atoms the delta adds.
     Raises like {!ground} if the delta is unsafe or the combined universe
     overflows [prepare]'s [max_atoms]. *)
 
@@ -129,5 +137,6 @@ val extend_prepare : ?stats:Stats.t -> prepared -> Program.t -> prepared
     The returned state's {!base} is equivalent to
     [ground (Program.append base delta)] in the sense documented for
     {!extend} — same universe, same stable models, same costs; rule
-    emission order may differ from a scratch {!prepare}. The input
+    emission order may differ from a scratch {!prepare}. The combined
+    universe is numbered afresh, in {!Atom.compare} order. The input
     [state] is not mutated and stays usable. Raises like {!extend}. *)

@@ -30,17 +30,12 @@ type weak = {
   terms : Term.t list;
 }
 
-module AtomTbl = Hashtbl.Make (struct
-  type t = Atom.t
-
-  let equal = Atom.equal
-  let hash = Atom.hash
-end)
-
 type t = {
   atoms : Atom.t array;
-  index : int AtomTbl.t;
+  numbering : Ground.numbering;
+  extra : int Atom.Tbl.t;
   n_atoms : int;
+  shows : (string * int) list;
   facts : int array;
   rules : rule array;
   choices : choice array;
@@ -53,25 +48,26 @@ type t = {
   has_negative_weight : bool;
 }
 
-(* table : Atom.t -> id, shared during compilation only *)
-let intern table atoms_rev next a =
-  match AtomTbl.find_opt table a with
-  | Some i -> i
-  | None ->
-      let i = !next in
-      AtomTbl.replace table a i;
-      atoms_rev := a :: !atoms_rev;
-      incr next;
-      i
-
 let compile (g : Ground.t) =
-  let table = AtomTbl.create 1024 in
-  let atoms_rev = ref [] in
-  let next = ref 0 in
-  let id a = intern table atoms_rev next a in
-  (* seed from the grounder's universe index: ids ascend in Atom.compare
-     order, so iterating set bits yields atoms already sorted *)
-  Model.AtomSet.iter (fun a -> ignore (id a)) g.Ground.universe;
+  let numbering = g.Ground.numbering in
+  (* the numbering's ids are taken as they are; an atom outside it (an
+     increment's new atom) is numbered after them, on first occurrence *)
+  let extra = Atom.Tbl.create 64 in
+  let extra_rev = ref [] in
+  let next = ref (Array.length numbering.Ground.by_id) in
+  let id a =
+    match Atom.Tbl.find_opt numbering.Ground.ids a with
+    | Some i -> i
+    | None -> (
+        match Atom.Tbl.find_opt extra a with
+        | Some i -> i
+        | None ->
+            let i = !next in
+            Atom.Tbl.replace extra a i;
+            extra_rev := a :: !extra_rev;
+            incr next;
+            i)
+  in
   let ids l = Array.of_list (List.map id l) in
   let counts_rev = ref [] in
   let n_counts = ref 0 in
@@ -153,7 +149,11 @@ let compile (g : Ground.t) =
             }
             :: !weaks)
     g.Ground.rules;
-  let atoms = Array.of_list (List.rev !atoms_rev) in
+  let atoms =
+    match !extra_rev with
+    | [] -> numbering.Ground.by_id
+    | l -> Array.append numbering.Ground.by_id (Array.of_list (List.rev l))
+  in
   let n_atoms = Array.length atoms in
   let facts = Array.of_list (List.rev !facts) in
   let rules = Array.of_list (List.rev !rules) in
@@ -170,8 +170,10 @@ let compile (g : Ground.t) =
   Array.iter (fun r -> Bitset.set derived_head r.head) rules;
   {
     atoms;
-    index = table;
+    numbering;
+    extra;
     n_atoms;
+    shows = g.Ground.shows;
     facts;
     rules;
     choices;
@@ -184,11 +186,26 @@ let compile (g : Ground.t) =
     has_negative_weight = Array.exists (fun w -> w.weight < 0) weaks;
   }
 
-let id p a = AtomTbl.find p.index a
+let id p a =
+  match Atom.Tbl.find_opt p.numbering.Ground.ids a with
+  | Some i -> i
+  | None -> Atom.Tbl.find p.extra a
+
+let shown shows (a : Atom.t) =
+  let n = Atom.arity a in
+  List.exists
+    (fun (pred, arity) ->
+      arity = n && (pred == a.Atom.pred || String.equal pred a.Atom.pred))
+    shows
 
 let atoms_of_bitset p bits =
+  let keep = match p.shows with [] -> Fun.const true | shows -> shown shows in
   let acc = ref Model.AtomSet.empty in
-  Bitset.iter_true (fun i -> acc := Model.AtomSet.add p.atoms.(i) !acc) bits;
+  Bitset.iter_true
+    (fun i ->
+      let a = p.atoms.(i) in
+      if keep a then acc := Model.AtomSet.add a !acc)
+    bits;
   !acc
 
 let all_true m ids = Array.for_all (fun i -> Bitset.get m i) ids

@@ -1,11 +1,18 @@
 (** Atom interning and a dense compiled form of ground programs.
 
-    After grounding, every ground atom is mapped to a contiguous [int] id
-    (reusing the grounder's universe index as the table seed, in
-    {!Atom.compare} order so bit order equals atom order). Rule bodies
-    become int arrays, interpretations become {!Bitset.t} assignments, and
-    the structural [Atom.t]/[AtomSet] representation is reconstructed only
-    at the {!Model.t} API boundary. *)
+    Every ground atom is mapped to a contiguous [int] id. The ids are the
+    program's {!Ground.numbering}'s, taken as they are, followed by the
+    atoms outside it, numbered in order of first occurrence in the rules.
+    For a one-shot grounding the numbering covers the whole universe, so
+    ids ascend in {!Atom.compare} order. For an increment of a prepared
+    base ({!Grounder.extend}) the numbering is the base's: every base atom
+    keeps its base id in every increment, compilation looks the base atoms
+    up instead of re-numbering them, and the increment's new atoms come
+    after them — an extended program's ids are no longer globally in
+    {!Atom.compare} order. Rule bodies become int arrays, interpretations
+    become {!Bitset.t} assignments, and the structural [Atom.t]/[AtomSet]
+    representation is reconstructed only at the {!Model.t} API boundary,
+    and only for the atoms the program shows. *)
 
 type count_elem = { etuple : Term.t list; epos : int array; eneg : int array }
 
@@ -41,14 +48,12 @@ type weak = {
   terms : Term.t list;
 }
 
-module AtomTbl : Hashtbl.S with type key = Atom.t
-(** Keyed on {!Atom.hash}/{!Atom.equal}: the precomputed term hashes,
-    not polymorphic hashing over the atom structure. *)
-
 type t = {
   atoms : Atom.t array;  (** id -> atom *)
-  index : int AtomTbl.t;  (** atom -> id *)
+  numbering : Ground.numbering;  (** atom -> id, for the numbering's atoms *)
+  extra : int Atom.Tbl.t;  (** atom -> id, for the atoms outside it *)
   n_atoms : int;
+  shows : (string * int) list;  (** the program's [#show] signatures *)
   facts : int array;
   rules : rule array;
   choices : choice array;
@@ -71,7 +76,10 @@ val id : t -> Atom.t -> int
 (** Raises [Not_found] for atoms outside the compiled program. *)
 
 val atoms_of_bitset : t -> Bitset.t -> Model.AtomSet.t
-(** Reconstruct the structural atom set at the API boundary. *)
+(** Reconstruct the structural atom set at the API boundary: the true
+    atoms of the program's [#show] signatures, or every true atom when it
+    declares none. The one place the solving tiers turn an assignment
+    into a model, so no model is built whole only to be projected. *)
 
 val eval_count : t -> Bitset.t -> count -> bool
 (** Same aggregate semantics as the reference solver: the aggregated value

@@ -40,7 +40,11 @@ let rehydrate m =
   }
 
 let equal a b = AtomSet.equal a.atoms b.atoms
-let compare a b = AtomSet.compare a.atoms b.atoms
+
+let compare a b =
+  match AtomSet.compare a.atoms b.atoms with
+  | 0 -> compare_cost a.cost b.cost
+  | c -> c
 
 let to_string m =
   let atoms = List.map Atom.to_string (to_list m) in

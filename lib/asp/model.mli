@@ -36,7 +36,9 @@ val compare_cost : cost -> cost -> int
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-(** Compares atom sets only (cost is derived). *)
+(** Atom sets first, then {!compare_cost}. The cost only decides between
+    models that show the same atoms: a whole model's cost is derived from
+    its atoms, but two projected models may differ in cost alone. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

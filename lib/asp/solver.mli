@@ -28,8 +28,9 @@
     without rebuilding the assignment prefix (see DESIGN.md §12.3).
     Results are returned sorted, bit-for-bit identical to the test-only
     oracles in [test/oracle/] (an exhaustive enumerator and the pre-CDNL
-    pruned search), which also hold the independent Gelfond–Lifschitz
-    model check.
+    pruned search) projected on the program's [#show] signatures; the
+    oracles return whole models and also hold the independent
+    Gelfond–Lifschitz model check.
     {!solve_optimal} keeps branch-and-bound and learns a decision
     nogood from every bound violation; the bound is a per-priority-level
     lower bound that adds the weights of still-undecided negative tuples,
@@ -86,10 +87,14 @@ val solve :
   ?config:Config.t ->
   Ground.t ->
   Model.t list
-(** All stable models (up to [limit], default unlimited), deduplicated,
-    sorted by atom set; [#show] projections are {e not} applied — use
-    {!Model.project} with [Ground.shows]. Under [assumptions], exactly
-    the stable models consistent with the assumed atom values. *)
+(** All stable models (up to [limit], default unlimited). A model holds
+    only the atoms of the program's [#show] signatures (every atom when
+    it declares none): they are the only atoms built, never a whole model
+    projected afterwards. The count is kept — stable models are distinct,
+    but two may show the same atoms, and both are returned. The list is
+    sorted by what the models show ({!Model.compare}). Under
+    [assumptions], exactly the stable models consistent with the assumed
+    atom values. *)
 
 val solve_with_stats :
   ?limit:int ->

@@ -66,4 +66,4 @@ let solve p delta =
     | Enumerate limit -> Asp.Solver.solve_with_stats ?limit ground
     | Optimal -> Asp.Solver.solve_optimal_with_stats ground
   in
-  (Asp.Ground.project ground models, stats, gstats)
+  (models, stats, gstats)

@@ -63,9 +63,9 @@ val fingerprint : prepared -> Delta.t -> Fingerprint.t
 val solve :
   prepared -> Delta.t ->
   Asp.Model.t list * Asp.Solver.Stats.t * Asp.Grounder.Stats.t
-(** Ground the increment with {!Asp.Grounder.extend}, solve, and project
-    each model on the grounded program's [#show] signatures (base plus
-    increment) with {!Asp.Ground.project}: what the cache and the store
+(** Ground the increment with {!Asp.Grounder.extend} and solve it. The
+    solver builds only the atoms of the grounded program's [#show]
+    signatures (base plus increment), so what the cache and the store
     keep is only what an answer is read from. A program without [#show]
     keeps whole models. The prepared state is only read: safe to call
     from any domain. *)

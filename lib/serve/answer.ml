@@ -191,7 +191,7 @@ let solve ?jobs ?limit ~optimal src =
                 if optimal then Asp.Solver.solve_optimal_with_stats ground
                 else Asp.Solver.solve_with_stats ?limit ground
           in
-          Ok { answers = Asp.Ground.project ground models; stats; ground_stats })
+          Ok { answers = models; stats; ground_stats })
 
 let solved s =
   [

@@ -52,7 +52,8 @@ type solved = {
 
 val solve :
   ?jobs:int -> ?limit:int -> optimal:bool -> string -> (solved, string) result
-(** Parse, ground, solve and project a program text. [jobs > 1]
+(** Parse, ground and solve a program text (the solver shows only the
+    [#show] atoms). [jobs > 1]
     enumerates over {!Engine.Par} worker domains (same answers). [Error]
     carries a [parse error: …] or [grounding error: …] line. *)
 

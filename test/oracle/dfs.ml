@@ -708,6 +708,13 @@ let bounds_ok_interned (p : Interned.t) value =
 (* Top-level drivers                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* every true atom: the oracle ignores [#show], unlike
+   {!Interned.atoms_of_bitset} *)
+let whole (p : Interned.t) bits =
+  let acc = ref Model.AtomSet.empty in
+  Bitset.iter_true (fun i -> acc := Model.AtomSet.add p.Interned.atoms.(i) !acc) bits;
+  !acc
+
 let solve_core ?limit ?(max_guess = default_max_guess) ~optimal (g : Ground.t) =
   let t0 = Unix.gettimeofday () in
   let stats = Stats.create () in
@@ -733,10 +740,10 @@ let solve_core ?limit ?(max_guess = default_max_guess) ~optimal (g : Ground.t) =
         | Some b when Model.compare_cost cost b >= 0 -> ()
         | _ -> best := Some cost);
         if keep then
-          models := Model.make ~cost (Interned.atoms_of_bitset p bits) :: !models
+          models := Model.make ~cost (whole p bits) :: !models
       end
       else begin
-        models := Model.make ~cost (Interned.atoms_of_bitset p bits) :: !models;
+        models := Model.make ~cost (whole p bits) :: !models;
         incr n_found;
         match limit with Some l when !n_found >= l -> raise Done | _ -> ()
       end

@@ -304,4 +304,9 @@ let ground ?(max_atoms = 200_000) p =
       (fun a () acc -> Model.AtomSet.add a acc)
       univ Model.AtomSet.empty
   in
-  { Ground.rules = List.rev !out; universe; shows = Program.shows p }
+  {
+    Ground.rules = List.rev !out;
+    universe;
+    shows = Program.shows p;
+    numbering = Ground.number universe;
+  }

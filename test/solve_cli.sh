@@ -6,7 +6,9 @@
 #   3. `-n 1` reports exactly one of the sequential answers;
 #   4. `--opt` reports only optimal models;
 #   5. `--stats` prints the Ground: and Stats: lines;
-#   6. a model limit below 1 is a usage error (exit 124).
+#   6. `#show` answers keep the model count and are sorted by what they
+#      show, then by cost;
+#   7. a model limit below 1 is a usage error (exit 124).
 # Usage: solve_cli.sh CLI FIXTURE_DIR EXAMPLE_DIR
 set -eu
 
@@ -76,6 +78,30 @@ for jobs in 1 2; do
   cmp -s opt.txt out.txt || fail "--opt --jobs $jobs weak.lp: not the two optima"
 done
 
+cat > show_dup.txt <<'OUT'
+Answer 1: {c}
+Answer 2: {c}
+SATISFIABLE (2 models)
+OUT
+cat > show_order.txt <<'OUT'
+Answer 1: {x}
+Answer 2: {y}
+SATISFIABLE (2 models)
+OUT
+cat > show_cost.txt <<'OUT'
+Answer 1: {c}
+Answer 2: {c} cost[1@0]
+SATISFIABLE (2 models)
+OUT
+for fixture in show_dup show_order show_cost; do
+  for jobs in 1 2; do
+    run --jobs "$jobs" "$fixtures/$fixture.lp"
+    expect_code 0 "--jobs $jobs $fixture.lp"
+    cmp -s "$fixture.txt" out.txt \
+      || fail "--jobs $jobs $fixture.lp: $(tr '\n' ' ' < out.txt)"
+  done
+done
+
 for limit in 0 -2; do
   run "--models=$limit" "$examples/tank_schedule.lp"
   expect_code 124 "--models=$limit"
@@ -83,4 +109,4 @@ for limit in 0 -2; do
   [ ! -s out.txt ] || fail "--models=$limit: printed answers"
 done
 
-echo "solve-cli: exit codes, --jobs parity, -n, --opt, --stats and limit checks pass"
+echo "solve-cli: exit codes, --jobs parity, -n, --opt, --stats, #show and limit checks pass"

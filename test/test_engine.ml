@@ -440,11 +440,13 @@ let test_topology_sweep () =
     "mitigated e-mail client contained" []
     (Cpsrisk.Sweeps.affected shielded.Engine.Sweep.results.(0))
 
-(* Job models are projected on the backend's [#show] predicate before the
-   cache keeps them: every atom of every cached model has a shown
-   signature, the model count is kept, and each backend's reading of the
-   projected models equals its reading of the whole models that a scratch
-   ground + solve of base and increment produces. *)
+(* Job models hold only the backend's [#show] predicate when the cache
+   keeps them: every atom of every cached model has a shown signature,
+   the model count is kept, and each backend's reading of the cached
+   models equals its reading of the whole models that the test-only Dfs
+   oracle finds for a scratch grounding of base and increment. The
+   shipped solver cannot serve as the oracle: it builds only the shown
+   atoms too, so it would repeat a wrong projection. *)
 let check_projection (target : Cpsrisk.Backend.target) deltas =
   let spec = { target.Cpsrisk.Backend.spec with Engine.Job.deltas } in
   let shows = Asp.Program.shows spec.Engine.Job.base in
@@ -471,7 +473,7 @@ let check_projection (target : Cpsrisk.Backend.target) deltas =
             (Asp.Model.atoms m))
         models;
       let oracle =
-        Asp.Solver.solve
+        Asp_oracle.Dfs.solve
           (Asp.Grounder.ground
              (Asp.Program.append spec.Engine.Job.base
                 (spec.Engine.Job.compile r.Engine.Job.delta)))
@@ -485,19 +487,35 @@ let check_projection (target : Cpsrisk.Backend.target) deltas =
         (projected = reading { r with Engine.Job.models = oracle }))
     report.Engine.Sweep.results
 
-let test_projection_readings () =
-  let rec subsets = function
-    | [] -> [ [] ]
-    | x :: rest ->
-        let s = subsets rest in
-        s @ List.map (fun l -> x :: l) s
+let rec subsets = function
+  | [] -> [ [] ]
+  | x :: rest ->
+      let s = subsets rest in
+      s @ List.map (fun l -> x :: l) s
+
+(* the paper's what-if space: every fault subset under every subset of
+   M1-M3, 128 deltas *)
+let water_tank_what_ifs () =
+  List.concat_map
+    (fun mitigations ->
+      Cpsrisk.Sweeps.all_fault_deltas ~mitigations Cpsrisk.Water_tank.faults)
+    (subsets [ "M1"; "M2"; "M3" ])
+
+(* 256 seeded subsets of the hierarchy's 12 frontier actions *)
+let hierarchy_what_ifs rng =
+  let ids =
+    List.map
+      (fun (a : Mitigation.Action.t) -> a.Mitigation.Action.id)
+      Cpsrisk.Hierarchy.frontier_actions
   in
+  List.init 256 (fun _ ->
+      Cpsrisk.Hierarchy.frontier_delta
+        ~active:(List.filter (fun _ -> Random.State.bool rng) ids))
+
+let test_projection_readings () =
   check_projection
     (Cpsrisk.Backend.target ~horizon:12 Cpsrisk.Backend.Water_tank)
-    (List.concat_map
-       (fun mitigations ->
-         Cpsrisk.Sweeps.all_fault_deltas ~mitigations Cpsrisk.Water_tank.faults)
-       (subsets [ "M1"; "M2"; "M3" ]));
+    (water_tank_what_ifs ());
   let model =
     Archimate.Text.parse
       (In_channel.with_open_bin "../examples/models/press_cell.model"
@@ -505,17 +523,191 @@ let test_projection_readings () =
   in
   let topology = Cpsrisk.Backend.target ~model Cpsrisk.Backend.Topology in
   check_projection topology topology.Cpsrisk.Backend.what_if;
-  let rng = Random.State.make [| 0x5e0; 17 |] in
-  let ids =
-    List.map
-      (fun (a : Mitigation.Action.t) -> a.Mitigation.Action.id)
-      Cpsrisk.Hierarchy.frontier_actions
-  in
   check_projection
     (Cpsrisk.Backend.target Cpsrisk.Backend.Hierarchy)
-    (List.init 256 (fun _ ->
-         Cpsrisk.Hierarchy.frontier_delta
-           ~active:(List.filter (fun _ -> Random.State.bool rng) ids)))
+    (hierarchy_what_ifs (Random.State.make [| 0x5e0; 17 |]))
+
+(* ------------------------------------------------------------------ *)
+(* Base numbering: increments keep the base's atom ids                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A layered plant of [components] elements in layers of 20: each element
+   flows into 2 elements of the next layer, and seeded forward jumps
+   bring the flow relation to [edges] distinct edges. *)
+let layered_plant ~seed ~components ~edges =
+  let rng = Random.State.make [| seed; 0x1a7e |] in
+  let width = 20 in
+  let name = Printf.sprintf "c%03d" in
+  let succ = Array.make components [] in
+  let buf = Buffer.create (64 * (components + edges)) in
+  Buffer.add_string buf "model \"layered plant\"\n";
+  for i = 0 to components - 1 do
+    Printf.bprintf buf "element %s \"Component %d\" node { component_type = \"plc\" }\n"
+      (name i) i
+  done;
+  let count = ref 0 in
+  let add a b =
+    if not (List.mem b succ.(a)) then begin
+      succ.(a) <- b :: succ.(a);
+      Printf.bprintf buf "relation f%d flow %s -> %s\n" !count (name a) (name b);
+      incr count
+    end
+  in
+  let next a = ((a / width) + 1) * width in
+  for a = 0 to components - 1 do
+    if next a < components then
+      while List.length succ.(a) < 2 do
+        add a (next a + Random.State.int rng width)
+      done
+  done;
+  while !count < edges do
+    let a = Random.State.int rng components in
+    if next a < components then
+      add a (next a + Random.State.int rng (components - next a))
+  done;
+  (Archimate.Text.parse (Buffer.contents buf), Array.init components name)
+
+let shown_strings shows models =
+  List.map Asp.Model.to_string
+    (match shows with
+    | [] -> models
+    | shows -> List.sort Asp.Model.compare (List.map (Asp.Model.project shows) models))
+
+(* Every job's models equal the whole-model oracle's projected on the
+   program's [#show] and sorted by what they show; every base atom keeps
+   its base id in every job's compiled program, and the atoms an increment
+   adds are numbered after the base's. *)
+let check_numbering (target : Cpsrisk.Backend.target) deltas =
+  let spec = target.Cpsrisk.Backend.spec in
+  let name = Cpsrisk.Backend.name target.Cpsrisk.Backend.backend in
+  let prepared = Engine.Job.prepare spec in
+  let gprep = Asp.Grounder.prepare ?max_atoms:spec.Engine.Job.max_atoms spec.Engine.Job.base in
+  let base = (Asp.Grounder.base gprep).Asp.Ground.numbering in
+  let nbase = Array.length base.Asp.Ground.by_id in
+  check
+    (Alcotest.list Alcotest.string)
+    (name ^ ": base numbering is the base universe in Atom.compare order")
+    (List.map Asp.Atom.to_string
+       (Asp.Model.AtomSet.elements (Asp.Grounder.base_universe gprep)))
+    (List.map Asp.Atom.to_string (Array.to_list base.Asp.Ground.by_id));
+  List.iter
+    (fun delta ->
+      let label = name ^ " " ^ Engine.Delta.label delta in
+      let increment = spec.Engine.Job.compile delta in
+      let g = Asp.Grounder.extend gprep increment in
+      checkb (label ^ ": carries the base numbering") true
+        (g.Asp.Ground.numbering == base);
+      let p = Asp.Interned.compile g in
+      Array.iteri
+        (fun i a ->
+          if Asp.Interned.id p a <> i || p.Asp.Interned.atoms.(i) != a then
+            Alcotest.failf "%s: base atom %s renumbered" label (Asp.Atom.to_string a))
+        base.Asp.Ground.by_id;
+      for i = nbase to p.Asp.Interned.n_atoms - 1 do
+        let a = p.Asp.Interned.atoms.(i) in
+        if Asp.Atom.Tbl.mem base.Asp.Ground.ids a || Asp.Interned.id p a <> i then
+          Alcotest.failf "%s: id %d (%s) is not an increment atom's" label i
+            (Asp.Atom.to_string a)
+      done;
+      let models, _, _ = Engine.Job.solve prepared delta in
+      let oracle =
+        Asp_oracle.Dfs.solve
+          (Asp.Grounder.ground ?max_atoms:spec.Engine.Job.max_atoms
+             (Asp.Program.append spec.Engine.Job.base increment))
+      in
+      check
+        (Alcotest.list Alcotest.string)
+        (label ^ ": models are the oracle's, projected and sorted")
+        (shown_strings g.Asp.Ground.shows oracle)
+        (List.map Asp.Model.to_string models))
+    deltas
+
+let test_numbering_water_tank () =
+  let deltas = water_tank_what_ifs () in
+  check Alcotest.int "128 water-tank deltas" 128 (List.length deltas);
+  check_numbering (Cpsrisk.Backend.target ~horizon:12 Cpsrisk.Backend.Water_tank) deltas
+
+let test_numbering_hierarchy () =
+  check_numbering
+    (Cpsrisk.Backend.target Cpsrisk.Backend.Hierarchy)
+    (hierarchy_what_ifs (Random.State.make [| 0x4e0; 5 |]))
+
+(* 120 seeded 1-3-fault deltas on a 240-component plant; then the same
+   sweep on two domains equals it on one *)
+let test_numbering_plant () =
+  let model, names = layered_plant ~seed:11 ~components:240 ~edges:480 in
+  let rng = Random.State.make [| 0xfa17; 3 |] in
+  let deltas =
+    List.init 120 (fun _ ->
+        let k = 1 + Random.State.int rng 3 in
+        Engine.Delta.make
+          (List.sort_uniq compare
+             (List.init k (fun _ -> names.(Random.State.int rng 240)))))
+  in
+  let target = Cpsrisk.Backend.target ~model Cpsrisk.Backend.Topology in
+  check_numbering target deltas;
+  let spec = { target.Cpsrisk.Backend.spec with Engine.Job.deltas } in
+  let strings (r : Engine.Sweep.report) =
+    Array.to_list
+      (Array.map
+         (fun (res : Engine.Job.result) ->
+           Engine.Fingerprint.to_hex res.Engine.Job.fingerprint
+           :: List.map Asp.Model.to_string res.Engine.Job.models)
+         r.Engine.Sweep.results)
+  in
+  check
+    (Alcotest.list (Alcotest.list Alcotest.string))
+    "plant sweep: two domains equal one"
+    (strings (Engine.Sweep.run ~jobs:1 spec))
+    (strings (Engine.Sweep.run ~jobs:2 ~oversubscribe:true spec))
+
+(* An extended program solved by CDNL under assumptions on a base atom
+   and on an atom only the increment has equals the whole-model oracle's
+   models consistent with the assumptions. *)
+let test_numbering_assumptions () =
+  let spec = Cpsrisk.Hierarchy.refine_spec ~levels:2 ~entries:3 () in
+  let level = (List.hd spec.Cegar.Inc.levels).Cegar.Inc.l_structure in
+  let gprep = Asp.Grounder.prepare spec.Cegar.Inc.base in
+  let g = Asp.Grounder.extend gprep level in
+  let nbase = Array.length g.Asp.Ground.numbering.Asp.Ground.by_id in
+  let p = Asp.Interned.compile g in
+  let entry = Asp.Atom.make "entry" [ Asp.Term.const "e2" ] in
+  let blocked = Asp.Atom.make "blocked" [ Asp.Term.const "gw1"; Asp.Term.const "z1" ] in
+  let hop = Asp.Atom.make "hop" [ Asp.Term.const "gw3"; Asp.Term.const "z1" ] in
+  checkb "entry(e2) is a base atom" true (Asp.Interned.id p entry < nbase);
+  checkb "hop(gw3,z1) is a base atom" true (Asp.Interned.id p hop < nbase);
+  checkb "blocked(gw1,z1) is an increment atom" true (Asp.Interned.id p blocked >= nbase);
+  let oracle =
+    Asp_oracle.Dfs.solve
+      (Asp.Grounder.ground (Asp.Program.append spec.Cegar.Inc.base level))
+  in
+  checkb "the extended program has models" true (oracle <> []);
+  List.iter
+    (fun (assumptions, consistent) ->
+      let label =
+        String.concat ", "
+          (List.map
+             (fun (a, v) -> (if v then "" else "not ") ^ Asp.Atom.to_string a)
+             assumptions)
+      in
+      let want =
+        List.filter
+          (fun m -> List.for_all (fun (a, v) -> Asp.Model.holds m a = v) assumptions)
+          oracle
+      in
+      checkb (label ^ ": consistent with some model") consistent (want <> []);
+      check
+        (Alcotest.list Alcotest.string)
+        (label ^ ": CDNL under assumptions equals the oracle")
+        (List.map Asp.Model.to_string want)
+        (List.map Asp.Model.to_string (Asp.Solver.solve ~assumptions g)))
+    [
+      ([ (entry, true) ], true);
+      ([ (entry, false); (hop, true) ], true);
+      ([ (blocked, true) ], true);
+      ([ (blocked, false) ], false);
+      ([ (entry, true); (blocked, true); (hop, false) ], true);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Optimizer: parallel entry points                                     *)
@@ -641,6 +833,14 @@ let suites =
           `Quick test_sweep_cheap_tier;
         Alcotest.test_case "sweep: pipeline topology what-ifs" `Quick
           test_topology_sweep;
+        Alcotest.test_case "numbering: water-tank jobs equal the oracle" `Quick
+          test_numbering_water_tank;
+        Alcotest.test_case "numbering: hierarchy jobs equal the oracle" `Quick
+          test_numbering_hierarchy;
+        Alcotest.test_case "numbering: plant jobs equal the oracle" `Quick
+          test_numbering_plant;
+        Alcotest.test_case "numbering: extended CDNL under assumptions" `Quick
+          test_numbering_assumptions;
         Alcotest.test_case "job: cached models projected on #show" `Quick
           test_projection_readings;
         Alcotest.test_case "par: enumeration equals sequential" `Quick
