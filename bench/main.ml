@@ -7,7 +7,7 @@
    - --filter SUB  run only benches whose name contains SUB (repeatable;
                    default: all). The per-bench dune smoke rules are thin
                    wrappers over this, e.g. `main.exe --filter ground
-                   --smoke --out ground_smoke.json`.
+                   --smoke --out /dev/null`.
    - --smoke       seconds-scale subsets (what `dune runtest` runs);
                    without it, the full sweeps that refresh the committed
                    BENCH_*.json files. A smoke run never writes those: its

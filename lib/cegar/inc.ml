@@ -44,15 +44,6 @@ type outcome = {
 
 type value = Asp.Model.t list * Asp.Solver.Stats.t * Asp.Grounder.Stats.t
 
-(* The accumulated structural fingerprint after [level] increments, under
-   the engine's extend law: fingerprint(base ++ d) = extend (fp base) d. *)
-let level_fp spec level =
-  let rec go fp k = function
-    | l :: rest when k < level -> go (Fp.extend fp l.l_structure) (k + 1) rest
-    | _ -> fp
-  in
-  go (Fp.program spec.base) 0 spec.levels
-
 (* Assumption sets address the cache through a content hash of the
    (atom, value) pairs — [Hashtbl.hash] on strings is deterministic
    across processes, so persisted entries stay addressable. *)
@@ -62,12 +53,18 @@ let assumption_fp assumptions =
        (fun (a, v) -> [ Hashtbl.hash (Asp.Atom.to_string a); Bool.to_int v ])
        assumptions)
 
-let candidate_fp mode fp c =
-  match mode with
-  | Assume f -> Fp.combine fp (assumption_fp (f c))
-  | Increment f -> Fp.extend fp (f c)
-
-let fingerprint spec level c = candidate_fp spec.mode (level_fp spec level) c
+(* The cache key of candidate [c] over the level fingerprint [fp]: its
+   assumptions or increment, then the model limit, which decides how many
+   models the cached answer holds (None -> 0, Some l -> 1 + l, as in
+   {!Engine.Job}'s mode key). *)
+let candidate_fp spec fp c =
+  let fp =
+    match spec.mode with
+    | Assume f -> Fp.combine fp (assumption_fp (f c))
+    | Increment f -> Fp.extend fp (f c)
+  in
+  Fp.combine fp
+    (Fp.ints [ (match spec.limit with None -> 0 | Some l -> 1 + l) ])
 
 let run ?jobs ?oversubscribe ?(share = true) ?cache spec =
   if spec.candidates = [] then invalid_arg "Cegar.Inc.run: no candidates";
@@ -96,7 +93,7 @@ let run ?jobs ?oversubscribe ?(share = true) ?cache spec =
     Engine.Pool.map ?oversubscribe ?jobs
       (fun i ->
         let orig, c = survivors.(i) in
-        let cfp = candidate_fp spec.mode cur_fp c in
+        let cfp = candidate_fp spec cur_fp c in
         let value, src =
           Engine.Cache.find_or_compute_src cache cfp (fun () ->
               match spec.mode with

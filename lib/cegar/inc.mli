@@ -62,7 +62,9 @@ type spec = {
           tests satisfiability ([models <> []]) is sound with [Some 1] —
           and much cheaper on encodings with many routes per candidate.
           Both drivers apply the same limit, so outcomes stay
-          differential. *)
+          differential. The limit is part of every candidate's cache
+          key: a shared cache never answers a run with models cut at
+          another run's limit. *)
   max_atoms : int;  (** grounder universe bound, as in {!Asp.Grounder} *)
 }
 
@@ -122,9 +124,3 @@ val run_scratch : spec -> outcome
     program cold ({!Asp.Grounder.ground]) and solves sequentially with no
     cache and no hub. [run spec] and [run_scratch spec] agree bit-for-bit
     on [rounds] and [confirmed]. *)
-
-val fingerprint : spec -> int -> Engine.Delta.t -> Engine.Fingerprint.t
-(** [fingerprint spec level c]: the cache key of candidate [c] assessed
-    at [level] — the accumulated structural fingerprint extended with the
-    candidate's assumptions or increment. Exposed for tests and the serve
-    layer. *)

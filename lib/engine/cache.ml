@@ -103,12 +103,6 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let mem t key =
-  locked t (fun () ->
-      match Table.find_opt t.table key with
-      | Some (Done _) -> true
-      | Some Pending | None -> false)
-
 let length t =
   locked t (fun () ->
       Table.fold
@@ -118,10 +112,3 @@ let length t =
 let hits t = locked t (fun () -> t.hits)
 let disk_hits t = locked t (fun () -> t.disk_hits)
 let misses t = locked t (fun () -> t.misses)
-
-let clear t =
-  locked t (fun () ->
-      Table.reset t.table;
-      t.hits <- 0;
-      t.disk_hits <- 0;
-      t.misses <- 0)

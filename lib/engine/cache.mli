@@ -48,9 +48,6 @@ val find_or_compute_src : 'a t -> Fingerprint.t -> (unit -> 'a) -> 'a * source
     them becomes the new computer), and the exception propagates to the
     original caller. *)
 
-val mem : 'a t -> Fingerprint.t -> bool
-(** True for completed in-memory entries only (never consults persist). *)
-
 val length : 'a t -> int
 (** Completed in-memory entries. *)
 
@@ -59,10 +56,6 @@ val disk_hits : 'a t -> int
 val misses : 'a t -> int
 (** Lifetime counters over {!find_or_compute_src}: [hits] counts memory
     hits, [disk_hits] persistent-tier promotions, [misses] fresh
-    computations; per-sweep accounting is done from the [source] flags
-    instead. *)
-
-val clear : 'a t -> unit
-(** Drop all completed in-memory entries and reset the counters (the
-    persistent tier is untouched). Must not be called while a sweep is
-    running on this cache. *)
+    computations. They count every caller of a shared cache, so
+    per-sweep and per-search accounting is done from the [source] of
+    each lookup instead. *)

@@ -67,3 +67,19 @@ let solve p delta =
     | Optimal -> Asp.Solver.solve_optimal_with_stats ground
   in
   (models, stats, gstats)
+
+let run cache p ~index delta =
+  let fingerprint = fingerprint p delta in
+  let (models, stats, gstats), source =
+    Cache.find_or_compute_src cache fingerprint (fun () -> solve p delta)
+  in
+  {
+    index;
+    delta;
+    fingerprint;
+    models;
+    stats;
+    gstats;
+    cached = source <> Cache.Fresh;
+    source;
+  }

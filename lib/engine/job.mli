@@ -69,3 +69,12 @@ val solve :
     keep is only what an answer is read from. A program without [#show]
     keeps whole models. The prepared state is only read: safe to call
     from any domain. *)
+
+val run :
+  (Asp.Model.t list * Asp.Solver.Stats.t * Asp.Grounder.Stats.t) Cache.t ->
+  prepared -> index:int -> Delta.t -> result
+(** One job: {!fingerprint} the delta, look it up in the cache, and on a
+    miss {!solve} it there. Every per-delta evaluation of the engine
+    (sweeps, the mitigation frontier) goes through this one step; the
+    result's [source] says where its answer came from. Safe to call
+    from any domain. *)

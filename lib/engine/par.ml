@@ -1,9 +1,7 @@
 type report = {
   models : Asp.Model.t list;
   stats : Asp.Solver.Stats.t;
-  jobs : int;
   paths : int;
-  wall_s : float;
   path_walls : float array;
 }
 
@@ -18,178 +16,118 @@ let ceil_log2 n =
 let assumptions_of_path atoms i =
   List.mapi (fun k a -> (a, (i lsr k) land 1 = 1)) atoms
 
-let sequential ?limit ?config g =
-  let t0 = Unix.gettimeofday () in
-  let models, stats = Asp.Solver.solve_with_stats ?limit ?config g in
-  {
-    models;
-    stats;
-    jobs = 1;
-    paths = 1;
-    wall_s = Unix.gettimeofday () -. t0;
-    path_walls = [| stats.Asp.Solver.Stats.wall_s |];
-  }
-
-(* Over-decompose: [2 + ceil_log2 jobs] guiding bits give four times as
-   many paths as workers. Sign-splitting on choice atoms is uneven — the
-   all-false branch keeps most of the space — so finer paths are what
-   lets the pool balance the load, at a per-path recompile cost that is
-   negligible next to any search worth parallelising. *)
-let split_atoms g jobs = Asp.Solver.guiding_atoms g (2 + ceil_log2 jobs)
-
 let popcount i =
   let rec go n i = if i = 0 then n else go (n + (i land 1)) (i lsr 1) in
   go 0 i
 
-let run_paths ?oversubscribe ~jobs atoms solve_path =
-  let t0 = Unix.gettimeofday () in
-  let bits = List.length atoms in
-  let paths = 1 lsl bits in
-  (* schedule the most-constrained paths (most true-assumption bits)
-     first: they are the quick ones, and the clauses they publish to the
-     exchange then prune the wide all-false branches that follow *)
-  let order = Array.init paths (fun i -> i) in
-  Array.sort
-    (fun a b ->
-      match compare (popcount b) (popcount a) with
-      | 0 -> compare a b
-      | c -> c)
-    order;
-  let scheduled =
-    Pool.map ?oversubscribe ~jobs
-      (fun j ->
-        let i = order.(j) in
-        solve_path i (assumptions_of_path atoms i))
-      paths
-  in
-  let per_path = Array.make paths scheduled.(0) in
-  Array.iteri (fun j r -> per_path.(order.(j)) <- r) scheduled;
-  let stats = Asp.Solver.Stats.create () in
-  Array.iter (fun (_, s) -> Asp.Solver.Stats.accumulate stats s) per_path;
-  let path_walls =
-    Array.map (fun ((_, s) : _ * Asp.Solver.Stats.t) -> s.Asp.Solver.Stats.wall_s) per_path
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  (* the accumulated wall is the summed per-path solver time; report the
-     measured elapsed time for the whole fan-out instead *)
-  stats.Asp.Solver.Stats.wall_s <- wall;
-  let models = List.concat_map fst (Array.to_list per_path) in
-  (models, { models = []; stats; jobs; paths; wall_s = wall; path_walls })
+(* The one fan-out of both searches. [solve assumptions config] is the
+   per-path solve and [merge] turns the concatenated path answers into
+   the global one. [split ()] says whether the program may be split at
+   all; it is only asked when there is more than one worker.
 
-(* per-path config: plug the sharing hub in (when enabled) and force the
-   full CDNL tier — under guiding-path assumptions the cheap tier is
-   skipped anyway, and the explicit override keeps the config honest *)
-let path_config ~share ~hub base =
-  match (share, hub) with
-  | true, Some h ->
-      fun i -> { base with Asp.Solver.Config.exchange = Some (h, i) }
-  | _ -> fun _ -> base
-
-let enumerate ?oversubscribe ?jobs ?limit ?(share = true)
-    ?(config = Asp.Solver.Config.default) g =
+   Over-decompose: [2 + ceil_log2 jobs] guiding bits give four times as
+   many paths as workers. Sign-splitting on choice atoms is uneven — the
+   all-false branch keeps most of the space — so finer paths are what
+   lets the pool balance the load, at a per-path recompile cost that is
+   negligible next to any search worth parallelising. *)
+let fan_out ?oversubscribe ?jobs ?(share = true) ~split ~solve ~merge g =
   let jobs =
     match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
   in
-  (* a global model cap cannot be split soundly across branches without
-     over-enumerating, so limited solves stay sequential *)
-  if jobs <= 1 || limit <> None then sequential ?limit ~config g
-  else
-    match split_atoms g jobs with
-    | [] -> sequential ~config g
-    | atoms ->
-        let paths = 1 lsl List.length atoms in
-        let hub =
-          if share then Some (Asp.Exchange.create ~paths ()) else None
-        in
-        let config_of = path_config ~share ~hub config in
-        let models, r =
-          run_paths ?oversubscribe ~jobs atoms (fun i assumptions ->
-              Asp.Solver.solve_with_stats ~assumptions ~config:(config_of i) g)
-        in
-        (* branches are disjoint: concatenation + sort reproduces the
-           sequential enumeration bit for bit *)
-        { r with models = List.sort Asp.Model.compare models }
-
-let optimal ?oversubscribe ?jobs ?(share = true)
-    ?(config = Asp.Solver.Config.default) g =
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
+  let atoms =
+    if jobs > 1 && split () then
+      Asp.Solver.guiding_atoms g (2 + ceil_log2 jobs)
+    else []
   in
-  if jobs <= 1 then begin
-    let t0 = Unix.gettimeofday () in
-    let models, stats = Asp.Solver.solve_optimal_with_stats ~config g in
-    {
-      models;
-      stats;
-      jobs = 1;
-      paths = 1;
-      wall_s = Unix.gettimeofday () -. t0;
-      path_walls = [| stats.Asp.Solver.Stats.wall_s |];
-    }
-  end
-  else
-    match split_atoms g jobs with
-    | [] ->
-        let t0 = Unix.gettimeofday () in
-        let models, stats = Asp.Solver.solve_optimal_with_stats ~config g in
-        {
-          models;
-          stats;
-          jobs;
-          paths = 1;
-          wall_s = Unix.gettimeofday () -. t0;
-          path_walls = [| stats.Asp.Solver.Stats.wall_s |];
-        }
-    | atoms ->
-        let paths = 1 lsl List.length atoms in
-        let hub =
-          if share then Some (Asp.Exchange.create ~paths ()) else None
-        in
-        let config_of = path_config ~share ~hub config in
-        let fronts, r =
-          run_paths ?oversubscribe ~jobs atoms (fun i assumptions ->
-              Asp.Solver.solve_optimal_with_stats ~assumptions
-                ~config:(config_of i) g)
-        in
-        (* each branch returns its local optimum front; the global front
-           is the minimum-cost slice of their union *)
-        let best =
-          List.fold_left
-            (fun acc m ->
-              let c = Asp.Model.cost m in
-              match acc with
-              | None -> Some c
-              | Some b ->
-                  if Asp.Model.compare_cost c b < 0 then Some c else acc)
-            None fronts
-        in
-        let models =
-          match best with
-          | None -> []
-          | Some b ->
-              fronts
-              |> List.filter (fun m ->
-                     Asp.Model.compare_cost (Asp.Model.cost m) b = 0)
-              |> List.sort Asp.Model.compare
-        in
-        { r with models }
+  match atoms with
+  | [] ->
+      let models, stats = solve [] Asp.Solver.Config.default in
+      {
+        models;
+        stats;
+        paths = 1;
+        path_walls = [| stats.Asp.Solver.Stats.wall_s |];
+      }
+  | atoms ->
+      let t0 = Unix.gettimeofday () in
+      let paths = 1 lsl List.length atoms in
+      let hub = if share then Some (Asp.Exchange.create ~paths ()) else None in
+      (* schedule the most-constrained paths (most true-assumption bits)
+         first: they are the quick ones, and the clauses they publish to
+         the exchange then prune the wide all-false branches that follow *)
+      let order = Array.init paths (fun i -> i) in
+      Array.sort
+        (fun a b ->
+          match compare (popcount b) (popcount a) with
+          | 0 -> compare a b
+          | c -> c)
+        order;
+      let scheduled =
+        Pool.map ?oversubscribe ~jobs
+          (fun j ->
+            let i = order.(j) in
+            let config =
+              match hub with
+              | Some h ->
+                  { Asp.Solver.Config.default with exchange = Some (h, i) }
+              | None -> Asp.Solver.Config.default
+            in
+            solve (assumptions_of_path atoms i) config)
+          paths
+      in
+      let per_path = Array.make paths scheduled.(0) in
+      Array.iteri (fun j r -> per_path.(order.(j)) <- r) scheduled;
+      let stats = Asp.Solver.Stats.create () in
+      Array.iter (fun (_, s) -> Asp.Solver.Stats.accumulate stats s) per_path;
+      let path_walls =
+        Array.map
+          (fun ((_, s) : _ * Asp.Solver.Stats.t) -> s.Asp.Solver.Stats.wall_s)
+          per_path
+      in
+      (* the accumulated wall is the summed per-path solver time; report
+         the measured elapsed time for the whole fan-out instead *)
+      stats.Asp.Solver.Stats.wall_s <- Unix.gettimeofday () -. t0;
+      {
+        models = merge (List.concat_map fst (Array.to_list per_path));
+        stats;
+        paths;
+        path_walls;
+      }
 
-let render r =
-  let buf = Buffer.create 128 in
-  let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  p "par: %d model%s over %d guiding path%s on %d domain%s in %.3fs\n"
-    (List.length r.models)
-    (if List.length r.models = 1 then "" else "s")
-    r.paths
-    (if r.paths = 1 then "" else "s")
-    r.jobs
-    (if r.jobs = 1 then "" else "s")
-    r.wall_s;
-  let sum = Array.fold_left ( +. ) 0.0 r.path_walls in
-  let critical = Array.fold_left max 0.0 r.path_walls in
-  if r.paths > 1 then
-    p "par: path walls sum %.3fs, critical path %.3fs (ideal speedup %.2fx)\n"
-      sum critical
-      (if critical > 0.0 then sum /. critical else 1.0);
-  p "par: %s\n" (Asp.Solver.Stats.to_string r.stats);
-  Buffer.contents buf
+(* A global model cap cannot be split soundly across branches without
+   over-enumerating. The cheap tier, which answers an eligible program by
+   propagation alone, is off under assumptions, so splitting such a
+   program would trade one cheap solve for a CDNL search per path. The
+   branches are disjoint: concatenation + sort reproduces the sequential
+   enumeration bit for bit. *)
+let enumerate ?oversubscribe ?jobs ?limit ?share g =
+  fan_out ?oversubscribe ?jobs ?share g
+    ~split:(fun () -> limit = None && not (Asp.Solver.cheap_eligible g))
+    ~solve:(fun assumptions config ->
+      Asp.Solver.solve_with_stats ?limit ~assumptions ~config g)
+    ~merge:(List.sort Asp.Model.compare)
+
+(* each branch returns its local optimum front; the global front is the
+   minimum-cost slice of their union *)
+let min_cost_slice fronts =
+  match fronts with
+  | [] -> []
+  | m :: rest ->
+      let best =
+        List.fold_left
+          (fun b m ->
+            let c = Asp.Model.cost m in
+            if Asp.Model.compare_cost c b < 0 then c else b)
+          (Asp.Model.cost m) rest
+      in
+      fronts
+      |> List.filter (fun m ->
+             Asp.Model.compare_cost (Asp.Model.cost m) best = 0)
+      |> List.sort Asp.Model.compare
+
+let optimal ?oversubscribe ?jobs ?share g =
+  fan_out ?oversubscribe ?jobs ?share g
+    ~split:(fun () -> true)
+    ~solve:(fun assumptions config ->
+      Asp.Solver.solve_optimal_with_stats ~assumptions ~config g)
+    ~merge:min_cost_slice

@@ -41,23 +41,7 @@ let run_prepared ?oversubscribe ?jobs ?cache prepared deltas =
   let deltas = Array.of_list deltas in
   let results =
     Pool.map ?oversubscribe ~jobs
-      (fun index ->
-        let delta = deltas.(index) in
-        let fingerprint = Job.fingerprint prepared delta in
-        let (models, stats, gstats), source =
-          Cache.find_or_compute_src cache fingerprint (fun () ->
-              Job.solve prepared delta)
-        in
-        {
-          Job.index;
-          delta;
-          fingerprint;
-          models;
-          stats;
-          gstats;
-          cached = source <> Cache.Fresh;
-          source;
-        })
+      (fun index -> Job.run cache prepared ~index deltas.(index))
       (Array.length deltas)
   in
   let hits, disk_hits, misses, fresh, ground = tally results in

@@ -36,18 +36,15 @@ type report = {
 
 let evaluate t ids =
   let selected = List.sort_uniq String.compare ids in
-  let d = t.f_delta ~active:selected in
-  let fp = Engine.Job.fingerprint t.f_prepared d in
-  let (models, _, _), src =
-    Engine.Cache.find_or_compute_src t.f_cache fp (fun () ->
-        Engine.Job.solve t.f_prepared d)
+  let r =
+    Engine.Job.run t.f_cache t.f_prepared ~index:0 (t.f_delta ~active:selected)
   in
   ( {
       Optimizer.selected;
       cost = Action.total_cost t.f_actions selected;
-      residual = t.f_measure models;
+      residual = t.f_measure r.Engine.Job.models;
     },
-    src )
+    r.Engine.Job.source )
 
 let problem t =
   {
@@ -74,31 +71,58 @@ let scratch_problem t =
         t.f_measure models);
   }
 
-(* counter snapshot -> report, shared by all the searches *)
-let with_report t body =
+(* A search's counters, fed only by its own evaluations. The cache may
+   be shared with other searches and with a daemon's sweeps, so its
+   lifetime counters move under a running search and are never read. *)
+type tally = {
+  mutable evals : int;
+  mutable hits : int;
+  mutable disk_hits : int;
+  mutable fresh : int;
+  mutable pruned : int;
+  mutable sum_s : float;
+  mutable critical_s : float;
+}
+
+let timed_eval t ids =
+  let e0 = Unix.gettimeofday () in
+  let s, src = evaluate t ids in
+  (s, src, Unix.gettimeofday () -. e0)
+
+(* fold one evaluation into the tally; called in the searching domain *)
+let count c (s, (src : Engine.Cache.source), w) =
+  c.evals <- c.evals + 1;
+  (match src with
+  | Memory -> c.hits <- c.hits + 1
+  | Disk -> c.disk_hits <- c.disk_hits + 1
+  | Fresh -> c.fresh <- c.fresh + 1);
+  c.sum_s <- c.sum_s +. w;
+  if w > c.critical_s then c.critical_s <- w;
+  s
+
+let with_report body =
   let t0 = Unix.gettimeofday () in
-  let h0 = Engine.Cache.hits t.f_cache in
-  let d0 = Engine.Cache.disk_hits t.f_cache in
-  let m0 = Engine.Cache.misses t.f_cache in
-  let evals = ref 0 and pruned = ref 0 in
-  let sum = ref 0.0 and critical = ref 0.0 in
-  let timed_eval ids =
-    incr evals;
-    let e0 = Unix.gettimeofday () in
-    let s, _ = evaluate t ids in
-    let w = Unix.gettimeofday () -. e0 in
-    (s, w)
+  let c =
+    {
+      evals = 0;
+      hits = 0;
+      disk_hits = 0;
+      fresh = 0;
+      pruned = 0;
+      sum_s = 0.0;
+      critical_s = 0.0;
+    }
   in
-  let result = body ~timed_eval ~evals ~pruned ~sum ~critical in
+  let result = body c in
   ( result,
     {
-      r_evals = !evals;
-      r_hits = Engine.Cache.hits t.f_cache - h0;
-      r_disk_hits = Engine.Cache.disk_hits t.f_cache - d0;
-      r_fresh = Engine.Cache.misses t.f_cache - m0;
-      r_pruned = !pruned;
-      r_sum_s = !sum;
-      r_critical_s = !critical;
+      r_evals = c.evals;
+      r_hits = c.hits;
+      r_disk_hits = c.disk_hits;
+      r_fresh = c.fresh;
+      r_pruned = c.pruned;
+      r_sum_s = c.sum_s;
+      r_critical_s = c.critical_s;
       r_wall_s = Unix.gettimeofday () -. t0;
     } )
 
@@ -111,13 +135,8 @@ let with_report t body =
    {!Optimizer.better}'s strict total order, so the result is exactly the
    exhaustive one. *)
 let optimal ?budget t =
-  with_report t (fun ~timed_eval ~evals:_ ~pruned ~sum ~critical ->
-      let eval ids =
-        let s, w = timed_eval ids in
-        sum := !sum +. w;
-        if w > !critical then critical := w;
-        s
-      in
+  with_report (fun c ->
+      let eval ids = count c (timed_eval t ids) in
       let best = ref None in
       let rec go remaining cost selected =
         let cut =
@@ -132,7 +151,7 @@ let optimal ?budget t =
               || (r = b.Optimizer.residual && cost > b.Optimizer.cost)
           | _ -> false
         in
-        if cut then incr pruned
+        if cut then c.pruned <- c.pruned + 1
         else
           match remaining with
           | [] -> (
@@ -147,11 +166,11 @@ let optimal ?budget t =
                 go rest cost' (a.Action.id :: selected)
       in
       go t.f_actions 0 [];
-      match !best with Some s -> s | None -> fst (evaluate t []))
+      match !best with Some s -> s | None -> eval [])
 
 (* Evaluate every within-budget subset over the pool, through the cache;
    returns the lookup table the retained Optimizer searches reduce over. *)
-let sweep ?jobs ?oversubscribe t budget ~sum ~critical =
+let sweep ?jobs ?oversubscribe t budget c =
   let subsets =
     Array.of_list
       (List.rev
@@ -160,20 +179,16 @@ let sweep ?jobs ?oversubscribe t budget ~sum ~critical =
   in
   let results =
     Engine.Pool.map ?jobs ?oversubscribe
-      (fun i ->
-        let e0 = Unix.gettimeofday () in
-        let s, _ = evaluate t subsets.(i) in
-        (s, Unix.gettimeofday () -. e0))
+      (fun i -> timed_eval t subsets.(i))
       (Array.length subsets)
   in
   let table = Hashtbl.create (Array.length subsets) in
   Array.iter
-    (fun ((s : Optimizer.solution), w) ->
-      sum := !sum +. w;
-      if w > !critical then critical := w;
+    (fun r ->
+      let s = count c r in
       Hashtbl.replace table s.Optimizer.selected s.Optimizer.residual)
     results;
-  (Array.length subsets, table)
+  table
 
 let lookup_problem t table =
   {
@@ -183,16 +198,14 @@ let lookup_problem t table =
   }
 
 let pareto ?jobs ?oversubscribe t =
-  with_report t (fun ~timed_eval:_ ~evals ~pruned:_ ~sum ~critical ->
-      let n, table = sweep ?jobs ?oversubscribe t None ~sum ~critical in
-      evals := !evals + n;
-      Optimizer.pareto (lookup_problem t table))
+  with_report (fun c ->
+      Optimizer.pareto
+        (lookup_problem t (sweep ?jobs ?oversubscribe t None c)))
 
 let budget_sweep ?jobs ?oversubscribe t ~budgets =
-  with_report t (fun ~timed_eval:_ ~evals ~pruned:_ ~sum ~critical ->
+  with_report (fun c ->
       List.map
         (fun b ->
-          let n, table = sweep ?jobs ?oversubscribe t (Some b) ~sum ~critical in
-          evals := !evals + n;
+          let table = sweep ?jobs ?oversubscribe t (Some b) c in
           (b, Optimizer.optimal ~budget:b (lookup_problem t table)))
         budgets)

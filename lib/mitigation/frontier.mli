@@ -17,7 +17,14 @@
     {!optimal} adds branch-and-bound residual pruning on top of the cost
     pruning; pruning only fires on sound grounds (see [monotone]), and
     only where the pruned subtree is strictly worse under
-    {!Optimizer.better}'s total order, so the result never changes. *)
+    {!Optimizer.better}'s total order, so the result never changes.
+
+    Every evaluation is one {!Engine.Job.run} — the same per-delta step
+    as an {!Engine.Sweep} — and each search's {!report} is counted from
+    the sources of its own evaluations: [r_hits + r_disk_hits + r_fresh
+    = r_evals] even when the cache is shared with other searches or with
+    a daemon's sweeps, whose lookups move the cache's lifetime
+    counters. *)
 
 type value = Asp.Model.t list * Asp.Solver.Stats.t * Asp.Grounder.Stats.t
 (** What the cache memoizes per fingerprint — the {!Engine.Sweep} cache
@@ -50,7 +57,7 @@ val actions : t -> Action.t list
 val cache : t -> value Engine.Cache.t
 
 type report = {
-  r_evals : int;  (** evaluations requested (incl. cache answers) *)
+  r_evals : int;  (** evaluations of this search, incl. cache answers *)
   r_hits : int;  (** answered from cache memory *)
   r_disk_hits : int;  (** answered from the persistent tier *)
   r_fresh : int;  (** fresh ground+solve *)
@@ -61,7 +68,8 @@ type report = {
 }
 
 val evaluate : t -> string list -> Optimizer.solution * Engine.Cache.source
-(** One action set through the warm state and cache. *)
+(** One action set through the warm state and cache ({!Engine.Job.run});
+    the source says where its answer came from. *)
 
 val optimal : ?budget:int -> t -> Optimizer.solution * report
 (** Best selection within budget — {!Optimizer.better}'s order, exactly

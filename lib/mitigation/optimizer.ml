@@ -36,13 +36,6 @@ let fold_subsets_within_budget actions budget ~init ~f =
   in
   go actions 0 [] init
 
-(* materialized spelling, still used by the parallel fan-out paths (a
-   Pool needs indexable work) — never by the sequential searches *)
-let subsets_within_budget actions budget =
-  List.rev
-    (fold_subsets_within_budget actions budget ~init:[]
-       ~f:(fun acc ids _cost -> ids :: acc))
-
 let better a b =
   (* smaller residual, then cheaper, then lexicographically smaller *)
   let c = Stdlib.compare a.residual b.residual in
@@ -96,61 +89,6 @@ let pareto p =
 
 let budget_sweep p ~budgets =
   List.map (fun b -> (b, optimal ~budget:b p)) budgets
-
-let best_of sols = function
-  | [] -> None
-  | first :: rest ->
-      Some
-        (List.fold_left
-           (fun best ids ->
-             let s = sols ids in
-             if better s best then s else best)
-           (sols first) rest)
-
-let optimal_par ?jobs ?budget p =
-  let candidates = Array.of_list (subsets_within_budget p.actions budget) in
-  let sols =
-    Engine.Pool.map ?jobs (fun i -> evaluate p candidates.(i))
-      (Array.length candidates)
-  in
-  (* same fold order and tie-breaking as [optimal], so results coincide *)
-  let table = Hashtbl.create (Array.length sols) in
-  Array.iteri (fun i s -> Hashtbl.replace table candidates.(i) s) sols;
-  match best_of (Hashtbl.find table) (Array.to_list candidates) with
-  | Some s -> s
-  | None -> evaluate p []
-
-let budget_sweep_par ?jobs p ~budgets =
-  let per_budget =
-    List.map (fun b -> (b, subsets_within_budget p.actions (Some b))) budgets
-  in
-  (* candidate sets overlap heavily across budgets: evaluate each distinct
-     selection exactly once, in parallel, then reduce per budget *)
-  let module M = Map.Make (struct
-    type t = string list
-
-    let compare = Stdlib.compare
-  end) in
-  let key ids = List.sort_uniq String.compare ids in
-  let distinct =
-    List.fold_left
-      (fun m ids -> M.add (key ids) () m)
-      M.empty
-      (List.concat_map snd per_budget)
-    |> M.bindings |> List.map fst |> Array.of_list
-  in
-  let sols =
-    Engine.Pool.map ?jobs (fun i -> evaluate p distinct.(i))
-      (Array.length distinct)
-  in
-  let table = Hashtbl.create (Array.length distinct) in
-  Array.iteri (fun i s -> Hashtbl.replace table distinct.(i) s) sols;
-  List.map
-    (fun (b, cands) ->
-      match best_of (fun ids -> Hashtbl.find table (key ids)) cands with
-      | Some s -> (b, s)
-      | None -> (b, evaluate p []))
-    per_budget
 
 let multi_phase p ~phase_budgets =
   let rec go selected acc = function

@@ -55,20 +55,6 @@ val pareto : problem -> solution list
 val budget_sweep : problem -> budgets:int list -> (int * solution) list
 (** {!optimal} per budget — the §IV.D trade-off curve. *)
 
-val optimal_par : ?jobs:int -> ?budget:int -> problem -> solution
-(** {!optimal} with the candidate evaluations fanned out over an
-    {!Engine.Pool} of [jobs] domains (default
-    [Domain.recommended_domain_count ()]). The reduction replays the
-    sequential fold order and tie-breaking, so the result is always
-    identical to {!optimal}. Worth it when [residual] is expensive — e.g. a
-    full scenario sweep per candidate. *)
-
-val budget_sweep_par :
-  ?jobs:int -> problem -> budgets:int list -> (int * solution) list
-(** {!budget_sweep} with each {e distinct} candidate selection across all
-    budgets evaluated exactly once, in parallel; per-budget reductions then
-    share the evaluations. Identical results to {!budget_sweep}. *)
-
 val multi_phase : problem -> phase_budgets:int list -> solution list
 (** Staged consolidation: each phase adds actions within its own budget on
     top of the previous selection, choosing the exact best increment. The

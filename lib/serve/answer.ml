@@ -179,19 +179,14 @@ let solve ?jobs ?limit ~optimal src =
       | exception (Asp.Grounder.Unsafe msg | Asp.Grounder.Overflow msg) ->
           Error ("grounding error: " ^ msg)
       | ground ->
-          let models, stats =
-            match jobs with
-            | Some j when j > 1 ->
-                let r =
-                  if optimal then Engine.Par.optimal ~jobs:j ground
-                  else Engine.Par.enumerate ~jobs:j ?limit ground
-                in
-                (r.Engine.Par.models, r.Engine.Par.stats)
-            | _ ->
-                if optimal then Asp.Solver.solve_optimal_with_stats ground
-                else Asp.Solver.solve_with_stats ?limit ground
+          let jobs = Option.value jobs ~default:1 in
+          let r =
+            if optimal then Engine.Par.optimal ~jobs ground
+            else Engine.Par.enumerate ~jobs ?limit ground
           in
-          Ok { answers = models; stats; ground_stats })
+          Ok
+            { answers = r.Engine.Par.models; stats = r.Engine.Par.stats;
+              ground_stats })
 
 let solved s =
   [

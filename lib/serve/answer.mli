@@ -53,8 +53,8 @@ type solved = {
 val solve :
   ?jobs:int -> ?limit:int -> optimal:bool -> string -> (solved, string) result
 (** Parse, ground and solve a program text (the solver shows only the
-    [#show] atoms). [jobs > 1]
-    enumerates over {!Engine.Par} worker domains (same answers). [Error]
+    [#show] atoms) through {!Engine.Par} on [jobs] worker domains
+    (default 1, inline; more give the same answers). [Error]
     carries a [parse error: …] or [grounding error: …] line. *)
 
 val solved : solved -> (string * Json.t) list

@@ -253,6 +253,30 @@ let test_inc_stats_shape () =
   check Alcotest.int "no hub without sharing" 0
     o'.Cegar.Inc.stats.Cegar.Inc.s_published
 
+let test_inc_cache_keyed_by_limit () =
+  (* with [keep] = at least two models, a run whose cached answers were
+     cut at one model would eliminate every candidate: the limit must be
+     part of the key, in both modes *)
+  List.iter
+    (fun (tag, mode) ->
+      let spec =
+        {
+          (Cpsrisk.Hierarchy.refine_spec ~levels:3 ~entries:6 ~mode ()) with
+          Cegar.Inc.limit = None;
+          keep = (fun models -> List.length models >= 2);
+        }
+      in
+      let oracle = Cegar.Inc.run_scratch spec in
+      check (Alcotest.list Alcotest.string)
+        (tag ^ ": scratch confirms")
+        [ "E4"; "E5"; "E6" ]
+        (labels oracle.Cegar.Inc.confirmed);
+      let cache = Engine.Cache.create () in
+      ignore (Cegar.Inc.run ~cache { spec with Cegar.Inc.limit = Some 1 });
+      check_outcome_equal (tag ^ ": after a limit-1 run on the same cache")
+        (Cegar.Inc.run ~cache spec) oracle)
+    [ ("assume", `Assume); ("increment", `Increment) ]
+
 let test_inc_empty_candidates () =
   let spec = Cpsrisk.Hierarchy.refine_spec () in
   let spec = { spec with Cegar.Inc.candidates = [] } in
@@ -297,5 +321,7 @@ let suites =
         Alcotest.test_case "stats shape" `Quick test_inc_stats_shape;
         Alcotest.test_case "empty candidates rejected" `Quick
           test_inc_empty_candidates;
+        Alcotest.test_case "cache keyed by model limit" `Quick
+          test_inc_cache_keyed_by_limit;
       ] );
   ]

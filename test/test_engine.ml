@@ -713,35 +713,6 @@ let test_numbering_assumptions () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Optimizer: parallel entry points                                     *)
-(* ------------------------------------------------------------------ *)
-
-let test_optimizer_par () =
-  let problem = Cpsrisk.Water_tank.optimization_problem in
-  let same name a b =
-    check Alcotest.string name
-      (Format.asprintf "%a" Mitigation.Optimizer.pp_solution a)
-      (Format.asprintf "%a" Mitigation.Optimizer.pp_solution b)
-  in
-  same "unconstrained"
-    (Mitigation.Optimizer.optimal problem)
-    (Mitigation.Optimizer.optimal_par ~jobs:3 problem);
-  List.iter
-    (fun budget ->
-      same
-        (Printf.sprintf "budget %d" budget)
-        (Mitigation.Optimizer.optimal ~budget problem)
-        (Mitigation.Optimizer.optimal_par ~jobs:3 ~budget problem))
-    [ 0; 2; 5 ];
-  let budgets = [ 0; 1; 2; 3; 5; 10 ] in
-  List.iter2
-    (fun (b, s) (b', s') ->
-      check Alcotest.int "budget" b b';
-      same (Printf.sprintf "sweep budget %d" b) s s')
-    (Mitigation.Optimizer.budget_sweep problem ~budgets)
-    (Mitigation.Optimizer.budget_sweep_par ~jobs:3 problem ~budgets)
-
-(* ------------------------------------------------------------------ *)
 (* Par: guiding-path parallel model enumeration                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -800,6 +771,37 @@ let test_par_limit_sequential () =
   check Alcotest.int "limited count" 3 (List.length r.Engine.Par.models);
   check Alcotest.int "limit forces one path" 1 r.Engine.Par.paths
 
+(* The cheap tier is off under assumptions, so a cheap-eligible program
+   stays on one path whatever the worker count; every other program of
+   [par_programs] still splits. *)
+let test_par_cheap_sequential () =
+  let g = Asp.Grounder.ground (Cpsrisk.Cascade.asp_choice_program 12) in
+  check Alcotest.bool "choice 12 is cheap-eligible" true
+    (Asp.Solver.cheap_eligible g);
+  let r = Engine.Par.enumerate ~oversubscribe:true ~jobs:4 g in
+  check Alcotest.int "cheap program stays on one path" 1 r.Engine.Par.paths;
+  let seq = Asp.Solver.solve g in
+  check Alcotest.int "model count" (List.length seq)
+    (List.length r.Engine.Par.models);
+  check Alcotest.bool "models equal the sequential run" true
+    (List.for_all2 Asp.Model.equal seq r.Engine.Par.models);
+  let split =
+    List.filter
+      (fun src ->
+        let g = Asp.Grounder.ground (Asp.Parser.parse_program src) in
+        not (Asp.Solver.cheap_eligible g))
+      par_programs
+  in
+  check Alcotest.int "four non-cheap programs" 4 (List.length split);
+  List.iter
+    (fun src ->
+      let g = Asp.Grounder.ground (Asp.Parser.parse_program src) in
+      let r = Engine.Par.enumerate ~oversubscribe:true ~jobs:4 g in
+      check Alcotest.bool
+        (Printf.sprintf "splits:\n%s" src)
+        true (r.Engine.Par.paths > 1))
+    split
+
 let suites =
   [
     ( "engine",
@@ -852,9 +854,9 @@ let suites =
           test_par_optimal;
         Alcotest.test_case "par: limit stays sequential" `Quick
           test_par_limit_sequential;
-        Alcotest.test_case "optimizer: parallel equals sequential" `Quick
-          test_optimizer_par;
         Alcotest.test_case "sweep: grounder work counters pinned" `Quick
           test_sweep_work_counters;
+        Alcotest.test_case "par: cheap-tier programs stay on one path" `Quick
+          test_par_cheap_sequential;
       ] );
   ]

@@ -230,12 +230,12 @@ let sol = Alcotest.testable Mitigation.Optimizer.pp_solution (fun a b ->
     && a.Mitigation.Optimizer.residual = b.Mitigation.Optimizer.residual)
 
 (* a small frontier (8 actions) keeps the cold-ground oracle affordable *)
-let sub_frontier () =
+let sub_frontier ?cache ?(measure = Cpsrisk.Hierarchy.frontier_measure) () =
   let actions =
     List.filteri (fun i _ -> i < 8) Cpsrisk.Hierarchy.frontier_actions
   in
-  Mitigation.Frontier.make ~actions ~delta:Cpsrisk.Hierarchy.frontier_delta
-    ~measure:Cpsrisk.Hierarchy.frontier_measure
+  Mitigation.Frontier.make ?cache ~actions
+    ~delta:Cpsrisk.Hierarchy.frontier_delta ~measure
     (Engine.Job.prepare (Cpsrisk.Hierarchy.frontier_spec ()))
 
 let test_frontier_optimal_matches_scratch () =
@@ -317,6 +317,34 @@ let test_frontier_monotone_residual () =
   check Alcotest.bool "residual monotone along chain" true
     (non_increasing residuals)
 
+let test_frontier_counts_own_evals () =
+  (* [measure] also looks up an unrelated key on the frontier's cache,
+     standing in for a daemon sweep that shares it: the report must
+     count the search's own evaluations, not the cache's lifetime
+     counters *)
+  let cache = Engine.Cache.create () in
+  let unrelated = Engine.Fingerprint.ints [ 42 ] in
+  let measure models =
+    ignore
+      (Engine.Cache.find_or_compute_src cache unrelated (fun () ->
+           ([], Asp.Solver.Stats.create (), Asp.Grounder.Stats.create ())));
+    Cpsrisk.Hierarchy.frontier_measure models
+  in
+  let f = sub_frontier ~cache ~measure () in
+  let balanced what (r : Mitigation.Frontier.report) =
+    check Alcotest.int
+      (what ^ ": hits + disk hits + fresh = evals")
+      r.Mitigation.Frontier.r_evals
+      (r.Mitigation.Frontier.r_hits + r.Mitigation.Frontier.r_disk_hits
+     + r.Mitigation.Frontier.r_fresh)
+  in
+  let _, r = Mitigation.Frontier.optimal ~budget:11 f in
+  balanced "optimal" r;
+  let _, r = Mitigation.Frontier.pareto ~jobs:2 f in
+  balanced "pareto" r;
+  let _, r = Mitigation.Frontier.budget_sweep f ~budgets:[ 3; 9; 15 ] in
+  balanced "budget_sweep" r
+
 let qcheck t = QCheck_alcotest.to_alcotest t
 
 let suites =
@@ -351,5 +379,7 @@ let suites =
           test_frontier_full_catalog_consistent;
         Alcotest.test_case "monotone residual" `Quick
           test_frontier_monotone_residual;
+        Alcotest.test_case "reports count their own evaluations" `Quick
+          test_frontier_counts_own_evals;
       ] );
   ]
