@@ -13,6 +13,9 @@
    - engine-cached: the same sweep re-run on the kept cache — pure lookups.
    - engine-2/4:    fresh cache, 2 and 4 worker domains.
 
+   Every fresh engine job is a stratified simulation, which the grounder
+   decides without a solver ([ground_decided]).
+
    Every engine mode is checked bit-identical to seq-cold (same models per
    job). Emits JSON (committed as BENCH_sweep.json at the repo root for the
    full run; `dune build @sweep-smoke` runs a seconds-scale subset as part
@@ -37,6 +40,7 @@ type entry = {
   firings : int;
   reused_rules : int;
   fresh_rules : int;
+  decided : int; (* fresh jobs the grounder decided alone *)
 }
 
 let entry_of_report name ~domains (r : Engine.Sweep.report) wall_s =
@@ -51,6 +55,7 @@ let entry_of_report name ~domains (r : Engine.Sweep.report) wall_s =
     firings = r.Engine.Sweep.fresh.Asp.Solver.Stats.firings;
     reused_rules = r.Engine.Sweep.ground.Asp.Grounder.Stats.reused_rules;
     fresh_rules = r.Engine.Sweep.ground.Asp.Grounder.Stats.fresh_rules;
+    decided = r.Engine.Sweep.ground.Asp.Grounder.Stats.decided;
   }
 
 let emit_json out mode ~deltas ~horizon ~seed ~base_atoms entries =
@@ -78,10 +83,12 @@ let emit_json out mode ~deltas ~horizon ~seed ~base_atoms entries =
          %.6f, \"speedup_vs_cold\": %.2f,\n\
         \     \"cache_hits\": %d, \"cache_misses\": %d, \
          \"fresh_guesses\": %d, \"fresh_firings\": %d,\n\
-        \     \"ground_reused_rules\": %d, \"ground_fresh_rules\": %d}%s\n"
+        \     \"ground_reused_rules\": %d, \"ground_fresh_rules\": %d, \
+         \"ground_decided\": %d}%s\n"
         e.name e.jobs e.domains e.wall_s
         (cold_s /. e.wall_s)
         e.hits e.misses e.guesses e.firings e.reused_rules e.fresh_rules
+        e.decided
         (if i = List.length entries - 1 then "" else ",");
       ())
     entries;
@@ -149,7 +156,7 @@ let run ~smoke ~out =
   let cold_entry =
     { name = "seq-cold"; jobs = 1; domains = 1; wall_s = cold_s; hits = 0;
       misses = n; guesses = 0; firings = 0; reused_rules = 0;
-      fresh_rules = 0 }
+      fresh_rules = 0; decided = 0 }
   in
   let entries = [ cold_entry; e1; e1c; e2; e4; e4o ] in
   emit_json out

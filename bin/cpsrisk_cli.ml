@@ -647,7 +647,21 @@ let mitigate frontier case search jobs horizon stats json =
   let target = Cpsrisk.Backend.target ?horizon case in
   (* --case offers only targets that carry an action catalog *)
   let build = Option.get target.Cpsrisk.Backend.frontier in
-  let f = build (Engine.Job.prepare target.Cpsrisk.Backend.spec) in
+  (* the private cache hands every fresh answer to its store hook once:
+     count there the evaluations the grounder decided *)
+  let decided = Atomic.make 0 in
+  let cache =
+    Engine.Cache.create
+      ~persist:
+        {
+          Engine.Cache.load = (fun _ -> None);
+          store =
+            (fun _ (_, _, g) ->
+              ignore (Atomic.fetch_and_add decided g.Asp.Grounder.Stats.decided));
+        }
+      ()
+  in
+  let f = build ~cache (Engine.Job.prepare target.Cpsrisk.Backend.spec) in
   let answer, report =
     if frontier then Cpsrisk.Pipeline.mitigate_frontier ?jobs f search
     else
@@ -680,8 +694,8 @@ let mitigate frontier case search jobs horizon stats json =
   if json then Common.print_json (Serve.Json.Obj (Serve.Answer.frontier answer report))
   else
     print_string
-      (Cpsrisk.Pipeline.render_frontier ~stats:(stats && frontier) answer
-         report);
+      (Cpsrisk.Pipeline.render_frontier ~stats:(stats && frontier)
+         ~decided:(Atomic.get decided) answer report);
   0
 
 let mitigate_cmd =

@@ -12,6 +12,7 @@ module Stats = struct
     mutable probes : int;
     mutable fresh_rules : int;
     mutable reused_rules : int;
+    mutable decided : int;
     mutable wall_s : float;
   }
 
@@ -22,6 +23,7 @@ module Stats = struct
       probes = 0;
       fresh_rules = 0;
       reused_rules = 0;
+      decided = 0;
       wall_s = 0.0;
     }
 
@@ -31,12 +33,15 @@ module Stats = struct
     into.probes <- into.probes + s.probes;
     into.fresh_rules <- into.fresh_rules + s.fresh_rules;
     into.reused_rules <- into.reused_rules + s.reused_rules;
+    into.decided <- into.decided + s.decided;
     into.wall_s <- into.wall_s +. s.wall_s
 
   let to_string s =
     Printf.sprintf
-      "passes=%d firings=%d probes=%d fresh=%d reused=%d wall=%.3fs" s.passes
-      s.firings s.probes s.fresh_rules s.reused_rules s.wall_s
+      "passes=%d firings=%d probes=%d fresh=%d reused=%d decided=%d \
+       wall=%.3fs"
+      s.passes s.firings s.probes s.fresh_rules s.reused_rules s.decided
+      s.wall_s
 
   let pp ppf s = Format.pp_print_string ppf (to_string s)
 end
@@ -673,11 +678,11 @@ type store = {
   st_base : store option;
 }
 
-let new_store ~max_atoms base =
+let new_store ?(size = 1024) ~max_atoms base =
   {
-    st_univ = AtomTbl.create 1024;
+    st_univ = AtomTbl.create size;
     st_by_sig = SigTbl.create 64;
-    st_by_pos = PosTbl.create 256;
+    st_by_pos = PosTbl.create (size / 4);
     st_count = (match base with Some b -> b.st_count | None -> 0);
     st_max = max_atoms;
     st_base = base;
@@ -775,16 +780,18 @@ let iter_window st stats ~lo ~hi lv keys f =
    choice element's template joins body and condition positives flat (safe:
    [check_rule] has already rejected body builtins that only the condition
    could bind). Its plans: body order for the initial naive round, and
-   one per delta position. *)
+   one per delta position. A plain rule's template also carries its
+   negated atoms: phase 1 ignores them, {!decide} checks them. *)
 type template = {
   t_rule : Rule.t;
   t_slots : int;
   t_naive : plan;
   t_delta : plan array;
   t_head : catom;
+  t_neg : catom list;
 }
 
-let template r pats bs head =
+let template r pats bs ~neg head =
   let slot, nslots = slots () in
   let pats = Array.of_list pats in
   let n = Array.length pats in
@@ -802,7 +809,8 @@ let template r pats bs head =
   in
   let t_delta = Array.init n delta in
   let t_head = catom slot head in
-  { t_rule = r; t_slots = nslots (); t_naive = naive; t_delta; t_head }
+  let t_neg = List.map (catom slot) neg in
+  { t_rule = r; t_slots = nslots (); t_naive = naive; t_delta; t_head; t_neg }
 
 (* Returns the templates plus the semi-naive rule index: body-predicate
    signature -> (template, join position) pairs to re-fire when the
@@ -811,10 +819,10 @@ let build_templates rules =
   let ts = ref [] in
   let n = ref 0 in
   let index : (int * int) list SigTbl.t = SigTbl.create 32 in
-  let add_template r pats bs head =
+  let add_template r pats bs ~neg head =
     let ti = !n in
     incr n;
-    ts := template r pats bs head :: !ts;
+    ts := template r pats bs ~neg head :: !ts;
     List.iteri
       (fun pos pat ->
         let sg = Atom.signature pat in
@@ -830,14 +838,14 @@ let build_templates rules =
           let bp = positives body and bb = builtins_of body in
           match head with
           | Rule.Falsity -> ()
-          | Rule.Head a -> add_template r bp bb a
+          | Rule.Head a -> add_template r bp bb ~neg:(negatives body) a
           | Rule.Choice { elems; _ } ->
               List.iter
                 (fun (e : Rule.choice_elem) ->
                   add_template r
                     (bp @ positives e.cond)
                     (bb @ builtins_of e.cond)
-                    e.atom)
+                    ~neg:[] e.atom)
                 elems))
     rules;
   (Array.of_list (List.rev !ts), index)
@@ -873,8 +881,12 @@ let head_atom env c =
    committed sequentially in item order afterwards — so an atom's
    generation is exactly its derivation depth and every join result is
    found exactly once, at the round after its newest constituent atom was
-   derived (leftmost-newest position). *)
-let run_fixpoint st (stats : Stats.t) templates entries_for ~initial =
+   derived (leftmost-newest position). Rounds are numbered on from
+   [round] (a later stratum continues an earlier one's count, so every
+   atom already stored is older than its rounds' deltas); a match fires
+   only if [admit] accepts it. Returns the last round's number. *)
+let run_fixpoint ?(round = 0) ?(admit = fun _ _ -> true) st (stats : Stats.t)
+    templates entries_for ~initial =
   let added = ref [] in
   let run_round ~round items =
     stats.Stats.passes <- stats.Stats.passes + 1;
@@ -883,8 +895,10 @@ let run_fixpoint st (stats : Stats.t) templates entries_for ~initial =
       let heads = ref [] in
       eval_errors t.t_rule (fun () ->
           fire st stats t ~round ~dpos ~on_match:(fun env ->
-              stats.Stats.firings <- stats.Stats.firings + 1;
-              heads := head_atom env t.t_head :: !heads));
+              if admit t env then begin
+                stats.Stats.firings <- stats.Stats.firings + 1;
+                heads := head_atom env t.t_head :: !heads
+              end));
       (t, List.rev !heads)
     in
     Array.iter
@@ -896,9 +910,9 @@ let run_fixpoint st (stats : Stats.t) templates entries_for ~initial =
               heads))
       (Array.map fire_item items)
   in
-  run_round ~round:1
+  let round = ref (round + 1) in
+  run_round ~round:!round
     (Array.of_list (List.map (fun ti -> (ti, -1)) initial));
-  let round = ref 1 in
   while !added <> [] do
     incr round;
     let prev = List.rev !added in
@@ -914,7 +928,8 @@ let run_fixpoint st (stats : Stats.t) templates entries_for ~initial =
         end)
       prev;
     run_round ~round:!round (Array.of_list (List.rev !items))
-  done
+  done;
+  !round
 
 (* ------------------------------------------------------------------ *)
 (* Phase 2: instantiation against a frozen, canonically ordered view   *)
@@ -1304,6 +1319,90 @@ let numbered st =
   let universe = universe_of st Model.AtomSet.empty in
   (universe, Ground.number ~table:st.st_univ universe)
 
+(* What {!decide} keeps per prepared base. [dc_base] is the base taken
+   apart once, on first use: [None] when it is not a stratified normal
+   program. [dc_memo] maps the sorted head signatures an increment
+   defines to the base's work that does not depend on them ([None] when
+   it raised). Both are read and filled under [dc_lock] only, so the
+   prepared state stays shareable across domains; every [dentry] is
+   read-only once built. *)
+type dbase = {
+  db_sigs : (string * int) array; (* head signature per base template *)
+  db_users : (string * int) list SigTbl.t;
+      (* body signature -> heads of the base rules that read it *)
+  db_constraints : (crule * (string * int) list) list;
+      (* base constraints, with their body signatures *)
+}
+
+type dentry = {
+  de_store : store; (* the model's atoms over the independent signatures *)
+  de_violated : bool; (* a base constraint over those fails *)
+  de_comp : int array; (* per base template: its component, -1 if independent *)
+  de_by_comp : int list array; (* dependent base templates per component *)
+  de_sig_comp : int SigTbl.t; (* dependent signature -> component *)
+  de_rules : Rule.t list; (* dependent base rules with a body *)
+  de_constraints : crule list; (* base constraints reading a dependent signature *)
+}
+
+type decider = {
+  dc_lock : Mutex.t;
+  dc_base : dbase option Lazy.t;
+  dc_memo : ((string * int) list, dentry option) Hashtbl.t;
+}
+
+(* A normal rule or constraint: no choice, no weak constraint, no
+   aggregate. *)
+let normal_rule = function
+  | Rule.Rule { head = Rule.Head _ | Rule.Falsity; body; _ } ->
+      List.for_all
+        (function
+          | Lit.Count _ -> false | Lit.Pos _ | Lit.Neg _ | Lit.Cmp _ -> true)
+        body
+  | Rule.Rule { head = Rule.Choice _; _ } | Rule.Weak _ -> false
+
+(* a rule with a head and a non-empty body: the rules that give the
+   dependency graph its edges *)
+let defining = function
+  | Rule.Rule { head = Rule.Head _; body = _ :: _; _ } -> true
+  | Rule.Rule _ | Rule.Weak _ -> false
+
+let head_sig t = (t.t_head.c_pred, List.length t.t_head.c_args)
+
+let body_sigs r =
+  List.filter_map (fun l -> Option.map Atom.signature (Lit.atom l)) (Rule.body r)
+
+let decide_base program templates =
+  let rules = Program.rules program in
+  let defs = List.filter defining rules in
+  if
+    not
+      (List.for_all normal_rule rules
+      && Deps.stratified (Deps.of_program (Program.of_rules defs)))
+  then None
+  else begin
+    let users = SigTbl.create 64 in
+    Array.iter
+      (fun t ->
+        List.iter
+          (fun sg ->
+            let cur = Option.value ~default:[] (SigTbl.find_opt users sg) in
+            SigTbl.replace users sg (head_sig t :: cur))
+          (body_sigs t.t_rule))
+      templates;
+    Some
+      {
+        db_sigs = Array.map head_sig templates;
+        db_users = users;
+        db_constraints =
+          List.filter_map
+            (function
+              | Rule.Rule { head = Rule.Falsity; _ } as r ->
+                  Some (compile_rule r, body_sigs r)
+              | Rule.Rule _ | Rule.Weak _ -> None)
+            rules;
+      }
+  end
+
 type rule_entry = {
   e_rule : crule;
   e_pos_sigs : (string * int) array; (* positive body sigs, join order *)
@@ -1323,6 +1422,7 @@ type prepared = {
   p_universe : Model.AtomSet.t;
   p_numbering : Ground.numbering; (* of [p_universe], in [p_store]'s table *)
   p_rules : Ground.grule list; (* first occurrence of every instance *)
+  p_decider : decider;
 }
 
 (* The instances of [cr] over [snap] pushed onto [acc], the last one
@@ -1379,6 +1479,12 @@ let seal ~program ~max_atoms ~templates ~tindex st tables view entries =
     p_universe = universe;
     p_numbering = numbering;
     p_rules = rules;
+    p_decider =
+      {
+        dc_lock = Mutex.create ();
+        dc_base = lazy (decide_base program templates);
+        dc_memo = Hashtbl.create 8;
+      };
   }
 
 let prepare ?(max_atoms = 200_000) ?stats p =
@@ -1387,9 +1493,10 @@ let prepare ?(max_atoms = 200_000) ?stats p =
   List.iter check_rule rules;
   let st = new_store ~max_atoms None in
   let templates, tindex = build_templates rules in
-  run_fixpoint st stats templates
-    (fun sg -> Option.value ~default:[] (SigTbl.find_opt tindex sg))
-    ~initial:(List.init (Array.length templates) Fun.id);
+  ignore
+    (run_fixpoint st stats templates
+       (fun sg -> Option.value ~default:[] (SigTbl.find_opt tindex sg))
+       ~initial:(List.init (Array.length templates) Fun.id));
   let tables = sorted_tables st in
   let snap =
     { sn_view = view_of_tables tables; sn_mem = AtomTbl.mem st.st_univ }
@@ -1497,6 +1604,16 @@ let flatten_store ~max_atoms base overlay =
   copy overlay;
   flat
 
+(* The semi-naive rule index of base + increment: the increment's
+   templates are numbered after the base's. *)
+let combined_entries prep dtindex sg =
+  let b = Option.value ~default:[] (SigTbl.find_opt prep.p_tindex sg) in
+  match SigTbl.find_opt dtindex sg with
+  | None -> b
+  | Some d ->
+      let nbase = Array.length prep.p_templates in
+      b @ List.map (fun (ti, pos) -> (ti + nbase, pos)) d
+
 (* Overlay phase 1: close the base universe under base + delta rules,
    starting from a naive pass over the delta's templates only (the base
    is already closed). Only reads the prepared state, so concurrent
@@ -1508,14 +1625,10 @@ let overlay_phase1 ~stats prep dp =
   let nbase = Array.length prep.p_templates in
   let dtemplates, dtindex = build_templates (Program.rules dp) in
   let templates = Array.append prep.p_templates dtemplates in
-  let entries_for sg =
-    let b = Option.value ~default:[] (SigTbl.find_opt prep.p_tindex sg) in
-    match SigTbl.find_opt dtindex sg with
-    | None -> b
-    | Some d -> b @ List.map (fun (ti, pos) -> (ti + nbase, pos)) d
-  in
-  run_fixpoint st stats templates entries_for
-    ~initial:(List.init (Array.length dtemplates) (fun i -> i + nbase));
+  let entries_for = combined_entries prep dtindex in
+  ignore
+    (run_fixpoint st stats templates entries_for
+       ~initial:(List.init (Array.length dtemplates) (fun i -> i + nbase)));
   let tindex =
     lazy
       (let t = SigTbl.copy prep.p_tindex in
@@ -1605,3 +1718,253 @@ let extend_prepare ?stats prep dp =
     ~max_atoms:prep.p_max_atoms ~templates ~tindex:(Lazy.force tindex) store
     tables snap.sn_view
     (Array.of_list (List.rev !entries))
+
+(* ------------------------------------------------------------------ *)
+(* Deciding stratified increments                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Component numbers of the predicate dependency graph of [rules],
+   callees first, from 1, and their count; a signature outside the graph
+   (defined by facts only) takes component 0. [None] when the graph is
+   not stratified. *)
+let components rules =
+  let g = Deps.of_program (Program.of_rules rules) in
+  if not (Deps.stratified g) then None
+  else begin
+    let tbl = SigTbl.create 16 in
+    let comps = Deps.sccs g in
+    List.iteri
+      (fun i comp -> List.iter (fun sg -> SigTbl.replace tbl sg (i + 1)) comp)
+      comps;
+    Some (tbl, List.length comps + 1)
+  end
+
+let comp_of tbl sg = Option.value ~default:0 (SigTbl.find_opt tbl sg)
+
+(* [by_comp.(c)]: the templates [i < n] with [comp i = c], ascending *)
+let by_comp ncomp n comp =
+  let a = Array.make ncomp [] in
+  for i = n - 1 downto 0 do
+    let c = comp i in
+    if c >= 0 then a.(c) <- i :: a.(c)
+  done;
+  a
+
+(* none of the negated atoms, built under [env], is stored *)
+let absent st env negs =
+  List.for_all (fun c -> not (store_mem st (build env c))) negs
+
+(* The perfect model, component by component: [by_comp.(c)] are the
+   templates of component [c], [comp ti] the component of template [ti]
+   (-1: not evaluated here). Each component runs the semi-naive rounds
+   to its fixpoint before the next starts, so a negated atom — whose
+   predicate lies in an earlier component or in [st]'s base layer under
+   stratification — is checked against a complete extension. *)
+let run_components st stats templates ~entries ~comp by_comp =
+  let admit t env = absent st env t.t_neg in
+  let round = ref 0 in
+  Array.iteri
+    (fun c initial ->
+      if initial <> [] then
+        round :=
+          run_fixpoint ~round:!round ~admit st stats templates
+            (fun sg -> List.filter (fun (ti, _) -> comp ti = c) (entries sg))
+            ~initial)
+    by_comp
+
+(* whether some constraint's body holds in the (complete) store *)
+let violated st stats crs =
+  let cands _ lv keys f = iter_window st stats ~lo:0 ~hi:max_int lv keys f in
+  List.exists
+    (fun cr ->
+      let env = Array.make cr.cr_slots dummy in
+      let matched = Array.make (Array.length cr.cr_body.p_levels) dummy_atom in
+      match
+        eval_errors cr.cr_rule (fun () ->
+            execute cr.cr_body env matched ~cands ~on_match:(fun () ->
+                if absent st env cr.cr_neg then raise_notrace Exit))
+      with
+      | () -> false
+      | exception Exit -> true)
+    crs
+
+(* The signatures that depend, through the base's rules, on one of [d]
+   (the signatures an increment defines), [d] included. An increment's
+   own rules only add edges leaving [d], so they make nothing else
+   dependent. *)
+let dependents db d =
+  let dep = SigTbl.create 16 in
+  let rec visit sg =
+    if not (SigTbl.mem dep sg) then begin
+      SigTbl.replace dep sg ();
+      List.iter visit (Option.value ~default:[] (SigTbl.find_opt db.db_users sg))
+    end
+  in
+  List.iter visit d;
+  dep
+
+(* The base's share of every increment defining [d]: the model over the
+   independent signatures (only base rules reach them, so it is the same
+   for every such increment), the verdict of the constraints over them,
+   and the component layout of the dependent rest. *)
+let decide_entry stats prep db d =
+  let templates = prep.p_templates in
+  let n = Array.length templates in
+  let dep = dependents db d in
+  let dependent i = SigTbl.mem dep db.db_sigs.(i) in
+  let rules side =
+    List.filter defining
+      (List.filter_map
+         (fun i -> if dependent i = side then Some templates.(i).t_rule else None)
+         (List.init n Fun.id))
+  in
+  let entries sg = Option.value ~default:[] (SigTbl.find_opt prep.p_tindex sg) in
+  (* sub-programs of a stratified base are stratified *)
+  let itbl, incomp = Option.get (components (rules false)) in
+  let icomp i = if dependent i then -1 else comp_of itbl db.db_sigs.(i) in
+  let st = new_store ~max_atoms:prep.p_max_atoms None in
+  run_components st stats templates ~entries ~comp:icomp (by_comp incomp n icomp);
+  let indep, deps =
+    List.partition
+      (fun (_, sigs) -> not (List.exists (SigTbl.mem dep) sigs))
+      db.db_constraints
+  in
+  let drules = rules true in
+  let dtbl, dncomp = Option.get (components drules) in
+  let dcomp =
+    Array.init n (fun i -> if dependent i then comp_of dtbl db.db_sigs.(i) else -1)
+  in
+  {
+    de_store = st;
+    de_violated = violated st stats (List.map fst indep);
+    de_comp = dcomp;
+    de_by_comp = by_comp dncomp n (Array.get dcomp);
+    de_sig_comp = dtbl;
+    de_rules = drules;
+    de_constraints = List.map fst deps;
+  }
+
+(* distinct increments kept per prepared base; past it, entries are
+   computed per call and dropped *)
+let memo_cap = 16
+
+let memo_entry stats prep db d =
+  let dc = prep.p_decider in
+  Mutex.protect dc.dc_lock (fun () ->
+      match Hashtbl.find_opt dc.dc_memo d with
+      | Some e -> e
+      | None ->
+          let e =
+            try Some (decide_entry stats prep db d)
+            with Unsafe _ | Overflow _ -> None
+          in
+          if Hashtbl.length dc.dc_memo < memo_cap then
+            Hashtbl.replace dc.dc_memo d e;
+          e)
+
+(* The atoms of the shown signatures in both layers of [st], or all of
+   them when nothing is shown. An atom of the base universe is answered
+   by the base's own copy: answers are kept (cached, stored), and the
+   solver's answers share those atoms too. *)
+let shown_atoms prep st shows =
+  let ids = prep.p_numbering.Ground.ids in
+  let add a acc =
+    let a =
+      match Atom.Tbl.find_opt ids a with
+      | Some i -> prep.p_numbering.Ground.by_id.(i)
+      | None -> a
+    in
+    Model.AtomSet.add a acc
+  in
+  let layers = st :: Option.to_list st.st_base in
+  match shows with
+  | [] ->
+      List.fold_left
+        (fun acc l -> AtomTbl.fold (fun a _ acc -> add a acc) l.st_univ acc)
+        Model.AtomSet.empty layers
+  | shows ->
+      List.fold_left
+        (fun acc sg ->
+          List.fold_left
+            (fun acc l ->
+              match SigTbl.find_opt l.st_by_sig sg with
+              | Some b -> List.fold_left (fun acc (a, _) -> add a acc) acc b.b_items
+              | None -> acc)
+            acc layers)
+        Model.AtomSet.empty shows
+
+(* The component layout of base + increment: the memo entry's own when
+   the increment brings facts and constraints only (no edges), else the
+   dependent base rules' and the increment's graph taken afresh — [None]
+   when the increment's rules break stratification. Returns the
+   signature table and the base templates' components. *)
+let layout db e rules =
+  match List.filter defining rules with
+  | [] -> Some (e.de_sig_comp, Array.get e.de_comp, e.de_by_comp)
+  | defs ->
+      Option.map
+        (fun (tbl, ncomp) ->
+          let comp i =
+            if e.de_comp.(i) < 0 then -1 else comp_of tbl db.db_sigs.(i)
+          in
+          (tbl, comp, by_comp ncomp (Array.length e.de_comp) comp))
+        (components (e.de_rules @ defs))
+
+(* The increment's perfect model on top of [e]'s independent store, as
+   the overlay holding its dependent atoms; [None] if a dependent or
+   delta constraint fails in it. *)
+let model stats prep e rules (tbl, base_comp, base_by_comp) =
+  let dtemplates, dtindex = build_templates rules in
+  let nb = Array.length prep.p_templates in
+  let dcomp = Array.map (fun t -> comp_of tbl (head_sig t)) dtemplates in
+  let groups = Array.copy base_by_comp in
+  Array.iteri (fun j c -> groups.(c) <- groups.(c) @ [ nb + j ]) dcomp;
+  let comp ti = if ti < nb then base_comp ti else dcomp.(ti - nb) in
+  (* a per-call overlay: sized small, the tables grow if they must *)
+  let st = new_store ~size:64 ~max_atoms:prep.p_max_atoms (Some e.de_store) in
+  run_components st stats
+    (Array.append prep.p_templates dtemplates)
+    ~entries:(combined_entries prep dtindex) ~comp groups;
+  let constraints =
+    e.de_constraints
+    @ List.filter_map
+        (function
+          | Rule.Rule { head = Rule.Falsity; _ } as r -> Some (compile_rule r)
+          | Rule.Rule _ | Rule.Weak _ -> None)
+        rules
+  in
+  if violated st stats constraints then None else Some st
+
+let decide ?stats prep dp =
+  timed stats @@ fun stats ->
+  let ( let* ) = Option.bind in
+  let rules = Program.rules dp in
+  let dc = prep.p_decider in
+  try
+    let* db =
+      if List.for_all normal_rule rules then
+        Mutex.protect dc.dc_lock (fun () -> Lazy.force dc.dc_base)
+      else None
+    in
+    List.iter check_rule rules;
+    let d =
+      List.sort_uniq compare
+        (List.concat_map
+           (fun r -> List.map Atom.signature (Rule.head_atoms r))
+           rules)
+    in
+    let* e = memo_entry stats prep db d in
+    let* lay = layout db e rules in
+    let models =
+      match if e.de_violated then None else model stats prep e rules lay with
+      | Some st ->
+          [
+            Model.make
+              (shown_atoms prep st
+                 (Program.shows prep.p_program @ Program.shows dp));
+          ]
+      | None -> []
+    in
+    stats.Stats.decided <- stats.Stats.decided + 1;
+    Some models
+  with Unsafe _ | Overflow _ -> None

@@ -39,6 +39,11 @@
     {!extend_prepare} merges the tables and store once and keeps the
     updated entries as warm state.
 
+    {!decide} is the fifth: for a stratified normal base + delta it runs
+    the same phase-1 templates stratum by stratum, checking negated
+    literals against the complete lower strata, and returns the one
+    model instead of a ground program.
+
     The pre-rewrite naive grounder survives as a test-only differential
     oracle in [test/oracle/]: on any accepted program both produce
     structurally equal [Ground.t] values ([test/test_grounder_diff.ml]).
@@ -70,6 +75,8 @@ module Stats : sig
             dedup: an instance two source rules share counts twice *)
     mutable reused_rules : int;
         (** base instances shared by {!extend} without re-derivation *)
+    mutable decided : int;
+        (** increments {!decide} answered (at most one per call) *)
     mutable wall_s : float;
   }
 
@@ -152,3 +159,35 @@ val extend_prepare : ?stats:Stats.t -> prepared -> Program.t -> prepared
     emission order may differ from a scratch {!prepare}. The combined
     universe is numbered afresh, in {!Atom.compare} order. The input
     [state] is not mutated and stays usable. Raises like {!extend}. *)
+
+val decide : ?stats:Stats.t -> prepared -> Program.t -> Model.t list option
+(** [decide state delta] answers base + delta straight from the
+    grounder when both are a stratified normal program: normal rules
+    with builtins and constraints — no choice rule, no weak constraint,
+    no aggregate — stratified at the predicate level over base + delta
+    rules. Such a program has exactly one candidate model, its perfect
+    model, so no ground program is built, numbered or solved. [None]:
+    not in that fragment (or grounding it raised) — run {!extend} and
+    the solver instead, which then report exactly what they always did.
+
+    [Some []] when a constraint fails, else [Some [m]] with [m] holding
+    the atoms of the [#show] signatures of base and delta (every atom
+    when neither shows any): the models {!Solver.solve} of
+    [extend state delta] returns, in both projections.
+
+    The strata run in dependency order (one strongly connected component
+    of the predicate graph at a time, callees first), each to its
+    semi-naive fixpoint over the phase-1 templates, and a negated literal
+    is checked against the lower strata, which are complete by then. The
+    strata that do not depend, through base + delta rules, on any
+    signature the delta defines are evaluated once per prepared base and
+    set of defined signatures, and shared read-only by every later call
+    (from any domain); only the dependent strata are evaluated per call.
+    They are evaluated afresh, never seeded from the base's own model: a
+    delta can retract base atoms through negation (the water tank's
+    [activated(f1)] retracts [holds(in_valve,closed,T)]).
+
+    Because only model atoms are ever joined, a program whose grounding
+    {!extend} rejects — arithmetic that fails, or a universe past
+    [max_atoms], only in instances negation blocks — may be answered
+    here. Counts one [decided] in [stats] when it answers. *)

@@ -300,8 +300,8 @@ let mitigate_frontier ?jobs f = function
 let render_solution (s : Mitigation.Optimizer.solution) =
   Format.asprintf "%a" Mitigation.Optimizer.pp_solution s
 
-let render_frontier ?(stats = false) answer (report : Mitigation.Frontier.report)
-    =
+let render_frontier ?(stats = false) ?decided answer
+    (report : Mitigation.Frontier.report) =
   let buf = Buffer.create 256 in
   let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   (match answer with
@@ -324,6 +324,11 @@ let render_frontier ?(stats = false) answer (report : Mitigation.Frontier.report
       report.Mitigation.Frontier.r_sum_s
       report.Mitigation.Frontier.r_critical_s
       report.Mitigation.Frontier.r_wall_s;
+  (match decided with
+  | Some n when stats ->
+      p "decided by the grounder: %d of %d fresh\n" n
+        report.Mitigation.Frontier.r_fresh
+  | Some _ | None -> ());
   Buffer.contents buf
 
 let topology_sweep ?jobs ?deltas config =

@@ -94,7 +94,14 @@ val mitigate_frontier :
   frontier_answer * Mitigation.Frontier.report
 
 val render_frontier :
-  ?stats:bool -> frontier_answer -> Mitigation.Frontier.report -> string
+  ?stats:bool ->
+  ?decided:int ->
+  frontier_answer ->
+  Mitigation.Frontier.report ->
+  string
+(** The answer, then with [stats] the report's counters, and with
+    [decided] too how many of the fresh evaluations the grounder decided
+    ({!Asp.Grounder.decide}). *)
 
 val topology_sweep :
   ?jobs:int ->

@@ -57,16 +57,25 @@ let fingerprint p delta =
     (Fingerprint.extend p.p_base_fp (p.p_spec.compile delta))
     p.p_mode_fp
 
+(* A stratified job has its one candidate model decided by the grounder;
+   with no weak constraint in it, that is also its optimum. *)
 let solve p delta =
   let s = p.p_spec in
   let gstats = Asp.Grounder.Stats.create () in
-  let ground = Asp.Grounder.extend ~stats:gstats p.p_ground (s.compile delta) in
-  let models, stats =
-    match s.mode with
-    | Enumerate limit -> Asp.Solver.solve_with_stats ?limit ground
-    | Optimal -> Asp.Solver.solve_optimal_with_stats ground
-  in
-  (models, stats, gstats)
+  let increment = s.compile delta in
+  match Asp.Grounder.decide ~stats:gstats p.p_ground increment with
+  | Some models ->
+      let stats = Asp.Solver.Stats.create () in
+      stats.Asp.Solver.Stats.models <- List.length models;
+      (models, stats, gstats)
+  | None ->
+      let ground = Asp.Grounder.extend ~stats:gstats p.p_ground increment in
+      let models, stats =
+        match s.mode with
+        | Enumerate limit -> Asp.Solver.solve_with_stats ?limit ground
+        | Optimal -> Asp.Solver.solve_optimal_with_stats ground
+      in
+      (models, stats, gstats)
 
 let run cache p ~index delta =
   let fingerprint = fingerprint p delta in

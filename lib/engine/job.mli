@@ -4,9 +4,10 @@
     {!prepare} does the work that is paid once per sweep rather than once
     per job: fingerprint the base and {!Asp.Grounder.prepare} it, so that
     every job can (a) derive its own content address with
-    {!Fingerprint.extend} over just the increment and (b) ground just its
-    increment with {!Asp.Grounder.extend} against the shared prepared
-    state, instead of re-grounding the whole base program. *)
+    {!Fingerprint.extend} over just the increment and (b) decide or
+    ground just its increment ({!Asp.Grounder.decide},
+    {!Asp.Grounder.extend}) against the shared prepared state, instead
+    of re-grounding the whole base program. *)
 
 type mode =
   | Enumerate of int option
@@ -63,11 +64,17 @@ val fingerprint : prepared -> Delta.t -> Fingerprint.t
 val solve :
   prepared -> Delta.t ->
   Asp.Model.t list * Asp.Solver.Stats.t * Asp.Grounder.Stats.t
-(** Ground the increment with {!Asp.Grounder.extend} and solve it. The
-    solver builds only the atoms of the grounded program's [#show]
-    signatures (base plus increment), so what the cache and the store
-    keep is only what an answer is read from. A program without [#show]
-    keeps whole models. The prepared state is only read: safe to call
+(** Answer the job. A stratified normal job — every what-if simulation
+    the backends generate — is decided by the grounder alone
+    ({!Asp.Grounder.decide}): its one model, or none when a constraint
+    fails, with no ground program and no solver. Its grounder stats
+    count one [decided], and its solver stats are empty but for
+    [models]. Any other job is ground with {!Asp.Grounder.extend} and
+    solved. Either way only the atoms of the program's [#show]
+    signatures (base plus increment) are built, so what the cache and
+    the store keep is only what an answer is read from; a program
+    without [#show] keeps whole models. The prepared state is only read
+    (the grounder's per-base reuse is filled under a lock): safe to call
     from any domain. *)
 
 val run :

@@ -125,9 +125,16 @@ let min_cost_slice fronts =
              Asp.Model.compare_cost (Asp.Model.cost m) best = 0)
       |> List.sort Asp.Model.compare
 
+(* Without weak constraints the optimum is the enumeration, which the
+   cheap tier answers whole for an eligible program: such a program
+   stays on one path, as in {!enumerate}. *)
 let optimal ?oversubscribe ?jobs ?share g =
   fan_out ?oversubscribe ?jobs ?share g
-    ~split:(fun () -> true)
+    ~split:(fun () ->
+      List.exists
+        (function Asp.Ground.Gweak _ -> true | _ -> false)
+        g.Asp.Ground.rules
+      || not (Asp.Solver.cheap_eligible g))
     ~solve:(fun assumptions config ->
       Asp.Solver.solve_optimal_with_stats ~assumptions ~config g)
     ~merge:min_cost_slice

@@ -69,4 +69,6 @@ val optimal :
   report
 (** Optimal models under weak constraints: every branch runs its own
     branch-and-bound under its guiding assumptions, and the global front
-    is the minimum-cost slice of the union of the branch fronts. *)
+    is the minimum-cost slice of the union of the branch fronts. A
+    program without weak constraints that the cheap tier accepts stays
+    on one path, as in {!enumerate}: its optimum is its enumeration. *)

@@ -4,9 +4,10 @@
 
     A frontier wraps a warm {!Engine.Job.prepared} base (the same state
     the assessment service holds per loaded model): evaluating an action
-    set compiles it to an {!Engine.Delta}, grounds the increment against
-    the warm state ({!Asp.Grounder.extend} — never a scratch re-ground),
-    and memoizes the result by structural fingerprint. Identical residual
+    set compiles it to an {!Engine.Delta}, answers the increment against
+    the warm state ({!Engine.Job.solve}: decided by the grounder, or
+    {!Asp.Grounder.extend} and solved — never a scratch re-ground), and
+    memoizes the result by structural fingerprint. Identical residual
     sub-problems dedupe — across the budgets of a sweep, across repeated
     requests, and (with a persistent cache) across processes.
 

@@ -73,6 +73,7 @@ let sweep ?(extra = []) backend results =
         [
           ("fresh_rules", Json.Int ground.Asp.Grounder.Stats.fresh_rules);
           ("reused_rules", Json.Int ground.Asp.Grounder.Stats.reused_rules);
+          ("decided", Json.Int ground.Asp.Grounder.Stats.decided);
         ] );
   ]
   @ extra

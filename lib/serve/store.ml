@@ -9,8 +9,11 @@ let magic = "cpsrisk-store"
        v1 entries are classified stale and deleted on first touch.
    3 — payloads hold job models projected on the backend's [#show]
        predicates (answer-sized values); a v2 entry reads as a clean miss
-       and is deleted. *)
-let version = 3
+       and is deleted.
+   4 — the grounder stats record in a job value gained a [decided]
+       counter, so a v3 payload no longer has the value's layout; v3
+       entries are clean misses. *)
+let version = 4
 let manifest_magic = "cpsrisk-manifest"
 let manifest_name = "manifest"
 let entry_suffix = ".ent"

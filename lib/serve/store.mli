@@ -9,10 +9,11 @@
     An entry file [<fp-hex>.ent] is one header line — magic, format
     version, writing OCaml version, fingerprint, payload length, MD5 —
 
-    {v cpsrisk-store 3 <ocaml-version> <fp-hex> <payload-len> <md5-hex> v}
+    {v cpsrisk-store 4 <ocaml-version> <fp-hex> <payload-len> <md5-hex> v}
 
-    then the marshalled payload (format v3: job models projected on the
-    backend's [#show] predicates). Readers verify all six fields. An entry
+    then the marshalled payload (format v4: job models projected on the
+    backend's [#show] predicates, with stats records whose grounder
+    counters include [decided]). Readers verify all six fields. An entry
     of another format version or written by another OCaml runtime is
     {e stale}: a clean miss, deleted and counted in [misses] only. Any
     other mismatch (bad magic, fingerprint mismatch, bad length,

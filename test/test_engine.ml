@@ -303,12 +303,58 @@ let test_sweep_matches_reference () =
         (Cpsrisk.Sweeps.verdicts r))
     report.Engine.Sweep.results
 
-(* The paper's whole fault x mitigation what-if space at the benchmark
-   horizon: every mutation is a stratified simulation, so the cheap
-   tier's well-founded bounds must decide each job without CDNL, and the
-   verdicts must equal the direct qualitative simulation's. *)
-let test_sweep_cheap_tier () =
-  let horizon = 48 in
+(* A counting cache: its store hook sees every fresh answer once, so
+   [decided] counts the fresh jobs the grounder decided. *)
+let counting_cache () =
+  let decided = ref 0 in
+  let cache =
+    Engine.Cache.create
+      ~persist:
+        {
+          Engine.Cache.load = (fun _ -> None);
+          store =
+            (fun _ (_, _, g) ->
+              decided := !decided + g.Asp.Grounder.Stats.decided);
+        }
+      ()
+  in
+  (cache, decided)
+
+(* Every job of a sweep was decided by the grounder, never reached the
+   solver, and has the models the solver finds for [extend]'s grounding
+   of the same increment. *)
+let check_decided what (spec : Engine.Job.spec) (report : Engine.Sweep.report) =
+  let gprep =
+    Asp.Grounder.prepare ?max_atoms:spec.Engine.Job.max_atoms spec.Engine.Job.base
+  in
+  Array.iter
+    (fun (r : Engine.Job.result) ->
+      let label = what ^ " " ^ Engine.Delta.label r.Engine.Job.delta in
+      check Alcotest.int (label ^ ": decided") 1
+        r.Engine.Job.gstats.Asp.Grounder.Stats.decided;
+      checkb (label ^ ": no solver tier ran") false
+        r.Engine.Job.stats.Asp.Solver.Stats.cheap;
+      check Alcotest.int (label ^ ": model count in the stats")
+        (List.length r.Engine.Job.models)
+        r.Engine.Job.stats.Asp.Solver.Stats.models;
+      let expected =
+        Asp.Solver.solve
+          (Asp.Grounder.extend gprep (spec.Engine.Job.compile r.Engine.Job.delta))
+      in
+      check
+        (Alcotest.list Alcotest.string)
+        (label ^ ": models equal extend + solve")
+        (List.map Asp.Model.to_string expected)
+        (List.map Asp.Model.to_string r.Engine.Job.models))
+    report.Engine.Sweep.results
+
+(* The paper's whole fault x mitigation what-if space: every mutation is
+   a stratified simulation, so the grounder decides each job at short
+   and long horizons alike, with the solver's answer; at the benchmark
+   horizon the verdicts equal the direct qualitative simulation's. A
+   full hierarchy Pareto run and the press-cell topology deltas are
+   decided too. *)
+let test_sweep_decided () =
   let rec subsets = function
     | [] -> [ [] ]
     | x :: rest ->
@@ -322,36 +368,57 @@ let test_sweep_cheap_tier () =
       (subsets [ "M1"; "M2"; "M3" ])
   in
   check Alcotest.int "fault x mitigation deltas" 128 (List.length deltas);
-  let report =
-    Engine.Sweep.run ~jobs:1 (Cpsrisk.Sweeps.water_tank_spec ~horizon deltas)
+  List.iter
+    (fun horizon ->
+      let spec = Cpsrisk.Sweeps.water_tank_spec ~horizon deltas in
+      let report = Engine.Sweep.run ~jobs:1 spec in
+      check Alcotest.int "every job fresh" 128 report.Engine.Sweep.misses;
+      check Alcotest.int "every job decided" 128
+        report.Engine.Sweep.ground.Asp.Grounder.Stats.decided;
+      check_decided (Printf.sprintf "H=%d" horizon) spec report;
+      if horizon = 48 then
+        Array.iter
+          (fun (r : Engine.Job.result) ->
+            let label = Engine.Delta.label r.Engine.Job.delta in
+            let row =
+              Epa.Analysis.run_scenario ~horizon Cpsrisk.Water_tank.system
+                (Cpsrisk.Sweeps.delta_scenario r.Engine.Job.delta)
+            in
+            let violated = Epa.Analysis.violations row in
+            check
+              (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.bool))
+              label
+              (List.map
+                 (fun (req : Epa.Requirement.t) ->
+                   let id = req.Epa.Requirement.id in
+                   (id, List.mem id violated))
+                 Cpsrisk.Water_tank.requirements)
+              (Cpsrisk.Sweeps.verdicts r))
+          report.Engine.Sweep.results)
+    [ 1; 2; 12; 48 ];
+  let cache, decided = counting_cache () in
+  let _, report =
+    Mitigation.Frontier.pareto ~jobs:1 (Cpsrisk.Hierarchy.frontier ~cache ())
   in
-  check Alcotest.int "every job fresh" 128 report.Engine.Sweep.misses;
-  Array.iter
-    (fun (r : Engine.Job.result) ->
-      let label = Engine.Delta.label r.Engine.Job.delta in
-      checkb (label ^ ": cheap tier") true
-        r.Engine.Job.stats.Asp.Solver.Stats.cheap;
-      let row =
-        Epa.Analysis.run_scenario ~horizon Cpsrisk.Water_tank.system
-          (Cpsrisk.Sweeps.delta_scenario r.Engine.Job.delta)
-      in
-      let violated = Epa.Analysis.violations row in
-      check
-        (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.bool))
-        label
-        (List.map
-           (fun (req : Epa.Requirement.t) ->
-             let id = req.Epa.Requirement.id in
-             (id, List.mem id violated))
-           Cpsrisk.Water_tank.requirements)
-        (Cpsrisk.Sweeps.verdicts r))
-    report.Engine.Sweep.results
-
+  check Alcotest.int "hierarchy pareto: every subset fresh" 4096
+    report.Mitigation.Frontier.r_fresh;
+  check Alcotest.int "hierarchy pareto: every evaluation decided" 4096 !decided;
+  let model =
+    Archimate.Text.parse
+      (In_channel.with_open_bin "../examples/models/press_cell.model"
+         In_channel.input_all)
+  in
+  let topology = Cpsrisk.Backend.target ~model Cpsrisk.Backend.Topology in
+  let spec = topology.Cpsrisk.Backend.spec in
+  let spec = { spec with Engine.Job.deltas = topology.Cpsrisk.Backend.what_if } in
+  checkb "press_cell has component deltas" true (spec.Engine.Job.deltas <> []);
+  check_decided "press_cell" spec (Engine.Sweep.run ~jobs:1 spec)
 
 (* The grounder's work on the same space, job by job through
-   [Engine.Job.solve]: the counters pin that every join is enumerated
-   exactly as before (firings, fresh and reused instances) and that the
-   candidate probes never grow. *)
+   [Engine.Job.solve]: every job is decided, so no ground instance is
+   built, fresh or reused; the counters pin that the strata rounds and
+   rule firings stay exactly as they are and that the candidate probes
+   never grow. *)
 let test_sweep_work_counters () =
   let horizon = 48 in
   let rec subsets = function
@@ -404,13 +471,15 @@ let test_sweep_work_counters () =
         verdicts)
     deltas;
   let open Asp.Grounder.Stats in
-  check Alcotest.int "firings" 160768 total.firings;
-  check Alcotest.int "fresh rules" 183712 total.fresh_rules;
-  check Alcotest.int "reused rules" 68320 total.reused_rules;
+  check Alcotest.int "decided" 128 total.decided;
+  check Alcotest.int "firings" 83016 total.firings;
+  check Alcotest.int "fresh rules" 0 total.fresh_rules;
+  check Alcotest.int "reused rules" 0 total.reused_rules;
+  check Alcotest.int "passes" 20963 total.passes;
   checkb
-    (Printf.sprintf "probes %d <= 1064167" total.probes)
+    (Printf.sprintf "probes %d <= 756729" total.probes)
     true
-    (total.probes <= 1064167)
+    (total.probes <= 756729)
 
 let test_topology_sweep () =
   let config = Cpsrisk.Pipeline.water_tank_config () in
@@ -802,6 +871,87 @@ let test_par_cheap_sequential () =
         true (r.Engine.Par.paths > 1))
     split
 
+(* Non-monotone increments: a delta can retract, through negation, what
+   the base alone derives, so a decided model is never the base's model
+   plus the delta's consequences. Each is also the model the solver
+   finds for [extend]'s grounding. *)
+let test_decide_retracts () =
+  let decided gprep delta =
+    match Asp.Grounder.decide gprep delta with
+    | Some [ m ] ->
+        check
+          (Alcotest.list Alcotest.string)
+          "decided model equals extend + solve"
+          (List.map Asp.Model.to_string
+             (Asp.Solver.solve (Asp.Grounder.extend gprep delta)))
+          [ Asp.Model.to_string m ];
+        m
+    | Some _ | None -> Alcotest.fail "expected one decided model"
+  in
+  let holds m a = Asp.Model.holds m a in
+  (* water tank: activating F1 retracts holds(in_valve, closed, T) *)
+  let tank = Asp.Grounder.prepare (Cpsrisk.Water_tank.asp_base ~horizon:12 ()) in
+  let bare = decided tank Asp.Program.empty in
+  let f1 =
+    decided tank
+      (Cpsrisk.Water_tank.asp_activation_facts (Epa.Scenario.make [ "F1" ]))
+  in
+  let closed =
+    List.filter
+      (fun (a : Asp.Atom.t) ->
+        match a.Asp.Atom.args with
+        | [ v; s; _ ] ->
+            Asp.Term.to_string v = "in_valve" && Asp.Term.to_string s = "closed"
+        | _ -> false)
+      (Asp.Model.by_predicate bare "holds")
+  in
+  checkb "the bare tank closes its inlet" true (closed <> []);
+  checkb "{F1} retracts holds(in_valve, closed, T)" true
+    (List.exists (fun a -> not (holds f1 a)) closed);
+  (* hierarchy frontier: an active shield retracts base error atoms *)
+  let plant = Asp.Grounder.prepare Cpsrisk.Hierarchy.frontier_base in
+  let bare = decided plant Asp.Program.empty in
+  let shielded = decided plant (Asp.Parser.parse_program "active(ms1).") in
+  let errors m = Asp.Model.by_predicate m "error" in
+  checkb "the bare plant errs" true (errors bare <> []);
+  checkb "active(ms1) retracts error atoms" true
+    (List.exists (fun a -> not (holds shielded a)) (errors bare));
+  (* a choice rule or an even negative loop in the delta falls back, and
+     the job still returns all its models *)
+  let prepared =
+    Engine.Job.prepare (Cpsrisk.Sweeps.water_tank_spec ~horizon:12 [])
+  in
+  let gprep = Asp.Grounder.prepare (Engine.Job.prepared_spec prepared).Engine.Job.base in
+  List.iter
+    (fun (extra, count) ->
+      let delta = Engine.Delta.make ~extra:[ extra ] [ "F1" ] in
+      let increment = (Engine.Job.prepared_spec prepared).Engine.Job.compile delta in
+      checkb (extra ^ ": declined") true (Asp.Grounder.decide gprep increment = None);
+      let models, _, gstats = Engine.Job.solve prepared delta in
+      check Alcotest.int (extra ^ ": not decided") 0 gstats.Asp.Grounder.Stats.decided;
+      check Alcotest.int (extra ^ ": models") count (List.length models);
+      check
+        (Alcotest.list Alcotest.string)
+        (extra ^ ": models equal extend + solve")
+        (List.map Asp.Model.to_string
+           (Asp.Solver.solve (Asp.Grounder.extend gprep increment)))
+        (List.map Asp.Model.to_string models))
+    [ ("{x;y}1.", 3); ("p :- not q. q :- not p.", 2) ]
+
+(* Without weak constraints a cheap-eligible program is optimised on one
+   path, like its enumeration (it was split before, and every path paid
+   a CDNL search). *)
+let test_par_optimal_cheap () =
+  let g = Asp.Grounder.ground (Asp.Parser.parse_program "n(1..12). { c(X) : n(X) }.") in
+  check Alcotest.bool "cheap-eligible" true (Asp.Solver.cheap_eligible g);
+  let r = Engine.Par.optimal ~oversubscribe:true ~jobs:2 g in
+  check Alcotest.int "one path at two jobs" 1 r.Engine.Par.paths;
+  let seq = Asp.Solver.solve_optimal g in
+  check Alcotest.int "model count" (List.length seq)
+    (List.length r.Engine.Par.models);
+  check Alcotest.bool "models equal the sequential run" true
+    (List.for_all2 Asp.Model.equal seq r.Engine.Par.models)
+
 let suites =
   [
     ( "engine",
@@ -834,8 +984,8 @@ let suites =
           test_mode_not_conflated;
         Alcotest.test_case "sweep: agrees with per-scenario encoding" `Quick
           test_sweep_matches_reference;
-        Alcotest.test_case "sweep: what-if space decided by the cheap tier"
-          `Quick test_sweep_cheap_tier;
+        Alcotest.test_case "sweep: what-if space decided by the grounder"
+          `Quick test_sweep_decided;
         Alcotest.test_case "sweep: pipeline topology what-ifs" `Quick
           test_topology_sweep;
         Alcotest.test_case "numbering: water-tank jobs equal the oracle" `Quick
@@ -858,5 +1008,9 @@ let suites =
           test_sweep_work_counters;
         Alcotest.test_case "par: cheap-tier programs stay on one path" `Quick
           test_par_cheap_sequential;
+        Alcotest.test_case "decide: deltas retract base atoms" `Quick
+          test_decide_retracts;
+        Alcotest.test_case "par: cheap-tier optimisation stays on one path"
+          `Quick test_par_optimal_cheap;
       ] );
   ]

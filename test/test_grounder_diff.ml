@@ -885,6 +885,129 @@ let test_sym_extend_prepare () =
     extend_prepare_one base d1 d2 probe
   done
 
+(* ------------------------------------------------------------------ *)
+(* decide: stratified increments answered by the grounder               *)
+(* ------------------------------------------------------------------ *)
+
+(* [decide] either declines or returns exactly the models the solver
+   finds for [extend]'s grounding of the same increment. Where [extend]
+   raises and [decide] answers (negation blocks every instance that
+   would fail or overflow), the case is recorded instead; the suites pin
+   how many there are. *)
+type tally = { mutable answered : int; mutable past_extend : int }
+
+let new_tally () = { answered = 0; past_extend = 0 }
+
+let decide_one tally base_src delta_src =
+  let base = Asp.Parser.parse_program base_src in
+  let delta = Asp.Parser.parse_program delta_src in
+  match Asp.Grounder.prepare ~max_atoms base with
+  | exception (Asp.Grounder.Unsafe _ | Asp.Grounder.Overflow _) -> ()
+  | st -> (
+      let stats = Asp.Grounder.Stats.create () in
+      match Asp.Grounder.decide ~stats st delta with
+      | None ->
+          check Alcotest.int "declined: nothing decided" 0
+            stats.Asp.Grounder.Stats.decided
+      | Some models -> (
+          tally.answered <- tally.answered + 1;
+          check Alcotest.int "decided once" 1 stats.Asp.Grounder.Stats.decided;
+          match Asp.Grounder.extend st delta with
+          | exception (Asp.Grounder.Unsafe _ | Asp.Grounder.Overflow _) ->
+              tally.past_extend <- tally.past_extend + 1
+          | g ->
+              let expected = Asp.Solver.solve g in
+              if not (List.equal Asp.Model.equal expected models) then
+                fail
+                  (Printf.sprintf
+                     "decide diverged on:\n%s\n+ delta:\n%s\n--- decide: %s\n\
+                      --- extend + solve: %s"
+                     base_src delta_src
+                     (String.concat " | " (List.map Asp.Model.to_string models))
+                     (String.concat " | "
+                        (List.map Asp.Model.to_string expected)))))
+
+(* the random generator's statements without choice rules, aggregates
+   and weak constraints: the normal programs [decide] may answer *)
+let normal_part src =
+  String.split_on_char '\n' src
+  |> List.filter (fun l ->
+         not
+           (String.contains l '{' || String.contains l '#'
+           || String.starts_with ~prefix:":~" l))
+  |> String.concat "\n"
+
+let decided what ?(past_extend = 0) tally =
+  if tally.answered = 0 then fail (what ^ ": decide answered no program");
+  check Alcotest.int (what ^ ": answered where extend raised") past_extend
+    tally.past_extend
+
+let test_decide_seeded () =
+  let t = new_tally () in
+  for seed = 0 to 199 do
+    let rng = Random.State.make [| 0xDEC; seed |] in
+    let base = gen_program rng and delta = gen_delta rng in
+    decide_one t base delta;
+    decide_one t (normal_part base) delta;
+    decide_one t (normal_part base) (normal_part delta)
+  done;
+  decided "random" t
+
+let test_decide_builtin_seeded () =
+  let t = new_tally () in
+  for seed = 0 to 99 do
+    let rng = Random.State.make [| 0xDEB; seed |] in
+    decide_one t (gen_builtin_program rng) (normal_part (gen_delta rng))
+  done;
+  decided "builtin-heavy" t
+
+let test_decide_interval_seeded () =
+  let t = new_tally () in
+  for seed = 0 to 99 do
+    let rng = Random.State.make [| 0xDE1; seed |] in
+    let base = gen_interval_program rng in
+    decide_one t base (gen_interval_delta rng)
+  done;
+  decided "interval" t
+
+let test_decide_sym_seeded () =
+  let t = new_tally () in
+  for seed = 0 to 199 do
+    let rng = Random.State.make [| 0xDE5; seed |] in
+    let base = gen_sym_program rng in
+    decide_one t base (gen_sym_delta rng)
+  done;
+  decided "symbolic" t
+
+let test_decide_corners () =
+  let t = new_tally () in
+  List.iter (fun src -> decide_one t src "") (corners @ sym_corners);
+  List.iter
+    (fun (base, delta) -> decide_one t base delta)
+    [
+      ("p(1). q(X) :- p(X), not s(X). s(2).", "");
+      ("p(1). p(2). q(X) :- p(X), not s(X).", "s(1).");
+      ("p(1). q(X) :- p(X).", "p(X+1) :- p(X), X < 4.");
+      (* the delta retracts a base atom through negation *)
+      ("a. b :- not c.", "c.");
+      (* a delta rule over a base predicate re-fires base rules *)
+      ("p(1). r(X) :- p(X), not s(X).", "s(X) :- p(X).");
+      (* a delta constraint, violated and not *)
+      ("p(1). q :- p(1).", ":- q.");
+      ("p(1). q :- p(2).", ":- q.");
+      (* a base constraint the delta violates *)
+      ("p(1). :- p(2).", "p(2).");
+      (* an even negative loop through the delta: not stratified *)
+      ("p :- not q.", "q :- not p.");
+      (* the delta's choice rule falls back *)
+      ("p(1).", "{ q(X) : p(X) }.");
+      (* only instances negation blocks overflow the universe, or reach
+         arithmetic on a symbol: extend raises, decide answers *)
+      ("p(0). stop.", "p(X+1) :- p(X), not stop.");
+      ("s. q(Y) :- p(X), Y = X + 1.", "p(a) :- not s.");
+    ];
+  decided "corners" ~past_extend:2 t
+
 let suites =
   [
     ( "asp.grounder_diff",
@@ -918,5 +1041,15 @@ let suites =
           test_sym_extend_prepare;
         Alcotest.test_case "one-shot ground work counters pinned" `Quick
           test_ground_counters;
+        Alcotest.test_case "decide vs extend + solve (600 seeded)" `Quick
+          test_decide_seeded;
+        Alcotest.test_case "decide vs extend + solve (100 builtin-heavy)"
+          `Quick test_decide_builtin_seeded;
+        Alcotest.test_case "decide vs extend + solve (100 interval)" `Quick
+          test_decide_interval_seeded;
+        Alcotest.test_case "decide vs extend + solve (200 symbolic)" `Quick
+          test_decide_sym_seeded;
+        Alcotest.test_case "decide vs extend + solve (corners)" `Quick
+          test_decide_corners;
       ] );
   ]

@@ -202,7 +202,7 @@ let test_store_stale () =
   with_tmp_dir @@ fun dir ->
   Serve.Store.close (Serve.Store.open_ dir);
   (* the same hand-written layout under the current header is a hit *)
-  ignore (write_entry dir (fp 1) ~version:"3" ~ocaml:Sys.ocaml_version "current");
+  ignore (write_entry dir (fp 1) ~version:"4" ~ocaml:Sys.ocaml_version "current");
   let s = Serve.Store.open_ dir in
   check (Alcotest.option Alcotest.string) "current header hits" (Some "current")
     (Serve.Store.find s (fp 1));
@@ -223,7 +223,10 @@ let test_store_stale () =
         write_entry dir (fp 2) ~version:"2" ~ocaml:Sys.ocaml_version "old" );
       ( "other-runtime entry",
         fp 3,
-        write_entry dir (fp 3) ~version:"3" ~ocaml:"4.02.3" "foreign" );
+        write_entry dir (fp 3) ~version:"4" ~ocaml:"4.02.3" "foreign" );
+      ( "v3 entry",
+        fp 4,
+        write_entry dir (fp 4) ~version:"3" ~ocaml:Sys.ocaml_version "older" );
     ]
 
 let test_store_killed_writer () =
@@ -641,18 +644,18 @@ let wire_golden_requests =
 
 let wire_golden_responses =
   [
-    "{\"ok\":true,\"model\":\"wt\",\"deltas\":4,\"hits\":1,\"disk_hits\":0,\"misses\":3,\"fresh\":{\"guesses\":0,\"firings\":0,\"conflicts\":0,\"models\":3,\"wall_s\":\"*\"},\"ground\":{\"fresh_rules\":312,\"reused_rules\":303},\"batched_with\":0,\"batch_wall_s\":\"*\",\"wall_s\":\"*\",\"results\":[{\"label\":\"s1\",\"fingerprint\":\"e8b8fb8d97698cb97307ee5f2e4a144e\",\"models\":1,\"source\":\"fresh\",\"verdicts\":{\"R1\":false,\"R2\":false}},{\"label\":\"s2\",\"fingerprint\":\"19064283e0f1c3207307ee5f2e4a144e\",\"models\":1,\"source\":\"fresh\",\"verdicts\":{\"R1\":true,\"R2\":false}},{\"label\":\"again\",\"fingerprint\":\"19064283e0f1c3207307ee5f2e4a144e\",\"models\":1,\"source\":\"memory\",\"verdicts\":{\"R1\":true,\"R2\":false}},{\"label\":\"Z\195\188ndung\",\"fingerprint\":\"8894926e9fc452da7307ee5f2e4a144e\",\"models\":1,\"source\":\"fresh\",\"verdicts\":{\"R1\":false,\"R2\":false}}]}";
+    "{\"ok\":true,\"model\":\"wt\",\"deltas\":4,\"hits\":1,\"disk_hits\":0,\"misses\":3,\"fresh\":{\"guesses\":0,\"firings\":0,\"conflicts\":0,\"models\":3,\"wall_s\":\"*\"},\"ground\":{\"fresh_rules\":0,\"reused_rules\":0,\"decided\":3},\"batched_with\":0,\"batch_wall_s\":\"*\",\"wall_s\":\"*\",\"results\":[{\"label\":\"s1\",\"fingerprint\":\"e8b8fb8d97698cb97307ee5f2e4a144e\",\"models\":1,\"source\":\"fresh\",\"verdicts\":{\"R1\":false,\"R2\":false}},{\"label\":\"s2\",\"fingerprint\":\"19064283e0f1c3207307ee5f2e4a144e\",\"models\":1,\"source\":\"fresh\",\"verdicts\":{\"R1\":true,\"R2\":false}},{\"label\":\"again\",\"fingerprint\":\"19064283e0f1c3207307ee5f2e4a144e\",\"models\":1,\"source\":\"memory\",\"verdicts\":{\"R1\":true,\"R2\":false}},{\"label\":\"Z\195\188ndung\",\"fingerprint\":\"8894926e9fc452da7307ee5f2e4a144e\",\"models\":1,\"source\":\"fresh\",\"verdicts\":{\"R1\":false,\"R2\":false}}]}";
     "{\"ok\":true,\"model\":\"wt\",\"search\":\"optimal\",\"optimal\":{\"selected\":[\"M1\"],\"cost\":2,\"residual\":0},\"report\":{\"evals\":27,\"hits\":12,\"disk_hits\":0,\"fresh\":15,\"pruned\":11,\"sum_s\":\"*\",\"critical_s\":\"*\",\"wall_s\":\"*\"},\"wall_s\":\"*\"}";
     "{\"ok\":true,\"model\":\"wt\",\"search\":\"optimal\",\"optimal\":{\"selected\":[],\"cost\":0,\"residual\":4},\"report\":{\"evals\":1,\"hits\":1,\"disk_hits\":0,\"fresh\":0,\"pruned\":0,\"sum_s\":\"*\",\"critical_s\":\"*\",\"wall_s\":\"*\"},\"wall_s\":\"*\"}";
     "{\"ok\":true,\"model\":\"wt\",\"search\":\"pareto\",\"pareto\":[{\"selected\":[],\"cost\":0,\"residual\":4},{\"selected\":[\"M1\"],\"cost\":2,\"residual\":0}],\"report\":{\"evals\":32,\"hits\":15,\"disk_hits\":0,\"fresh\":17,\"pruned\":0,\"sum_s\":\"*\",\"critical_s\":\"*\",\"wall_s\":\"*\"},\"wall_s\":\"*\"}";
     "{\"ok\":true,\"model\":\"wt\",\"search\":\"budget-curve\",\"curve\":[{\"budget\":0,\"solution\":{\"selected\":[],\"cost\":0,\"residual\":4}},{\"budget\":1,\"solution\":{\"selected\":[],\"cost\":0,\"residual\":4}},{\"budget\":5,\"solution\":{\"selected\":[\"M1\"],\"cost\":2,\"residual\":0}}],\"report\":{\"evals\":6,\"hits\":6,\"disk_hits\":0,\"fresh\":0,\"pruned\":0,\"sum_s\":\"*\",\"critical_s\":\"*\",\"wall_s\":\"*\"},\"wall_s\":\"*\"}";
-    "{\"ok\":true,\"model\":\"hier\",\"deltas\":2,\"hits\":0,\"disk_hits\":0,\"misses\":2,\"fresh\":{\"guesses\":0,\"firings\":0,\"conflicts\":0,\"models\":2,\"wall_s\":\"*\"},\"ground\":{\"fresh_rules\":35,\"reused_rules\":123},\"batched_with\":0,\"batch_wall_s\":\"*\",\"wall_s\":\"*\",\"results\":[{\"label\":\"bare\",\"fingerprint\":\"b4b5f8b4a825f3016d5d8926f07571e7\",\"models\":1,\"source\":\"fresh\",\"residual\":29},{\"label\":\"shield\",\"fingerprint\":\"22697f8f2ba78f216d5d8926f07571e7\",\"models\":1,\"source\":\"fresh\",\"residual\":26}]}";
-    "{\"ok\":true,\"model\":\"wt\",\"deltas\":1,\"hits\":0,\"disk_hits\":0,\"misses\":1,\"fresh\":{\"guesses\":4,\"firings\":272,\"conflicts\":2,\"models\":3,\"wall_s\":\"*\"},\"ground\":{\"fresh_rules\":47,\"reused_rules\":113},\"batched_with\":0,\"batch_wall_s\":\"*\",\"wall_s\":\"*\",\"results\":[{\"label\":\"two models\",\"fingerprint\":\"8e2a652b21afaa1b7307ee5f2e4a144e\",\"models\":3,\"source\":\"fresh\"}]}";
+    "{\"ok\":true,\"model\":\"hier\",\"deltas\":2,\"hits\":0,\"disk_hits\":0,\"misses\":2,\"fresh\":{\"guesses\":0,\"firings\":0,\"conflicts\":0,\"models\":2,\"wall_s\":\"*\"},\"ground\":{\"fresh_rules\":0,\"reused_rules\":0,\"decided\":2},\"batched_with\":0,\"batch_wall_s\":\"*\",\"wall_s\":\"*\",\"results\":[{\"label\":\"bare\",\"fingerprint\":\"b4b5f8b4a825f3016d5d8926f07571e7\",\"models\":1,\"source\":\"fresh\",\"residual\":29},{\"label\":\"shield\",\"fingerprint\":\"22697f8f2ba78f216d5d8926f07571e7\",\"models\":1,\"source\":\"fresh\",\"residual\":26}]}";
+    "{\"ok\":true,\"model\":\"wt\",\"deltas\":1,\"hits\":0,\"disk_hits\":0,\"misses\":1,\"fresh\":{\"guesses\":4,\"firings\":272,\"conflicts\":2,\"models\":3,\"wall_s\":\"*\"},\"ground\":{\"fresh_rules\":47,\"reused_rules\":113,\"decided\":0},\"batched_with\":0,\"batch_wall_s\":\"*\",\"wall_s\":\"*\",\"results\":[{\"label\":\"two models\",\"fingerprint\":\"8e2a652b21afaa1b7307ee5f2e4a144e\",\"models\":3,\"source\":\"fresh\"}]}";
     "{\"ok\":true,\"models\":2,\"answers\":[\"{}\",\"{b}\"],\"guesses\":4,\"conflicts\":0,\"wall_s\":\"*\"}";
     "{\"ok\":true,\"models\":1,\"answers\":[\"{p(1), p(2), p(3), q(1), q(3), r(2)} cost[4@1]\"],\"guesses\":0,\"conflicts\":0,\"wall_s\":\"*\"}";
     "{\"ok\":true,\"models\":0,\"answers\":[],\"guesses\":0,\"conflicts\":0,\"wall_s\":\"*\"}";
     "error: parse error: line 1, col 3: expected a term (found ':-')";
-    "{\"ok\":true,\"model\":\"cell\",\"deltas\":3,\"hits\":0,\"disk_hits\":0,\"misses\":3,\"fresh\":{\"guesses\":0,\"firings\":0,\"conflicts\":0,\"models\":3,\"wall_s\":\"*\"},\"ground\":{\"fresh_rules\":34,\"reused_rules\":192},\"batched_with\":0,\"batch_wall_s\":\"*\",\"wall_s\":\"*\",\"results\":[{\"label\":\"{plc}\",\"fingerprint\":\"97286ef5cd38282dd4aa3bf2b759e0a0\",\"models\":1,\"source\":\"fresh\",\"affected\":[\"conveyor\",\"panel\",\"plc\",\"press\"]},{\"label\":\"guarded\",\"fingerprint\":\"a5c935466e84b9a6d4aa3bf2b759e0a0\",\"models\":1,\"source\":\"fresh\",\"affected\":[\"conveyor\",\"panel\",\"plc\",\"press\"]},{\"label\":\"{office}\",\"fingerprint\":\"97607c00060a52d9d4aa3bf2b759e0a0\",\"models\":1,\"source\":\"fresh\",\"affected\":[\"conveyor\",\"fw\",\"office\",\"panel\",\"plc\",\"press\",\"scada\"]}]}";
+    "{\"ok\":true,\"model\":\"cell\",\"deltas\":3,\"hits\":0,\"disk_hits\":0,\"misses\":3,\"fresh\":{\"guesses\":0,\"firings\":0,\"conflicts\":0,\"models\":3,\"wall_s\":\"*\"},\"ground\":{\"fresh_rules\":0,\"reused_rules\":0,\"decided\":3},\"batched_with\":0,\"batch_wall_s\":\"*\",\"wall_s\":\"*\",\"results\":[{\"label\":\"{plc}\",\"fingerprint\":\"97286ef5cd38282dd4aa3bf2b759e0a0\",\"models\":1,\"source\":\"fresh\",\"affected\":[\"conveyor\",\"panel\",\"plc\",\"press\"]},{\"label\":\"guarded\",\"fingerprint\":\"a5c935466e84b9a6d4aa3bf2b759e0a0\",\"models\":1,\"source\":\"fresh\",\"affected\":[\"conveyor\",\"panel\",\"plc\",\"press\"]},{\"label\":\"{office}\",\"fingerprint\":\"97607c00060a52d9d4aa3bf2b759e0a0\",\"models\":1,\"source\":\"fresh\",\"affected\":[\"conveyor\",\"fw\",\"office\",\"panel\",\"plc\",\"press\",\"scada\"]}]}";
     "error: model \"cell\" (topology backend) carries no action catalog";
   ]
 
