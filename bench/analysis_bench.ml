@@ -70,6 +70,7 @@ let emit_json out mode entries =
   p "{\n";
   p "  \"bench\": \"semantic-analysis\",\n";
   p "  \"mode\": %S,\n" mode;
+  p "%s" (Registry.host_fields ());
   p "  \"reference\": \"Asp.Grounder.ground of the analysed program\",\n";
   p "  \"entries\": [\n";
   List.iteri

@@ -210,6 +210,7 @@ let emit_json out mode entries =
   p "{\n";
   p "  \"bench\": \"asp-grounder-scaling\",\n";
   p "  \"mode\": %S,\n" mode;
+  p "%s" (Registry.host_fields ());
   p "  \"reference\": \"Asp_oracle.Naive_ground (naive fixpoint, linear \
      signature scans); extend rows reference fresh base+delta grounding\",\n";
   p "  \"guards\": {\"never_slower_tolerance\": %.2f, \"min_reliable_s\": \

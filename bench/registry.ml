@@ -71,3 +71,12 @@ let cpu_model () =
         | _ -> find ic)
   in
   try In_channel.with_open_text "/proc/cpuinfo" find with Sys_error _ -> "unknown"
+
+(* The host fields every BENCH_*.json records, as two JSON object
+   members with their trailing commas: the domains OCaml recommends, the
+   CPU model and the compiler version. *)
+let host_fields () =
+  Printf.sprintf
+    "  \"recommended_domains\": %d,\n  \"host\": {\"cpu\": %S, \"ocaml\": %S},\n"
+    (Domain.recommended_domain_count ())
+    (cpu_model ()) Sys.ocaml_version

@@ -14,7 +14,11 @@
    - engine-2/4:    fresh cache, 2 and 4 worker domains.
 
    Every fresh engine job is a stratified simulation, which the grounder
-   decides without a solver ([ground_decided]).
+   decides without a solver ([ground_decided]). The jobs of one sweep
+   share a prepared base, whose component memo answers a job's dependent
+   components when an earlier job derived the same inputs; the
+   grounder's [ground_firings] and [ground_passes] show what was left to
+   derive.
 
    Every engine mode is checked bit-identical to seq-cold (same models per
    job). Emits JSON (committed as BENCH_sweep.json at the repo root for the
@@ -41,6 +45,8 @@ type entry = {
   reused_rules : int;
   fresh_rules : int;
   decided : int; (* fresh jobs the grounder decided alone *)
+  ground_firings : int; (* grounder rule firings, fresh jobs *)
+  ground_passes : int; (* grounder semi-naive rounds, fresh jobs *)
 }
 
 let entry_of_report name ~domains (r : Engine.Sweep.report) wall_s =
@@ -56,6 +62,8 @@ let entry_of_report name ~domains (r : Engine.Sweep.report) wall_s =
     reused_rules = r.Engine.Sweep.ground.Asp.Grounder.Stats.reused_rules;
     fresh_rules = r.Engine.Sweep.ground.Asp.Grounder.Stats.fresh_rules;
     decided = r.Engine.Sweep.ground.Asp.Grounder.Stats.decided;
+    ground_firings = r.Engine.Sweep.ground.Asp.Grounder.Stats.firings;
+    ground_passes = r.Engine.Sweep.ground.Asp.Grounder.Stats.passes;
   }
 
 let emit_json out mode ~deltas ~horizon ~seed ~base_atoms entries =
@@ -72,9 +80,7 @@ let emit_json out mode ~deltas ~horizon ~seed ~base_atoms entries =
   p "  \"horizon\": %d,\n" horizon;
   p "  \"seed\": %d,\n" seed;
   p "  \"base_atoms\": %d,\n" base_atoms;
-  p "  \"recommended_domains\": %d,\n" (Domain.recommended_domain_count ());
-  p "  \"host\": {\"cpu\": %S, \"ocaml\": %S},\n" (Registry.cpu_model ())
-    Sys.ocaml_version;
+  p "%s" (Registry.host_fields ());
   p "  \"entries\": [\n";
   List.iteri
     (fun i e ->
@@ -84,11 +90,12 @@ let emit_json out mode ~deltas ~horizon ~seed ~base_atoms entries =
         \     \"cache_hits\": %d, \"cache_misses\": %d, \
          \"fresh_guesses\": %d, \"fresh_firings\": %d,\n\
         \     \"ground_reused_rules\": %d, \"ground_fresh_rules\": %d, \
-         \"ground_decided\": %d}%s\n"
+         \"ground_decided\": %d,\n\
+        \     \"ground_firings\": %d, \"ground_passes\": %d}%s\n"
         e.name e.jobs e.domains e.wall_s
         (cold_s /. e.wall_s)
         e.hits e.misses e.guesses e.firings e.reused_rules e.fresh_rules
-        e.decided
+        e.decided e.ground_firings e.ground_passes
         (if i = List.length entries - 1 then "" else ",");
       ())
     entries;
@@ -104,6 +111,7 @@ let run ~smoke ~out =
 
   (* reference: the pre-engine loop — full rebuild + cold grounding per
      delta, no sharing of any kind — showing what the spec shows *)
+  let cold_ground = Asp.Grounder.Stats.create () in
   let cold, cold_s =
     wall (fun () ->
         List.map
@@ -113,7 +121,7 @@ let run ~smoke ~out =
               Asp.Program.add_show Cpsrisk.Sweeps.violated_sig
                 (Cpsrisk.Water_tank.asp_program ~horizon ~scenario ())
             in
-            let g = Asp.Grounder.ground p in
+            let g = Asp.Grounder.ground ~stats:cold_ground p in
             model_sets (Asp.Solver.solve g))
           deltas)
   in
@@ -156,7 +164,9 @@ let run ~smoke ~out =
   let cold_entry =
     { name = "seq-cold"; jobs = 1; domains = 1; wall_s = cold_s; hits = 0;
       misses = n; guesses = 0; firings = 0; reused_rules = 0;
-      fresh_rules = 0; decided = 0 }
+      fresh_rules = 0; decided = 0;
+      ground_firings = cold_ground.Asp.Grounder.Stats.firings;
+      ground_passes = cold_ground.Asp.Grounder.Stats.passes }
   in
   let entries = [ cold_entry; e1; e1c; e2; e4; e4o ] in
   emit_json out

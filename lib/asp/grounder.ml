@@ -713,16 +713,19 @@ let index_atom st a gen =
     (fun i t -> push_pos st.st_by_pos (a.Atom.pred, ar, i, t) (a, gen))
     a.Atom.args
 
+(* count [n] more atoms in [st] *)
+let grow st n =
+  st.st_count <- st.st_count + n;
+  if st.st_count > st.st_max then
+    raise (Overflow (Printf.sprintf "atom universe exceeded %d atoms" st.st_max))
+
 let add_atom st ~gen a ~on_new =
   let a = Atom.eval a in
   if not (Atom.is_ground a) then
     raise (Unsafe ("derived non-ground atom " ^ Atom.to_string a));
   if not (store_mem st a) then begin
     AtomTbl.replace st.st_univ a (-1);
-    st.st_count <- st.st_count + 1;
-    if st.st_count > st.st_max then
-      raise
-        (Overflow (Printf.sprintf "atom universe exceeded %d atoms" st.st_max));
+    grow st 1;
     index_atom st a gen;
     on_new a
   end
@@ -1323,9 +1326,27 @@ let numbered st =
    apart once, on first use: [None] when it is not a stratified normal
    program. [dc_memo] maps the sorted head signatures an increment
    defines to the base's work that does not depend on them ([None] when
-   it raised). Both are read and filled under [dc_lock] only, so the
-   prepared state stays shareable across domains; every [dentry] is
-   read-only once built. *)
+   it raised). Each entry also memoises its dependent components across
+   facts-only increments: [de_contents] names the extensions it has seen
+   by a content id, and [de_comps] maps a component and the content ids
+   of its inputs to the extensions it derived. All of it is read and
+   filled under [dc_lock] only, so the prepared state stays shareable
+   across domains; everything else in a [dentry], and every stored
+   [ext], is read-only once built. *)
+
+(* One signature's extension as the component memo keeps it: its
+   content id, the number of its atoms, and the atoms. *)
+type ext = { x_id : int; x_len : int; x_atoms : Atom.t list }
+
+module IntTbl = Hashtbl.Make (Int)
+
+(* component memo keys: the component, then its inputs' content ids *)
+module IdsTbl = Hashtbl.Make (struct
+  type t = int list
+
+  let equal = List.equal Int.equal
+  let hash = List.fold_left (fun h i -> (h * 0x01000193) lxor i) 17
+end)
 type dbase = {
   db_sigs : (string * int) array; (* head signature per base template *)
   db_users : (string * int) list SigTbl.t;
@@ -1342,12 +1363,24 @@ type dentry = {
   de_sig_comp : int SigTbl.t; (* dependent signature -> component *)
   de_rules : Rule.t list; (* dependent base rules with a body *)
   de_constraints : crule list; (* base constraints reading a dependent signature *)
+  de_dsigs : (string * int) array; (* the dependent signatures, numbered *)
+  de_dindex : int SigTbl.t; (* and their numbers *)
+  de_reads : int list array;
+      (* per component: the dependent signatures of earlier components
+         its base rules read, positive and negated *)
+  de_outs : int list array; (* per component: its dependent signatures *)
+  de_fed : bool array; (* per component: an increment's facts define it *)
+  de_contents : ext list IntTbl.t array; (* per dependent signature, by hash *)
+  de_comps : (int * ext) list IdsTbl.t;
+  mutable de_hits : int; (* components [de_comps] answered *)
 }
 
 type decider = {
   dc_lock : Mutex.t;
   dc_base : dbase option Lazy.t;
   dc_memo : ((string * int) list, dentry option) Hashtbl.t;
+  mutable dc_next : int; (* the next content id *)
+  mutable dc_held : int; (* atoms and entries the component memos keep *)
 }
 
 (* A normal rule or constraint: no choice, no weak constraint, no
@@ -1484,6 +1517,8 @@ let seal ~program ~max_atoms ~templates ~tindex st tables view entries =
         dc_lock = Mutex.create ();
         dc_base = lazy (decide_base program templates);
         dc_memo = Hashtbl.create 8;
+        dc_next = 0;
+        dc_held = 0;
       };
   }
 
@@ -1759,17 +1794,20 @@ let absent st env negs =
    (-1: not evaluated here). Each component runs the semi-naive rounds
    to its fixpoint before the next starts, so a negated atom — whose
    predicate lies in an earlier component or in [st]'s base layer under
-   stratification — is checked against a complete extension. *)
-let run_components st stats templates ~entries ~comp by_comp =
+   stratification — is checked against a complete extension. [memo c
+   run] decides whether component [c] runs: by default it always does. *)
+let run_components ?(memo = fun _ run -> run ()) st stats templates ~entries
+    ~comp by_comp =
   let admit t env = absent st env t.t_neg in
   let round = ref 0 in
   Array.iteri
     (fun c initial ->
       if initial <> [] then
-        round :=
-          run_fixpoint ~round:!round ~admit st stats templates
-            (fun sg -> List.filter (fun (ti, _) -> comp ti = c) (entries sg))
-            ~initial)
+        memo c (fun () ->
+            round :=
+              run_fixpoint ~round:!round ~admit st stats templates
+                (fun sg -> List.filter (fun (ti, _) -> comp ti = c) (entries sg))
+                ~initial))
     by_comp
 
 (* whether some constraint's body holds in the (complete) store *)
@@ -1834,6 +1872,31 @@ let decide_entry stats prep db d =
   let dcomp =
     Array.init n (fun i -> if dependent i then comp_of dtbl db.db_sigs.(i) else -1)
   in
+  let dsigs = Array.of_seq (SigTbl.to_seq_keys dep) in
+  let dindex = SigTbl.create (Array.length dsigs) in
+  Array.iteri (fun i sg -> SigTbl.replace dindex sg i) dsigs;
+  (* the dependent signatures among [sigs] outside component [c] *)
+  let reads_of sigs c =
+    List.filter_map
+      (fun sg ->
+        match SigTbl.find_opt dindex sg with
+        | Some i when comp_of dtbl sg <> c -> Some i
+        | Some _ | None -> None)
+      sigs
+  in
+  let reads = Array.make dncomp [] and outs = Array.make dncomp [] in
+  Array.iteri
+    (fun i sg ->
+      let c = comp_of dtbl sg in
+      outs.(c) <- i :: outs.(c))
+    dsigs;
+  Array.iteri
+    (fun i c ->
+      if c >= 0 then
+        reads.(c) <- reads_of (body_sigs templates.(i).t_rule) c @ reads.(c))
+    dcomp;
+  let fed = Array.make dncomp false in
+  List.iter (fun sg -> fed.(comp_of dtbl sg) <- true) d;
   {
     de_store = st;
     de_violated = violated st stats (List.map fst indep);
@@ -1842,6 +1905,14 @@ let decide_entry stats prep db d =
     de_sig_comp = dtbl;
     de_rules = drules;
     de_constraints = List.map fst deps;
+    de_dsigs = dsigs;
+    de_dindex = dindex;
+    de_reads = Array.map (List.sort_uniq Int.compare) reads;
+    de_outs = outs;
+    de_fed = fed;
+    de_contents = Array.map (fun _ -> IntTbl.create 8) dsigs;
+    de_comps = IdsTbl.create 16;
+    de_hits = 0;
   }
 
 (* distinct increments kept per prepared base; past it, entries are
@@ -1862,13 +1933,141 @@ let memo_entry stats prep db d =
             Hashtbl.replace dc.dc_memo d e;
           e)
 
-(* The atoms of the shown signatures in both layers of [st], or all of
-   them when nothing is shown. An atom of the base universe is answered
-   by the base's own copy: answers are kept (cached, stored), and the
-   solver's answers share those atoms too. *)
-let shown_atoms prep st shows =
+(* Within one signature, a hash of the arguments is the atom's. Mixed
+   (the splitmix64 finalizer, on 63 bits) before a set sums them: the
+   raw FNV keys of [active(ms7)] and [active(ms12)] sum to those of
+   [active(ms8)] and [active(ms11)]. *)
+let args_hash (a : Atom.t) =
+  let h =
+    List.fold_left (fun h t -> (h * 0x01000193) lxor Term.hash t) 0 a.Atom.args
+  in
+  let h = (h lxor (h lsr 30)) * 0x3f58476d1ce4e5b9 in
+  let h = (h lxor (h lsr 27)) * 0x14d049bb133111eb in
+  h lxor (h lsr 31)
+
+(* Atoms and entries the component memos of one prepared base keep, at
+   most. *)
+let held_cap = 1 lsl 14
+
+(* Whether [e]'s memo may keep [n] more atoms or entries: within
+   [held_cap], and while it pays its way. Past its first 64 entries it
+   must answer a hit per 16 entries stored, so the memo of a workload
+   whose jobs never repeat an extension (every frontier subset shields
+   a distinct set) stops keeping within a few jobs, and its jobs then
+   look nothing up. Under [dc_lock]. *)
+let room dc e n =
+  let stored = IdsTbl.length e.de_comps in
+  dc.dc_held + n <= held_cap && (stored < 64 || 16 * e.de_hits >= stored)
+
+(* The content id of an extension of dependent signature [i] of [e]:
+   [n] distinct atoms whose {!args_hash}es sum to [h], [mem] telling its
+   members. An equal extension kept before gives its id, compared atom
+   by atom: the hash only picks the candidates. Else the extension gets
+   a new id, and is kept (its [atoms ()]) while the memo has {!room};
+   one not kept is unnamed ([None]), so that no key holding it is ever
+   looked up or stored. Under [dc_lock]. *)
+let intern dc e i ~h ~n ~mem atoms =
+  let tbl = e.de_contents.(i) in
+  let kept = Option.value ~default:[] (IntTbl.find_opt tbl h) in
+  match
+    List.find_opt (fun x -> x.x_len = n && List.for_all mem x.x_atoms) kept
+  with
+  | Some x -> Some x
+  | None when room dc e n ->
+      let x = { x_id = dc.dc_next; x_len = n; x_atoms = atoms () } in
+      dc.dc_next <- dc.dc_next + 1;
+      dc.dc_held <- dc.dc_held + n;
+      IntTbl.replace tbl h (x :: kept);
+      Some x
+  | None -> None
+
+(* Move dependent signature [i]'s pending extension, if any, into
+   [st]'s own layer. Its atoms are complete and already counted:
+   generation 0, as the base layer's. *)
+let materialise st pending i =
+  match pending.(i) with
+  | None -> ()
+  | Some atoms ->
+      pending.(i) <- None;
+      List.iter
+        (fun a ->
+          AtomTbl.replace st.st_univ a (-1);
+          index_atom st a 0)
+        atoms
+
+(* The component memo's side of one facts-only increment evaluated in
+   [st]: the [memo] hook of {!run_components}. A component's key is its
+   number and the content ids of the dependent signatures it reads,
+   positive and negated (a negated atom blocks as surely as a positive
+   one derives); everything else it reads is the same for every job of
+   [e]. A component the increment's facts define has those facts as an
+   input too: it always runs, and its extensions' content ids carry the
+   facts into every later key. So does a component reading an unnamed
+   extension. A hit takes the stored extensions and leaves them in
+   [pending] until a later missing component reads them; a miss runs
+   the component and stores what it derived once all of it is kept. *)
+let memoised dc e st pending =
+  let with_lock f = Mutex.protect dc.dc_lock f in
+  let ids = Array.make (Array.length e.de_dsigs) (-1) in
+  let measure i =
+    match SigTbl.find_opt st.st_by_sig e.de_dsigs.(i) with
+    | Some b ->
+        (i, List.fold_left (fun h (a, _) -> h + args_hash a) 0 b.b_items, b)
+    | None -> (i, 0, empty_bucket)
+  in
+  let content (i, h, b) =
+    let x =
+      intern dc e i ~h ~n:b.b_len ~mem:(AtomTbl.mem st.st_univ) (fun () ->
+          List.map fst b.b_items)
+    in
+    ids.(i) <- (match x with Some x -> x.x_id | None -> -1);
+    Option.map (fun x -> (i, x)) x
+  in
+  fun c run ->
+    let key =
+      let ins = List.map (Array.get ids) e.de_reads.(c) in
+      if e.de_fed.(c) || List.mem (-1) ins then None else Some (c :: ins)
+    in
+    let hit key =
+      with_lock (fun () ->
+          let outs = IdsTbl.find_opt e.de_comps key in
+          if Option.is_some outs then e.de_hits <- e.de_hits + 1;
+          outs)
+    in
+    match Option.bind key hit with
+    | Some outs ->
+        List.iter
+          (fun (i, x) ->
+            ids.(i) <- x.x_id;
+            pending.(i) <- Some x.x_atoms;
+            grow st x.x_len)
+          outs
+    | None ->
+        List.iter (materialise st pending) e.de_reads.(c);
+        run ();
+        let measured = List.map measure e.de_outs.(c) in
+        with_lock @@ fun () ->
+        let kept = List.filter_map content measured in
+        Option.iter
+          (fun key ->
+            if
+              List.compare_lengths kept measured = 0
+              && room dc e 1
+              && not (IdsTbl.mem e.de_comps key)
+            then begin
+              dc.dc_held <- dc.dc_held + 1;
+              IdsTbl.replace e.de_comps key kept
+            end)
+          key
+
+(* The atoms of the shown signatures in both layers of [st] and in
+   [pending] (by [e]'s signature numbers), or all of them when nothing
+   is shown. An atom of the base universe is answered by the base's own
+   copy: answers are kept (cached, stored), and the solver's answers
+   share those atoms too. *)
+let shown_atoms prep e st pending shows =
   let ids = prep.p_numbering.Ground.ids in
-  let add a acc =
+  let add acc a =
     let a =
       match Atom.Tbl.find_opt ids a with
       | Some i -> prep.p_numbering.Ground.by_id.(i)
@@ -1876,21 +2075,32 @@ let shown_atoms prep st shows =
     in
     Model.AtomSet.add a acc
   in
+  let add_pending acc = function
+    | Some atoms -> List.fold_left add acc atoms
+    | None -> acc
+  in
   let layers = st :: Option.to_list st.st_base in
   match shows with
   | [] ->
-      List.fold_left
-        (fun acc l -> AtomTbl.fold (fun a _ acc -> add a acc) l.st_univ acc)
-        Model.AtomSet.empty layers
+      Array.fold_left add_pending
+        (List.fold_left
+           (fun acc l -> AtomTbl.fold (fun a _ acc -> add acc a) l.st_univ acc)
+           Model.AtomSet.empty layers)
+        pending
   | shows ->
       List.fold_left
         (fun acc sg ->
-          List.fold_left
-            (fun acc l ->
-              match SigTbl.find_opt l.st_by_sig sg with
-              | Some b -> List.fold_left (fun acc (a, _) -> add a acc) acc b.b_items
-              | None -> acc)
-            acc layers)
+          let acc =
+            List.fold_left
+              (fun acc l ->
+                match SigTbl.find_opt l.st_by_sig sg with
+                | Some b -> List.fold_left (fun acc (a, _) -> add acc a) acc b.b_items
+                | None -> acc)
+              acc layers
+          in
+          match SigTbl.find_opt e.de_dindex sg with
+          | Some i -> add_pending acc pending.(i)
+          | None -> acc)
         Model.AtomSet.empty shows
 
 (* The component layout of base + increment: the memo entry's own when
@@ -1910,9 +2120,11 @@ let layout db e rules =
           (tbl, comp, by_comp ncomp (Array.length e.de_comp) comp))
         (components (e.de_rules @ defs))
 
-(* The increment's perfect model on top of [e]'s independent store, as
-   the overlay holding its dependent atoms; [None] if a dependent or
-   delta constraint fails in it. *)
+(* The increment's perfect model on top of [e]'s independent store: the
+   overlay holding its dependent atoms and the extensions the component
+   memo answered that nothing read ({!memoised}; facts-only increments
+   only, since rules change the layout); [None] if a dependent or delta
+   constraint fails in it. *)
 let model stats prep e rules (tbl, base_comp, base_by_comp) =
   let dtemplates, dtindex = build_templates rules in
   let nb = Array.length prep.p_templates in
@@ -1922,18 +2134,30 @@ let model stats prep e rules (tbl, base_comp, base_by_comp) =
   let comp ti = if ti < nb then base_comp ti else dcomp.(ti - nb) in
   (* a per-call overlay: sized small, the tables grow if they must *)
   let st = new_store ~size:64 ~max_atoms:prep.p_max_atoms (Some e.de_store) in
-  run_components st stats
+  let pending = Array.make (Array.length e.de_dsigs) None in
+  let memo =
+    if List.exists defining rules then None
+    else Some (memoised prep.p_decider e st pending)
+  in
+  run_components ?memo st stats
     (Array.append prep.p_templates dtemplates)
     ~entries:(combined_entries prep dtindex) ~comp groups;
-  let constraints =
-    e.de_constraints
-    @ List.filter_map
-        (function
-          | Rule.Rule { head = Rule.Falsity; _ } as r -> Some (compile_rule r)
-          | Rule.Rule _ | Rule.Weak _ -> None)
-        rules
+  let dconstraints =
+    List.filter
+      (function
+        | Rule.Rule { head = Rule.Falsity; _ } -> true
+        | Rule.Rule _ | Rule.Weak _ -> false)
+      rules
   in
-  if violated st stats constraints then None else Some st
+  let constraints = e.de_constraints @ List.map compile_rule dconstraints in
+  List.iter
+    (fun cr ->
+      List.iter
+        (fun sg ->
+          Option.iter (materialise st pending) (SigTbl.find_opt e.de_dindex sg))
+        (body_sigs cr.cr_rule))
+    constraints;
+  if violated st stats constraints then None else Some (st, pending)
 
 let decide ?stats prep dp =
   timed stats @@ fun stats ->
@@ -1957,10 +2181,10 @@ let decide ?stats prep dp =
     let* lay = layout db e rules in
     let models =
       match if e.de_violated then None else model stats prep e rules lay with
-      | Some st ->
+      | Some (st, pending) ->
           [
             Model.make
-              (shown_atoms prep st
+              (shown_atoms prep e st pending
                  (Program.shows prep.p_program @ Program.shows dp));
           ]
       | None -> []

@@ -42,7 +42,8 @@
     {!decide} is the fifth: for a stratified normal base + delta it runs
     the same phase-1 templates stratum by stratum, checking negated
     literals against the complete lower strata, and returns the one
-    model instead of a ground program.
+    model instead of a ground program; a stratum whose inputs an earlier
+    call already saw is taken from a per-base memo.
 
     The pre-rewrite naive grounder survives as a test-only differential
     oracle in [test/oracle/]: on any accepted program both produce
@@ -186,6 +187,23 @@ val decide : ?stats:Stats.t -> prepared -> Program.t -> Model.t list option
     They are evaluated afresh, never seeded from the base's own model: a
     delta can retract base atoms through negation (the water tank's
     [activated(f1)] retracts [holds(in_valve,closed,T)]).
+
+    Across calls, a dependent component is memoised per prepared base
+    and set of defined signatures when the delta brings only facts and
+    constraints (a delta with rules changes the component layout and
+    bypasses the memo). Its key is the component and a content id for
+    each dependent signature it reads, positive and negated: a negated
+    input decides what the component derives as much as a positive one.
+    Content ids compare extensions atom by atom, never by hash alone, so
+    equal extensions reached through different facts share one. A
+    component the delta's facts define always runs. On a hit the stored
+    extensions are taken without a round; they enter the call's store
+    only when a later missing component or a constraint reads them. The
+    memo keeps at most 2{^14} atoms and entries per prepared base, and
+    stops keeping once past 64 entries it answers fewer than one hit
+    per 16 stored; it is shared by every domain deciding against that
+    base, under one mutex. It changes only the work counted in [stats],
+    never the answer.
 
     Because only model atoms are ever joined, a program whose grounding
     {!extend} rejects — arithmetic that fails, or a universe past

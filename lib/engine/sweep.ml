@@ -81,7 +81,19 @@ let render ?(verbose = false) r =
   p "cache: %d memory hits / %d disk hits / %d fresh solves (%.1f%% hit rate)\n"
     r.hits r.disk_hits r.misses
     (100.0 *. hit_rate r);
-  p "fresh solver work: %s\n" (Asp.Solver.Stats.to_string r.fresh);
+  (* a job the grounder decided never reached the solver: its zeroed
+     solver stats would read as solver work *)
+  if
+    Array.exists
+      (fun (res : Job.result) ->
+        res.Job.source = Cache.Fresh
+        && res.Job.gstats.Asp.Grounder.Stats.decided = 0)
+      r.results
+  then p "fresh solver work: %s\n" (Asp.Solver.Stats.to_string r.fresh)
+  else
+    p "fresh solver work: none (the grounder decided %d fresh job%s)\n"
+      r.ground.Asp.Grounder.Stats.decided
+      (if r.ground.Asp.Grounder.Stats.decided = 1 then "" else "s");
   p "fresh grounder work: %s\n" (Asp.Grounder.Stats.to_string r.ground);
   if verbose then
     Array.iter

@@ -67,6 +67,8 @@ val hit_rate : report -> float
 (** Memory + disk hits over total jobs, in [0, 1]; 0 on an empty sweep. *)
 
 val render : ?verbose:bool -> report -> string
-(** Human-readable summary; [verbose] adds one line per job (label,
-    model count, cache provenance — [*] memory, [+] disk — and
-    fingerprint). *)
+(** Human-readable summary. The fresh solver work line sums the solver
+    stats of the fresh jobs when one of them reached the solver; when the
+    grounder decided them all, it says so and counts them. [verbose] adds
+    one line per job (label, model count, cache provenance — [*] memory,
+    [+] disk — and fingerprint). *)

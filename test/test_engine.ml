@@ -416,9 +416,11 @@ let test_sweep_decided () =
 
 (* The grounder's work on the same space, job by job through
    [Engine.Job.solve]: every job is decided, so no ground instance is
-   built, fresh or reused; the counters pin that the strata rounds and
-   rule firings stay exactly as they are and that the candidate probes
-   never grow. *)
+   built, fresh or reused. The 128 jobs share one prepared base, whose
+   component memo answers a job's dependent components when an earlier
+   job read the same extensions: 118 jobs repeat one of 10 [active/1]
+   fault sets. The counters pin that the strata rounds and rule firings
+   stay exactly as they are and that the candidate probes never grow. *)
 let test_sweep_work_counters () =
   let horizon = 48 in
   let rec subsets = function
@@ -472,14 +474,14 @@ let test_sweep_work_counters () =
     deltas;
   let open Asp.Grounder.Stats in
   check Alcotest.int "decided" 128 total.decided;
-  check Alcotest.int "firings" 83016 total.firings;
+  check Alcotest.int "firings" 9837 total.firings;
   check Alcotest.int "fresh rules" 0 total.fresh_rules;
   check Alcotest.int "reused rules" 0 total.reused_rules;
-  check Alcotest.int "passes" 20963 total.passes;
+  check Alcotest.int "passes" 2645 total.passes;
   checkb
-    (Printf.sprintf "probes %d <= 756729" total.probes)
+    (Printf.sprintf "probes %d <= 94420" total.probes)
     true
-    (total.probes <= 756729)
+    (total.probes <= 94420)
 
 let test_topology_sweep () =
   let config = Cpsrisk.Pipeline.water_tank_config () in
@@ -952,6 +954,33 @@ let test_par_optimal_cheap () =
   check Alcotest.bool "models equal the sequential run" true
     (List.for_all2 Asp.Model.equal seq r.Engine.Par.models)
 
+(* [sweep --stats] names solver work only when a fresh job reached the
+   solver: jobs the grounder decided have zeroed solver stats, whose
+   [tier=full wall=0.000000s] read as work that never ran. *)
+let test_render_decided () =
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  let render deltas =
+    Engine.Sweep.render
+      (Engine.Sweep.run ~jobs:1 (Cpsrisk.Sweeps.water_tank_spec ~horizon:4 deltas))
+  in
+  let decided = render [ Engine.Delta.make [ "F1" ]; Engine.Delta.make [ "F2" ] ] in
+  checkb "all decided: no solver stats" false (contains decided "tier=");
+  checkb "all decided: counted" true
+    (contains decided "fresh solver work: none (the grounder decided 2 fresh jobs)");
+  let solved =
+    render
+      [ Engine.Delta.make [ "F1" ]; Engine.Delta.make ~extra:[ "{x;y}1." ] [ "F2" ] ]
+  in
+  checkb "one solved: solver stats" true
+    (contains solved "fresh solver work: guesses=");
+  checkb "one solved: models of both" true (contains solved "models=4 ")
+
 let suites =
   [
     ( "engine",
@@ -1012,5 +1041,7 @@ let suites =
           test_decide_retracts;
         Alcotest.test_case "par: cheap-tier optimisation stays on one path"
           `Quick test_par_optimal_cheap;
+        Alcotest.test_case "sweep: stats name the solver only when it ran"
+          `Quick test_render_decided;
       ] );
   ]

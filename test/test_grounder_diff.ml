@@ -1008,6 +1008,193 @@ let test_decide_corners () =
     ];
   decided "corners" ~past_extend:2 t
 
+(* ------------------------------------------------------------------ *)
+(* decide across jobs: one prepared base, many facts-only deltas        *)
+(* ------------------------------------------------------------------ *)
+
+(* [decide] memoises dependent components across the deltas decided
+   against one prepared base, from any domain. Each case prepares its
+   base once per run and decides every delta against it, in several
+   orders, on one domain and on two; every answer must be the models the
+   solver finds for [extend]'s grounding of the same delta (or, where
+   [extend] raises, what [decide] answers on a fresh base). A shared
+   base may only save work: per delta, the in-order run's firings are at
+   most those of the delta decided on a fresh base. *)
+
+let shuffled seed l =
+  let a = Array.of_list l in
+  let rng = Random.State.make [| 0x5AFE; seed |] in
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  Array.to_list a
+
+(* decide every delta of [jobs] against [prep], job [i] on domain
+   [i mod domains]: the answers and firings by job *)
+let decide_all prep jobs ~domains =
+  let jobs = Array.of_list jobs in
+  let answers = Array.make (Array.length jobs) None in
+  let firings = Array.make (Array.length jobs) 0 in
+  let work k () =
+    Array.iteri
+      (fun i (_, delta, _) ->
+        if i mod domains = k then begin
+          let stats = Asp.Grounder.Stats.create () in
+          answers.(i) <- Asp.Grounder.decide ~stats prep delta;
+          firings.(i) <- stats.Asp.Grounder.Stats.firings
+        end)
+      jobs
+  in
+  let others = List.init (domains - 1) (fun k -> Domain.spawn (work (k + 1))) in
+  work 0 ();
+  List.iter Domain.join others;
+  (answers, firings)
+
+let models_str = function
+  | None -> "declined"
+  | Some ms -> String.concat " | " (List.map Asp.Model.to_string ms)
+
+(* Runs one base and its deltas; returns, per delta, the firings of the
+   in-order shared-base run and of a fresh base ([None] if [prepare]
+   rejects the base). *)
+let memo_case ?(seed = 0) base_src delta_srcs =
+  let base = Asp.Parser.parse_program base_src in
+  match Asp.Grounder.prepare ~max_atoms base with
+  | exception (Asp.Grounder.Unsafe _ | Asp.Grounder.Overflow _) -> None
+  | prep0 ->
+      let jobs =
+        List.mapi
+          (fun i src ->
+            let delta = Asp.Parser.parse_program src in
+            let stats = Asp.Grounder.Stats.create () in
+            let fresh =
+              Asp.Grounder.decide ~stats
+                (Asp.Grounder.prepare ~max_atoms base)
+                delta
+            in
+            let solved =
+              match Asp.Grounder.extend prep0 delta with
+              | exception (Asp.Grounder.Unsafe _ | Asp.Grounder.Overflow _) ->
+                  None
+              | g -> Some (Asp.Solver.solve g)
+            in
+            (i, delta, (src, fresh, solved, stats.Asp.Grounder.Stats.firings)))
+          delta_srcs
+      in
+      let run order ~domains =
+        let jobs = order jobs in
+        let answers, firings =
+          decide_all (Asp.Grounder.prepare ~max_atoms base) jobs ~domains
+        in
+        List.iteri
+          (fun k (_, _, (src, fresh, solved, _)) ->
+            let got = answers.(k) in
+            let ok =
+              match (got, solved) with
+              | Some ms, Some expected -> List.equal Asp.Model.equal expected ms
+              | Some ms, None -> (
+                  match fresh with
+                  | Some f -> List.equal Asp.Model.equal f ms
+                  | None -> false)
+              | None, _ -> fresh = None
+            in
+            if not ok then
+              fail
+                (Printf.sprintf
+                   "decide on a shared base (%d domain(s)) diverged on:\n%s\n\
+                    + delta:\n%s\n--- decide: %s\n--- extend + solve: %s"
+                   domains base_src src (models_str got) (models_str solved)))
+          jobs;
+        firings
+      in
+      let in_order = run Fun.id ~domains:1 in
+      ignore (run (shuffled seed) ~domains:1);
+      ignore (run (shuffled (seed + 1)) ~domains:2);
+      ignore (run (shuffled (seed + 2)) ~domains:2);
+      let fresh = List.map (fun (_, _, (_, _, _, f)) -> f) jobs in
+      List.iteri
+        (fun i f ->
+          if in_order.(i) > f then
+            fail
+              (Printf.sprintf
+                 "delta %d fired %d times on a shared base, %d on a fresh one"
+                 i in_order.(i) f))
+        fresh;
+      Some (Array.to_list in_order, fresh)
+
+(* the sum of firings on the shared base is below the fresh bases' *)
+let memo_hit what (shared, fresh) =
+  let sum = List.fold_left ( + ) 0 in
+  if sum shared >= sum fresh then
+    fail
+      (Printf.sprintf "%s: no component memo hit (%d firings shared, %d fresh)"
+         what (sum shared) (sum fresh))
+
+(* facts-only deltas over one unary and one binary predicate of the
+   random generator's vocabulary, so that every delta defines the same
+   signatures and so shares one memo entry; now and then a constraint *)
+let gen_fact_deltas rng n =
+  let int n = Random.State.int rng n in
+  let u = upreds.(int 3) and b = bpreds.(int 2) in
+  List.init n (fun _ ->
+      let buf = Buffer.create 64 in
+      for k = 1 to 4 do
+        if k = 1 || Random.State.bool rng then
+          Printf.bprintf buf "%s(%d).\n" u (if k = 1 then 1 + int 4 else k)
+      done;
+      for _ = 0 to int 2 do
+        Printf.bprintf buf "%s(%d,%d).\n" b (1 + int 4) (1 + int 4)
+      done;
+      if int 6 = 0 then Printf.bprintf buf ":- %s(%d).\n" upreds.(int 3) (1 + int 4);
+      Buffer.contents buf)
+
+let test_decide_shared_base () =
+  let shared = ref [] and fresh = ref [] in
+  for seed = 0 to 59 do
+    let rng = Random.State.make [| 0xDE3; seed |] in
+    let base = normal_part (gen_program rng) in
+    match memo_case ~seed base (gen_fact_deltas rng 12) with
+    | Some (s, f) ->
+        shared := s @ !shared;
+        fresh := f @ !fresh
+    | None -> ()
+  done;
+  memo_hit "seeded" (!shared, !fresh);
+  let case base deltas = Option.get (memo_case base deltas) in
+  (* equal lower extensions through different facts: [s] is {1,2} both
+     times, so the second delta's [t] comes from the memo *)
+  let eq =
+    case
+      "s(X) :- p(X). s(X) :- q(X). t(X,Y) :- s(X), s(Y), X < Y. \
+       u(X) :- t(X,Y), not w(Y). w(3)."
+      [ "p(1). q(2)."; "p(2). q(1)."; "p(1). q(1)." ]
+  in
+  (match eq with
+  | [ _; second; _ ], [ _; fresh_second; _ ] ->
+      if second >= fresh_second then
+        fail
+          (Printf.sprintf "no hit on an equal extension: %d firings, fresh %d"
+             second fresh_second)
+  | _ -> fail "three deltas");
+  (* deltas that differ only in an atom read under negation; the shown
+     [f] of a repeat comes from the memo *)
+  memo_hit "negation"
+    (case "b(X) :- a(X), not c(X). e(X) :- b(X). f(X) :- e(X). #show f/1."
+       [ "a(1). c(1)."; "a(1). c(2)."; "a(1). c(1)."; "a(1). c(2)." ]);
+  ignore (case "b :- a, not c. d :- b." [ "a."; "a. c."; "a."; "a. c." ]);
+  ignore (case "a. b :- not c." [ ""; "c."; ""; "c." ]);
+  (* two inputs to one component, each varying alone *)
+  memo_hit "two inputs"
+    (case "s(X,Y) :- p(X), q(Y). t(X) :- s(X,X)."
+       [ "p(1). q(1)."; "p(1). q(2)."; "p(2). q(1)."; "p(1). q(2)." ]);
+  (* a constraint and a #show over an extension taken from the memo *)
+  memo_hit "constraint"
+    (case "b(X) :- a(X), not c(X). e(X) :- b(X). :- e(2). #show b/1."
+       [ "a(2). c(3)."; "a(2). c(4)."; "a(1). c(3)."; "a(1). c(4)." ])
+
 let suites =
   [
     ( "asp.grounder_diff",
@@ -1051,5 +1238,7 @@ let suites =
           test_decide_sym_seeded;
         Alcotest.test_case "decide vs extend + solve (corners)" `Quick
           test_decide_corners;
+        Alcotest.test_case "decide: one base, many facts-only deltas" `Quick
+          test_decide_shared_base;
       ] );
   ]
