@@ -17,19 +17,15 @@
                    shared across passes, while scratch repays every
                    round from nothing. Acceptance: iterative
                    incremental >= 3x scratch.
-   - pareto:       Mitigation.Frontier.pareto evaluates every action
-                   subset through the cache over the worker pool; the
-                   sequential baseline is Optimizer.pareto over the same
-                   warm problem with a fresh cache. The container is
-                   single-core, so the parallel figure is the estimate
-                   the sweep/solver benches use: per-eval walls give
-                   sum_s and critical_s, and
-                   est_parallel_s = max(critical_s, sum_s / jobs).
-                   Acceptance: >= 2x at 4 domains.
+   - pareto:       Mitigation.Frontier.pareto's branch-and-bound walk
+                   vs the exhaustive Optimizer.pareto over the same warm
+                   problem, each with a fresh cache; both walls are
+                   measured, and the fronts must be identical. The row
+                   carries the walk's evals / fresh / pruned counters.
    - budget-sweep: Frontier.budget_sweep over an overlapping budget
                    ladder; successive budgets re-request the smaller
-                   budgets' subsets, so the shared cache must answer
-                   > 50% of evaluations.
+                   budgets' bound and leaf sets, so the shared cache
+                   must answer > 50% of evaluations.
 
    A never-slower guard (tolerance 1.25, exit 2) keeps the incremental
    refine honest against scratch in CI. Emits JSON (committed as
@@ -174,36 +170,38 @@ let run ~smoke ~out =
     Float.max (s /. i) (s' /. i')
   in
 
-  (* --- pareto: pooled frontier vs sequential warm baseline ------------- *)
-  let jobs = 4 in
+  (* --- pareto: branch-and-bound walk vs exhaustive warm search -------- *)
   let f_seq = Cpsrisk.Hierarchy.frontier () in
   let seq_front, seq_s =
     wall (fun () -> Mitigation.Optimizer.pareto (Mitigation.Frontier.problem f_seq))
   in
-  let f_par = Cpsrisk.Hierarchy.frontier () in
-  let (par_front, par_report), _ =
-    wall (fun () -> Mitigation.Frontier.pareto ~jobs f_par)
+  let f_walk = Cpsrisk.Hierarchy.frontier () in
+  let (front, walk_report), walk_s =
+    wall (fun () -> Mitigation.Frontier.pareto f_walk)
   in
-  if par_front <> seq_front then begin
-    Printf.eprintf "cegar_bench: parallel pareto front differs\n";
+  if front <> seq_front then begin
+    Printf.eprintf "cegar_bench: branch-and-bound pareto front differs\n";
     exit 2
   end;
-  let est_parallel_s =
-    Float.max par_report.Mitigation.Frontier.r_critical_s
-      (par_report.Mitigation.Frontier.r_sum_s /. float_of_int jobs)
+  let counters (r : Mitigation.Frontier.report) =
+    Printf.sprintf "%d evals / %d fresh / %d pruned" r.Mitigation.Frontier.r_evals
+      r.Mitigation.Frontier.r_fresh r.Mitigation.Frontier.r_pruned
+  in
+  let counter_fields (r : Mitigation.Frontier.report) =
+    Printf.sprintf "\"evals\": %d, \"hits\": %d, \"fresh\": %d, \"pruned\": %d"
+      r.Mitigation.Frontier.r_evals r.Mitigation.Frontier.r_hits
+      r.Mitigation.Frontier.r_fresh r.Mitigation.Frontier.r_pruned
   in
   Printf.eprintf
-    "  pareto          : seq %8.4fs, est %d domains %8.4fs (%.1fx), %d \
-     evals, front %d points\n%!"
-    seq_s jobs est_parallel_s (seq_s /. est_parallel_s)
-    par_report.Mitigation.Frontier.r_evals
-    (List.length par_front);
+    "  pareto          : walk %8.4fs, exhaustive %8.4fs (%.1fx), %s, front \
+     %d points\n%!"
+    walk_s seq_s (seq_s /. walk_s) (counters walk_report) (List.length front);
 
   (* --- budget sweep: overlapping ladder through one shared cache ------- *)
   let budgets = [ 15; 18; 21; 24 ] in
   let f_bud = Cpsrisk.Hierarchy.frontier () in
   let (curve, bud_report), bud_s =
-    wall (fun () -> Mitigation.Frontier.budget_sweep ~jobs f_bud ~budgets)
+    wall (fun () -> Mitigation.Frontier.budget_sweep f_bud ~budgets)
   in
   (* full mode checks against the cold-grounding scratch oracle; smoke
      keeps its seconds budget with the sequential warm search (the
@@ -226,10 +224,9 @@ let run ~smoke ~out =
     float_of_int bud_report.Mitigation.Frontier.r_hits
     /. float_of_int bud_report.Mitigation.Frontier.r_evals
   in
-  Printf.eprintf
-    "  budget-sweep    : %8.4fs, %d evals, %d hits (%.0f%% deduped)\n%!"
-    bud_s bud_report.Mitigation.Frontier.r_evals
-    bud_report.Mitigation.Frontier.r_hits (hit_rate *. 100.0);
+  Printf.eprintf "  budget-sweep    : %8.4fs, %s, %d hits (%.0f%% deduped)\n%!"
+    bud_s (counters bud_report) bud_report.Mitigation.Frontier.r_hits
+    (hit_rate *. 100.0);
   if hit_rate <= 0.5 then begin
     Printf.eprintf "cegar_bench: budget-sweep hit rate %.2f <= 0.5\n" hit_rate;
     exit 2
@@ -243,6 +240,7 @@ let run ~smoke ~out =
   p "  \"mode\": %S,\n" (if smoke then "smoke" else "full");
   p "  \"workload\": \"hierarchical case study: layered-zone refinement + \
      12-action shield catalog\",\n";
+  p "%s" (Registry.host_fields ());
   p "  \"refine\": {\n";
   p "    \"levels\": %d, \"entries\": %d,\n" levels entries;
   p "    \"entries_list\": [\n";
@@ -281,23 +279,17 @@ let run ~smoke ~out =
   p "    \"incremental_speedup\": %.2f\n" iterative_speedup;
   p "  },\n";
   p "  \"pareto\": {\n";
-  p "    \"actions\": %d, \"subsets\": %d, \"jobs\": %d,\n"
-    (List.length (Mitigation.Frontier.actions f_par))
-    par_report.Mitigation.Frontier.r_evals jobs;
-  p "    \"seq_wall_s\": %.6f, \"sum_s\": %.6f, \"critical_s\": %.6f,\n"
-    seq_s par_report.Mitigation.Frontier.r_sum_s
-    par_report.Mitigation.Frontier.r_critical_s;
-  p "    \"est_parallel_s\": %.6f, \"est_speedup\": %.2f,\n" est_parallel_s
-    (seq_s /. est_parallel_s);
-  p "    \"front_points\": %d\n" (List.length par_front);
+  let actions = List.length (Mitigation.Frontier.actions f_walk) in
+  p "    \"actions\": %d, \"subsets\": %d,\n" actions (1 lsl actions);
+  p "    \"exhaustive_wall_s\": %.6f, \"wall_s\": %.6f, \"speedup\": %.2f,\n"
+    seq_s walk_s (seq_s /. walk_s);
+  p "    %s,\n" (counter_fields walk_report);
+  p "    \"front_points\": %d\n" (List.length front);
   p "  },\n";
   p "  \"budget_sweep\": {\n";
   p "    \"budgets\": [%s],\n"
     (String.concat ", " (List.map string_of_int budgets));
-  p "    \"wall_s\": %.6f, \"evals\": %d, \"hits\": %d, \"fresh\": %d,\n"
-    bud_s bud_report.Mitigation.Frontier.r_evals
-    bud_report.Mitigation.Frontier.r_hits
-    bud_report.Mitigation.Frontier.r_fresh;
+  p "    \"wall_s\": %.6f, %s,\n" bud_s (counter_fields bud_report);
   p "    \"hit_rate\": %.3f\n" hit_rate;
   p "  },\n";
   p "  \"never_slower\": {\"tolerance\": %.2f, \"min_reliable_s\": %.3f},\n"
@@ -331,16 +323,13 @@ let run ~smoke ~out =
     retract_row "increment" increment_it;
     Registry.row
       ~note:
-        (Printf.sprintf "est %d domains %.1fx seq, front %d points" jobs
-           (seq_s /. est_parallel_s)
-           (List.length par_front))
-      ~param:(string_of_int par_report.Mitigation.Frontier.r_evals) "pareto"
-      est_parallel_s;
+        (Printf.sprintf "%.1fx exhaustive, %s, front %d points"
+           (seq_s /. walk_s) (counters walk_report) (List.length front))
+      ~param:(string_of_int actions) "pareto" walk_s;
     Registry.row
       ~note:
-        (Printf.sprintf "%d evals, %d hits (%.0f%% deduped)"
-           bud_report.Mitigation.Frontier.r_evals
-           bud_report.Mitigation.Frontier.r_hits (hit_rate *. 100.0))
+        (Printf.sprintf "%s, %.0f%% deduped" (counters bud_report)
+           (hit_rate *. 100.0))
       ~param:
         (String.concat "," (List.map string_of_int budgets))
       "budget-sweep" bud_s;

@@ -643,7 +643,7 @@ let refine_cmd =
       const refine $ levels_arg $ entries_arg $ mode_arg $ Common.jobs
       $ no_share_flag $ Common.stats $ Common.json)
 
-let mitigate frontier case search jobs horizon stats json =
+let mitigate frontier case search horizon stats json =
   let target = Cpsrisk.Backend.target ?horizon case in
   (* --case offers only targets that carry an action catalog *)
   let build = Option.get target.Cpsrisk.Backend.frontier in
@@ -663,7 +663,7 @@ let mitigate frontier case search jobs horizon stats json =
   in
   let f = build ~cache (Engine.Job.prepare target.Cpsrisk.Backend.spec) in
   let answer, report =
-    if frontier then Cpsrisk.Pipeline.mitigate_frontier ?jobs f search
+    if frontier then Cpsrisk.Pipeline.mitigate_frontier f search
     else
       (* the retained scratch search: cold per-evaluation grounding, no
          cache, no pool — the differential oracle of --frontier *)
@@ -705,9 +705,9 @@ let mitigate_cmd =
       & info [ "frontier" ]
           ~doc:
             "Evaluate candidate action sets as fingerprinted deltas over \
-             warm engine state — cache-deduplicated, fanned out over \
-             worker domains, branch-and-bound pruned. Without it the \
-             retained scratch search runs (same answers, cold).")
+             warm engine state — cache-deduplicated and branch-and-bound \
+             pruned. Without it the retained scratch search runs (same \
+             answers, cold).")
   in
   let case_arg =
     let cases = Cpsrisk.Backend.[ Hierarchy; Water_tank ] in
@@ -733,13 +733,13 @@ let mitigate_cmd =
               curves. With $(b,--frontier), every candidate subset is one \
               fingerprinted delta over the prepared base encoding: \
               structurally identical what-ifs are answered from the cache, \
-              independent evaluations fan out over worker domains, and \
-              the optimal search prunes subtrees whose full-inclusion \
-              bound already loses. Answers are bit-for-bit those of the \
-              retained scratch search.";
+              and every search cuts the subtrees whose full-inclusion \
+              bound already loses (for $(b,--pareto): is strictly \
+              dominated by a front point found so far). Answers are \
+              bit-for-bit those of the retained scratch search.";
          ])
     Term.(
-      const mitigate $ frontier_flag $ case_arg $ Common.search $ Common.jobs
+      const mitigate $ frontier_flag $ case_arg $ Common.search
       $ Common.horizon $ Common.stats $ Common.json)
 
 (* ------------------------------------------------------------------ *)
@@ -849,7 +849,7 @@ let request socket op name model_file backend horizon file jobs limit optimal
                 model_src = Some (Common.read_file file);
               }
         | None -> Serve.Protocol.Load_model { name; backend; horizon; model_src = None })
-    | "mitigate" -> Serve.Protocol.Mitigate { model = name; search; jobs }
+    | "mitigate" -> Serve.Protocol.Mitigate { model = name; search }
     | "sweep" ->
         Serve.Protocol.Sweep { model = name; mutations = needs "MUTATIONS" file; jobs }
     | "solve" ->

@@ -26,8 +26,8 @@
     propagate through a layered flow network unless shielded; each of
     the ≥12 costed actions shields specific nodes. The residual is the
     weight of erred assets — monotone in the active set (more shields,
-    fewer errors), which licenses {!Mitigation.Frontier.optimal}'s
-    branch-and-bound. *)
+    fewer errors), which licenses the branch-and-bound walk of every
+    {!Mitigation.Frontier} search. *)
 
 (** {1 Refinement schedule} *)
 

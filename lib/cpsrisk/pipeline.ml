@@ -286,15 +286,15 @@ let water_tank_frontier_of ?cache prepared =
       Engine.Delta.make ~mitigations:active [ "F4" ])
     ~measure:water_tank_measure prepared
 
-let mitigate_frontier ?jobs f = function
+let mitigate_frontier f = function
   | Frontier_optimal budget ->
       let s, report = Mitigation.Frontier.optimal ?budget f in
       (Frontier_solution s, report)
   | Frontier_pareto ->
-      let front, report = Mitigation.Frontier.pareto ?jobs f in
+      let front, report = Mitigation.Frontier.pareto f in
       (Frontier_front front, report)
   | Frontier_sweep budgets ->
-      let curve, report = Mitigation.Frontier.budget_sweep ?jobs f ~budgets in
+      let curve, report = Mitigation.Frontier.budget_sweep f ~budgets in
       (Frontier_curve curve, report)
 
 let render_solution (s : Mitigation.Optimizer.solution) =

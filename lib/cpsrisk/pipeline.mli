@@ -88,7 +88,6 @@ val water_tank_frontier_of :
     {!Water_tank.residual_loss} does (R1 at 3, R2 at 1). *)
 
 val mitigate_frontier :
-  ?jobs:int ->
   Mitigation.Frontier.t ->
   frontier_request ->
   frontier_answer * Mitigation.Frontier.report

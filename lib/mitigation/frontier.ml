@@ -71,141 +71,117 @@ let scratch_problem t =
         t.f_measure models);
   }
 
-(* A search's counters, fed only by its own evaluations. The cache may
-   be shared with other searches and with a daemon's sweeps, so its
-   lifetime counters move under a running search and are never read. *)
-type tally = {
-  mutable evals : int;
-  mutable hits : int;
-  mutable disk_hits : int;
-  mutable fresh : int;
-  mutable pruned : int;
-  mutable sum_s : float;
-  mutable critical_s : float;
-}
-
-let timed_eval t ids =
+(* one evaluation, counted into the search's own report *)
+let eval t c ids =
   let e0 = Unix.gettimeofday () in
-  let s, src = evaluate t ids in
-  (s, src, Unix.gettimeofday () -. e0)
-
-(* fold one evaluation into the tally; called in the searching domain *)
-let count c (s, (src : Engine.Cache.source), w) =
-  c.evals <- c.evals + 1;
-  (match src with
-  | Memory -> c.hits <- c.hits + 1
-  | Disk -> c.disk_hits <- c.disk_hits + 1
-  | Fresh -> c.fresh <- c.fresh + 1);
-  c.sum_s <- c.sum_s +. w;
-  if w > c.critical_s then c.critical_s <- w;
+  let s, (src : Engine.Cache.source) = evaluate t ids in
+  let w = Unix.gettimeofday () -. e0 in
+  let r = !c in
+  let r =
+    {
+      r with
+      r_evals = r.r_evals + 1;
+      r_sum_s = r.r_sum_s +. w;
+      r_critical_s = Float.max r.r_critical_s w;
+    }
+  in
+  (c :=
+     match src with
+     | Memory -> { r with r_hits = r.r_hits + 1 }
+     | Disk -> { r with r_disk_hits = r.r_disk_hits + 1 }
+     | Fresh -> { r with r_fresh = r.r_fresh + 1 });
   s
 
+(* A search's report counts only its own evaluations. The cache may be
+   shared with other searches and with a daemon's sweeps, so its
+   lifetime counters move under a running search and are never read. *)
 let with_report body =
   let t0 = Unix.gettimeofday () in
   let c =
-    {
-      evals = 0;
-      hits = 0;
-      disk_hits = 0;
-      fresh = 0;
-      pruned = 0;
-      sum_s = 0.0;
-      critical_s = 0.0;
-    }
+    ref
+      {
+        r_evals = 0;
+        r_hits = 0;
+        r_disk_hits = 0;
+        r_fresh = 0;
+        r_pruned = 0;
+        r_sum_s = 0.0;
+        r_critical_s = 0.0;
+        r_wall_s = 0.0;
+      }
   in
   let result = body c in
-  ( result,
-    {
-      r_evals = c.evals;
-      r_hits = c.hits;
-      r_disk_hits = c.disk_hits;
-      r_fresh = c.fresh;
-      r_pruned = c.pruned;
-      r_sum_s = c.sum_s;
-      r_critical_s = c.critical_s;
-      r_wall_s = Unix.gettimeofday () -. t0;
-    } )
+  (result, { !c with r_wall_s = Unix.gettimeofday () -. t0 })
 
-(* Branch-and-bound over the same inclusion-order DFS as
-   {!Optimizer.fold_subsets_within_budget}. The bound set of a node is
-   its own full-inclusion leaf (selected ∪ remaining) — under a monotone
-   residual its value lower-bounds every leaf of the subtree, and the
-   cache makes within-budget bound evaluations free at their own leaves.
-   Pruning fires only when every leaf loses to the incumbent under
-   {!Optimizer.better}'s strict total order, so the result is exactly the
-   exhaustive one. *)
-let optimal ?budget t =
-  with_report (fun c ->
-      let eval ids = count c (timed_eval t ids) in
-      let best = ref None in
-      let rec go remaining cost selected =
-        let cut =
-          match !best with
-          | Some (b : Optimizer.solution) when t.f_monotone ->
-              let bound_ids =
-                List.rev_append selected
-                  (List.map (fun (a : Action.t) -> a.Action.id) remaining)
-              in
-              let r = (eval bound_ids).Optimizer.residual in
-              r > b.Optimizer.residual
-              || (r = b.Optimizer.residual && cost > b.Optimizer.cost)
-          | _ -> false
-        in
-        if cut then c.pruned <- c.pruned + 1
-        else
-          match remaining with
-          | [] -> (
-              let s = eval (List.rev selected) in
-              match !best with
-              | Some b when not (Optimizer.better s b) -> ()
-              | _ -> best := Some s)
-          | (a : Action.t) :: rest ->
-              go rest cost selected;
-              let cost' = cost + a.Action.cost in
-              if match budget with Some b -> cost' <= b | None -> true then
-                go rest cost' (a.Action.id :: selected)
-      in
-      go t.f_actions 0 [];
-      match !best with Some s -> s | None -> eval [])
-
-(* Evaluate every within-budget subset over the pool, through the cache;
-   returns the lookup table the retained Optimizer searches reduce over. *)
-let sweep ?jobs ?oversubscribe t budget c =
-  let subsets =
-    Array.of_list
-      (List.rev
-         (Optimizer.fold_subsets_within_budget t.f_actions budget ~init:[]
-            ~f:(fun acc ids _ -> ids :: acc)))
+(* The one walk of every search: branch-and-bound over the same
+   inclusion-order DFS as {!Optimizer.fold_subsets_within_budget}. A
+   node's bound set is its own full-inclusion leaf (selected ∪
+   remaining): under a monotone residual its value lower-bounds every
+   leaf of the subtree, and costs are non-negative, so [cost] of the
+   node lower-bounds their costs. [cut ~cost bound] sees both ([bound]
+   evaluates on demand, through the cache, which makes within-budget
+   bound evaluations free at their own leaves); a search cuts only where
+   no leaf of the subtree can change its answer. [leaf] takes every
+   evaluated leaf. Without [monotone] nothing is cut. *)
+let walk t c budget ~cut ~leaf =
+  let rec go remaining cost selected =
+    let bound () =
+      eval t c
+        (List.rev_append selected
+           (List.map (fun (a : Action.t) -> a.Action.id) remaining))
+    in
+    if t.f_monotone && cut ~cost bound then
+      c := { !c with r_pruned = !c.r_pruned + 1 }
+    else
+      match remaining with
+      | [] -> leaf (eval t c (List.rev selected))
+      | (a : Action.t) :: rest ->
+          go rest cost selected;
+          let cost' = cost + a.Action.cost in
+          if match budget with Some b -> cost' <= b | None -> true then
+            go rest cost' (a.Action.id :: selected)
   in
-  let results =
-    Engine.Pool.map ?jobs ?oversubscribe
-      (fun i -> timed_eval t subsets.(i))
-      (Array.length subsets)
-  in
-  let table = Hashtbl.create (Array.length subsets) in
-  Array.iter
-    (fun r ->
-      let s = count c r in
-      Hashtbl.replace table s.Optimizer.selected s.Optimizer.residual)
-    results;
-  table
+  go t.f_actions 0 []
 
-let lookup_problem t table =
-  {
-    Optimizer.actions = t.f_actions;
-    residual =
-      (fun ~active -> Hashtbl.find table (List.sort_uniq String.compare active));
-  }
+(* A subtree is cut iff every leaf loses to the incumbent under
+   {!Optimizer.better}'s strict total order, so the result is exactly
+   the exhaustive one. *)
+let optimal_in t c budget =
+  let best = ref None in
+  walk t c budget
+    ~cut:(fun ~cost bound ->
+      match !best with
+      | Some (b : Optimizer.solution) ->
+          let r = (bound ()).Optimizer.residual in
+          r > b.Optimizer.residual
+          || (r = b.Optimizer.residual && cost > b.Optimizer.cost)
+      | None -> false)
+    ~leaf:(fun s ->
+      match !best with
+      | Some b when not (Optimizer.better s b) -> ()
+      | _ -> best := Some s);
+  (* the empty selection is the first leaf walked, and nothing is cut
+     before there is an incumbent *)
+  Option.get !best
 
-let pareto ?jobs ?oversubscribe t =
+let optimal ?budget t = with_report (fun c -> optimal_in t c budget)
+
+let budget_sweep t ~budgets =
+  with_report (fun c -> List.map (fun b -> (b, optimal_in t c (Some b))) budgets)
+
+(* A subtree is cut iff a front member strictly dominates (cost S,
+   residual (S ∪ R)): it then dominates every leaf of the subtree, which
+   can be neither a front point nor a point's representative. A merely
+   equal point is not enough — a leaf on it may be the lexicographically
+   smaller representative. *)
+let pareto t =
   with_report (fun c ->
-      Optimizer.pareto
-        (lookup_problem t (sweep ?jobs ?oversubscribe t None c)))
-
-let budget_sweep ?jobs ?oversubscribe t ~budgets =
-  with_report (fun c ->
-      List.map
-        (fun b ->
-          let table = sweep ?jobs ?oversubscribe t (Some b) c in
-          (b, Optimizer.optimal ~budget:b (lookup_problem t table)))
-        budgets)
+      let front = ref [] in
+      walk t c None
+        ~cut:(fun ~cost bound ->
+          !front <> []
+          &&
+          let b = { (bound ()) with Optimizer.cost } in
+          List.exists (fun f -> Optimizer.dominates f b) !front)
+        ~leaf:(fun s -> front := Optimizer.insert_front !front s);
+      Optimizer.sort_front !front)

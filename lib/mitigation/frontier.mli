@@ -1,6 +1,7 @@
 (** The mitigation frontier on the engine: candidate action sets
-    evaluated as fingerprinted deltas through {!Engine.Cache}, fanned out
-    over {!Engine.Pool} — §IV.D's cost/benefit searches at serving speed.
+    evaluated as fingerprinted deltas through {!Engine.Cache}, searched
+    by one branch-and-bound walk — §IV.D's cost/benefit searches at
+    serving speed.
 
     A frontier wraps a warm {!Engine.Job.prepared} base (the same state
     the assessment service holds per loaded model): evaluating an action
@@ -11,14 +12,16 @@
     sub-problems dedupe — across the budgets of a sweep, across repeated
     requests, and (with a persistent cache) across processes.
 
-    Every search reduces with the {e retained} {!Optimizer} searches over
-    a lookup-table problem, so results are bit-for-bit those of the
-    scratch oracle ({!scratch_problem} + the exact {!Optimizer}
-    functions): same tie-breaking, same representatives, same front.
-    {!optimal} adds branch-and-bound residual pruning on top of the cost
-    pruning; pruning only fires on sound grounds (see [monotone]), and
-    only where the pruned subtree is strictly worse under
-    {!Optimizer.better}'s total order, so the result never changes.
+    All three searches walk {!Optimizer.fold_subsets_within_budget}'s
+    inclusion-order DFS once, with the cost pruning of a budget and a
+    residual bound per node: the residual of the node's full-inclusion
+    leaf [S ∪ R]. Each search cuts a subtree only where no leaf in it
+    can change its answer, and keeps {!Optimizer}'s order, tie-breaking
+    and running front ({!Optimizer.better}, {!Optimizer.insert_front}),
+    so results are bit-for-bit those of the scratch oracle
+    ({!scratch_problem} + the exhaustive {!Optimizer} functions): same
+    optimum, same representatives, same front. Pruning fires only on
+    sound grounds (see [monotone]).
 
     Every evaluation is one {!Engine.Job.run} — the same per-delta step
     as an {!Engine.Sweep} — and each search's {!report} is counted from
@@ -47,12 +50,12 @@ val make :
     [measure] maps the solve's stable models to the integer residual.
     [monotone] (default [true]) asserts that activating {e more} actions
     never increases the residual — the paper's mitigations only remove
-    hazard mass. It licenses {!optimal}'s branch-and-bound bound: the
+    hazard mass. It licenses every search's branch-and-bound bound: the
     residual of [S ∪ remaining] lower-bounds every superset of [S] in the
-    subtree. Pass [false] for a non-monotone measure; {!optimal} then
-    degrades to the exhaustive cost-pruned search. [cache] defaults to a
-    fresh private cache; pass a shared one to reuse answers across
-    searches and requests. *)
+    subtree. Pass [false] for a non-monotone measure; no subtree is then
+    cut, and every search walks every subset within its budget. [cache]
+    defaults to a fresh private cache; pass a shared one to reuse answers
+    across searches and requests. *)
 
 val actions : t -> Action.t list
 val cache : t -> value Engine.Cache.t
@@ -62,8 +65,8 @@ type report = {
   r_hits : int;  (** answered from cache memory *)
   r_disk_hits : int;  (** answered from the persistent tier *)
   r_fresh : int;  (** fresh ground+solve *)
-  r_pruned : int;  (** branch-and-bound subtrees cut ({!optimal} only) *)
-  r_sum_s : float;  (** total evaluation wall across workers *)
+  r_pruned : int;  (** branch-and-bound subtrees cut *)
+  r_sum_s : float;  (** total evaluation wall *)
   r_critical_s : float;  (** longest single evaluation *)
   r_wall_s : float;
 }
@@ -74,33 +77,34 @@ val evaluate : t -> string list -> Optimizer.solution * Engine.Cache.source
 
 val optimal : ?budget:int -> t -> Optimizer.solution * report
 (** Best selection within budget — {!Optimizer.better}'s order, exactly
-    {!Optimizer.optimal} of {!scratch_problem}. Sequential DFS over
-    {!Optimizer.fold_subsets_within_budget}'s enumeration with
-    branch-and-bound pruning: a subtree [S ∪ subsets-of-R] is cut iff
+    {!Optimizer.optimal} of {!scratch_problem}. A subtree
+    [S ∪ subsets-of-R] is cut iff
     [residual (S ∪ R) > best.residual], or equal with [cost S >
     best.cost] — every leaf in it then loses to the incumbent under the
     total order (costs are non-negative), so pruning is invisible in the
     result. Bound evaluations are cache-shared full-inclusion leaves. *)
 
-val pareto : ?jobs:int -> ?oversubscribe:bool -> t -> Optimizer.solution list * report
-(** The full budget/benefit Pareto frontier in one parallel sweep: every
-    subset evaluated over the pool through the cache, then reduced with
-    the retained {!Optimizer.pareto} over the result table — identical
-    front, representatives and order. [jobs]/[oversubscribe] as in
-    {!Engine.Pool.map}. *)
+val pareto : t -> Optimizer.solution list * report
+(** The full budget/benefit Pareto frontier — exactly {!Optimizer.pareto}
+    of {!scratch_problem}: identical front, representatives and order.
+    The walk keeps {!Optimizer.insert_front}'s running front and cuts a
+    subtree iff a member already on it strictly dominates
+    ({!Optimizer.dominates}) [(cost S, residual (S ∪ R))]: it then
+    dominates every leaf in the subtree, which can be neither a front
+    point nor a point's representative. *)
 
 val budget_sweep :
-  ?jobs:int -> ?oversubscribe:bool ->
   t -> budgets:int list -> (int * Optimizer.solution) list * report
-(** {!optimal} per budget, with all budgets sharing one cache: subsets
-    within budget [b] are a subset of those within [b' >= b], so a sweep
-    over ascending budgets is mostly cache hits — the report's hit
-    counters make the dedup rate visible. Results are exactly
+(** {!optimal}'s walk once per budget, in the given order, all budgets
+    sharing the frontier's cache: a later budget's bound and leaf
+    evaluations are mostly cache hits, and the report's hit counters
+    make the dedup rate visible. Results are exactly
     {!Optimizer.budget_sweep} of {!scratch_problem}. *)
 
 val problem : t -> Optimizer.problem
 (** The frontier as an {!Optimizer.problem} whose [residual] goes through
-    the warm state and cache — for the retained sequential searches. *)
+    the warm state and cache — for the exhaustive {!Optimizer}
+    searches. *)
 
 val scratch_problem : t -> Optimizer.problem
 (** The retained oracle: [residual] re-grounds base + increment cold via

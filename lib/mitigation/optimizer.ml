@@ -61,31 +61,32 @@ let dominates a b =
   a.cost <= b.cost && a.residual <= b.residual
   && (a.cost < b.cost || a.residual < b.residual)
 
-let pareto p =
-  (* running front, maintained in place while the subsets stream by: at
-     most one representative per (cost, residual) point — the
-     lexicographically smallest selection — and no dominated member.
-     Order-independent, so it equals the old collect-all-then-filter
-     result without ever holding all 2^n solutions. *)
-  let insert front s =
-    if List.exists (fun s' -> dominates s' s) front then front
-    else
-      let front = List.filter (fun s' -> not (dominates s s')) front in
-      let equal_pt s' = s'.cost = s.cost && s'.residual = s.residual in
-      match List.find_opt equal_pt front with
-      | Some s' when Stdlib.compare s'.selected s.selected <= 0 -> front
-      | Some _ -> s :: List.filter (fun s' -> not (equal_pt s')) front
-      | None -> s :: front
-  in
-  let front =
-    fold_subsets_within_budget p.actions None ~init:[]
-      ~f:(fun front ids _cost -> insert front (evaluate p ids))
-  in
+(* The running front, maintained in place while the subsets stream by:
+   at most one representative per (cost, residual) point — the
+   lexicographically smallest selection — and no dominated member.
+   Order-independent, so it equals the collect-all-then-filter result
+   without ever holding all 2^n solutions. *)
+let insert_front front s =
+  if List.exists (fun s' -> dominates s' s) front then front
+  else
+    let front = List.filter (fun s' -> not (dominates s s')) front in
+    let equal_pt s' = s'.cost = s.cost && s'.residual = s.residual in
+    match List.find_opt equal_pt front with
+    | Some s' when Stdlib.compare s'.selected s.selected <= 0 -> front
+    | Some _ -> s :: List.filter (fun s' -> not (equal_pt s')) front
+    | None -> s :: front
+
+let sort_front front =
   List.sort
     (fun a b ->
       let c = Stdlib.compare (a.cost, a.residual) (b.cost, b.residual) in
       if c <> 0 then c else Stdlib.compare a.selected b.selected)
     front
+
+let pareto p =
+  sort_front
+    (fold_subsets_within_budget p.actions None ~init:[]
+       ~f:(fun front ids _cost -> insert_front front (evaluate p ids)))
 
 let budget_sweep p ~budgets =
   List.map (fun b -> (b, optimal ~budget:b p)) budgets

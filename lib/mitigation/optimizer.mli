@@ -52,6 +52,22 @@ val pareto : problem -> solution list
     front member is dominated (lower-or-equal cost {e and} residual, one
     strict) by any subset. *)
 
+val dominates : solution -> solution -> bool
+(** [dominates a b]: [a] costs no more and leaves no more residual than
+    [b], and is strictly better on one of the two. *)
+
+val insert_front : solution list -> solution -> solution list
+(** One step of {!pareto}'s running front: drop [s] if a member
+    dominates it, else add it and drop the members it dominates,
+    keeping one representative per (cost, residual) point — the
+    lexicographically smallest selection. The result does not depend on
+    the order of insertion. Exposed so the engine-backed {!Frontier}
+    keeps the same front. *)
+
+val sort_front : solution list -> solution list
+(** A front in {!pareto}'s order: by cost, then residual, then
+    selection. *)
+
 val budget_sweep : problem -> budgets:int list -> (int * solution) list
 (** {!optimal} per budget — the §IV.D trade-off curve. *)
 

@@ -11,7 +11,6 @@ type request =
   | Mitigate of {
       model : string;
       search : Cpsrisk.Pipeline.frontier_request;
-      jobs : int option;
     }
   | Solve of { program : string; limit : int option; optimal : bool }
   | Status
@@ -53,7 +52,7 @@ let request_to_json = function
              ];
              (match jobs with Some j -> [ ("jobs", Json.Int j) ] | None -> []);
            ])
-  | Mitigate { model; search; jobs } ->
+  | Mitigate { model; search } ->
       Json.Obj
         (List.concat
            [
@@ -68,7 +67,6 @@ let request_to_json = function
              | Cpsrisk.Pipeline.Frontier_sweep bs ->
                  [ ("budgets", Json.List (List.map (fun b -> Json.Int b) bs)) ]
              | _ -> []);
-             (match jobs with Some j -> [ ("jobs", Json.Int j) ] | None -> []);
            ])
   | Solve { program; limit; optimal } ->
       Json.Obj
@@ -160,10 +158,7 @@ let request_of_json json =
                           budget-curve)"
                          search)
               in
-              Result.map
-                (fun search ->
-                  Mitigate { model; search; jobs = Json.mem_int "jobs" json })
-                search)
+              Result.map (fun search -> Mitigate { model; search }) search)
       | "solve" -> (
           match Json.mem_string "program" json with
           | None -> Error "solve: missing \"program\""

@@ -32,7 +32,6 @@ type request =
       search : Cpsrisk.Pipeline.frontier_request;
           (** wire keys ["search"] ({!search_name}), ["budget"] for the
               optimal search, ["budgets"] for the budget curve *)
-      jobs : int option;
     }
       (** mitigation-frontier search answered from the model's warm
           prepared state, through its solve cache *)

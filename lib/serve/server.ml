@@ -216,7 +216,7 @@ let handle_request t (request : Protocol.request) : Json.t * bool =
                   (Protocol.error "server shutting down", false)
               | exception e ->
                   (Protocol.error (Printexc.to_string e), false))))
-  | Protocol.Mitigate { model; search; jobs } -> (
+  | Protocol.Mitigate { model; search } -> (
       match Registry.find t.registry model with
       | None ->
           ( Protocol.error
@@ -231,10 +231,7 @@ let handle_request t (request : Protocol.request) : Json.t * bool =
                      model (Cpsrisk.Backend.name entry.Registry.backend)),
                 false )
           | Some f -> (
-              let jobs =
-                match jobs with Some _ -> jobs | None -> t.config.jobs
-              in
-              match Cpsrisk.Pipeline.mitigate_frontier ?jobs f search with
+              match Cpsrisk.Pipeline.mitigate_frontier f search with
               | answer, report ->
                   entry.Registry.mitigations <- entry.Registry.mitigations + 1;
                   log t "mitigate %s: %s (%d evals, %d cached)" model

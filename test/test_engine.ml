@@ -396,13 +396,34 @@ let test_sweep_decided () =
               (Cpsrisk.Sweeps.verdicts r))
           report.Engine.Sweep.results)
     [ 1; 2; 12; 48 ];
+  (* the full catalog's searches: every fresh evaluation is decided, and
+     the walk cuts subtrees in both *)
   let cache, decided = counting_cache () in
   let _, report =
-    Mitigation.Frontier.pareto ~jobs:1 (Cpsrisk.Hierarchy.frontier ~cache ())
+    Mitigation.Frontier.pareto (Cpsrisk.Hierarchy.frontier ~cache ())
   in
-  check Alcotest.int "hierarchy pareto: every subset fresh" 4096
+  check Alcotest.int "hierarchy pareto: fresh evaluations" 406
     report.Mitigation.Frontier.r_fresh;
-  check Alcotest.int "hierarchy pareto: every evaluation decided" 4096 !decided;
+  check Alcotest.int "hierarchy pareto: subtrees cut" 378
+    report.Mitigation.Frontier.r_pruned;
+  check Alcotest.int "hierarchy pareto: every evaluation decided"
+    report.Mitigation.Frontier.r_fresh !decided;
+  check Alcotest.int "hierarchy pareto: decided" 406 !decided;
+  checkb "pareto pruned > 0" true (report.Mitigation.Frontier.r_pruned > 0);
+  let cache, decided = counting_cache () in
+  let _, report =
+    Mitigation.Frontier.budget_sweep
+      (Cpsrisk.Hierarchy.frontier ~cache ())
+      ~budgets:[ 15; 18; 21; 24 ]
+  in
+  check Alcotest.int "hierarchy budget_sweep: fresh evaluations" 188
+    report.Mitigation.Frontier.r_fresh;
+  check Alcotest.int "hierarchy budget_sweep: subtrees cut" 452
+    report.Mitigation.Frontier.r_pruned;
+  check Alcotest.int "hierarchy budget_sweep: every evaluation decided"
+    report.Mitigation.Frontier.r_fresh !decided;
+  check Alcotest.int "hierarchy budget_sweep: decided" 188 !decided;
+  checkb "budget_sweep pruned > 0" true (report.Mitigation.Frontier.r_pruned > 0);
   let model =
     Archimate.Text.parse
       (In_channel.with_open_bin "../examples/models/press_cell.model"

@@ -253,11 +253,15 @@ let test_frontier_optimal_matches_scratch () =
 
 let test_frontier_pareto_matches_scratch () =
   let f = sub_frontier () in
-  let got, report = Mitigation.Frontier.pareto ~jobs:2 f in
+  let got, report = Mitigation.Frontier.pareto f in
   let want = Mitigation.Optimizer.pareto (Mitigation.Frontier.scratch_problem f) in
   check (Alcotest.list sol) "identical front" want got;
-  check Alcotest.int "every subset evaluated" 256
-    report.Mitigation.Frontier.r_evals
+  (* the walk reaches 231 of the 256 subsets' leaves and bounds: a
+     subtree goes once a front member strictly dominates its bound *)
+  check Alcotest.int "evaluations" 231
+    report.Mitigation.Frontier.r_evals;
+  check Alcotest.int "fresh evaluations" 110 report.Mitigation.Frontier.r_fresh;
+  check Alcotest.int "subtrees cut" 89 report.Mitigation.Frontier.r_pruned
 
 let test_frontier_budget_sweep_matches_scratch () =
   let f = sub_frontier () in
@@ -273,15 +277,19 @@ let test_frontier_budget_sweep_matches_scratch () =
       check Alcotest.int "budget order" b b';
       check sol (Printf.sprintf "optimum at budget %d" b) w g)
     want got;
-  (* ascending budgets re-visit the smaller budgets' subsets: the shared
-     cache must absorb well over half of the evaluations *)
+  (* ascending budgets re-visit the smaller budgets' bound and leaf
+     sets: the shared cache must absorb well over half of the
+     evaluations *)
   check Alcotest.bool "sweep mostly deduped" true
-    (report.Mitigation.Frontier.r_hits * 2 > report.Mitigation.Frontier.r_evals)
+    (report.Mitigation.Frontier.r_hits * 2 > report.Mitigation.Frontier.r_evals);
+  check Alcotest.int "evaluations" 564 report.Mitigation.Frontier.r_evals;
+  check Alcotest.int "fresh evaluations" 95 report.Mitigation.Frontier.r_fresh;
+  check Alcotest.int "subtrees cut" 185 report.Mitigation.Frontier.r_pruned
 
 let test_frontier_full_catalog_consistent () =
-  (* the full 12-action catalog, warm path only: branch-and-bound and the
-     parallel sweep must agree with the retained sequential searches over
-     the same cached problem *)
+  (* the full 12-action catalog, warm path only: the branch-and-bound
+     walks must agree with the exhaustive searches over the same cached
+     problem *)
   let f = Cpsrisk.Hierarchy.frontier () in
   let p = Mitigation.Frontier.problem f in
   let got, report = Mitigation.Frontier.optimal ~budget:9 f in
@@ -292,30 +300,103 @@ let test_frontier_full_catalog_consistent () =
   check (Alcotest.list sol) "pareto equals sequential"
     (Mitigation.Optimizer.pareto p) front
 
+(* The b&b licence of every search: activating one more action never
+   increases the residual, checked over the whole lattice of both
+   shipped catalogs from one table of the 2^n warm evaluations. *)
 let test_frontier_monotone_residual () =
-  (* the b&b licence: activating more shields never increases the
-     residual — checked along nested chains of the catalog *)
-  let f = Cpsrisk.Hierarchy.frontier () in
-  let ids =
-    List.map
-      (fun (a : Mitigation.Action.t) -> a.Mitigation.Action.id)
-      (Mitigation.Frontier.actions f)
+  let lattice what f =
+    let actions = Array.of_list (Mitigation.Frontier.actions f) in
+    let n = Array.length actions in
+    let residual =
+      Array.init (1 lsl n) (fun mask ->
+          let ids =
+            List.filteri
+              (fun i _ -> mask land (1 lsl i) <> 0)
+              (Array.to_list actions)
+          in
+          (fst
+             (Mitigation.Frontier.evaluate f
+                (List.map (fun (a : Mitigation.Action.t) -> a.Mitigation.Action.id) ids)))
+            .Mitigation.Optimizer.residual)
+    in
+    let violations = ref 0 in
+    Array.iteri
+      (fun mask r ->
+        for i = 0 to n - 1 do
+          let bit = 1 lsl i in
+          if mask land bit = 0 && residual.(mask lor bit) > r then incr violations
+        done)
+      residual;
+    check Alcotest.int
+      (Printf.sprintf "%s: residual (S + a) <= residual S over 2^%d sets" what n)
+      0 !violations
   in
-  let rec chains acc = function
-    | [] -> [ acc ]
-    | id :: rest -> acc :: chains (id :: acc) rest
+  lattice "hierarchy" (Cpsrisk.Hierarchy.frontier ());
+  let wt = Cpsrisk.Backend.target Cpsrisk.Backend.Water_tank in
+  lattice "water tank"
+    ((Option.get wt.Cpsrisk.Backend.frontier)
+       (Engine.Job.prepare wt.Cpsrisk.Backend.spec))
+
+(* Seeded cost vectors over the 8-action sub-catalog, with zero costs
+   and many ties, where strict dominance and the (cost, residual)
+   representative rule meet: the walk must keep the exhaustive
+   searches' front, optima, representatives and order, for budgets that
+   are negative, zero, unsorted and repeated. The residual depends on
+   the active set only, so one memoised scratch table serves every
+   vector, and one cache serves every frontier. *)
+let test_frontier_cut_differential () =
+  let base = sub_frontier () in
+  let scratch = Mitigation.Frontier.scratch_problem base in
+  let table = Hashtbl.create 256 in
+  let residual ~active =
+    let key = List.sort_uniq String.compare active in
+    match Hashtbl.find_opt table key with
+    | Some r -> r
+    | None ->
+        let r = scratch.Mitigation.Optimizer.residual ~active:key in
+        Hashtbl.replace table key r;
+        r
   in
-  let residuals =
-    List.map
-      (fun c -> (fst (Mitigation.Frontier.evaluate f c)).Mitigation.Optimizer.residual)
-      (chains [] ids)
+  let cache = Engine.Cache.create () in
+  let prepared = Engine.Job.prepare (Cpsrisk.Hierarchy.frontier_spec ()) in
+  let budgets = [ 4; -3; 0; 4; 9; 1; 0; 30 ] in
+  let balanced what (r : Mitigation.Frontier.report) =
+    check Alcotest.int
+      (what ^ ": hits + disk hits + fresh = evals")
+      r.Mitigation.Frontier.r_evals
+      (r.Mitigation.Frontier.r_hits + r.Mitigation.Frontier.r_disk_hits
+     + r.Mitigation.Frontier.r_fresh)
   in
-  let rec non_increasing = function
-    | a :: (b :: _ as rest) -> a >= b && non_increasing rest
-    | [ _ ] | [] -> true
-  in
-  check Alcotest.bool "residual monotone along chain" true
-    (non_increasing residuals)
+  for seed = 1 to 40 do
+    let st = Random.State.make [| seed |] in
+    let actions =
+      List.map
+        (fun (a : Mitigation.Action.t) ->
+          Mitigation.Action.make ~id:a.Mitigation.Action.id
+            ~name:a.Mitigation.Action.name
+            ~cost:(max 0 (Random.State.int st 5 - 1))
+            ~blocks:a.Mitigation.Action.blocks)
+        (Mitigation.Frontier.actions base)
+    in
+    let f =
+      Mitigation.Frontier.make ~cache ~actions
+        ~delta:Cpsrisk.Hierarchy.frontier_delta
+        ~measure:Cpsrisk.Hierarchy.frontier_measure prepared
+    in
+    let oracle = { Mitigation.Optimizer.actions; residual } in
+    let what = Printf.sprintf "seed %d" seed in
+    let front, r = Mitigation.Frontier.pareto f in
+    check (Alcotest.list sol) (what ^ ": pareto") (Mitigation.Optimizer.pareto oracle)
+      front;
+    balanced (what ^ " pareto") r;
+    let curve, r = Mitigation.Frontier.budget_sweep f ~budgets in
+    check
+      (Alcotest.list (Alcotest.pair Alcotest.int sol))
+      (what ^ ": budget sweep")
+      (Mitigation.Optimizer.budget_sweep oracle ~budgets)
+      curve;
+    balanced (what ^ " budget_sweep") r
+  done
 
 let test_frontier_counts_own_evals () =
   (* [measure] also looks up an unrelated key on the frontier's cache,
@@ -340,7 +421,7 @@ let test_frontier_counts_own_evals () =
   in
   let _, r = Mitigation.Frontier.optimal ~budget:11 f in
   balanced "optimal" r;
-  let _, r = Mitigation.Frontier.pareto ~jobs:2 f in
+  let _, r = Mitigation.Frontier.pareto f in
   balanced "pareto" r;
   let _, r = Mitigation.Frontier.budget_sweep f ~budgets:[ 3; 9; 15 ] in
   balanced "budget_sweep" r
@@ -381,5 +462,7 @@ let suites =
           test_frontier_monotone_residual;
         Alcotest.test_case "reports count their own evaluations" `Quick
           test_frontier_counts_own_evals;
+        Alcotest.test_case "cut differential over seeded costs" `Quick
+          test_frontier_cut_differential;
       ] );
   ]
