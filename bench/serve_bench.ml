@@ -49,7 +49,6 @@ let start_daemon () =
             Serve.Server.socket;
             cache_dir = Some cache_dir;
             cache_mb = None;
-            jobs = None;
             log = None;
           })
       ()

@@ -11,7 +11,6 @@
                     program built/fingerprinted once, grounding seeded with
                     the base universe, duplicate deltas answered by hash.
    - engine-cached: the same sweep re-run on the kept cache — pure lookups.
-   - engine-2/4:    fresh cache, 2 and 4 worker domains.
 
    Every fresh engine job is a stratified simulation, which the grounder
    decides without a solver ([ground_decided]). The jobs of one sweep
@@ -35,8 +34,6 @@ let model_sets (models : Asp.Model.t list) =
 
 type entry = {
   name : string;
-  jobs : int;
-  domains : int; (* actual worker domains after the hardware cap *)
   wall_s : float;
   hits : int;
   misses : int;
@@ -49,11 +46,9 @@ type entry = {
   ground_passes : int; (* grounder semi-naive rounds, fresh jobs *)
 }
 
-let entry_of_report name ~domains (r : Engine.Sweep.report) wall_s =
+let entry_of_report name (r : Engine.Sweep.report) wall_s =
   {
     name;
-    jobs = r.Engine.Sweep.jobs;
-    domains;
     wall_s;
     hits = r.Engine.Sweep.hits;
     misses = r.Engine.Sweep.misses;
@@ -85,14 +80,13 @@ let emit_json out mode ~deltas ~horizon ~seed ~base_atoms entries =
   List.iteri
     (fun i e ->
       p
-        "    {\"name\": %S, \"jobs\": %d, \"domains\": %d, \"wall_s\": \
-         %.6f, \"speedup_vs_cold\": %.2f,\n\
+        "    {\"name\": %S, \"wall_s\": %.6f, \"speedup_vs_cold\": %.2f,\n\
         \     \"cache_hits\": %d, \"cache_misses\": %d, \
          \"fresh_guesses\": %d, \"fresh_firings\": %d,\n\
         \     \"ground_reused_rules\": %d, \"ground_fresh_rules\": %d, \
          \"ground_decided\": %d,\n\
         \     \"ground_firings\": %d, \"ground_passes\": %d}%s\n"
-        e.name e.jobs e.domains e.wall_s
+        e.name e.wall_s
         (cold_s /. e.wall_s)
         e.hits e.misses e.guesses e.firings e.reused_rules e.fresh_rules
         e.decided e.ground_firings e.ground_passes
@@ -137,38 +131,24 @@ let run ~smoke ~out =
         end)
       r.Engine.Sweep.results
   in
-  let engine name ?cache ?(oversubscribe = false) jobs =
-    let r, s =
-      wall (fun () -> Engine.Sweep.run ~oversubscribe ~jobs ?cache spec)
-    in
+  let engine name cache =
+    let r, s = wall (fun () -> Engine.Sweep.run ~cache spec) in
     check name r;
-    (* the pool caps at the hardware's useful parallelism unless
-       oversubscribed — record the width that actually ran, not just the
-       one requested *)
-    let domains =
-      if oversubscribe then jobs
-      else min jobs (Domain.recommended_domain_count ())
-    in
-    Printf.eprintf
-      "  %-14s: %8.4fs (%.1fx cold), %d domains, %d hits / %d misses\n%!"
-      name s (cold_s /. s) domains r.Engine.Sweep.hits r.Engine.Sweep.misses;
-    (r, entry_of_report name ~domains r s)
+    Printf.eprintf "  %-14s: %8.4fs (%.1fx cold), %d hits / %d misses\n%!"
+      name s (cold_s /. s) r.Engine.Sweep.hits r.Engine.Sweep.misses;
+    (r, entry_of_report name r s)
   in
 
   let kept = Engine.Cache.create () in
-  let r1, e1 = engine "engine-1" ~cache:kept 1 in
-  let _, e1c = engine "engine-cached" ~cache:kept 1 in
-  let _, e2 = engine "engine-2" 2 in
-  let _, e4 = engine "engine-4" 4 in
-  let _, e4o = engine "engine-4-over" ~oversubscribe:true 4 in
+  let r1, e1 = engine "engine-1" kept in
+  let _, e1c = engine "engine-cached" kept in
   let cold_entry =
-    { name = "seq-cold"; jobs = 1; domains = 1; wall_s = cold_s; hits = 0;
-      misses = n; guesses = 0; firings = 0; reused_rules = 0;
-      fresh_rules = 0; decided = 0;
+    { name = "seq-cold"; wall_s = cold_s; hits = 0; misses = n; guesses = 0;
+      firings = 0; reused_rules = 0; fresh_rules = 0; decided = 0;
       ground_firings = cold_ground.Asp.Grounder.Stats.firings;
       ground_passes = cold_ground.Asp.Grounder.Stats.passes }
   in
-  let entries = [ cold_entry; e1; e1c; e2; e4; e4o ] in
+  let entries = [ cold_entry; e1; e1c ] in
   emit_json out
     (if smoke then "smoke" else "full")
     ~deltas:n ~horizon ~seed ~base_atoms:r1.Engine.Sweep.base_atoms entries;
@@ -180,7 +160,7 @@ let run ~smoke ~out =
         ~note:
           (Printf.sprintf "%.1fx cold, %d hits / %d misses" (cold_s /. e.wall_s)
              e.hits e.misses)
-        ~param:(string_of_int e.jobs) e.name e.wall_s)
+        ~param:(string_of_int n) e.name e.wall_s)
     entries
 
 let bench =

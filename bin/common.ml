@@ -75,13 +75,6 @@ let stats =
 (* Options                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let jobs =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:"Worker domains; the answer is the same for every $(docv).")
-
 let horizon =
   Arg.(
     value

@@ -393,12 +393,21 @@ let program_file =
     & pos 0 (some file) None
     & info [] ~docv:"FILE" ~doc:"ASP program.")
 
+let jobs_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "jobs"; "j" ] ~docv:"N"
+        ~doc:
+          "Split the search over $(docv) worker domains; the answer is the \
+           same for every $(docv).")
+
 let solve_cmd =
   Cmd.v
     (Cmd.info "solve" ~doc:"Run the embedded ASP solver on a program file")
     Term.(
       const solve $ program_file $ Common.limit [ "n"; "models" ] $ optimal_arg
-      $ Common.stats $ Common.jobs)
+      $ Common.stats $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* score                                                                *)
@@ -494,7 +503,7 @@ let dot_cmd =
 (* sweep                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let sweep mutations model jobs horizon stats json =
+let sweep mutations model horizon stats json =
   Common.guard "sweep" @@ fun () ->
   let deltas = Option.map Common.load_mutations mutations in
   let target =
@@ -506,7 +515,7 @@ let sweep mutations model jobs horizon stats json =
   in
   let deltas = Option.value ~default:target.Cpsrisk.Backend.what_if deltas in
   let report =
-    Engine.Sweep.run ?jobs { target.Cpsrisk.Backend.spec with Engine.Job.deltas }
+    Engine.Sweep.run { target.Cpsrisk.Backend.spec with Engine.Job.deltas }
   in
   let backend = target.Cpsrisk.Backend.backend in
   if json then
@@ -515,7 +524,6 @@ let sweep mutations model jobs horizon stats json =
          (Serve.Answer.sweep backend report.Engine.Sweep.results
             ~extra:
               [
-                ("jobs", Serve.Json.Int report.Engine.Sweep.jobs);
                 ("base_atoms", Serve.Json.Int report.Engine.Sweep.base_atoms);
                 ("wall_s", Serve.Json.Float report.Engine.Sweep.wall_s);
               ]))
@@ -560,30 +568,28 @@ let sweep_model_arg =
 let sweep_cmd =
   Cmd.v
     (Cmd.info "sweep"
-       ~doc:"Batch what-if analysis through the parallel sweep engine"
+       ~doc:"Batch what-if analysis through the sweep engine"
        ~man:
          [
            `S Manpage.s_description;
            `P
              "Runs every mutation delta against the shared base encoding \
               through the cache-reusing scenario-sweep engine: the base \
-              program is built, fingerprinted and grounded once, jobs fan \
-              out over worker domains, and structurally identical deltas \
-              are solved once. Results are deterministic regardless of \
-              $(b,--jobs).";
+              program is built, fingerprinted and grounded once, the jobs \
+              run in order against it, and structurally identical deltas \
+              are solved once.";
          ])
     Term.(
-      const sweep $ mutations_arg $ sweep_model_arg $ Common.jobs
-      $ Common.horizon $ Common.stats $ Common.json)
+      const sweep $ mutations_arg $ sweep_model_arg $ Common.horizon
+      $ Common.stats $ Common.json)
 
 (* ------------------------------------------------------------------ *)
 (* refine / mitigate                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let refine levels entries mode jobs no_share stats json =
+let refine levels entries mode stats json =
   match
-    Cegar.Inc.run ?jobs ~share:(not no_share)
-      (Cpsrisk.Hierarchy.refine_spec ~levels ~entries ~mode ())
+    Cegar.Inc.run (Cpsrisk.Hierarchy.refine_spec ~levels ~entries ~mode ())
   with
   | outcome ->
       if json then Common.print_json (Serve.Answer.refine outcome)
@@ -619,12 +625,6 @@ let refine_cmd =
              learned-nogood carry); $(b,increment) extends the warm \
              grounder per candidate (deduplicated through the cache).")
   in
-  let no_share_flag =
-    Arg.(
-      value & flag
-      & info [ "no-share" ]
-          ~doc:"Disable learned-nogood carry between candidate solves.")
-  in
   Cmd.v
     (Cmd.info "refine"
        ~doc:"Incremental CEGAR over the hierarchical case study"
@@ -636,12 +636,12 @@ let refine_cmd =
               incremental CEGAR driver: the base abstraction is grounded \
               once, every refinement level extends the warm grounder state \
               of the previous one, candidate hypotheses are assessed in \
-              parallel, and (in assume mode) conflict clauses learned \
-              while refuting one candidate prune the others.";
+              turn, and (in assume mode) conflict clauses learned while \
+              refuting one candidate prune the others.";
          ])
     Term.(
-      const refine $ levels_arg $ entries_arg $ mode_arg $ Common.jobs
-      $ no_share_flag $ Common.stats $ Common.json)
+      const refine $ levels_arg $ entries_arg $ mode_arg $ Common.stats
+      $ Common.json)
 
 let mitigate frontier case search horizon stats json =
   let target = Cpsrisk.Backend.target ?horizon case in
@@ -753,7 +753,7 @@ let socket_arg =
     & info [ "socket"; "s" ] ~docv:"PATH"
         ~doc:"Unix-domain socket the daemon listens on.")
 
-let serve socket cache_dir cache_mb jobs quiet =
+let serve socket cache_dir cache_mb quiet =
   let log =
     if quiet then None
     else
@@ -762,7 +762,7 @@ let serve socket cache_dir cache_mb jobs quiet =
           Printf.eprintf "cpsrisk serve: %s\n%!" msg)
   in
   match
-    Serve.Server.run { Serve.Server.socket; cache_dir; cache_mb; jobs; log }
+    Serve.Server.run { Serve.Server.socket; cache_dir; cache_mb; log }
   with
   | () -> 0
   | exception Unix.Unix_error (err, fn, _) ->
@@ -812,8 +812,7 @@ let serve_cmd =
               Stop it with $(b,cpsrisk request shutdown).";
          ])
     Term.(
-      const serve $ socket_arg $ cache_dir_arg $ cache_mb_arg $ Common.jobs
-      $ quiet_flag)
+      const serve $ socket_arg $ cache_dir_arg $ cache_mb_arg $ quiet_flag)
 
 (* --- request: client side ------------------------------------------ *)
 
@@ -829,7 +828,7 @@ let print_sweep_text response =
            ~cached:false (Serve.Answer.reading_of_json r)))
     (Option.value ~default:[] (Serve.Json.mem_list "results" response))
 
-let request socket op name model_file backend horizon file jobs limit optimal
+let request socket op name model_file backend horizon file limit optimal
     search json =
   Common.guard "request" @@ fun () ->
   let needs what = function
@@ -851,7 +850,8 @@ let request socket op name model_file backend horizon file jobs limit optimal
         | None -> Serve.Protocol.Load_model { name; backend; horizon; model_src = None })
     | "mitigate" -> Serve.Protocol.Mitigate { model = name; search }
     | "sweep" ->
-        Serve.Protocol.Sweep { model = name; mutations = needs "MUTATIONS" file; jobs }
+        Serve.Protocol.Sweep
+          { model = name; mutations = needs "MUTATIONS" file; jobs = None }
     | "solve" ->
         Serve.Protocol.Solve { program = needs "PROGRAM" file; limit; optimal }
     | "status" -> Serve.Protocol.Status
@@ -943,8 +943,8 @@ let request_cmd =
          ])
     Term.(
       const request $ socket_arg $ op_arg $ name_arg $ model_arg
-      $ backend_arg $ Common.horizon $ file_arg $ Common.jobs
-      $ Common.limit [ "limit" ] $ optimal_flag $ Common.search $ Common.json)
+      $ backend_arg $ Common.horizon $ file_arg $ Common.limit [ "limit" ]
+      $ optimal_flag $ Common.search $ Common.json)
 
 (* ------------------------------------------------------------------ *)
 (* quant                                                                *)

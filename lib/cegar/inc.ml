@@ -66,7 +66,7 @@ let candidate_fp spec fp c =
   Fp.combine fp
     (Fp.ints [ (match spec.limit with None -> 0 | Some l -> 1 + l) ])
 
-let run ?jobs ?oversubscribe ?(share = true) ?cache spec =
+let run ?cache spec =
   if spec.candidates = [] then invalid_arg "Cegar.Inc.run: no candidates";
   let t0 = Unix.gettimeofday () in
   let cache = match cache with Some c -> c | None -> Engine.Cache.create () in
@@ -80,9 +80,8 @@ let run ?jobs ?oversubscribe ?(share = true) ?cache spec =
   let flushes = ref 0 in
   let hits = ref 0 and disk = ref 0 and fresh = ref 0 in
   let carried = ref 0 and published = ref 0 and solves = ref 0 in
-  (* Assess the surviving candidates of one round in parallel. Workers
-     only read shared state and report through the (domain-safe) cache;
-     counters are tallied from the result array in this domain. *)
+  (* Assess the surviving candidates of one round, in order on this
+     domain; counters are tallied from the result array. *)
   let assess survivors =
     let cur_fp = !fp and cur_prep = !prep and cur_hub = !hub in
     let ground_now =
@@ -90,20 +89,17 @@ let run ?jobs ?oversubscribe ?(share = true) ?cache spec =
       | Assume _ -> Some (Asp.Grounder.base cur_prep)
       | Increment _ -> None
     in
-    Engine.Pool.map ?oversubscribe ?jobs
-      (fun i ->
-        let orig, c = survivors.(i) in
+    Array.map
+      (fun (orig, c) ->
         let cfp = candidate_fp spec cur_fp c in
         let value, src =
           Engine.Cache.find_or_compute_src cache cfp (fun () ->
               match spec.mode with
               | Assume f ->
                   let config =
-                    if share then
-                      { Asp.Solver.Config.default with
-                        exchange = Some (cur_hub, orig)
-                      }
-                    else Asp.Solver.Config.default
+                    { Asp.Solver.Config.default with
+                      exchange = Some (cur_hub, orig)
+                    }
                   in
                   let models, ss =
                     Asp.Solver.solve_with_stats ?limit:spec.limit ~config
@@ -120,7 +116,7 @@ let run ?jobs ?oversubscribe ?(share = true) ?cache spec =
                   (models, ss, gs))
         in
         (c, value, src))
-      (Array.length survivors)
+      survivors
   in
   let tally results =
     Array.iter
@@ -168,7 +164,7 @@ let run ?jobs ?oversubscribe ?(share = true) ?cache spec =
         prep := Asp.Grounder.extend_prepare ~stats:gstats !prep l.l_structure;
         fp := Fp.extend !fp l.l_structure;
         match spec.mode with
-        | Assume _ when share ->
+        | Assume _ ->
             (* the ground program changed: the old program's learned
                clauses are no longer justified — start a fresh hub *)
             hub := Asp.Exchange.create ~paths:n0 ();

@@ -104,20 +104,15 @@ type value = Asp.Model.t list * Asp.Solver.Stats.t * Asp.Grounder.Stats.t
 (** What the cache memoizes per candidate fingerprint — the
     {!Engine.Sweep} cache triple, so a serve-layer cache can be shared. *)
 
-val run :
-  ?jobs:int ->
-  ?oversubscribe:bool ->
-  ?share:bool ->
-  ?cache:value Engine.Cache.t ->
-  spec ->
-  outcome
-(** The incremental driver. Candidates of a round are assessed in
-    parallel over {!Engine.Pool} ([jobs] as in {!Engine.Pool.map});
-    [share] (default true) enables the learned-nogood hub in Assume mode;
-    a caller-supplied [cache] survives across calls (and, with a persist
-    hook, across processes). Deterministic: the outcome is independent of
-    [jobs] and [share]. Raises [Invalid_argument] on an empty candidate
-    list, and like {!Asp.Grounder} on unsafe or overflowing programs. *)
+val run : ?cache:value Engine.Cache.t -> spec -> outcome
+(** The incremental driver. Candidates of a round are assessed in order
+    on the calling domain, each against the level's warm state; in Assume
+    mode every fresh solve imports from and exports to the learned-nogood
+    hub of the current ground program. A caller-supplied [cache] survives
+    across calls (and, with a persist hook, across processes).
+    Deterministic: [rounds] and [confirmed] are {!run_scratch}'s. Raises
+    [Invalid_argument] on an empty candidate list, and like
+    {!Asp.Grounder} on unsafe or overflowing programs. *)
 
 val run_scratch : spec -> outcome
 (** The retained scratch oracle: every round re-grounds the accumulated

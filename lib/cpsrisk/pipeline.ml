@@ -331,13 +331,13 @@ let render_frontier ?(stats = false) ?decided answer
   | Some _ | None -> ());
   Buffer.contents buf
 
-let topology_sweep ?jobs ?deltas config =
+let topology_sweep ?deltas config =
   let deltas =
     match deltas with
     | Some ds -> ds
     | None -> Sweeps.model_element_deltas config.model
   in
-  let report = Engine.Sweep.run ?jobs (Sweeps.topology_spec config.model deltas) in
+  let report = Engine.Sweep.run (Sweeps.topology_spec config.model deltas) in
   let impacts =
     Array.to_list report.Engine.Sweep.results
     |> List.map (fun (r : Engine.Job.result) ->

@@ -103,7 +103,6 @@ val render_frontier :
     ({!Asp.Grounder.decide}). *)
 
 val topology_sweep :
-  ?jobs:int ->
   ?deltas:Engine.Delta.t list ->
   config ->
   Engine.Sweep.report * (string * string list) list

@@ -1,8 +1,7 @@
 (** Sweep builders: the glue between the batch engine ({!Engine.Sweep}) and
     the framework's ASP backends. A builder fixes the shared base program
     and the delta→increment compiler; the engine does the rest (base reuse,
-    content-addressed caching, domain-parallel fan-out, deterministic
-    ordering). *)
+    content-addressed caching, results in delta order). *)
 
 val scenario_delta : ?label:string -> Epa.Scenario.t -> Engine.Delta.t
 val delta_scenario : Engine.Delta.t -> Epa.Scenario.t

@@ -1,13 +1,14 @@
-(** Content-addressed solve cache, shared across the worker domains of a
-    sweep (and, when the caller keeps it, across sweeps — a second identical
-    sweep is pure lookups).
+(** Content-addressed solve cache, shared by the jobs of a sweep (and,
+    when the caller keeps it, across sweeps — a second identical sweep is
+    pure lookups).
 
     Keys are program {!Fingerprint}s; values are whatever the caller
     memoizes (the engine stores solved model lists plus solver stats).
     {!find_or_compute_src} deduplicates in-flight work: while one domain
-    computes a key, other domains asking for the same key block on a
-    condition variable instead of solving the same program twice, so the
-    hit/miss accounting is exact even under parallelism.
+    or thread computes a key (the daemon's sweep worker and its
+    [mitigate] handlers share one cache per model), others asking for the
+    same key block on a condition variable instead of solving the same
+    program twice, so the hit/miss accounting stays exact.
 
     A cache may carry a {!persist} hook — a second, slower storage tier
     (the assessment service plugs {!Serve.Store} in here). Entries found

@@ -2,7 +2,8 @@
 
     {!map} fans an indexed task set out over a fixed set of worker domains
     pulling indices from a shared atomic counter — a degenerate but
-    effective form of work stealing for embarrassingly parallel sweeps.
+    effective form of work stealing for embarrassingly parallel task sets
+    such as {!Par}'s guiding paths, its one production caller.
     Results land in a slot array keyed by task {e index}, never by
     completion order, so the output is deterministic regardless of worker
     count or scheduling: [map ~jobs f n] equals [Array.init n f] whenever

@@ -1,6 +1,5 @@
 type report = {
   results : Job.result array;
-  jobs : int;
   wall_s : float;
   base_atoms : int;
   hits : int;
@@ -32,22 +31,18 @@ let tally results =
     results;
   (!hits, !disk_hits, Array.length results - !hits - !disk_hits, fresh, ground)
 
-let run_prepared ?oversubscribe ?jobs ?cache prepared deltas =
+let run_prepared ?cache prepared deltas =
   let t0 = Unix.gettimeofday () in
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
-  in
   let cache = match cache with Some c -> c | None -> Cache.create () in
   let deltas = Array.of_list deltas in
+  (* in index order: a job may hit what an earlier job stored *)
   let results =
-    Pool.map ?oversubscribe ~jobs
-      (fun index -> Job.run cache prepared ~index deltas.(index))
-      (Array.length deltas)
+    Array.init (Array.length deltas) (fun index ->
+        Job.run cache prepared ~index deltas.(index))
   in
   let hits, disk_hits, misses, fresh, ground = tally results in
   {
     results;
-    jobs;
     wall_s = Unix.gettimeofday () -. t0;
     base_atoms = Job.base_atoms prepared;
     hits;
@@ -57,12 +52,10 @@ let run_prepared ?oversubscribe ?jobs ?cache prepared deltas =
     ground;
   }
 
-let run ?oversubscribe ?jobs ?cache spec =
+let run ?cache spec =
   let t0 = Unix.gettimeofday () in
   let prepared = Job.prepare spec in
-  let report =
-    run_prepared ?oversubscribe ?jobs ?cache prepared spec.Job.deltas
-  in
+  let report = run_prepared ?cache prepared spec.Job.deltas in
   (* fold the preparation time into the report: run = prepare + sweep *)
   { report with wall_s = Unix.gettimeofday () -. t0 }
 
@@ -74,10 +67,8 @@ let hit_rate r =
 let render ?(verbose = false) r =
   let buf = Buffer.create 256 in
   let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  p "sweep: %d jobs on %d domain%s in %.3fs (base universe %d atoms)\n"
-    (Array.length r.results) r.jobs
-    (if r.jobs = 1 then "" else "s")
-    r.wall_s r.base_atoms;
+  p "sweep: %d jobs in %.3fs (base universe %d atoms)\n"
+    (Array.length r.results) r.wall_s r.base_atoms;
   p "cache: %d memory hits / %d disk hits / %d fresh solves (%.1f%% hit rate)\n"
     r.hits r.disk_hits r.misses
     (100.0 *. hit_rate r);

@@ -1,11 +1,12 @@
 (** The sweep engine: batch what-if analysis over a {!Job.spec}.
 
-    [run] prepares the base once (fingerprint + grounding), fans the jobs
-    out over a {!Pool} of domains, and memoizes every solve in a
+    [run] prepares the base once (fingerprint + grounding), runs the jobs
+    in order on the calling domain, and memoizes every solve in a
     content-addressed {!Cache} — repeated deltas (mitigation search, CEGAR
-    refinement, budget sweeps) are solved once. Results are keyed by job
-    index, so the report is deterministic: a parallel run is bit-identical
-    to the sequential one.
+    refinement, budget sweeps) are solved once. A stratified job is
+    decided by the grounder in well under a millisecond, less than a
+    domain fan-out costs, so the jobs do not fan out; results are keyed
+    by job index and the report is deterministic.
 
     Pass your own [cache] to reuse solves across sweeps; a second identical
     sweep on the same cache reports a 100% hit rate and zero fresh solver
@@ -19,7 +20,6 @@
 
 type report = {
   results : Job.result array;  (** indexed by position in the delta list *)
-  jobs : int;  (** worker domains used *)
   wall_s : float;  (** whole-sweep wall clock *)
   base_atoms : int;  (** base universe size reused by every job *)
   hits : int;  (** jobs answered from the in-memory cache, this run *)
@@ -37,24 +37,19 @@ type report = {
 }
 
 val run :
-  ?oversubscribe:bool -> ?jobs:int ->
   ?cache:
     (Asp.Model.t list * Asp.Solver.Stats.t * Asp.Grounder.Stats.t) Cache.t ->
   Job.spec -> report
-(** [jobs] defaults to {!Pool.default_jobs} and, like {!Pool.map}, is
-    capped at the hardware's useful parallelism unless [oversubscribe];
-    [cache] defaults to a fresh private cache. The report's [jobs] field
-    records the requested fan-out width. *)
+(** [cache] defaults to a fresh private cache. *)
 
 val run_prepared :
-  ?oversubscribe:bool -> ?jobs:int ->
   ?cache:
     (Asp.Model.t list * Asp.Solver.Stats.t * Asp.Grounder.Stats.t) Cache.t ->
   Job.prepared -> Delta.t list -> report
 (** Sweep the given deltas against an already-{!Job.prepare}d base —
     [run spec] is [prepare] + [run_prepared] over [spec.deltas]. The
-    prepared state is only read, so one base may serve many concurrent
-    and consecutive [run_prepared] calls. *)
+    prepared state is only read, so one base may serve many consecutive
+    [run_prepared] calls, also from different domains. *)
 
 val tally :
   Job.result array ->

@@ -25,7 +25,12 @@ type request =
       mutations : string;
           (** raw mutations-file text, parsed server-side so errors carry
               the file's own line numbers *)
-      jobs : int option;  (** override the daemon's fan-out for this batch *)
+      jobs : int option;
+          (** read from and written to the wire, but ignored: the daemon
+              runs a batch's jobs in order on one domain. The field stays
+              only because the end-to-end benchmark's serve workload
+              builds it; it goes with the next change to that
+              benchmark. *)
     }
   | Mitigate of {
       model : string;  (** a name loaded earlier *)

@@ -2,9 +2,9 @@
     {!submit} requests and block for their answer; a single worker thread
     drains {e all} pending requests at once and hands them to the [batch]
     function as one array — so requests that arrive while the engine is
-    busy on the previous batch coalesce into a single pass over the
-    {!Engine.Pool} (one shared prepare, one cache, cross-request dedup)
-    instead of queuing up as N serial engine runs.
+    busy on the previous batch coalesce into a single engine pass (one
+    shared prepare, one cache, cross-request dedup) instead of queuing up
+    as N separate engine runs.
 
     Ordering within a batch is submission order. If [batch] raises, every
     request of that batch re-raises the same exception in its submitter;

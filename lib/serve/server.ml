@@ -2,19 +2,13 @@ type config = {
   socket : string;
   cache_dir : string option;
   cache_mb : int option;
-  jobs : int option;
   log : (string -> unit) option;
 }
 
 let default_config =
-  { socket = "cpsrisk.sock"; cache_dir = None; cache_mb = None; jobs = None;
-    log = None }
+  { socket = "cpsrisk.sock"; cache_dir = None; cache_mb = None; log = None }
 
-type sweep_request = {
-  entry : Registry.entry;
-  deltas : Engine.Delta.t list;
-  req_jobs : int option;
-}
+type sweep_request = { entry : Registry.entry; deltas : Engine.Delta.t list }
 
 type sweep_reply = {
   results : Engine.Job.result array;
@@ -45,7 +39,7 @@ let log t fmt =
    run one engine pass per model over the concatenated deltas (identical
    deltas across requests coalesce in the entry's cache), then slice the
    result array back onto the requests in submission order. *)
-let run_batch t (requests : sweep_request array) : sweep_reply array =
+let run_batch (requests : sweep_request array) : sweep_reply array =
   let t0 = Unix.gettimeofday () in
   let n = Array.length requests in
   let replies = Array.make n None in
@@ -66,17 +60,9 @@ let run_batch t (requests : sweep_request array) : sweep_reply array =
     (fun _name group ->
       let group = List.rev !group in
       let entry = (snd (List.hd group)).entry in
-      let jobs =
-        let explicit =
-          List.filter_map (fun (_, r) -> r.req_jobs) group
-        in
-        match explicit with
-        | [] -> t.config.jobs
-        | js -> Some (List.fold_left max 1 js)
-      in
       let union = List.concat_map (fun (_, r) -> r.deltas) group in
       let report =
-        Engine.Sweep.run_prepared ?jobs ~cache:entry.Registry.cache
+        Engine.Sweep.run_prepared ~cache:entry.Registry.cache
           entry.Registry.prepared union
       in
       entry.Registry.sweeps <- entry.Registry.sweeps + List.length group;
@@ -190,7 +176,7 @@ let handle_request t (request : Protocol.request) : Json.t * bool =
           | exception Asp.Grounder.Overflow msg ->
               ( Protocol.error (Printf.sprintf "grounding error: %s" msg),
                 false )))
-  | Protocol.Sweep { model; mutations; jobs } -> (
+  | Protocol.Sweep { model; mutations; jobs = _ } -> (
       match Registry.find t.registry model with
       | None ->
           ( Protocol.error
@@ -204,9 +190,7 @@ let handle_request t (request : Protocol.request) : Json.t * bool =
                      (Engine.Delta.error_to_string e)),
                 false )
           | Ok deltas -> (
-              match
-                Queue.submit t.queue { entry; deltas; req_jobs = jobs }
-              with
+              match Queue.submit t.queue { entry; deltas } with
               | reply ->
                   log t "sweep %s: %d deltas (batch of %d)" model
                     (List.length deltas) (reply.batch_size);
@@ -261,10 +245,6 @@ let handle_request t (request : Protocol.request) : Json.t * bool =
             ("models", Json.Int (Registry.count t.registry));
             ("queue", queue_to_json t);
             ("store", store_to_json t);
-            ( "jobs",
-              match t.config.jobs with
-              | Some j -> Json.Int j
-              | None -> Json.Null );
           ],
         false )
   | Protocol.Stats ->
@@ -348,13 +328,7 @@ let run ?on_ready config =
       config.cache_dir
   in
   let registry = Registry.create ?store () in
-  let t_ref = ref None in
-  let queue =
-    Queue.create ~batch:(fun reqs ->
-        match !t_ref with
-        | Some t -> run_batch t reqs
-        | None -> assert false (* queue only serves after [t] is built *))
-  in
+  let queue = Queue.create ~batch:run_batch in
   let t =
     {
       config;
@@ -366,7 +340,6 @@ let run ?on_ready config =
       stop_requested = Atomic.make false;
     }
   in
-  t_ref := Some t;
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (match Unix.stat config.socket with
   | { Unix.st_kind = Unix.S_SOCK; _ } -> Unix.unlink config.socket

@@ -14,13 +14,11 @@ type config = {
   socket : string;  (** Unix-domain socket path (note ~107 byte limit) *)
   cache_dir : string option;  (** persistent {!Store} root; [None] = memory only *)
   cache_mb : int option;  (** store size bound in MiB; [None] = unbounded *)
-  jobs : int option;  (** engine fan-out per batch; [None] = pool default *)
   log : (string -> unit) option;  (** server-side event log sink *)
 }
 
 val default_config : config
-(** [cpsrisk.sock] in the current directory, no persistence, pool-default
-    jobs, silent. *)
+(** [cpsrisk.sock] in the current directory, no persistence, silent. *)
 
 val run : ?on_ready:(unit -> unit) -> config -> unit
 (** Serve until a [shutdown] request: bind the socket (replacing a stale

@@ -29,7 +29,7 @@ EOF
 "$CLI" sweep muts.txt > oneshot.txt
 
 start_daemon() {
-  "$CLI" serve --socket s.sock --cache-dir cache --jobs 2 --quiet &
+  "$CLI" serve --socket s.sock --cache-dir cache --quiet &
   daemon=$!
   for _ in $(seq 1 100); do
     [ -S s.sock ] && return

@@ -174,14 +174,7 @@ let test_inc_matches_scratch () =
     (fun (tag, mode) ->
       let spec = Cpsrisk.Hierarchy.refine_spec ~levels:3 ~entries:5 ~mode () in
       let oracle = Cegar.Inc.run_scratch spec in
-      check_outcome_equal (tag ^ "/seq") (Cegar.Inc.run ~jobs:1 spec) oracle;
-      check_outcome_equal (tag ^ "/par")
-        (Cegar.Inc.run ~jobs:2 ~oversubscribe:true spec)
-        oracle;
-      check_outcome_equal
-        (tag ^ "/no-share")
-        (Cegar.Inc.run ~share:false spec)
-        oracle)
+      check_outcome_equal tag (Cegar.Inc.run spec) oracle)
     [ ("assume", `Assume); ("increment", `Increment) ]
 
 let test_inc_seeded_matches_scratch () =
@@ -242,16 +235,12 @@ let test_inc_stats_shape () =
   let spec = Cpsrisk.Hierarchy.refine_spec () in
   let o = Cegar.Inc.run spec in
   let s = o.Cegar.Inc.stats in
-  check Alcotest.int "one flush per structural level (Assume + share)" 6
+  check Alcotest.int "one flush per structural level (Assume)" 6
     s.Cegar.Inc.s_flushes;
   check Alcotest.bool "grounding reused instances across levels" true
     (s.Cegar.Inc.s_ground.Asp.Grounder.Stats.reused_rules > 0);
   check Alcotest.bool "dead-end conflicts published to the hub" true
-    (s.Cegar.Inc.s_published > 0);
-  let o' = Cegar.Inc.run ~share:false spec in
-  check_outcome_equal "share-independent" o' o;
-  check Alcotest.int "no hub without sharing" 0
-    o'.Cegar.Inc.stats.Cegar.Inc.s_published
+    (s.Cegar.Inc.s_published > 0)
 
 let test_inc_cache_keyed_by_limit () =
   (* with [keep] = at least two models, a run whose cached answers were

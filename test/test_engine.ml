@@ -229,22 +229,9 @@ let tiny_spec () =
   Cpsrisk.Sweeps.water_tank_spec ~horizon:6
     (Cpsrisk.Sweeps.random_deltas ~seed:7 40)
 
-let test_sweep_deterministic () =
-  let sequential = Engine.Sweep.run ~jobs:1 (tiny_spec ()) in
-  List.iter
-    (fun jobs ->
-      let parallel =
-        Engine.Sweep.run ~oversubscribe:true ~jobs (tiny_spec ())
-      in
-      check
-        (Alcotest.list Alcotest.string)
-        (Printf.sprintf "jobs=%d bit-identical to sequential" jobs)
-        (sweep_keys sequential) (sweep_keys parallel))
-    [ 2; 3; 4 ]
-
 let test_sweep_cache_accounting () =
   let cache = Engine.Cache.create () in
-  let first = Engine.Sweep.run ~jobs:1 ~cache (tiny_spec ()) in
+  let first = Engine.Sweep.run ~cache (tiny_spec ()) in
   let n = Array.length first.Engine.Sweep.results in
   check Alcotest.int "all jobs ran" 40 n;
   checkb "repeated deltas hit within the first sweep" true
@@ -252,7 +239,7 @@ let test_sweep_cache_accounting () =
   check Alcotest.int "hits + misses = jobs" n
     (first.Engine.Sweep.hits + first.Engine.Sweep.misses);
   (* the second identical sweep is pure lookups: no fresh solver work *)
-  let second = Engine.Sweep.run ~jobs:1 ~cache (tiny_spec ()) in
+  let second = Engine.Sweep.run ~cache (tiny_spec ()) in
   check Alcotest.int "second sweep: all hits" n second.Engine.Sweep.hits;
   check Alcotest.int "second sweep: no misses" 0 second.Engine.Sweep.misses;
   check Alcotest.int "second sweep: zero fresh guesses" 0
@@ -288,7 +275,7 @@ let test_sweep_matches_reference () =
       Cpsrisk.Water_tank.faults
   in
   let report =
-    Engine.Sweep.run ~jobs:1 (Cpsrisk.Sweeps.water_tank_spec ~horizon:8 deltas)
+    Engine.Sweep.run (Cpsrisk.Sweeps.water_tank_spec ~horizon:8 deltas)
   in
   Array.iter
     (fun (r : Engine.Job.result) ->
@@ -371,7 +358,7 @@ let test_sweep_decided () =
   List.iter
     (fun horizon ->
       let spec = Cpsrisk.Sweeps.water_tank_spec ~horizon deltas in
-      let report = Engine.Sweep.run ~jobs:1 spec in
+      let report = Engine.Sweep.run spec in
       check Alcotest.int "every job fresh" 128 report.Engine.Sweep.misses;
       check Alcotest.int "every job decided" 128
         report.Engine.Sweep.ground.Asp.Grounder.Stats.decided;
@@ -433,7 +420,7 @@ let test_sweep_decided () =
   let spec = topology.Cpsrisk.Backend.spec in
   let spec = { spec with Engine.Job.deltas = topology.Cpsrisk.Backend.what_if } in
   checkb "press_cell has component deltas" true (spec.Engine.Job.deltas <> []);
-  check_decided "press_cell" spec (Engine.Sweep.run ~jobs:1 spec)
+  check_decided "press_cell" spec (Engine.Sweep.run spec)
 
 (* The grounder's work on the same space, job by job through
    [Engine.Job.solve]: every job is decided, so no ground instance is
@@ -506,7 +493,7 @@ let test_sweep_work_counters () =
 
 let test_topology_sweep () =
   let config = Cpsrisk.Pipeline.water_tank_config () in
-  let report, impacts = Cpsrisk.Pipeline.topology_sweep ~jobs:1 config in
+  let report, impacts = Cpsrisk.Pipeline.topology_sweep config in
   check Alcotest.int "one job per component delta"
     (List.length (Cpsrisk.Sweeps.model_element_deltas config.Cpsrisk.Pipeline.model))
     (Array.length report.Engine.Sweep.results);
@@ -520,14 +507,12 @@ let test_topology_sweep () =
   let spec deltas =
     Cpsrisk.Sweeps.topology_spec config.Cpsrisk.Pipeline.model deltas
   in
-  let unshielded =
-    Engine.Sweep.run ~jobs:1 (spec [ Engine.Delta.make [ "email" ] ])
-  in
+  let unshielded = Engine.Sweep.run (spec [ Engine.Delta.make [ "email" ] ]) in
   checkb "unshielded e-mail client propagates" true
     (List.length (Cpsrisk.Sweeps.affected unshielded.Engine.Sweep.results.(0))
     > 1);
   let shielded =
-    Engine.Sweep.run ~jobs:1
+    Engine.Sweep.run
       (spec [ Engine.Delta.make ~mitigations:[ "M1" ] [ "email" ] ])
   in
   check
@@ -549,7 +534,7 @@ let check_projection (target : Cpsrisk.Backend.target) deltas =
   let name = Cpsrisk.Backend.name backend in
   checkb (name ^ ": base declares a #show") true (shows <> []);
   let cache = Engine.Cache.create () in
-  let report = Engine.Sweep.run ~jobs:1 ~cache spec in
+  let report = Engine.Sweep.run ~cache spec in
   Array.iter
     (fun (r : Engine.Job.result) ->
       let label = name ^ " " ^ Engine.Delta.label r.Engine.Job.delta in
@@ -727,8 +712,7 @@ let test_numbering_hierarchy () =
     (Cpsrisk.Backend.target Cpsrisk.Backend.Hierarchy)
     (hierarchy_what_ifs (Random.State.make [| 0x4e0; 5 |]))
 
-(* 120 seeded 1-3-fault deltas on a 240-component plant; then the same
-   sweep on two domains equals it on one *)
+(* 120 seeded 1-3-fault deltas on a 240-component plant *)
 let test_numbering_plant () =
   let model, names = layered_plant ~seed:11 ~components:240 ~edges:480 in
   let rng = Random.State.make [| 0xfa17; 3 |] in
@@ -739,22 +723,7 @@ let test_numbering_plant () =
           (List.sort_uniq compare
              (List.init k (fun _ -> names.(Random.State.int rng 240)))))
   in
-  let target = Cpsrisk.Backend.target ~model Cpsrisk.Backend.Topology in
-  check_numbering target deltas;
-  let spec = { target.Cpsrisk.Backend.spec with Engine.Job.deltas } in
-  let strings (r : Engine.Sweep.report) =
-    Array.to_list
-      (Array.map
-         (fun (res : Engine.Job.result) ->
-           Engine.Fingerprint.to_hex res.Engine.Job.fingerprint
-           :: List.map Asp.Model.to_string res.Engine.Job.models)
-         r.Engine.Sweep.results)
-  in
-  check
-    (Alcotest.list (Alcotest.list Alcotest.string))
-    "plant sweep: two domains equal one"
-    (strings (Engine.Sweep.run ~jobs:1 spec))
-    (strings (Engine.Sweep.run ~jobs:2 ~oversubscribe:true spec))
+  check_numbering (Cpsrisk.Backend.target ~model Cpsrisk.Backend.Topology) deltas
 
 (* An extended program solved by CDNL under assumptions on a base atom
    and on an atom only the increment has equals the whole-model oracle's
@@ -988,7 +957,7 @@ let test_render_decided () =
   in
   let render deltas =
     Engine.Sweep.render
-      (Engine.Sweep.run ~jobs:1 (Cpsrisk.Sweeps.water_tank_spec ~horizon:4 deltas))
+      (Engine.Sweep.run (Cpsrisk.Sweeps.water_tank_spec ~horizon:4 deltas))
   in
   let decided = render [ Engine.Delta.make [ "F1" ]; Engine.Delta.make [ "F2" ] ] in
   checkb "all decided: no solver stats" false (contains decided "tier=");
@@ -1026,8 +995,6 @@ let suites =
           test_pool_exception;
         Alcotest.test_case "cache: memoization and accounting" `Quick
           test_cache;
-        Alcotest.test_case "sweep: parallel identical to sequential" `Quick
-          test_sweep_deterministic;
         Alcotest.test_case "sweep: second run is all cache hits" `Quick
           test_sweep_cache_accounting;
         Alcotest.test_case "sweep: solve mode is part of the address" `Quick

@@ -493,7 +493,7 @@ let test_answer_labels () =
     | Error e -> Alcotest.fail (what ^ ": " ^ e)
   in
   let report =
-    Engine.Sweep.run ~jobs:1
+    Engine.Sweep.run
       (Cpsrisk.Sweeps.water_tank_spec ~horizon:4
          [ Engine.Delta.make ~label [ "F1" ] ])
   in
@@ -558,7 +558,7 @@ let test_registry () =
   (* a loaded model serves sweeps through its entry cache into the store *)
   let deltas = [ Engine.Delta.make ~label:"s1" [ "F1" ] ] in
   let report =
-    Engine.Sweep.run_prepared ~jobs:1 ~cache:entry.Serve.Registry.cache
+    Engine.Sweep.run_prepared ~cache:entry.Serve.Registry.cache
       entry.Serve.Registry.prepared deltas
   in
   checki "one fresh job" 1 report.Engine.Sweep.misses;
@@ -567,7 +567,7 @@ let test_registry () =
      the fresh cache answers the same delta from disk *)
   let entry = Serve.Registry.load reg ~name:"wt" target in
   let report =
-    Engine.Sweep.run_prepared ~jobs:1 ~cache:entry.Serve.Registry.cache
+    Engine.Sweep.run_prepared ~cache:entry.Serve.Registry.cache
       entry.Serve.Registry.prepared deltas
   in
   checki "re-load answers from disk" 1 report.Engine.Sweep.disk_hits;
@@ -596,9 +596,7 @@ let with_daemon ?cache_dir f =
         ready := true;
         Condition.signal up)
   in
-  let config =
-    { Serve.Server.default_config with socket; cache_dir; jobs = Some 1 }
-  in
+  let config = { Serve.Server.default_config with socket; cache_dir } in
   let daemon = Thread.create (fun () -> Serve.Server.run ~on_ready config) () in
   Mutex.protect lock (fun () ->
       while not !ready do
@@ -810,6 +808,46 @@ let test_restart_from_store () =
         deltas);
   Serve.Store.close store
 
+(* A sweep request's "jobs" member is read and ignored: the daemon runs
+   every batch in order on one domain, so a fresh daemon answers the
+   same sweep with the same results and counters with or without it. *)
+let test_sweep_ignores_jobs () =
+  let answer extra =
+    with_daemon @@ fun socket ->
+    let ask fields =
+      match Serve.Client.request ~socket (Serve.Json.Obj fields) with
+      | Ok r -> mask_timings r
+      | Error e -> Alcotest.fail e
+    in
+    ignore
+      (ask
+         [
+           ("op", Serve.Json.String "load-model");
+           ("name", Serve.Json.String "wt");
+           ("horizon", Serve.Json.Int 6);
+         ]);
+    let sweep =
+      ask
+        ([
+           ("op", Serve.Json.String "sweep");
+           ("model", Serve.Json.String "wt");
+           ( "mutations",
+             Serve.Json.String "s1: F1\ns2: F2 / M1\nagain: F2 / M1\nF3,F4\n" );
+         ]
+        @ extra)
+    in
+    (sweep, ask [ ("op", Serve.Json.String "status") ])
+  in
+  let plain, status = answer [] in
+  let with_jobs, _ = answer [ ("jobs", Serve.Json.Int 4) ] in
+  checki "four results" 4
+    (List.length (Option.get (Serve.Json.mem_list "results" plain)));
+  check Alcotest.string "same results and counters"
+    (Serve.Json.to_string plain)
+    (Serve.Json.to_string with_jobs);
+  checkb "status names no fan-out" true
+    (Serve.Json.member "jobs" status = None)
+
 (* arithmetic on a symbol is the program's grounding error, answered as
    such — not an escaped exception *)
 let test_solve_eval_error () =
@@ -872,5 +910,7 @@ let suites =
           `Quick test_restart_from_store;
         Alcotest.test_case "solve: evaluation error is a grounding error"
           `Quick test_solve_eval_error;
+        Alcotest.test_case "sweep: a jobs member changes nothing" `Quick
+          test_sweep_ignores_jobs;
       ] );
   ]
