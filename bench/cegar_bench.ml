@@ -5,12 +5,15 @@
 
    Sections (every one checked bit-identical to its oracle first):
 
-   - refine:       Cegar.Inc.run (assume mode with nogood carry, and
-                   increment mode) vs Cegar.Inc.run_scratch — the
+   - refine:       Cegar.Inc.run (assume mode: one prepared solver per
+                   level, searched under each candidate's assumptions;
+                   and increment mode) vs Cegar.Inc.run_scratch — the
                    accumulated-reground loop the incremental driver
                    replaces. Measured two ways: a single cold pass
-                   (where the win is grounding reuse and the hub, kept
-                   honest by the never-slower guard), and the iterative
+                   (where the win is grounding reuse and, in assume
+                   mode, preparing each ground program once instead of
+                   once per candidate; kept honest by the never-slower
+                   guard), and the iterative
                    workload the incremental engine exists for — the
                    analyst retracts one confirmed hypothesis at a time
                    and re-runs the schedule, with one Engine.Cache
@@ -56,7 +59,6 @@ type refine_entry = {
   re_solves : int;
   re_hits : int;
   re_carried : int;
-  re_published : int;
   re_fresh_rules : int;
   re_reused_rules : int;
 }
@@ -69,7 +71,6 @@ let refine_entry name (o : Cegar.Inc.outcome) w =
     re_solves = s.Cegar.Inc.s_solves;
     re_hits = s.Cegar.Inc.s_hits;
     re_carried = s.Cegar.Inc.s_carried;
-    re_published = s.Cegar.Inc.s_published;
     re_fresh_rules = s.Cegar.Inc.s_ground.Asp.Grounder.Stats.fresh_rules;
     re_reused_rules = s.Cegar.Inc.s_ground.Asp.Grounder.Stats.reused_rules;
   }
@@ -79,7 +80,7 @@ let run ~smoke ~out =
   let levels = if smoke then 6 else 10 in
   let entries = if smoke then 9 else 14 in
   (* scratch pays per round: reground the whole accumulated program and
-     re-assess every surviving candidate with no cache and no hub. Smoke
+     re-assess every surviving candidate from scratch with no cache. Smoke
      mode also takes the best of three: one 20-50 ms sample per side is
      too noisy for the never-slower guard on a loaded host *)
   let reps = 3 in
@@ -248,11 +249,11 @@ let run ~smoke ~out =
     p
       "      {\"name\": %S, \"wall_s\": %.6f, \"speedup_vs_scratch\": \
        %.2f, \"solves\": %d, \"cache_hits\": %d,\n\
-      \       \"nogoods_carried\": %d, \"nogoods_published\": %d, \
+      \       \"nogoods_carried\": %d, \
        \"ground_fresh_rules\": %d, \"ground_reused_rules\": %d}%s\n"
       e.re_name e.re_wall_s
       (scratch_a.re_wall_s /. e.re_wall_s)
-      e.re_solves e.re_hits e.re_carried e.re_published e.re_fresh_rules
+      e.re_solves e.re_hits e.re_carried e.re_fresh_rules
       e.re_reused_rules
       (if last then "" else ",");
     ignore i

@@ -621,9 +621,11 @@ let refine_cmd =
       & info [ "mode" ] ~docv:"MODE"
           ~doc:
             "Candidate encoding: $(b,assume) pins hypotheses with solver \
-             assumptions over one shared ground program (enables \
-             learned-nogood carry); $(b,increment) extends the warm \
-             grounder per candidate (deduplicated through the cache).")
+             assumptions over one shared ground program, prepared once \
+             per refinement level and searched once per candidate (its \
+             learned nogoods carry from candidate to candidate); \
+             $(b,increment) extends the warm grounder per candidate \
+             (deduplicated through the cache).")
   in
   Cmd.v
     (Cmd.info "refine"
@@ -636,8 +638,10 @@ let refine_cmd =
               incremental CEGAR driver: the base abstraction is grounded \
               once, every refinement level extends the warm grounder state \
               of the previous one, candidate hypotheses are assessed in \
-              turn, and (in assume mode) conflict clauses learned while \
-              refuting one candidate prune the others.";
+              turn, and (in assume mode) every candidate is a search under \
+              assumptions on one prepared solver per level, so conflict \
+              clauses learned while refuting one candidate prune the \
+              others.";
          ])
     Term.(
       const refine $ levels_arg $ entries_arg $ mode_arg $ Common.stats

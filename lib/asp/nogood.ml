@@ -41,7 +41,7 @@ let cvec_push v c =
 type t = {
   nvars : int;
   branchable : int;  (* vars below this bound live in the decision heap *)
-  stats : Solver_stats.t;
+  mutable stats : Solver_stats.t;
   value : int array;  (* var -> 0 undef / 1 true / -1 false *)
   vlevel : int array;
   reason : clause option array;
@@ -57,6 +57,9 @@ type t = {
   mutable cla_inc : float;
   phase : bool array;  (* saved phase: last value the variable took *)
   seen : Bytes.t;
+  prov : Bytes.t;
+      (* per var: assigned at level 0 after [seal] — provisional, taken
+         back by [reset] *)
   heap : int array;  (* binary max-heap of branchable vars by activity *)
   hpos : int array;  (* var -> heap slot, -1 when absent *)
   mutable hsz : int;
@@ -65,6 +68,9 @@ type t = {
   mutable analyze_local : bool;
       (* last analysis resolved over a path-local clause *)
   mutable unsat : bool;  (* conflict at level 0: no model at all *)
+  mutable sealed : bool;  (* [seal] ran: later level-0 facts are provisional *)
+  mutable mark : int;  (* level-0 trail prefix [reset] keeps *)
+  mutable n_local : int;  (* path-local clauses created since [reset] *)
 }
 
 let create ?branchable ~nvars ~stats () =
@@ -90,6 +96,7 @@ let create ?branchable ~nvars ~stats () =
       cla_inc = 1.;
       phase = Array.make n false;
       seen = Bytes.make n '\000';
+      prov = Bytes.make n '\000';
       heap = Array.init branchable (fun i -> i);
       hpos = Array.init n (fun v -> if v < branchable then v else -1);
       hsz = branchable;
@@ -97,6 +104,9 @@ let create ?branchable ~nvars ~stats () =
       undo_hook = (fun _ -> ());
       analyze_local = false;
       unsat = false;
+      sealed = false;
+      mark = 0;
+      n_local = 0;
     }
   in
   (* all activities are zero, so the ascending id order is a valid heap
@@ -155,6 +165,7 @@ let heap_insert s v =
   end
 
 let set_undo_hook s f = s.undo_hook <- f
+let set_stats s stats = s.stats <- stats
 let unsat s = s.unsat
 let level s = s.n_levels
 let trail_size s = s.trail_sz
@@ -168,6 +179,13 @@ let value_lit s l =
 let var_level s v = s.vlevel.(v)
 let n_learnts s = s.learnts.sz
 
+let n_global_learnts s =
+  let n = ref 0 in
+  for i = 0 to s.learnts.sz - 1 do
+    if not s.learnts.data.(i).local then incr n
+  done;
+  !n
+
 (* the decision literal that opened level [l] (1-based) *)
 let decision_lit s l = s.trail.(s.trail_lim.(l - 1))
 
@@ -175,6 +193,8 @@ let enqueue s lit reason =
   let v = lit lsr 1 in
   s.value.(v) <- (if lit land 1 = 0 then 1 else -1);
   s.vlevel.(v) <- s.n_levels;
+  if s.n_levels = 0 then
+    Bytes.set s.prov v (if s.sealed then '\001' else '\000');
   s.reason.(v) <- reason;
   s.phase.(v) <- lit land 1 = 0;
   s.trail.(s.trail_sz) <- lit;
@@ -187,27 +207,31 @@ let decide s lit =
   s.n_levels <- s.n_levels + 1;
   enqueue s lit None
 
+(* pop the trail down to [bound] entries *)
+let pop_to s bound =
+  (* trail_sz shrinks before each hook call so the hook can tell the
+     popped literal's position from the current trail size *)
+  while s.trail_sz > bound do
+    s.trail_sz <- s.trail_sz - 1;
+    let lit = s.trail.(s.trail_sz) in
+    let v = lit lsr 1 in
+    s.value.(v) <- 0;
+    s.reason.(v) <- None;
+    heap_insert s v;
+    s.undo_hook lit
+  done;
+  s.qhead <- bound
+
 let cancel_until s lvl =
   if s.n_levels > lvl then begin
-    let bound = s.trail_lim.(lvl) in
-    (* trail_sz shrinks before each hook call so the hook can tell the
-       popped literal's position from the current trail size *)
-    while s.trail_sz > bound do
-      s.trail_sz <- s.trail_sz - 1;
-      let lit = s.trail.(s.trail_sz) in
-      let v = lit lsr 1 in
-      s.value.(v) <- 0;
-      s.reason.(v) <- None;
-      heap_insert s v;
-      s.undo_hook lit
-    done;
-    s.qhead <- bound;
+    pop_to s s.trail_lim.(lvl);
     s.n_levels <- lvl
   end
 
 let mk_clause ?(local = false) s lits learnt =
   let c = { lits; act = 0.; learnt; local; cid = s.next_cid } in
   s.next_cid <- s.next_cid + 1;
+  if local then s.n_local <- s.n_local + 1;
   c
 
 let attach s c =
@@ -372,6 +396,10 @@ let analyze s confl =
         if s.vlevel.(v) >= s.n_levels then incr pathc
         else tail := q :: !tail
       end
+      else if s.vlevel.(v) = 0 && Bytes.get s.prov v = '\001' then
+        (* a provisional level-0 fact left out of the clause may rest on a
+           path-local clause: the resolvent holds on this path only *)
+        s.analyze_local <- true
     done;
     while Bytes.get s.seen (s.trail.(!idx) lsr 1) = '\000' do
       decr idx
@@ -524,4 +552,33 @@ let rec pick_branch s =
     if s.value.(v) = 0 then
       Some (if s.phase.(v) then 2 * v else (2 * v) + 1)
     else pick_branch s
+  end
+
+let seal s =
+  s.mark <- s.trail_sz;
+  s.sealed <- true
+
+(* keep only the clauses [keep] accepts, in order *)
+let filter_cvec v keep =
+  let j = ref 0 in
+  for i = 0 to v.sz - 1 do
+    let c = v.data.(i) in
+    if keep c then begin
+      v.data.(!j) <- c;
+      incr j
+    end
+  done;
+  v.sz <- !j
+
+(* back to the sealed level-0 assignment, minus every path-local clause:
+   what is left is the program's clauses and the resolvents that rest on
+   them alone *)
+let reset s =
+  pop_to s s.mark;
+  s.n_levels <- 0;
+  if s.n_local > 0 then begin
+    let global c = not c.local in
+    Array.iter (fun ws -> filter_cvec ws global) s.watches;
+    filter_cvec s.learnts global;
+    s.n_local <- 0
   end

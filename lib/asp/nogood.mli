@@ -24,6 +24,10 @@ val set_undo_hook : t -> (int -> unit) -> unit
     recent first; the solver uses it to roll back its lazy-propagator
     state (atom bitset, scope counters). *)
 
+val set_stats : t -> Solver_stats.t -> unit
+(** Count into another record from now on: each search on a reused
+    kernel reports its own counters. *)
+
 val unsat : t -> bool
 (** A conflict surfaced at level 0: the clause set has no model. *)
 
@@ -40,6 +44,9 @@ val value_var : t -> int -> int
 val value_lit : t -> int -> int
 val var_level : t -> int -> int
 val n_learnts : t -> int
+
+val n_global_learnts : t -> int
+(** Learned clauses that are not path-local: the ones {!reset} keeps. *)
 
 val decision_lit : t -> int -> int
 (** The decision literal that opened the given level (1-based). *)
@@ -66,9 +73,10 @@ val analyze : t -> clause -> int array
 
 val analyzed_local : t -> bool
 (** Whether the last {!analyze} resolved over a path-local clause
-    (blocking nogood, bound prune, or a learnt descendant of one). Such
-    resolvents depend on this path's assumptions or incumbent and must
-    not be published to the {!Exchange}. *)
+    (blocking nogood, bound prune, or a learnt descendant of one), or left
+    out a level-0 literal assigned after {!seal}. Such resolvents depend
+    on this path's assumptions or incumbent: they must not be published
+    to the {!Exchange}, and {!reset} detaches them. *)
 
 val learn : t -> root:int -> int array -> unit
 (** Backjump as far as the learnt clause allows (never above [root]),
@@ -101,3 +109,18 @@ val pick_branch : t -> int option
     lowest id on ties, saved-phase polarity (initially false) — the same
     choice the former linear scan made, found in O(log n). [None] when
     every branchable variable is assigned. *)
+
+val seal : t -> unit
+(** Mark the level-0 assignment so far (the initial clauses propagated to
+    fixpoint) as the part {!reset} keeps. Level-0 facts assigned later —
+    learnt units, or propagation when no assumption opened a level — are
+    provisional. *)
+
+val reset : t -> unit
+(** Prepare the kernel for another search under other assumptions:
+    backtrack to level 0, pop the level-0 facts assigned since {!seal},
+    and detach every path-local clause (blocking nogoods, bound prunes and
+    the resolvents {!analyzed_local} marked). What is left is the initial
+    clauses, the non-local clauses {!add_dynamic} added, and resolvents
+    of those alone; none depends on a search's decisions, so all of them
+    hold under any assumptions. Activities and saved phases stay. *)

@@ -34,7 +34,7 @@ type driver = {
   p : Interned.t;
   comp : Completion.t;
   k : Nogood.t;
-  stats : Stats.t;
+  mutable stats : Stats.t;
   abits : Bitset.t;  (* currently-true atoms, kept in sync with the trail *)
   mutable cursor : int;  (* trail positions < cursor have been scanned *)
   agg_left : int array;  (* per count: unassigned scope atoms *)
@@ -435,16 +435,73 @@ let rec bound_exceeds lb (best : Model.cost) =
 
 exception Finished
 
-(* the full CDNL tier; [p] is already compiled so the cheap-tier
-   dispatcher below shares the work *)
-let solve_full ?limit ~config ~assumptions ~optimal ~stats (p : Interned.t) =
+(* A prepared full-tier solver: the compiled program, its completion and
+   the kernel holding the preprocessed clauses, reused by every search on
+   it. Owned by one domain at a time. *)
+type handle = {
+  config : Config.t;
+  d : driver;
+  unsat : bool;  (* found at preparation: no model under any assumptions *)
+  mutable max_learnts : int;  (* learnt clauses that trigger a reduction *)
+}
+
+(* the preparation half of the full tier: completion, kernel, preprocessing
+   and the level-0 propagation every search starts from; [p] is already
+   compiled so the cheap-tier dispatcher below shares the work *)
+let prepare_compiled ~config ~stats (p : Interned.t) =
   let comp = Completion.compile p in
+  let d = make_driver p comp stats in
+  let k = d.k in
+  let unsat =
+    try
+      if comp.Completion.unsat then raise Finished;
+      (if config.Config.preprocess then begin
+         let body_base = comp.Completion.n_atoms + comp.Completion.n_counts in
+         let pre =
+           Preprocess.run ~elim_bodies:comp.Completion.tight
+             ~nvars:comp.Completion.n_vars ~body_base ~stats
+             comp.Completion.clauses
+         in
+         if pre.Preprocess.unsat then raise Finished;
+         List.iter
+           (fun l -> Nogood.add_initial k [| l |])
+           pre.Preprocess.forced;
+         List.iter (fun c -> Nogood.add_clean k c) pre.Preprocess.clauses
+       end
+       else
+         List.iter (fun c -> Nogood.add_initial k c) comp.Completion.clauses);
+      if Nogood.unsat k then raise Finished;
+      (match Nogood.propagate k with Some _ -> raise Finished | None -> ());
+      Nogood.seal k;
+      false
+    with Finished -> true
+  in
+  {
+    config;
+    d;
+    unsat;
+    max_learnts = max 1000 (List.length comp.Completion.clauses);
+  }
+
+(* the search half: one CDNL run under [assumptions], counting into
+   [stats]. It starts from the sealed level-0 assignment with every
+   path-local clause of an earlier search detached (Nogood.reset), so a
+   handle answers each call as a fresh solve would, while keeping the
+   clauses it learned from the program alone, the activities and the
+   saved phases. *)
+let search_core ?limit ~assumptions ~optimal ~stats h =
+  let d = h.d in
+  let p = d.p and comp = d.comp and k = d.k in
+  let config = h.config in
+  d.stats <- stats;
+  Nogood.set_stats k stats;
+  Nogood.reset k;
+  Array.fill d.scc_dirty 0 (Array.length d.scc_dirty) true;
+  d.any_dirty <- Array.length comp.Completion.sccs > 0;
   let models = ref [] in
   let seen : (Bitset.t, unit) Hashtbl.t = Hashtbl.create 64 in
   let n_found = ref 0 in
   let best = ref None in
-  let d = make_driver p comp stats in
-  let k = d.k in
   let record_model () =
     stats.Stats.leaves <- stats.Stats.leaves + 1;
     let key = Bitset.copy d.abits in
@@ -472,20 +529,7 @@ let solve_full ?limit ~config ~assumptions ~optimal ~stats (p : Interned.t) =
     end
   in
   (try
-     if comp.Completion.unsat then raise Finished;
-     (if config.Config.preprocess then begin
-        let body_base = comp.Completion.n_atoms + comp.Completion.n_counts in
-        let pre =
-          Preprocess.run ~elim_bodies:comp.Completion.tight
-            ~nvars:comp.Completion.n_vars ~body_base ~stats
-            comp.Completion.clauses
-        in
-        if pre.Preprocess.unsat then raise Finished;
-        List.iter (fun l -> Nogood.add_initial k [| l |]) pre.Preprocess.forced;
-        List.iter (fun c -> Nogood.add_clean k c) pre.Preprocess.clauses
-      end
-      else List.iter (fun c -> Nogood.add_initial k c) comp.Completion.clauses);
-     if Nogood.unsat k then raise Finished;
+     if h.unsat || Nogood.unsat k then raise Finished;
      (* establish the guiding path: each assumption opens its own level,
         so conflicts never backjump into it *)
      let assume (atom, value) =
@@ -508,7 +552,6 @@ let solve_full ?limit ~config ~assumptions ~optimal ~stats (p : Interned.t) =
      let root = Nogood.level k in
      let restarts = ref 0 in
      let conflicts_pending = ref 0 in
-     let max_learnts = ref (max 1000 (List.length comp.Completion.clauses)) in
      let share = config.Config.exchange in
      let sharing = Option.is_some share in
      let cursor =
@@ -599,12 +642,11 @@ let solve_full ?limit ~config ~assumptions ~optimal ~stats (p : Interned.t) =
        | _ -> false
      in
      let n_vars = comp.Completion.n_vars in
-     (* seed from the hub before search: a warm hub (repeated solves of
-        one ground program under different assumptions — the incremental
-        CEGAR loop) only helps a conflict-light solve if its clauses land
-        before the first restart, and an easy solve may never restart.
-        Sound for the same reason restart-time imports are: at the root
-        they strengthen the formula monotonically. *)
+     (* seed from the hub before search: clauses a sibling path already
+        published only help a conflict-light path if they land before the
+        first restart, and an easy path may never restart. Sound for the
+        same reason restart-time imports are: at the root they strengthen
+        the formula monotonically. *)
      if sharing then ignore (import_shared ());
      while true do
        match Nogood.propagate k with
@@ -696,9 +738,9 @@ let solve_full ?limit ~config ~assumptions ~optimal ~stats (p : Interned.t) =
                      conflicts_pending := 0;
                      Nogood.cancel_until k root
                    end;
-                   if Nogood.n_learnts k > !max_learnts then begin
+                   if Nogood.n_learnts k > h.max_learnts then begin
                      Nogood.reduce_db k;
-                     max_learnts := !max_learnts + (!max_learnts / 5)
+                     h.max_learnts <- h.max_learnts + (h.max_learnts / 5)
                    end;
                    (* imports land only at restarts: at the root they
                       strengthen the formula monotonically, while mid-burst
@@ -757,7 +799,9 @@ let solve_core ?limit ?(assumptions = []) ?(config = Config.default) ~optimal
   let result =
     match cheap with
     | Some models -> models
-    | None -> solve_full ?limit ~config ~assumptions ~optimal ~stats p
+    | None ->
+        search_core ?limit ~assumptions ~optimal ~stats
+          (prepare_compiled ~config ~stats p)
   in
   stats.Stats.wall_s <- Unix.gettimeofday () -. t0;
   (result, stats)
@@ -773,6 +817,23 @@ let solve_optimal_with_stats ?assumptions ?config g =
 
 let solve_optimal ?assumptions ?config g =
   fst (solve_optimal_with_stats ?assumptions ?config g)
+
+let prepare ?(config = Config.default) g =
+  prepare_compiled ~config ~stats:(Stats.create ()) (Interned.compile g)
+
+let search_on ~optimal ?limit ?(assumptions = []) h =
+  let t0 = Unix.gettimeofday () in
+  let stats = Stats.create () in
+  let result = search_core ?limit ~assumptions ~optimal ~stats h in
+  stats.Stats.wall_s <- Unix.gettimeofday () -. t0;
+  (result, stats)
+
+let search ?limit ?assumptions h =
+  search_on ~optimal:false ?limit ?assumptions h
+
+let search_optimal ?assumptions h = search_on ~optimal:true ?assumptions h
+
+let learnt_nogoods h = Nogood.n_global_learnts h.d.k
 
 let satisfiable ?config g = solve ?config ~limit:1 g <> []
 

@@ -56,11 +56,30 @@
     between such domains: only clauses from 1-UIP analyses untainted by
     path-local nogoods are published, so imports are sound under any
     other path's assumptions and the merged result stays bit-for-bit
-    identical to a sequential solve. *)
+    identical to a sequential solve.
+
+    The full tier runs in two steps, and both are exposed. {!prepare}
+    compiles the program, builds its completion, preprocesses it and
+    loads the clauses into a {!handle}; {!search} runs one CDNL search on
+    the handle under a set of assumptions. [solve] and its variants are
+    prepare-then-search-once. A caller that asks many questions of one
+    ground program — [Cegar.Inc]'s Assume mode solves every candidate of
+    a refinement round as assumptions over the same program — prepares
+    once and searches many times, as incremental SAT solvers do. Each
+    search starts at level 0 from the prepared assignment. Before it
+    starts, the handle drops what the previous search derived for its
+    own path: blocking nogoods, bound prunes, the resolvents that rest on
+    them, and level-0 facts found during that search. It keeps the other
+    learned nogoods, which follow from the program alone and so hold
+    under any assumptions, and it keeps the VSIDS activities and saved
+    phases. The model {e set} of a search therefore equals a fresh
+    solve's. Under a [limit], the models returned may be different ones,
+    because the search path differs. *)
 
 module Stats = Solver_stats
-(** Search statistics; fresh per [solve_*_with_stats] call, so repeated
-    or re-entrant solves report independent counters and wall times. *)
+(** Search statistics; fresh per [solve_*_with_stats] and {!search}
+    call, so repeated or re-entrant solves report independent counters and
+    wall times. *)
 
 module Config : sig
   type t = {
@@ -116,6 +135,36 @@ val solve_optimal_with_stats :
   ?config:Config.t ->
   Ground.t ->
   Model.t list * Stats.t
+
+(** {1 A reusable solver} *)
+
+type handle
+(** One ground program, prepared for the full tier. A handle is mutable
+    and not thread-safe: one domain at a time may search on it. *)
+
+val prepare : ?config:Config.t -> Ground.t -> handle
+(** Compile, complete and preprocess the program once. The cheap tier is
+    not consulted: every search on a handle runs the full tier. *)
+
+val search :
+  ?limit:int ->
+  ?assumptions:(Atom.t * bool) list ->
+  handle ->
+  Model.t list * Stats.t
+(** The stable models consistent with [assumptions] (up to [limit]),
+    sorted, with the statistics of this search alone (preparation is not
+    counted). Without a limit the list equals {!solve_with_stats}'s on
+    the same program and assumptions. With a limit it has the same
+    length, but it can hold other models. *)
+
+val search_optimal :
+  ?assumptions:(Atom.t * bool) list -> handle -> Model.t list * Stats.t
+(** {!solve_optimal_with_stats} on a handle: every optimum consistent
+    with [assumptions]. *)
+
+val learnt_nogoods : handle -> int
+(** The learned nogoods the next {!search} starts with: those the earlier
+    searches derived from the program alone. *)
 
 val satisfiable : ?config:Config.t -> Ground.t -> bool
 

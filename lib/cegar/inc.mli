@@ -15,14 +15,19 @@
 
     - {b Assume}: a candidate compiles to solver assumptions over
       choice-opened control atoms. All candidates of a round then solve
-      the {e identical} ground program, which makes cross-solve learned-
-      nogood carry through {!Asp.Exchange} sound: the hub only ever
-      receives assumption-free 1-UIP clauses (PR 7's taint discipline —
-      blocking / local clauses are never exported), and such clauses are
-      consequences of the shared program alone, valid under any
-      assumption set. The hub persists across rounds while the program is
-      unchanged and is {e flushed} at every structural level, where the
-      old program's completion/loop nogoods would no longer be justified.
+      the {e identical} ground program, so the driver prepares it once
+      ({!Asp.Solver.prepare}: compile, complete, preprocess, load the
+      clauses) and answers every candidate by one {!Asp.Solver.search}
+      under its assumptions on that handle. Between searches the handle
+      keeps the learned nogoods that follow from the program alone —
+      path-local ones (blocking nogoods, bound prunes and their
+      resolvents) are dropped — so what one candidate's refutation
+      learned prunes the next candidate's search, soundly under any
+      assumption set. The handle lives while the program is unchanged,
+      across re-assessment rounds, and is replaced at every structural
+      level, where the old program's nogoods would no longer be
+      justified. It is built at the first fresh solve against a program,
+      so a round answered entirely from the cache builds none.
     - {b Increment}: a candidate compiles to a program increment applied
       via {!Asp.Grounder.extend} against the level's warm state, with
       results deduplicated through {!Engine.Cache} by structural
@@ -30,8 +35,9 @@
       a cache hit, not a solve.
 
     The scratch driver {!run_scratch} is the retained oracle: cold
-    grounding, no cache, no hub, sequential — differential tests pin
-    {!run}'s rounds, survivors and verdicts bit-for-bit against it. *)
+    grounding, no cache, no reused solver, sequential — differential
+    tests pin {!run}'s rounds, survivors and verdicts bit-for-bit against
+    it. *)
 
 type level = {
   l_label : string;
@@ -83,11 +89,9 @@ type stats = {
   s_disk_hits : int;
   s_fresh : int;
   s_carried : int;
-      (** learned nogoods imported from the hub across candidate solves
-          (Assume mode; [Solver.Stats.shared_in] summed over fresh
-          solves) *)
-  s_published : int;  (** nogoods exported to the hub *)
-  s_flushes : int;  (** hub resets forced by structural levels *)
+      (** learned nogoods the round's solver held at the start of each
+          fresh solve, summed (Assume mode; {!Asp.Solver.learnt_nogoods}):
+          what earlier candidates' searches left for later ones *)
   s_ground : Asp.Grounder.Stats.t;
       (** aggregated grounding effort — fresh vs reused instance counts
           show extend-vs-scratch sharing *)
@@ -107,8 +111,8 @@ type value = Asp.Model.t list * Asp.Solver.Stats.t * Asp.Grounder.Stats.t
 val run : ?cache:value Engine.Cache.t -> spec -> outcome
 (** The incremental driver. Candidates of a round are assessed in order
     on the calling domain, each against the level's warm state; in Assume
-    mode every fresh solve imports from and exports to the learned-nogood
-    hub of the current ground program. A caller-supplied [cache] survives
+    mode every fresh solve is a search on the one prepared solver of the
+    current ground program. A caller-supplied [cache] survives
     across calls (and, with a persist hook, across processes).
     Deterministic: [rounds] and [confirmed] are {!run_scratch}'s. Raises
     [Invalid_argument] on an empty candidate list, and like
@@ -116,6 +120,6 @@ val run : ?cache:value Engine.Cache.t -> spec -> outcome
 
 val run_scratch : spec -> outcome
 (** The retained scratch oracle: every round re-grounds the accumulated
-    program cold ({!Asp.Grounder.ground]) and solves sequentially with no
-    cache and no hub. [run spec] and [run_scratch spec] agree bit-for-bit
-    on [rounds] and [confirmed]. *)
+    program cold ({!Asp.Grounder.ground]) and solves each candidate from
+    scratch, sequentially, with no cache. [run spec] and [run_scratch spec]
+    agree bit-for-bit on [rounds] and [confirmed]. *)

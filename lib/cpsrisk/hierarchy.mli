@@ -18,8 +18,9 @@
     exists (SAT). Refinement level [k] adds [blocked/2] facts: the
     firewall on gateway [k] (eliminating entry hypothesis [k]) and the
     decoy on zone [k]. Dead-end routes conflict with the hazard
-    constraint, so solves learn shareable nogoods — the workload the
-    {!Cegar.Inc} Assume-mode exchange hub is built for.
+    constraint, so solves learn nogoods that hold for every candidate —
+    the workload {!Cegar.Inc}'s Assume mode carries from one candidate's
+    search to the next on one prepared solver.
 
     {b Frontier side.} A deterministic error-propagation plant (no
     choice, unique stable model): attacks injected at fixed sources

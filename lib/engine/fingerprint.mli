@@ -38,4 +38,9 @@ val ints : int list -> t
 (** Fingerprint of a plain int tuple — used to mix non-program inputs
     (solve mode, caps) into a job's content address. *)
 
+val assumptions : (Asp.Atom.t * bool) list -> t
+(** Fingerprint of a solver assumption set, in order: each atom's content
+    (predicate and the structural hashes of its arguments, as in
+    {!program}) and its value, folded into both 64-bit streams. *)
+
 val pp : Format.formatter -> t -> unit

@@ -112,8 +112,6 @@ let refine (o : Cegar.Inc.outcome) =
             ("disk_hits", Json.Int s.Cegar.Inc.s_disk_hits);
             ("fresh", Json.Int s.Cegar.Inc.s_fresh);
             ("carried", Json.Int s.Cegar.Inc.s_carried);
-            ("published", Json.Int s.Cegar.Inc.s_published);
-            ("flushes", Json.Int s.Cegar.Inc.s_flushes);
             ( "ground",
               Json.Obj
                 [

@@ -294,6 +294,87 @@ let test_stats_reentrant () =
   Alcotest.check (Alcotest.float 0.0) "dfs first wall time left untouched" dw1
     d1.Asp_oracle.Dfs.Stats.wall_s
 
+(* One prepared solver must answer a run of assumption sets as fresh
+   solves do. Each call draws its assumptions from the program's universe
+   (plus an atom it lacks) and a mode: full enumeration, whose blocking
+   nogoods are path-local; a one-model limit; or optimisation, whose bound
+   prunes are. Enumeration and optima must equal a fresh solve's; a
+   limited call must find a model exactly when the fresh one does, and
+   the one it returns must be among the fresh enumeration's. The extra
+   non-tight seeds are runs where a call without assumptions forces a
+   level-0 fact through a blocking nogood: the nogoods learned after it
+   must be dropped with it. *)
+let check_call ~where h g ~assumptions mode =
+  let all = Asp.Solver.solve ~assumptions g in
+  let same what got want =
+    if not (agree (outcome_of_models got) (outcome_of_models want)) then
+      Alcotest.fail (Printf.sprintf "%s differs at %s" what where)
+  in
+  match mode with
+  | `Enumerate ->
+      same "enumeration" (fst (Asp.Solver.search ~assumptions h)) all
+  | `First -> (
+      match fst (Asp.Solver.search ~limit:1 ~assumptions h) with
+      | [] when all = [] -> ()
+      | [ m ] when List.exists (fun m' -> Asp.Model.compare m m' = 0) all ->
+          ()
+      | got ->
+          Alcotest.fail
+            (Printf.sprintf "limit 1: %d models, not one of the %d at %s"
+               (List.length got) (List.length all) where))
+  | `Optimum ->
+      same "optimum"
+        (fst (Asp.Solver.search_optimal ~assumptions h))
+        (Asp.Solver.solve_optimal ~assumptions g)
+
+let test_handle_reuse () =
+  let missing = Asp.Atom.make "zz_absent" [] in
+  let run_seed tag gen_base gen seed =
+    let src = gen (Random.State.make [| gen_base; seed |]) in
+    let g = Asp.Grounder.ground (Asp.Parser.parse_program src) in
+    let universe =
+      Array.of_list (Asp.Model.AtomSet.elements g.Asp.Ground.universe)
+    in
+    let rng = Random.State.make [| 0x4EA5; gen_base; seed |] in
+    let int n = Random.State.int rng n in
+    let draw () =
+      List.init (int 4) (fun _ ->
+          let a =
+            if Array.length universe = 0 || int 8 = 0 then missing
+            else universe.(int (Array.length universe))
+          in
+          (a, int 3 > 0))
+    in
+    let h = Asp.Solver.prepare g in
+    for call = 0 to 29 do
+      (* every fifth call enumerates everything under no assumptions, so
+         a blocking nogood kept from an earlier one would hide models *)
+      let assumptions = if call mod 5 = 0 then [] else draw () in
+      let mode =
+        if call mod 5 = 0 then `Enumerate
+        else match int 3 with 0 -> `Enumerate | 1 -> `First | _ -> `Optimum
+      in
+      let where =
+        Printf.sprintf "%s seed %d call %d {%s}:\n%s" tag seed call
+          (String.concat ", "
+             (List.map
+                (fun (a, v) ->
+                  (if v then "" else "not ") ^ Asp.Atom.to_string a)
+                assumptions))
+          src
+      in
+      check_call ~where h g ~assumptions mode
+    done
+  in
+  List.iter
+    (fun (tag, gen_base, gen, extra) ->
+      List.iter (run_seed tag gen_base gen) (List.init 40 Fun.id @ extra))
+    [
+      ("mixed", 0xBEEF, gen_program, []);
+      ("nontight", 0x710, gen_nontight, [ 359; 610; 773; 976 ]);
+      ("nonstrat", 0x57A7, gen_nonstrat, []);
+    ]
+
 let suites =
   [
     ( "asp.solver_fuzz",
@@ -306,5 +387,7 @@ let suites =
           test_fuzz_nonstrat;
         Alcotest.test_case "stats are fresh per call" `Quick
           test_stats_reentrant;
+        Alcotest.test_case "one reusable solver answers like fresh solves"
+          `Quick test_handle_reuse;
       ] );
   ]
