@@ -82,7 +82,8 @@ let run ~smoke ~out =
   (* scratch pays per round: reground the whole accumulated program and
      re-assess every surviving candidate from scratch with no cache. Smoke
      mode also takes the best of three: one 20-50 ms sample per side is
-     too noisy for the never-slower guard on a loaded host *)
+     too noisy for the never-slower guard on a loaded host; so do the
+     iterative passes below *)
   let reps = 3 in
   let best f =
     let r = ref None and w = ref infinity in
@@ -128,14 +129,16 @@ let run ~smoke ~out =
       exit 2
     end;
     (* iterative retraction passes: one shared cache for the incremental
-       driver; scratch by definition repays everything each pass *)
+       driver, fresh in every rep; scratch by definition repays
+       everything each pass. Best of reps, like the single pass *)
     let specs = List.init passes spec_at in
     let scratch_outs, scratch_total =
-      wall (fun () -> List.map Cegar.Inc.run_scratch specs)
+      best (fun () -> List.map Cegar.Inc.run_scratch specs)
     in
-    let cache = Engine.Cache.create () in
     let inc_outs, inc_total =
-      wall (fun () -> List.map (fun s -> Cegar.Inc.run ~cache s) specs)
+      best (fun () ->
+          let cache = Engine.Cache.create () in
+          List.map (fun s -> Cegar.Inc.run ~cache s) specs)
     in
     List.iter2
       (fun a b ->

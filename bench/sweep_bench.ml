@@ -151,7 +151,7 @@ let run ~smoke ~out =
   let entries = [ cold_entry; e1; e1c ] in
   emit_json out
     (if smoke then "smoke" else "full")
-    ~deltas:n ~horizon ~seed ~base_atoms:r1.Engine.Sweep.base_atoms entries;
+    ~deltas:n ~horizon ~seed ~base_atoms:(Engine.Sweep.base_atoms r1) entries;
   Printf.eprintf "wrote %s\n" out;
   let total_models = List.fold_left (fun acc ms -> acc + List.length ms) 0 cold in
   List.map

@@ -75,12 +75,26 @@ let stats =
 (* Options                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* a negative horizon is a usage error, not an empty trace *)
 let horizon =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | Some _ ->
+        Error (`Msg (Printf.sprintf "expected a horizon of at least 0, got %s" s))
+    | None -> Error (`Msg (Printf.sprintf "invalid integer %S" s))
+  in
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (conv (parse, Format.pp_print_int))) None
     & info [ "horizon" ] ~docv:"N"
-        ~doc:"Temporal horizon of the water-tank encoding (default 12).")
+        ~doc:
+          "Temporal horizon H of the water-tank encoding (default 12, at \
+           least 0). The answers are those of the trace unrolled to H \
+           steps; the work is bounded by the trace's lasso, the first \
+           repeated state, not by H: each what-if is decided once at a \
+           probe horizon of at most 23 steps and H is folded onto it (a \
+           delta with $(b,!) rules is unrolled to H in full).")
 
 (* a model limit below 1 is a usage error, not a request for one model *)
 let positive_int =

@@ -524,7 +524,7 @@ let sweep mutations model horizon stats json =
          (Serve.Answer.sweep backend report.Engine.Sweep.results
             ~extra:
               [
-                ("base_atoms", Serve.Json.Int report.Engine.Sweep.base_atoms);
+                ("base_atoms", Serve.Json.Int (Engine.Sweep.base_atoms report));
                 ("wall_s", Serve.Json.Float report.Engine.Sweep.wall_s);
               ]))
   else begin
@@ -537,7 +537,10 @@ let sweep mutations model horizon stats json =
       report.Engine.Sweep.results;
     if stats then begin
       print_newline ();
-      print_string (Engine.Sweep.render report)
+      print_string (Engine.Sweep.render report);
+      Option.iter
+        (fun h -> print_string (Cpsrisk.Sweeps.render_horizon h))
+        target.Cpsrisk.Backend.horizon
     end
   end;
   0

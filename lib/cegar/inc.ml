@@ -40,7 +40,7 @@ type outcome = {
   stats : stats;
 }
 
-type value = Asp.Model.t list * Asp.Solver.Stats.t * Asp.Grounder.Stats.t
+type value = Engine.Job.answer
 
 (* The cache key of candidate [c] over the level fingerprint [fp]: its
    assumptions or increment, then the model limit, which decides how many

@@ -104,7 +104,7 @@ type outcome = {
   stats : stats;
 }
 
-type value = Asp.Model.t list * Asp.Solver.Stats.t * Asp.Grounder.Stats.t
+type value = Engine.Job.answer
 (** What the cache memoizes per candidate fingerprint — the
     {!Engine.Sweep} cache triple, so a serve-layer cache can be shared. *)
 

@@ -17,16 +17,19 @@ type target = {
     Engine.Job.prepared ->
     Mitigation.Frontier.t)
     option;
+  horizon : Sweeps.horizon option;
 }
 
 let target ?horizon ?model backend =
   match (backend, model) with
   | Water_tank, _ ->
+      let spec, h = Sweeps.water_tank ?horizon [] in
       {
         backend;
-        spec = Sweeps.water_tank_spec ?horizon [];
+        spec;
         what_if = Sweeps.all_fault_deltas Water_tank.faults;
         frontier = Some Pipeline.water_tank_frontier_of;
+        horizon = Some h;
       }
   | Topology, Some m ->
       {
@@ -34,6 +37,7 @@ let target ?horizon ?model backend =
         spec = Sweeps.topology_spec m [];
         what_if = Sweeps.model_element_deltas m;
         frontier = None;
+        horizon = None;
       }
   | Topology, None -> invalid_arg "Backend.target: topology needs a system model"
   | Hierarchy, _ ->
@@ -42,6 +46,7 @@ let target ?horizon ?model backend =
         spec = Hierarchy.frontier_spec ();
         what_if = [];
         frontier = Some Hierarchy.frontier_of;
+        horizon = None;
       }
 
 type reading =

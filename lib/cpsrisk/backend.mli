@@ -33,12 +33,19 @@ type target = {
     option;
       (** the mitigation frontier over the prepared [spec], when the
           target carries an action catalog *)
+  horizon : Sweeps.horizon option;
+      (** the water tank's horizon shortcut, which answers its jobs from
+          a probe horizon ({!Sweeps.water_tank_spec}); its counts feed
+          [sweep --stats] *)
 }
 
 val target : ?horizon:int -> ?model:Archimate.Model.t -> t -> target
-(** [horizon] sets the water tank's temporal horizon; [model] is the
-    system model of a target that {!needs_model} — raises
-    [Invalid_argument] when it is missing there. *)
+(** [horizon] sets the water tank's temporal horizon H: the answers are
+    those of the trace unrolled to H, the work is bounded by the trace's
+    lasso ({!Sweeps.water_tank_spec}, which raises [Invalid_argument] on
+    a negative H). [model] is the system model of a target that
+    {!needs_model} — raises [Invalid_argument] when it is missing
+    there. *)
 
 (** {2 What a job result means} *)
 

@@ -371,7 +371,9 @@ let catalog_facts =
    mitigation(f4, m1). mitigation(f4, m2).\n\
    mitigation(f3, m3). mitigation(f2, m4). mitigation(f1, m5).\n"
 
-let asp_base ?(horizon = 12) () =
+let default_horizon = 12
+
+let asp_base ?(horizon = default_horizon) () =
   let src =
     Printf.sprintf "time(0..%d).\nstep(0..%d).\n%s\n%s" horizon (horizon - 1)
       catalog_facts static_rules

@@ -60,9 +60,13 @@ val table_ii_rows : unit -> (string * Epa.Analysis.row) list
 val full_sweep : ?mitigations:string list -> unit -> Epa.Analysis.row list
 (** All 2⁴ fault combinations under the given mitigation set. *)
 
+val default_horizon : int
+(** 12, the temporal horizon of {!asp_base} (and so of a sweep) unless
+    given. *)
+
 val asp_base : ?horizon:int -> unit -> Asp.Program.t
 (** The scenario-independent part of the temporal encoding (default horizon
-    12 steps): time/step facts, the fault/mitigation catalog, Listing-2
+    {!default_horizon} steps): time/step facts, the fault/mitigation catalog, Listing-2
     style dynamics rules and the Telingo-compiled requirement rules. A
     sweep ({!Sweeps.water_tank_spec}) builds and grounds this once and
     appends per-scenario activation facts per job. *)

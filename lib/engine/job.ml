@@ -1,4 +1,5 @@
 type mode = Enumerate of int option | Optimal
+type answer = Asp.Model.t list * Asp.Solver.Stats.t * Asp.Grounder.Stats.t
 
 type spec = {
   base : Asp.Program.t;
@@ -6,10 +7,11 @@ type spec = {
   deltas : Delta.t list;
   mode : mode;
   max_atoms : int option;
+  shortcut : (full:(Delta.t -> answer) -> Delta.t -> answer) option;
 }
 
-let spec ?(mode = Enumerate None) ?max_atoms ~compile ~deltas base =
-  { base; compile; deltas; mode; max_atoms }
+let spec ?(mode = Enumerate None) ?max_atoms ?shortcut ~compile ~deltas base =
+  { base; compile; deltas; mode; max_atoms; shortcut }
 
 type result = {
   index : int;
@@ -26,7 +28,8 @@ type prepared = {
   p_spec : spec;
   p_base_fp : Fingerprint.t;
   p_mode_fp : Fingerprint.t;
-  p_ground : Asp.Grounder.prepared;
+  p_ground : Asp.Grounder.prepared option Atomic.t;
+  p_lock : Mutex.t;  (** serialises the one grounding of the base *)
 }
 
 let mode_fingerprint s =
@@ -39,18 +42,37 @@ let mode_fingerprint s =
       Option.value ~default:(-1) s.max_atoms;
     ]
 
+let ground p =
+  match Atomic.get p.p_ground with
+  | Some g -> g
+  | None ->
+      Mutex.protect p.p_lock (fun () ->
+          match Atomic.get p.p_ground with
+          | Some g -> g
+          | None ->
+              let s = p.p_spec in
+              let g = Asp.Grounder.prepare ?max_atoms:s.max_atoms s.base in
+              Atomic.set p.p_ground (Some g);
+              g)
+
 let prepare s =
-  {
-    p_spec = s;
-    p_base_fp = Fingerprint.program s.base;
-    p_mode_fp = mode_fingerprint s;
-    p_ground = Asp.Grounder.prepare ?max_atoms:s.max_atoms s.base;
-  }
+  let p =
+    {
+      p_spec = s;
+      p_base_fp = Fingerprint.program s.base;
+      p_mode_fp = mode_fingerprint s;
+      p_ground = Atomic.make None;
+      p_lock = Mutex.create ();
+    }
+  in
+  (* a shortcut may answer every job without the base's own grounding *)
+  if Option.is_none s.shortcut then ignore (ground p);
+  p
 
 let prepared_spec p = p.p_spec
 
 let base_atoms p =
-  Asp.Model.AtomSet.cardinal (Asp.Grounder.base_universe p.p_ground)
+  Asp.Model.AtomSet.cardinal (Asp.Grounder.base_universe (ground p))
 
 let fingerprint p delta =
   Fingerprint.combine
@@ -59,23 +81,29 @@ let fingerprint p delta =
 
 (* A stratified job has its one candidate model decided by the grounder;
    with no weak constraint in it, that is also its optimum. *)
-let solve p delta =
+let full p delta =
   let s = p.p_spec in
   let gstats = Asp.Grounder.Stats.create () in
   let increment = s.compile delta in
-  match Asp.Grounder.decide ~stats:gstats p.p_ground increment with
+  let g = ground p in
+  match Asp.Grounder.decide ~stats:gstats g increment with
   | Some models ->
       let stats = Asp.Solver.Stats.create () in
       stats.Asp.Solver.Stats.models <- List.length models;
       (models, stats, gstats)
   | None ->
-      let ground = Asp.Grounder.extend ~stats:gstats p.p_ground increment in
+      let program = Asp.Grounder.extend ~stats:gstats g increment in
       let models, stats =
         match s.mode with
-        | Enumerate limit -> Asp.Solver.solve_with_stats ?limit ground
-        | Optimal -> Asp.Solver.solve_optimal_with_stats ground
+        | Enumerate limit -> Asp.Solver.solve_with_stats ?limit program
+        | Optimal -> Asp.Solver.solve_optimal_with_stats program
       in
       (models, stats, gstats)
+
+let solve p delta =
+  match p.p_spec.shortcut with
+  | None -> full p delta
+  | Some answer -> answer ~full:(full p) delta
 
 let run cache p ~index delta =
   let fingerprint = fingerprint p delta in

@@ -1,7 +1,7 @@
 type report = {
   results : Job.result array;
   wall_s : float;
-  base_atoms : int;
+  prepared : Job.prepared;
   hits : int;
   disk_hits : int;
   misses : int;
@@ -44,7 +44,7 @@ let run_prepared ?cache prepared deltas =
   {
     results;
     wall_s = Unix.gettimeofday () -. t0;
-    base_atoms = Job.base_atoms prepared;
+    prepared;
     hits;
     disk_hits;
     misses;
@@ -59,6 +59,8 @@ let run ?cache spec =
   (* fold the preparation time into the report: run = prepare + sweep *)
   { report with wall_s = Unix.gettimeofday () -. t0 }
 
+let base_atoms r = Job.base_atoms r.prepared
+
 let hit_rate r =
   let n = Array.length r.results in
   if n = 0 then 0.0
@@ -68,7 +70,7 @@ let render ?(verbose = false) r =
   let buf = Buffer.create 256 in
   let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   p "sweep: %d jobs in %.3fs (base universe %d atoms)\n"
-    (Array.length r.results) r.wall_s r.base_atoms;
+    (Array.length r.results) r.wall_s (base_atoms r);
   p "cache: %d memory hits / %d disk hits / %d fresh solves (%.1f%% hit rate)\n"
     r.hits r.disk_hits r.misses
     (100.0 *. hit_rate r);

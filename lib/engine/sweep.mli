@@ -21,7 +21,7 @@
 type report = {
   results : Job.result array;  (** indexed by position in the delta list *)
   wall_s : float;  (** whole-sweep wall clock *)
-  base_atoms : int;  (** base universe size reused by every job *)
+  prepared : Job.prepared;  (** the base every job ran against *)
   hits : int;  (** jobs answered from the in-memory cache, this run *)
   disk_hits : int;
       (** jobs answered from the cache's persistent tier, this run *)
@@ -36,16 +36,11 @@ type report = {
           ground program came straight from the prepared base *)
 }
 
-val run :
-  ?cache:
-    (Asp.Model.t list * Asp.Solver.Stats.t * Asp.Grounder.Stats.t) Cache.t ->
-  Job.spec -> report
+val run : ?cache:Job.answer Cache.t -> Job.spec -> report
 (** [cache] defaults to a fresh private cache. *)
 
 val run_prepared :
-  ?cache:
-    (Asp.Model.t list * Asp.Solver.Stats.t * Asp.Grounder.Stats.t) Cache.t ->
-  Job.prepared -> Delta.t list -> report
+  ?cache:Job.answer Cache.t -> Job.prepared -> Delta.t list -> report
 (** Sweep the given deltas against an already-{!Job.prepare}d base —
     [run spec] is [prepare] + [run_prepared] over [spec.deltas]. The
     prepared state is only read, so one base may serve many consecutive
@@ -57,6 +52,10 @@ val tally :
 (** [(hits, disk_hits, misses, fresh, ground)] of any slice of results,
     as in {!report}: solver and grounder work summed over the distinct
     fresh programs, so a program several jobs share counts once. *)
+
+val base_atoms : report -> int
+(** {!Job.base_atoms} of the sweep's base: the universe size every
+    generic job extends. *)
 
 val hit_rate : report -> float
 (** Memory + disk hits over total jobs, in [0, 1]; 0 on an empty sweep. *)

@@ -30,7 +30,7 @@
     a daemon's sweeps, whose lookups move the cache's lifetime
     counters. *)
 
-type value = Asp.Model.t list * Asp.Solver.Stats.t * Asp.Grounder.Stats.t
+type value = Engine.Job.answer
 (** What the cache memoizes per fingerprint — the {!Engine.Sweep} cache
     triple, shareable with a serve-layer {!Engine.Cache}. The models are
     {!Engine.Job.solve}'s, projected on the spec's [#show] predicates, so

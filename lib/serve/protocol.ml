@@ -119,15 +119,22 @@ let request_of_json json =
                     (Printf.sprintf
                        "load-model: unknown backend %S (water-tank | topology)"
                        backend_name)
-              | Some backend ->
-                  Ok
-                    (Load_model
-                       {
-                         name;
-                         backend;
-                         horizon = Json.mem_int "horizon" json;
-                         model_src = Json.mem_string "model_src" json;
-                       })))
+              | Some backend -> (
+                  match Json.mem_int "horizon" json with
+                  | Some h when h < 0 ->
+                      Error
+                        (Printf.sprintf
+                           "load-model: \"horizon\" must be at least 0, got %d"
+                           h)
+                  | horizon ->
+                      Ok
+                        (Load_model
+                           {
+                             name;
+                             backend;
+                             horizon;
+                             model_src = Json.mem_string "model_src" json;
+                           }))))
       | "sweep" -> (
           match
             (Json.mem_string "model" json, Json.mem_string "mutations" json)

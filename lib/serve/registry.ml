@@ -1,4 +1,4 @@
-type value = Asp.Model.t list * Asp.Solver.Stats.t * Asp.Grounder.Stats.t
+type value = Engine.Job.answer
 
 type entry = {
   name : string;

@@ -9,7 +9,7 @@
     models coexist keyed by their fingerprints, and a model re-loaded
     after a daemon restart finds its old answers on disk. *)
 
-type value = Asp.Model.t list * Asp.Solver.Stats.t * Asp.Grounder.Stats.t
+type value = Engine.Job.answer
 (** What the caches memoize per fingerprint — the {!Engine.Sweep} cache
     triple, with models projected on the backend's [#show] predicate
     ({!Engine.Job.solve}): answer-sized, and what a {!Store} entry

@@ -143,3 +143,20 @@ let check_trace trace f =
       invalid_arg
         (Printf.sprintf "Telingo.check_trace: expected one model, got %d"
            (List.length models))
+
+let rec temporal_depth (f : Ltl.Formula.t) =
+  match f with
+  | True | False | Atom _ -> 0
+  | Not g -> temporal_depth g
+  | And (a, b) | Or (a, b) | Implies (a, b) ->
+      max (temporal_depth a) (temporal_depth b)
+  | Next g | Wnext g | Eventually g | Always g -> 1 + temporal_depth g
+  | Until (a, b) | Release (a, b) ->
+      1 + max (temporal_depth a) (temporal_depth b)
+
+let reduce_horizon ~depth ~prefix ~period horizon =
+  if prefix < 0 || period < 1 || depth < 0 then
+    invalid_arg "Telingo.Compile.reduce_horizon";
+  let threshold = prefix + (depth * period) in
+  if horizon < threshold then horizon
+  else threshold + ((horizon - prefix) mod period)

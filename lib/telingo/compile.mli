@@ -68,3 +68,50 @@ val check_trace : Ltl.Trace.t -> Ltl.Formula.t -> bool
 (** Satisfaction of the formula on the trace, decided entirely inside the
     ASP engine (compile + ground + solve + query the root atom). Agrees
     with {!Ltl.Trace.eval} — the property the test suite enforces. *)
+
+(** {2 Horizons of an ultimately periodic trace}
+
+    [formula ~horizon:h] checks the formula on the trace positions
+    [0..h]. When the trace is a lasso — it is the prefix of an infinite
+    trace with [w(t + period) = w(t)] for every [t >= prefix] — most
+    horizons give the same answer, and the checks at horizon [H] and at
+    {!reduce_horizon}[ H] agree for every formula of temporal depth at
+    most [depth].
+
+    The argument. Number the positions by their distance [x] from the
+    last one. Take [H ≡ H' (mod period)], both at least
+    [prefix + depth·period]. A position with [x <= H - prefix] lies on
+    the loop, and its state depends only on [x] and [H mod period]. So
+    the two traces hold the same state at each such distance. Claim, by
+    induction on [k]: on the loop, a subformula of depth at most [k]
+    has a value that depends only on [x] while [x < k·period], and only
+    on [x mod period] from there on. Depth 0 reads one state. [X] and
+    [WX] read the value at [x - 1]. [F], [G], [U] and [R] scan from [x]
+    down to 0 and stop at the first position that settles them. Their
+    operands' values below [(k-1)·period] are fixed, and from there on
+    they repeat with the period. A scan that starts at [x >= k·period]
+    first crosses at least one whole period of repeating values. Each
+    period either settles the scan, at the same phase in both traces,
+    or hands it on unchanged to the next. So the scan's result depends
+    only on [x mod period]. The positions before [prefix] are the same
+    in both traces. They see the loop only through values at
+    [x <= H - prefix], and [H - prefix >= depth·period]. So the formula
+    has the same value at position 0 in both. {!reduce_horizon} picks
+    the representative in [prefix + depth·period] to
+    [prefix + (depth+1)·period - 1]. A qcheck case checks the rule
+    against {!Ltl.Trace.eval_at} on seeded formulas and lassos. It
+    fails with the threshold [prefix + (depth-1)·period]. *)
+
+val temporal_depth : Ltl.Formula.t -> int
+(** The nesting depth of temporal operators: [X], [WX], [F], [G], [U]
+    and [R] each count 1, the Boolean connectives 0. [G !a] has depth 1,
+    [G (a -> F b)] depth 2. *)
+
+val reduce_horizon : depth:int -> prefix:int -> period:int -> int -> int
+(** [reduce_horizon ~depth ~prefix ~period h] is [h] when
+    [h < prefix + depth·period], else
+    [prefix + depth·period + ((h - prefix) mod period)]: a horizon of at
+    most [h] with the same answer as [h] on a lasso trace, for every
+    formula of temporal depth at most [depth] (argument above). Raises
+    [Invalid_argument] on a negative [prefix] or [depth] or a [period]
+    below 1. *)

@@ -4,7 +4,8 @@
 # status — never cmdliner's 125 for an uncaught exception. A refused
 # input is reported as one `cpsrisk <cmd>: ...` line on stderr; lint and
 # analyze exit 2 on it, every other subcommand 1. A program whose
-# arithmetic cannot be evaluated is refused by `solve` the same way.
+# arithmetic cannot be evaluated is refused by `solve` the same way. A
+# negative --horizon is a usage error.
 # Usage: cli_errors.sh CLI
 set -eu
 
@@ -73,5 +74,17 @@ for f in sym_assign sym_arg div_zero sym_cmp; do
   grep -q "^cpsrisk solve: $f.lp: grounding error: " err.txt ||
     fail "cpsrisk solve $f.lp: stderr: $(cat err.txt)"
 done
+
+# a negative horizon is a usage error (cmdliner's 124) naming the option,
+# not an empty trace with every requirement violated; 0 stays valid
+for cmd in "sweep" "mitigate --case water-tank" "request load-model $sock"; do
+  code=0
+  "$CLI" $cmd --horizon=-1 > out.txt 2> err.txt || code=$?
+  [ "$code" -eq 124 ] || fail "cpsrisk $cmd --horizon=-1: expected exit 124, got $code"
+  grep -q "option '--horizon': expected a horizon of at least 0, got -1" err.txt ||
+    fail "cpsrisk $cmd --horizon=-1: stderr: $(cat err.txt)"
+done
+expect 0 sweep --horizon 0
+expect 0 mitigate --case water-tank --horizon 0
 
 echo "cli-errors: every file-taking subcommand refuses bad input cleanly"

@@ -335,6 +335,20 @@ let check_decided what (spec : Engine.Job.spec) (report : Engine.Sweep.report) =
         (List.map Asp.Model.to_string r.Engine.Job.models))
     report.Engine.Sweep.results
 
+let rec subsets = function
+  | [] -> [ [] ]
+  | x :: rest ->
+      let s = subsets rest in
+      s @ List.map (fun l -> x :: l) s
+
+(* the paper's what-if space: every fault subset under every subset of
+   M1-M3, 128 deltas *)
+let water_tank_what_ifs () =
+  List.concat_map
+    (fun mitigations ->
+      Cpsrisk.Sweeps.all_fault_deltas ~mitigations Cpsrisk.Water_tank.faults)
+    (subsets [ "M1"; "M2"; "M3" ])
+
 (* The paper's whole fault x mitigation what-if space: every mutation is
    a stratified simulation, so the grounder decides each job at short
    and long horizons alike, with the solver's answer; at the benchmark
@@ -342,18 +356,7 @@ let check_decided what (spec : Engine.Job.spec) (report : Engine.Sweep.report) =
    full hierarchy Pareto run and the press-cell topology deltas are
    decided too. *)
 let test_sweep_decided () =
-  let rec subsets = function
-    | [] -> [ [] ]
-    | x :: rest ->
-        let s = subsets rest in
-        s @ List.map (fun l -> x :: l) s
-  in
-  let deltas =
-    List.concat_map
-      (fun mitigations ->
-        Cpsrisk.Sweeps.all_fault_deltas ~mitigations Cpsrisk.Water_tank.faults)
-      (subsets [ "M1"; "M2"; "M3" ])
-  in
+  let deltas = water_tank_what_ifs () in
   check Alcotest.int "fault x mitigation deltas" 128 (List.length deltas);
   List.iter
     (fun horizon ->
@@ -423,7 +426,7 @@ let test_sweep_decided () =
   check_decided "press_cell" spec (Engine.Sweep.run spec)
 
 (* The grounder's work on the same space, job by job through
-   [Engine.Job.solve]: every job is decided, so no ground instance is
+   [Engine.Job.solve] on the plain spec (the full unrolling): every job is decided, so no ground instance is
    built, fresh or reused. The 128 jobs share one prepared base, whose
    component memo answers a job's dependent components when an earlier
    job read the same extensions: 118 jobs repeat one of 10 [active/1]
@@ -431,20 +434,14 @@ let test_sweep_decided () =
    stay exactly as they are and that the candidate probes never grow. *)
 let test_sweep_work_counters () =
   let horizon = 48 in
-  let rec subsets = function
-    | [] -> [ [] ]
-    | x :: rest ->
-        let s = subsets rest in
-        s @ List.map (fun l -> x :: l) s
-  in
-  let deltas =
-    List.concat_map
-      (fun mitigations ->
-        Cpsrisk.Sweeps.all_fault_deltas ~mitigations Cpsrisk.Water_tank.faults)
-      (subsets [ "M1"; "M2"; "M3" ])
-  in
+  let deltas = water_tank_what_ifs () in
+  (* the plain spec: no horizon shortcut, every job unrolled to H *)
   let prepared =
-    Engine.Job.prepare (Cpsrisk.Sweeps.water_tank_spec ~horizon deltas)
+    Engine.Job.prepare
+      {
+        (Cpsrisk.Sweeps.water_tank_spec ~horizon deltas) with
+        Engine.Job.shortcut = None;
+      }
   in
   let total = Asp.Grounder.Stats.create () in
   List.iter
@@ -490,6 +487,161 @@ let test_sweep_work_counters () =
     (Printf.sprintf "probes %d <= 94420" total.probes)
     true
     (total.probes <= 94420)
+
+let unrolled spec = { spec with Engine.Job.shortcut = None }
+
+let answers (report : Engine.Sweep.report) =
+  Array.to_list
+    (Array.map
+       (fun (r : Engine.Job.result) ->
+         Engine.Delta.label r.Engine.Job.delta
+         ^ " "
+         ^ String.concat " " (List.map Asp.Model.to_string r.Engine.Job.models))
+       report.Engine.Sweep.results)
+
+let counts h =
+  let c = Cpsrisk.Sweeps.horizon_counts h in
+  Cpsrisk.Sweeps.
+    [
+      c.horizon;
+      c.probe;
+      c.answered_at_probe;
+      c.redecided_at_reduced;
+      c.unrolled_at_horizon;
+    ]
+
+(* The same 128 what-ifs at H = 48 through the horizon shortcut: every
+   job is settled by the probe at h0 = 12, so the grounder does the
+   H = 12 work (3,105 firings against the full unrolling's 9,837), and
+   [sweep --stats] says how each job was answered. *)
+let test_sweep_horizon_counters () =
+  let deltas = water_tank_what_ifs () in
+  let spec, h = Cpsrisk.Sweeps.water_tank ~horizon:48 deltas in
+  let report = Engine.Sweep.run spec in
+  check (Alcotest.list Alcotest.string) "answers of the full unrolling"
+    (answers (Engine.Sweep.run (unrolled spec)))
+    (answers report);
+  let open Asp.Grounder.Stats in
+  let g = report.Engine.Sweep.ground in
+  check Alcotest.int "decided" 128 g.decided;
+  check Alcotest.int "firings" 3105 g.firings;
+  check Alcotest.int "passes" 1349 g.passes;
+  checkb (Printf.sprintf "probes %d <= 26038" g.probes) true (g.probes <= 26038);
+  check (Alcotest.list Alcotest.int) "H, h0, probe, re-decided, unrolled"
+    [ 48; 12; 128; 0; 0 ] (counts h);
+  check Alcotest.string "--stats line"
+    "horizon: H=48 from probe h0=12: 128 answered at the probe, 0 \
+     re-decided at reduce(H), 0 unrolled at H\n"
+    (Cpsrisk.Sweeps.render_horizon h);
+  (* the CLI target carries the same handle *)
+  let target = Cpsrisk.Backend.target ~horizon:48 Cpsrisk.Backend.Water_tank in
+  checkb "water-tank target has a horizon shortcut" true
+    (target.Cpsrisk.Backend.horizon <> None);
+  checkb "other targets have none" true
+    ((Cpsrisk.Backend.target Cpsrisk.Backend.Hierarchy).Cpsrisk.Backend.horizon
+    = None);
+  (* the lassos behind it: the tank oscillates with period 6 when the
+     valves work, settles in one step after step 2 with the input valve
+     stuck open, and after the overflow at step 3 otherwise *)
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+    "lassos (prefix, period) at the probe"
+    (List.map
+       (fun (l, (i, p)) -> (l, Printf.sprintf "(%d, %d)" i p))
+       [
+         ("{}", (0, 6)); ("{F1}", (2, 1)); ("{F2}", (3, 1)); ("{F3}", (0, 6));
+         ("{F4}", (3, 1)); ("{F1,F2}", (3, 1)); ("{F1,F3}", (2, 1));
+         ("{F1,F4}", (3, 1)); ("{F2,F3}", (3, 1)); ("{F2,F4}", (3, 1));
+         ("{F3,F4}", (3, 1)); ("{F1,F2,F3}", (3, 1)); ("{F1,F2,F4}", (3, 1));
+         ("{F1,F3,F4}", (3, 1)); ("{F2,F3,F4}", (3, 1));
+         ("{F1,F2,F3,F4}", (3, 1));
+       ])
+    (List.map
+       (fun d ->
+         ( Engine.Delta.label d,
+           match Cpsrisk.Sweeps.probe_lasso h d with
+           | Some (i, p) -> Printf.sprintf "(%d, %d)" i p
+           | None -> "none" ))
+       (Cpsrisk.Sweeps.all_fault_deltas Cpsrisk.Water_tank.faults));
+  (* a probe of 7 finds the {} lasso (prefix 0, period 6) but folds to
+     7, not 12: those jobs are re-decided at reduce(48) = 12; a probe of
+     5 sees no repeat in {} and unrolls those jobs at H *)
+  let redecide, h7 = Cpsrisk.Sweeps.water_tank ~horizon:48 ~probe:7 deltas in
+  let r7 = Engine.Sweep.run redecide in
+  check (Alcotest.list Alcotest.string) "probe 7: answers" (answers report)
+    (answers r7);
+  check Alcotest.int "probe 7: decided once per job" 128
+    r7.Engine.Sweep.ground.decided;
+  let c = Cpsrisk.Sweeps.horizon_counts h7 in
+  checkb "probe 7: some jobs re-decided" true
+    (c.Cpsrisk.Sweeps.redecided_at_reduced > 0);
+  check Alcotest.int "probe 7: none unrolled" 0 c.Cpsrisk.Sweeps.unrolled_at_horizon;
+  let fallback, h5 = Cpsrisk.Sweeps.water_tank ~horizon:48 ~probe:5 deltas in
+  check (Alcotest.list Alcotest.string) "probe 5: answers" (answers report)
+    (answers (Engine.Sweep.run fallback));
+  checkb "probe 5: some jobs unrolled" true
+    ((Cpsrisk.Sweeps.horizon_counts h5).Cpsrisk.Sweeps.unrolled_at_horizon > 0)
+
+(* The differential case: every F1-F4 subset under every M1-M5 subset,
+   plus deltas with extra rules (which must take the full-H fallback),
+   at every H in 0..64, against the full unrolling at H, model for model.
+   The water-tank frontier's optimum and Pareto front at H = 12 and 48
+   are those of the full unrolling too. *)
+let test_sweep_horizon_differential () =
+  let extras =
+    [
+      Engine.Delta.make ~label:"extra state" ~extra:[ "holds(level, high, 0)." ]
+        [ "F1" ];
+      Engine.Delta.make ~label:"timed fault" ~extra:[ "activated(f1) :- time(5)." ] [];
+      Engine.Delta.make ~label:"choice" ~extra:[ "{x;y}1." ] [ "F3" ];
+    ]
+  in
+  let deltas =
+    List.concat_map
+      (fun mitigations ->
+        Cpsrisk.Sweeps.all_fault_deltas ~mitigations Cpsrisk.Water_tank.faults)
+      (subsets [ "M1"; "M2"; "M3"; "M4"; "M5" ])
+    @ extras
+  in
+  check Alcotest.int "512 what-ifs + extras" 515 (List.length deltas);
+  (* short probes meet the trace before its lasso settles (F2 overflows
+     at step 3): a lasso read off by one step then folds H onto a
+     horizon with other verdicts *)
+  let faults_only = Cpsrisk.Sweeps.all_fault_deltas Cpsrisk.Water_tank.faults in
+  for horizon = 0 to 64 do
+    let spec, h = Cpsrisk.Sweeps.water_tank ~horizon deltas in
+    let what = Printf.sprintf "H=%d" horizon in
+    let full = answers (Engine.Sweep.run (unrolled spec)) in
+    check (Alcotest.list Alcotest.string) what full
+      (answers (Engine.Sweep.run spec));
+    check Alcotest.int (what ^ ": extras unrolled") (List.length extras)
+      (Cpsrisk.Sweeps.horizon_counts h).Cpsrisk.Sweeps.unrolled_at_horizon;
+    let reference = List.filteri (fun i _ -> i < List.length faults_only) full in
+    List.iter
+      (fun probe ->
+        let spec, _ = Cpsrisk.Sweeps.water_tank ~horizon ~probe faults_only in
+        check (Alcotest.list Alcotest.string)
+          (Printf.sprintf "%s, probe %d" what probe)
+          reference
+          (answers (Engine.Sweep.run spec)))
+      [ 2; 5 ]
+  done;
+  List.iter
+    (fun horizon ->
+      let spec = Cpsrisk.Sweeps.water_tank_spec ~horizon [] in
+      let frontier spec =
+        Cpsrisk.Pipeline.water_tank_frontier_of (Engine.Job.prepare spec)
+      in
+      let render = Format.asprintf "%a" Mitigation.Optimizer.pp_solution in
+      let solutions = List.map render in
+      let what = Printf.sprintf "H=%d" horizon in
+      check Alcotest.string (what ^ ": optimum")
+        (render (fst (Mitigation.Frontier.optimal (frontier (unrolled spec)))))
+        (render (fst (Mitigation.Frontier.optimal (frontier spec))));
+      check (Alcotest.list Alcotest.string) (what ^ ": pareto front")
+        (solutions (fst (Mitigation.Frontier.pareto (frontier (unrolled spec)))))
+        (solutions (fst (Mitigation.Frontier.pareto (frontier spec)))))
+    [ 12; 48 ]
 
 let test_topology_sweep () =
   let config = Cpsrisk.Pipeline.water_tank_config () in
@@ -566,20 +718,6 @@ let check_projection (target : Cpsrisk.Backend.target) deltas =
       checkb (label ^ ": reading equals the unprojected oracle's") true
         (projected = reading { r with Engine.Job.models = oracle }))
     report.Engine.Sweep.results
-
-let rec subsets = function
-  | [] -> [ [] ]
-  | x :: rest ->
-      let s = subsets rest in
-      s @ List.map (fun l -> x :: l) s
-
-(* the paper's what-if space: every fault subset under every subset of
-   M1-M3, 128 deltas *)
-let water_tank_what_ifs () =
-  List.concat_map
-    (fun mitigations ->
-      Cpsrisk.Sweeps.all_fault_deltas ~mitigations Cpsrisk.Water_tank.faults)
-    (subsets [ "M1"; "M2"; "M3" ])
 
 (* 256 seeded subsets of the hierarchy's 12 frontier actions *)
 let hierarchy_what_ifs rng =
@@ -1021,6 +1159,10 @@ let suites =
           test_par_optimal;
         Alcotest.test_case "par: limit stays sequential" `Quick
           test_par_limit_sequential;
+        Alcotest.test_case "sweep: horizon shortcut counters pinned" `Quick
+          test_sweep_horizon_counters;
+        Alcotest.test_case "sweep: horizon shortcut = full unrolling" `Quick
+          test_sweep_horizon_differential;
         Alcotest.test_case "sweep: grounder work counters pinned" `Quick
           test_sweep_work_counters;
         Alcotest.test_case "par: cheap-tier programs stay on one path" `Quick

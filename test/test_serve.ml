@@ -707,6 +707,50 @@ let test_wire_golden () =
     Alcotest.(list string)
     "daemon responses" wire_golden_responses pinned
 
+(* A negative horizon is a malformed load-model request: the daemon
+   answers it with a structured error naming the field and loads
+   nothing; horizon 0 stays valid. *)
+let test_load_negative_horizon () =
+  (match
+     Serve.Protocol.parse_request {|{"op":"load-model","name":"wt","horizon":-2}|}
+   with
+  | Error e ->
+      check Alcotest.string "decode error"
+        "load-model: \"horizon\" must be at least 0, got -2" e
+  | Ok _ -> Alcotest.fail "a negative horizon must be rejected");
+  let got =
+    with_daemon @@ fun socket ->
+    List.map
+      (fun line ->
+        match Serve.Json.parse line with
+        | Error e -> Alcotest.fail e
+        | Ok request -> (
+            match Serve.Client.request ~socket request with
+            | Ok response ->
+                Serve.Json.to_string
+                  (Serve.Json.Obj
+                     (List.filter
+                        (fun (k, _) -> k = "ok" || k = "model")
+                        (match response with
+                        | Serve.Json.Obj fields -> fields
+                        | _ -> [])))
+            | Error msg -> "error: " ^ msg))
+      [
+        {|{"op":"load-model","name":"wt","horizon":-1}|};
+        {|{"op":"sweep","model":"wt","mutations":"F2\n"}|};
+        {|{"op":"load-model","name":"wt","horizon":0}|};
+      ]
+  in
+  check
+    (Alcotest.list Alcotest.string)
+    "responses"
+    [
+      "error: load-model: \"horizon\" must be at least 0, got -1";
+      "error: unknown model \"wt\" (load-model first)";
+      {|{"ok":true,"model":"wt"}|};
+    ]
+    got
+
 (* A daemon restarted over its own store answers the same press_cell
    sweep from disk, result for result identical but for [source]; the
    entries hold models projected on [#show affected/1], so each stays
@@ -900,6 +944,8 @@ let suites =
           test_protocol_solve_limit;
         Alcotest.test_case "protocol: non-integer budgets rejected" `Quick
           test_protocol_budgets;
+        Alcotest.test_case "load-model: negative horizon rejected" `Quick
+          test_load_negative_horizon;
         Alcotest.test_case "answer: non-ASCII labels parse back" `Quick
           test_answer_labels;
         Alcotest.test_case "registry: load, serve, re-load from disk" `Quick

@@ -146,6 +146,65 @@ let prop_asp_agrees_with_native =
     (fun (f, tr) ->
       Telingo.Compile.check_trace tr f = Ltl.Trace.eval tr f)
 
+(* The horizon rule against the independent semantics: on a seeded
+   lasso (prefix <= 4, period <= 4), the recursive [eval_at] oracle gives
+   every horizon H in 0..50 the same answer as [reduce_horizon H]. *)
+let lasso_gen =
+  let open QCheck.Gen in
+  let state =
+    map2
+      (fun level alert ->
+        st [ ("level", level); ("alert", string_of_bool alert) ])
+      (oneofl [ "low"; "normal"; "high" ])
+      bool
+  in
+  pair (list_size (int_range 0 4) state) (list_size (int_range 1 4) state)
+
+let lasso_trace (prefix, loop) horizon =
+  let prefix = Array.of_list prefix and loop = Array.of_list loop in
+  let i = Array.length prefix and p = Array.length loop in
+  Ltl.Trace.of_list
+    (List.init (horizon + 1) (fun t ->
+         if t < i then prefix.(t) else loop.((t - i) mod p)))
+
+let prop_reduce_horizon =
+  QCheck.Test.make
+    ~name:"telingo: horizon H and reduce_horizon H agree on a lasso"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (f, (prefix, loop)) ->
+         Printf.sprintf "%s on a lasso of prefix %d, period %d"
+           (Ltl.Formula.to_string f) (List.length prefix) (List.length loop))
+       (QCheck.Gen.pair formula_gen lasso_gen))
+    (fun (f, ((prefix, loop) as lasso)) ->
+      let depth = Telingo.Compile.temporal_depth f in
+      let reduce =
+        Telingo.Compile.reduce_horizon ~depth ~prefix:(List.length prefix)
+          ~period:(List.length loop)
+      in
+      let eval h = Ltl.Trace.eval_at (lasso_trace lasso h) 0 f in
+      List.for_all
+        (fun h ->
+          let r = reduce h in
+          r <= h && (r = h || eval h = eval r))
+        (List.init 51 Fun.id))
+
+let test_temporal_depth () =
+  let depth s = Telingo.Compile.temporal_depth (Ltl.Parser.parse s) in
+  check Alcotest.int "R1" 1 (depth "G !level=overflow");
+  check Alcotest.int "R2" 2 (depth "G (level=overflow -> F alert)");
+  check Alcotest.int "booleans" 0 (depth "a & !b | c");
+  check Alcotest.int "U over X" 2 (depth "a U X b");
+  check Alcotest.int "R" 1 (depth "a R b");
+  (* below the threshold a horizon is its own representative; above it
+     the horizon folds onto one period *)
+  let reduce = Telingo.Compile.reduce_horizon ~depth:2 ~prefix:0 ~period:6 in
+  check Alcotest.(list int) "{} lasso" [ 0; 11; 12; 17; 12; 17 ]
+    (List.map reduce [ 0; 11; 12; 17; 48; 47 ]);
+  let reduce = Telingo.Compile.reduce_horizon ~depth:2 ~prefix:3 ~period:1 in
+  check Alcotest.(list int) "prefix 3 period 1" [ 4; 5; 5 ]
+    (List.map reduce [ 4; 5; 48 ])
+
 let qcheck t = QCheck_alcotest.to_alcotest t
 
 let suites =
@@ -162,5 +221,7 @@ let suites =
         Alcotest.test_case "stratified output" `Quick
           test_generated_program_is_stratified;
         qcheck prop_asp_agrees_with_native;
+        Alcotest.test_case "temporal depth" `Quick test_temporal_depth;
+        qcheck prop_reduce_horizon;
       ] );
   ]
