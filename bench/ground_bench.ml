@@ -96,8 +96,12 @@ let check_probe_efficiency ~workload ~param (s : Asp.Grounder.Stats.t) =
       end
 
 let run_oneshot ~reps ~oracle_cap name param program =
-  let stats = Asp.Grounder.Stats.create () in
-  let g, new_s = time ~reps (fun () -> Asp.Grounder.ground ~stats program) in
+  (* each rep counts into its own stats: the row reports one grounding *)
+  let (g, stats), new_s =
+    time ~reps (fun () ->
+        let stats = Asp.Grounder.Stats.create () in
+        (Asp.Grounder.ground ~stats program, stats))
+  in
   let oracle_s =
     if param <= oracle_cap then begin
       let og, dt =
@@ -137,11 +141,11 @@ let run_oneshot ~reps ~oracle_cap name param program =
    prove instances were carried, not re-derived) are threaded into the
    emitted row. *)
 let run_extend ~reps name k ~base ~deltas =
-  let stats = Asp.Grounder.Stats.create () in
-  let exts, ext_s =
+  let (exts, stats), ext_s =
     time ~reps (fun () ->
+        let stats = Asp.Grounder.Stats.create () in
         let prep = Asp.Grounder.prepare ~stats base in
-        List.map (Asp.Grounder.extend ~stats prep) deltas)
+        (List.map (Asp.Grounder.extend ~stats prep) deltas, stats))
   in
   let scratch, scratch_s =
     time ~reps (fun () ->

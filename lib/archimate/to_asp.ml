@@ -8,9 +8,10 @@ let sanitize s =
       else Buffer.add_char buf '_')
     s;
   let out = Buffer.contents buf in
+  (* a leading digit or '_' would read as a number or a variable *)
   if out = "" then "x"
-  else if out.[0] >= '0' && out.[0] <= '9' then "x" ^ out
-  else out
+  else if out.[0] >= 'a' && out.[0] <= 'z' then out
+  else "x" ^ out
 
 let const s = Asp.Term.const (sanitize s)
 let str s = Asp.Term.str s

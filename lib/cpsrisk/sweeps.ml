@@ -49,20 +49,13 @@ let violated_atom (req : Epa.Requirement.t) =
 
 (* The dynamics ([holds/3], [alert/1]) are a deterministic,
    time-homogeneous function of the previous step's state, and the
-   requirements read only them: a trace that revisits a state is a lasso
-   from there on, and {!Telingo.Compile.reduce_horizon} folds horizon H
-   onto one period of it. *)
-let state_sigs = [ ("holds", 3); ("alert", 1) ]
-
-let depth =
-  List.fold_left
-    (fun d (r : Epa.Requirement.t) ->
-      max d (Telingo.Compile.temporal_depth r.Epa.Requirement.formula))
-    0 Water_tank.requirements
-
-(* Every lasso of the catalog has a period dividing 12 and reaches
-   prefix + depth * period by step 12, so a probe congruent to H modulo
-   12 settles every job. *)
+   requirements read only them, so every trace is a lasso and
+   {!Telingo.Compile.reduce_horizon} folds horizon H onto one period of
+   it. A facts-only delta has the trace of a subset of the catalog's
+   faults and mitigations (other ids join no catalog fact), and every
+   such lasso has a period dividing 12 and reaches prefix + depth *
+   period by step 12 (both pinned in the engine tests), so a probe
+   congruent to H modulo 12 has H's verdicts. *)
 let probe_step = 12
 
 let probe_horizon h =
@@ -72,162 +65,45 @@ let probe_horizon h =
 type horizon = {
   h : int;
   h0 : int;
-  mode : Engine.Job.mode option;
-  lock : Mutex.t;
-  bases : (int, Engine.Job.prepared) Hashtbl.t;
   at_probe : int Atomic.t;
-  redecided : int Atomic.t;
   unrolled : int Atomic.t;
 }
 
-type horizon_counts = {
-  horizon : int;
-  probe : int;
-  answered_at_probe : int;
-  redecided_at_reduced : int;
-  unrolled_at_horizon : int;
-}
-
-let horizon_counts t =
-  {
-    horizon = t.h;
-    probe = t.h0;
-    answered_at_probe = Atomic.get t.at_probe;
-    redecided_at_reduced = Atomic.get t.redecided;
-    unrolled_at_horizon = Atomic.get t.unrolled;
-  }
-
 let render_horizon t =
-  let c = horizon_counts t in
   Printf.sprintf
-    "horizon: H=%d from probe h0=%d: %d answered at the probe, %d \
-     re-decided at reduce(H), %d unrolled at H\n"
-    c.horizon c.probe c.answered_at_probe c.redecided_at_reduced
-    c.unrolled_at_horizon
+    "horizon: H=%d from probe h0=%d: %d decided at h0, %d unrolled at H\n"
+    t.h t.h0 (Atomic.get t.at_probe) (Atomic.get t.unrolled)
 
-(* The base at horizon [h] with the dynamics shown, prepared once per
-   horizon and shared by every job that needs it. *)
-let base_at t h =
-  Mutex.protect t.lock (fun () ->
-      match Hashtbl.find_opt t.bases h with
-      | Some p -> p
-      | None ->
-          let base =
-            List.fold_left
-              (fun p s -> Asp.Program.add_show s p)
-              (Water_tank.asp_base ~horizon:h ())
-              (violated_sig :: state_sigs)
-          in
-          let p =
-            Engine.Job.prepare
-              (Engine.Job.spec ?mode:t.mode ~compile:water_tank_compile
-                 ~deltas:[] base)
-          in
-          Hashtbl.add t.bases h p;
-          p)
-
-(* [(prefix, period)] of the first step j whose state equals an earlier
-   step i's, reading the states 0..horizon off a probe model. The model
-   lists its atoms in {!Asp.Atom.compare} order, time argument last, so
-   each step's atoms come out in one canonical order. *)
-let lasso m ~horizon =
-  let states = Array.make (horizon + 1) [] in
-  List.iter
-    (fun (a : Asp.Atom.t) ->
-      match List.rev a.Asp.Atom.args with
-      | { Asp.Term.node = Asp.Term.Int t; _ } :: rest
-        when t >= 0 && t <= horizon
-             && List.mem (a.Asp.Atom.pred, List.length a.Asp.Atom.args)
-                  state_sigs ->
-          states.(t) <- (a.Asp.Atom.pred, rest) :: states.(t)
-      | _ -> ())
-    (Asp.Model.to_list m);
-  let seen = Hashtbl.create 16 in
-  let rec find j =
-    if j > horizon then None
-    else
-      match Hashtbl.find_opt seen states.(j) with
-      | Some i -> Some (i, j - i)
-      | None ->
-          Hashtbl.add seen states.(j) j;
-          find (j + 1)
-  in
-  find 0
-
-let probe_lasso t delta =
-  match Engine.Job.solve (base_at t t.h0) delta with
-  | [ m ], _, _ -> lasso m ~horizon:t.h0
-  | _ -> None
-
-let project (models, stats, gstats) =
-  (List.map (Asp.Model.project [ violated_sig ]) models, stats, gstats)
-
-(* work the probe did for a job it did not settle, charged to that job;
-   [decided] still counts the job once *)
-let charge ~probe (models, stats, gstats) =
-  let decided = gstats.Asp.Grounder.Stats.decided in
-  Asp.Grounder.Stats.add ~into:gstats probe;
-  gstats.Asp.Grounder.Stats.decided <- decided;
-  (models, stats, gstats)
-
-let answer t ~full delta =
-  let unroll ?probe () =
-    Atomic.incr t.unrolled;
-    let a = full delta in
-    match probe with Some probe -> charge ~probe a | None -> a
-  in
-  if delta.Engine.Delta.extra <> [] then unroll ()
-  else if t.h0 = t.h then begin
-    (* the full unrolling is the probe: no lasso to find *)
-    Atomic.incr t.at_probe;
-    full delta
-  end
-  else
-    let ((models, _, probe) as at_probe) =
-      Engine.Job.solve (base_at t t.h0) delta
-    in
-    let settle () =
-      Atomic.incr t.at_probe;
-      project at_probe
-    in
-    match models with
-    | [ m ] -> (
-        match lasso m ~horizon:t.h0 with
-        | None -> unroll ~probe ()
-        | Some (prefix, period) ->
-            let reduce =
-              Telingo.Compile.reduce_horizon ~depth ~prefix ~period
-            in
-            let r = reduce t.h in
-            if reduce t.h0 = r then settle ()
-            else begin
-              Atomic.incr t.redecided;
-              charge ~probe (project (Engine.Job.solve (base_at t r) delta))
-            end)
-    | _ -> unroll ~probe ()
-
-let water_tank ?(horizon = Water_tank.default_horizon) ?probe ?mode deltas =
-  if horizon < 0 then invalid_arg "Sweeps.water_tank: negative horizon";
+let water_tank ?(horizon = Water_tank.default_horizon) ?mode deltas =
+  let h0 = probe_horizon horizon in
   let t =
-    {
-      h = horizon;
-      h0 =
-        (match probe with
-        | Some p when p < 0 -> invalid_arg "Sweeps.water_tank: negative probe"
-        | Some p -> p
-        | None -> probe_horizon horizon);
-      mode;
-      lock = Mutex.create ();
-      bases = Hashtbl.create 4;
-      at_probe = Atomic.make 0;
-      redecided = Atomic.make 0;
-      unrolled = Atomic.make 0;
-    }
+    { h = horizon; h0; at_probe = Atomic.make 0; unrolled = Atomic.make 0 }
   in
-  ( Engine.Job.spec ?mode ~shortcut:(answer t) ~compile:water_tank_compile
-      ~deltas
-      (Asp.Program.add_show violated_sig (Water_tank.asp_base ~horizon ())),
-    t )
+  let spec ~shortcut h =
+    Engine.Job.spec ?mode ~shortcut ~compile:water_tank_compile ~deltas
+      (Asp.Program.add_show violated_sig (Water_tank.asp_base ~horizon:h ()))
+  in
+  let probe =
+    if h0 = horizon then fun ~full -> full
+    else
+      (* any shortcut defers the grounding of the probe base to its first
+         job, so a target whose answers all come from the cache never
+         grounds it *)
+      let p = Engine.Job.prepare (spec ~shortcut:(fun ~full -> full) h0) in
+      fun ~full:_ delta -> Engine.Job.solve p delta
+  in
+  (* [extra] rules may break determinism or time-homogeneity *)
+  let answer ~full delta =
+    if delta.Engine.Delta.extra <> [] then begin
+      Atomic.incr t.unrolled;
+      full delta
+    end
+    else begin
+      Atomic.incr t.at_probe;
+      probe ~full delta
+    end
+  in
+  (spec ~shortcut:answer horizon, t)
 
 let water_tank_spec ?horizon ?mode deltas =
   fst (water_tank ?horizon ?mode deltas)

@@ -24,8 +24,8 @@ val random_deltas :
 (** {2 Water-tank temporal backend} *)
 
 type horizon
-(** The water-tank spec's horizon shortcut: its probe horizon, the bases
-    it prepared and counts of how it answered. *)
+(** The water-tank spec's horizon shortcut: its horizon, its probe
+    horizon and counts of how it answered. *)
 
 val violated_sig : string * int
 (** [violated/1], the one predicate a water-tank reading uses. *)
@@ -44,59 +44,36 @@ val water_tank_spec :
     the cache and store keys, are those of this base.
 
     The horizon H is the semantics; the work is bounded by the trace's
-    lasso. Below 12 the probe horizon {!probe_horizon}[ H] is H itself
-    and each job is unrolled as is. Otherwise the spec's shortcut
-    decides each job once at the probe horizon, with the dynamics
-    ([holds/3], [alert/1]) shown, and finds its lasso: the first step j whose state equals an
-    earlier step i's (prefix i, period j - i). The state at a step
-    determines the next one, by the same rules at every step, so the
-    trace repeats from there on and {!Telingo.Compile.reduce_horizon}
-    (depth 2, the deeper of R1 and R2) gives the horizon whose verdicts
-    equal H's. A job whose reduced probe horizon equals reduce(H) keeps
-    the probe's verdicts; any other is re-decided at reduce(H), against
-    a base prepared once per such horizon. A delta with [extra] rules
-    (they may break determinism or time-homogeneity), a probe with no
-    repeated state or without exactly one model are unrolled at H in
-    full, the generic {!Engine.Job} answer, whose base is then ground
-    on first need. Answers, models and work counters ([decided] counts a
-    job once) read as the full unrolling's would. Raises
+    lasso. The spec's shortcut decides each delta without [extra] rules
+    against a base at the probe horizon h0 = {!probe_horizon}[ H],
+    also showing only [violated/1], prepared when the spec is built and
+    ground on its first job. The dynamics are deterministic and
+    time-homogeneous, so each trace is a lasso (prefix i, period p), and
+    {!Telingo.Compile.reduce_horizon} (depth 2, the deeper of R1 and R2)
+    folds H and h0 onto the same horizon whenever p divides 12 and
+    i + 2p <= 12. The engine tests pin that premise for every subset of
+    the catalog's faults and mitigations; any other id activates
+    nothing. A delta with [extra] rules (they may break determinism or
+    time-homogeneity) is unrolled at H, the generic {!Engine.Job} answer,
+    whose base is then ground on first need; below 24 the probe is H
+    itself and every job is that answer. Answers and models read as the
+    full unrolling's would; the work counters are the probe's. Raises
     [Invalid_argument] on a negative horizon. *)
 
 val water_tank :
-  ?horizon:int -> ?probe:int -> ?mode:Engine.Job.mode ->
+  ?horizon:int -> ?mode:Engine.Job.mode ->
   Engine.Delta.t list -> Engine.Job.spec * horizon
-(** {!water_tank_spec} with the handle on how its shortcut answers.
-    [probe] replaces {!probe_horizon}[ H]; any probe gives the same
-    answers, only the split between the three ways changes (the tests
-    use it to reach the re-decide and fallback paths). Raises
-    [Invalid_argument] on a negative horizon or probe. *)
+(** {!water_tank_spec} with the handle on how its shortcut answers. *)
 
 val probe_horizon : int -> int
 (** The probe horizon of H: H itself below 12, else the horizon in
-    [12..23] congruent to H modulo 12. Every lasso of the water-tank
-    catalog has a period that divides 12 and reaches prefix + 2·period by
-    step 12, so the probe settles every fault and mitigation set at any
-    H. Raises [Invalid_argument] on a negative H. *)
-
-type horizon_counts = {
-  horizon : int;  (** H, the horizon the answers are for *)
-  probe : int;  (** h0 = {!probe_horizon} H *)
-  answered_at_probe : int;
-  redecided_at_reduced : int;  (** re-decided at reduce(H) *)
-  unrolled_at_horizon : int;  (** the full-H fallbacks *)
-}
-
-val probe_lasso : horizon -> Engine.Delta.t -> (int * int) option
-(** [(prefix, period)] of the delta's trace as the probe reads it, [None]
-    when no state repeats within the probe horizon. The delta's [extra]
-    rules are applied, though the shortcut never probes such a delta. *)
-
-val horizon_counts : horizon -> horizon_counts
-(** How the spec's fresh jobs were answered so far (cached answers do not
-    count). *)
+    [12..23] congruent to H modulo 12. Raises [Invalid_argument] on a
+    negative H. *)
 
 val render_horizon : horizon -> string
-(** The counts as one [sweep --stats] line, newline included. *)
+(** How the spec's fresh jobs were answered so far (cached answers do
+    not count) as one [sweep --stats] line, newline included: the jobs
+    decided at h0 and the jobs unrolled at H. *)
 
 val verdicts : Engine.Job.result -> (string * bool) list
 (** [(requirement id, violated?)] from a water-tank job's unique stable

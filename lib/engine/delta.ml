@@ -63,27 +63,25 @@ let parse_line ?(line = 1) raw =
   else
     (* columns are reported against the raw line, label and comment
        included, so editors can jump to them *)
-    let base = ref 0 in
-    (match String.index_opt raw (if text = "" then ' ' else text.[0]) with
-    | Some i -> base := i
-    | None -> ());
-    let label, rest =
-      match String.index_opt text ':' with
+    let base = Option.value ~default:0 (String.index_opt raw text.[0]) in
+    (* the [! ASP] tail is split off first: its rules may hold ':' *)
+    let head, extra_src =
+      match String.index_opt text '!' with
       | Some i ->
-          base := !base + i + 1;
-          ( String.trim (String.sub text 0 i),
-            String.sub text (i + 1) (String.length text - i - 1) )
-      | None -> ("", text)
-    in
-    let rest, extra_src =
-      match String.index_opt rest '!' with
-      | Some i ->
-          ( String.sub rest 0 i,
+          ( String.sub text 0 i,
             Some
-              ( !base + i + 2,
+              ( base + i + 2,
                 String.trim
-                  (String.sub rest (i + 1) (String.length rest - i - 1)) ) )
-      | None -> (rest, None)
+                  (String.sub text (i + 1) (String.length text - i - 1)) ) )
+      | None -> (text, None)
+    in
+    let label, rest, rest_col =
+      match String.index_opt head ':' with
+      | Some i ->
+          ( String.trim (String.sub head 0 i),
+            String.sub head (i + 1) (String.length head - i - 1),
+            base + i + 1 )
+      | None -> ("", head, base)
     in
     let extra =
       match extra_src with
@@ -93,7 +91,17 @@ let parse_line ?(line = 1) raw =
              instead of letting the sweep's compile step fail without a
              position much later *)
           match Asp.Parser.parse_program src with
-          | _ -> Ok [ src ]
+          | program -> (
+              match
+                List.find_map
+                  (fun r ->
+                    match Asp.Safety.violations r with
+                    | [] -> None
+                    | vs -> Some (Asp.Safety.describe r vs))
+                  (Asp.Program.rules program)
+              with
+              | None -> Ok [ src ]
+              | Some m -> err ~col ("unsafe ASP after '!': " ^ m))
           | exception Asp.Parser.Error m ->
               err ~col (Printf.sprintf "invalid ASP after '!': %s" m))
     in
@@ -108,7 +116,7 @@ let parse_line ?(line = 1) raw =
                  (make ~label ~mitigations:(ids mitigations) ~extra (ids faults)))
         | _ ->
             err
-              ~col:(col_of_char raw '/' 2)
+              ~col:(rest_col + col_of_char rest '/' 2)
               "more than one '/' separator (expected FAULTS [/ MITIGATIONS])")
 
 let parse src =

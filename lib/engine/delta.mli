@@ -40,10 +40,12 @@ val parse_line : ?line:int -> string -> (t option, error) result
 (** One line of a mutations file:
     [[LABEL:] FAULTS [/ MITIGATIONS] [! ASP statements]] — comma-separated
     id lists, [-] or an empty list for none, [#] starts a comment.
-    [Ok None] for blank/comment-only lines. The [! ASP] tail is validated
-    immediately: a syntax error there is reported against this line
-    ([line] defaults to 1) rather than surfacing later, position-free,
-    when the sweep compiles the delta. *)
+    [Ok None] for blank/comment-only lines. The [! ASP] tail is split
+    off at the first [!] before the label, so its rules may hold [:].
+    It is validated immediately: a syntax error or an unsafe rule there
+    is reported against this line ([line] defaults to 1) rather than
+    surfacing later, position-free, when the sweep compiles the
+    delta. *)
 
 val parse : string -> (t list, error) result
 (** A whole mutations file; errors carry the 1-based line (and, where

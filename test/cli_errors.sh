@@ -75,6 +75,20 @@ for f in sym_assign sym_arg div_zero sym_cmp; do
     fail "cpsrisk solve $f.lp: stderr: $(cat err.txt)"
 done
 
+# mutation lines that once escaped as uncaught grounding errors: ids that
+# are no ASP constant as written, an ASP tail holding ':' without a
+# label, and an unsafe ASP tail (refused with its line and column)
+printf '_a / _m\n' > underscore.txt
+printf '\303\251\n' > accent.txt
+printf 'F1 ! activated(f2) :- time(5).\n' > colon_tail.txt
+printf 'F1 ! p(X).\n' > unsafe_tail.txt
+expect 0 sweep underscore.txt
+expect 0 sweep accent.txt
+expect 0 sweep colon_tail.txt
+expect 1 sweep unsafe_tail.txt
+grep -q "^cpsrisk sweep: unsafe_tail.txt: line 1, col 5: unsafe ASP after '!': " err.txt ||
+  fail "cpsrisk sweep unsafe_tail.txt: stderr: $(cat err.txt)"
+
 # a negative horizon is a usage error (cmdliner's 124) naming the option,
 # not an empty trace with every requirement violated; 0 stays valid
 for cmd in "sweep" "mitigate --case water-tank" "request load-model $sock"; do

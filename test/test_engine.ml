@@ -113,6 +113,22 @@ let test_delta_parse () =
         d.Engine.Delta.mitigations;
       checkb "extra" true (d.Engine.Delta.extra <> [])
   | None -> Alcotest.fail "expected a delta");
+  (* the tail is split off before the label: its ':' is no label's *)
+  List.iter
+    (fun (line, label) ->
+      match ok (Engine.Delta.parse_line line) with
+      | Some d ->
+          check Alcotest.string (line ^ ": label") label d.Engine.Delta.label;
+          check (Alcotest.list Alcotest.string) (line ^ ": faults") [ "F1" ]
+            d.Engine.Delta.faults;
+          check (Alcotest.list Alcotest.string) (line ^ ": extra")
+            [ "activated(f2) :- time(5)." ]
+            d.Engine.Delta.extra
+      | None -> Alcotest.fail (line ^ ": expected a delta"))
+    [
+      ("F1 ! activated(f2) :- time(5).", "");
+      ("l: F1 ! activated(f2) :- time(5).", "l");
+    ];
   (match ok (Engine.Delta.parse_line "  # comment only") with
   | None -> ()
   | Some _ -> Alcotest.fail "comment line should produce no delta");
@@ -138,6 +154,17 @@ let test_delta_error_positions () =
         "line 2, col 5: more than one '/' separator (expected FAULTS [/ \
          MITIGATIONS])"
         (Engine.Delta.error_to_string e));
+  (match Engine.Delta.parse_line "a/b: F1 / M1 / M2" with
+  | Ok _ -> Alcotest.fail "double separator after a label must not parse"
+  | Error e ->
+      check Alcotest.int "separator col past a '/' in the label" 14
+        e.Engine.Delta.col);
+  (match Engine.Delta.parse "F1\n  F1 ! q(a). p(X)." with
+  | Ok _ -> Alcotest.fail "unsafe ASP tail must not parse"
+  | Error e ->
+      check Alcotest.string "unsafe tail: line, col after the '!'"
+        "line 2, col 7: unsafe ASP after '!': "
+        (String.sub (Engine.Delta.error_to_string e) 0 37));
   match Engine.Delta.parse "ok: F1\nbad: F1 ! p(." with
   | Ok _ -> Alcotest.fail "invalid ASP tail must not parse"
   | Error e ->
@@ -499,21 +526,78 @@ let answers (report : Engine.Sweep.report) =
          ^ String.concat " " (List.map Asp.Model.to_string r.Engine.Job.models))
        report.Engine.Sweep.results)
 
-let counts h =
-  let c = Cpsrisk.Sweeps.horizon_counts h in
-  Cpsrisk.Sweeps.
-    [
-      c.horizon;
-      c.probe;
-      c.answered_at_probe;
-      c.redecided_at_reduced;
-      c.unrolled_at_horizon;
-    ]
+(* every F1-F4 subset under every M1-M5 subset: the whole catalog *)
+let catalog_what_ifs () =
+  List.concat_map
+    (fun mitigations ->
+      Cpsrisk.Sweeps.all_fault_deltas ~mitigations Cpsrisk.Water_tank.faults)
+    (subsets [ "M1"; "M2"; "M3"; "M4"; "M5" ])
+
+(* The shortcut's premise, read here from the dynamics themselves: the
+   state of a step is its [holds/3] and [alert/1] atoms, and the lasso
+   is the first step j whose state equals an earlier step i's (prefix i,
+   period j - i). The model lists its atoms in {!Asp.Atom.compare}
+   order, time argument last, so each step's atoms come out in one
+   canonical order. *)
+let state_sigs = [ ("holds", 3); ("alert", 1) ]
+
+let lasso m ~horizon =
+  let states = Array.make (horizon + 1) [] in
+  List.iter
+    (fun (a : Asp.Atom.t) ->
+      match List.rev a.Asp.Atom.args with
+      | { Asp.Term.node = Asp.Term.Int t; _ } :: rest
+        when t >= 0 && t <= horizon
+             && List.mem (a.Asp.Atom.pred, List.length a.Asp.Atom.args)
+                  state_sigs ->
+          states.(t) <- (a.Asp.Atom.pred, rest) :: states.(t)
+      | _ -> ())
+    (Asp.Model.to_list m);
+  let seen = Hashtbl.create 16 in
+  let rec find j =
+    if j > horizon then None
+    else
+      match Hashtbl.find_opt seen states.(j) with
+      | Some i -> Some (i, j - i)
+      | None ->
+          Hashtbl.add seen states.(j) j;
+          find (j + 1)
+  in
+  find 0
+
+(* [(prefix, period)] of each delta's trace, read off the trace unrolled
+   to [horizon] with the dynamics shown *)
+let lassos ~horizon deltas =
+  let base =
+    List.fold_left
+      (fun p s -> Asp.Program.add_show s p)
+      (Cpsrisk.Water_tank.asp_base ~horizon ())
+      state_sigs
+  in
+  let prepared =
+    Engine.Job.prepare
+      {
+        (Cpsrisk.Sweeps.water_tank_spec ~horizon []) with
+        Engine.Job.base;
+        shortcut = None;
+      }
+  in
+  List.map
+    (fun d ->
+      ( Engine.Delta.label d,
+        match Engine.Job.solve prepared d with
+        | [ m ], _, _ -> lasso m ~horizon
+        | _ -> None ))
+    deltas
 
 (* The same 128 what-ifs at H = 48 through the horizon shortcut: every
-   job is settled by the probe at h0 = 12, so the grounder does the
-   H = 12 work (3,105 firings against the full unrolling's 9,837), and
-   [sweep --stats] says how each job was answered. *)
+   job is decided at the probe h0 = 12, so the grounder does the H = 12
+   work (3,105 firings against the full unrolling's 9,837), and
+   [sweep --stats] says how each job was answered. The fold behind it
+   holds for every fault and mitigation subset of the catalog: each
+   lasso's period divides 12, the probe's period, and the lasso reaches
+   prefix + depth * period by step 12, so {!Telingo.Compile.reduce_horizon}
+   folds H and its probe horizon onto the same horizon. *)
 let test_sweep_horizon_counters () =
   let deltas = water_tank_what_ifs () in
   let spec, h = Cpsrisk.Sweeps.water_tank ~horizon:48 deltas in
@@ -527,11 +611,8 @@ let test_sweep_horizon_counters () =
   check Alcotest.int "firings" 3105 g.firings;
   check Alcotest.int "passes" 1349 g.passes;
   checkb (Printf.sprintf "probes %d <= 26038" g.probes) true (g.probes <= 26038);
-  check (Alcotest.list Alcotest.int) "H, h0, probe, re-decided, unrolled"
-    [ 48; 12; 128; 0; 0 ] (counts h);
   check Alcotest.string "--stats line"
-    "horizon: H=48 from probe h0=12: 128 answered at the probe, 0 \
-     re-decided at reduce(H), 0 unrolled at H\n"
+    "horizon: H=48 from probe h0=12: 128 decided at h0, 0 unrolled at H\n"
     (Cpsrisk.Sweeps.render_horizon h);
   (* the CLI target carries the same handle *)
   let target = Cpsrisk.Backend.target ~horizon:48 Cpsrisk.Backend.Water_tank in
@@ -540,7 +621,33 @@ let test_sweep_horizon_counters () =
   checkb "other targets have none" true
     ((Cpsrisk.Backend.target Cpsrisk.Backend.Hierarchy).Cpsrisk.Backend.horizon
     = None);
-  (* the lassos behind it: the tank oscillates with period 6 when the
+  let depth =
+    List.fold_left
+      (fun d (r : Epa.Requirement.t) ->
+        max d (Telingo.Compile.temporal_depth r.Epa.Requirement.formula))
+      0 Cpsrisk.Water_tank.requirements
+  in
+  check Alcotest.int "depth of R1 and R2" 2 depth;
+  let probe = Cpsrisk.Sweeps.probe_horizon 48 in
+  check Alcotest.int "probe horizon of 48" 12 probe;
+  let catalog = lassos ~horizon:probe (catalog_what_ifs ()) in
+  check Alcotest.int "512 catalog subsets" 512 (List.length catalog);
+  List.iter
+    (fun (label, l) ->
+      match l with
+      | None -> Alcotest.fail (label ^ ": no state repeats by step 12")
+      | Some (prefix, period) ->
+          checkb
+            (Printf.sprintf "%s: period %d divides 12" label period)
+            true
+            (probe mod period = 0);
+          checkb
+            (Printf.sprintf "%s: prefix %d + %d * period %d <= 12" label
+               prefix depth period)
+            true
+            (prefix + (depth * period) <= probe))
+    catalog;
+  (* the lassos themselves: the tank oscillates with period 6 when the
      valves work, settles in one step after step 2 with the input valve
      stuck open, and after the overflow at step 3 otherwise *)
   check
@@ -557,30 +664,94 @@ let test_sweep_horizon_counters () =
          ("{F1,F2,F3,F4}", (3, 1));
        ])
     (List.map
-       (fun d ->
-         ( Engine.Delta.label d,
-           match Cpsrisk.Sweeps.probe_lasso h d with
+       (fun (l, lasso) ->
+         ( l,
+           match lasso with
            | Some (i, p) -> Printf.sprintf "(%d, %d)" i p
            | None -> "none" ))
-       (Cpsrisk.Sweeps.all_fault_deltas Cpsrisk.Water_tank.faults));
-  (* a probe of 7 finds the {} lasso (prefix 0, period 6) but folds to
-     7, not 12: those jobs are re-decided at reduce(48) = 12; a probe of
-     5 sees no repeat in {} and unrolls those jobs at H *)
-  let redecide, h7 = Cpsrisk.Sweeps.water_tank ~horizon:48 ~probe:7 deltas in
-  let r7 = Engine.Sweep.run redecide in
-  check (Alcotest.list Alcotest.string) "probe 7: answers" (answers report)
-    (answers r7);
-  check Alcotest.int "probe 7: decided once per job" 128
-    r7.Engine.Sweep.ground.decided;
-  let c = Cpsrisk.Sweeps.horizon_counts h7 in
-  checkb "probe 7: some jobs re-decided" true
-    (c.Cpsrisk.Sweeps.redecided_at_reduced > 0);
-  check Alcotest.int "probe 7: none unrolled" 0 c.Cpsrisk.Sweeps.unrolled_at_horizon;
-  let fallback, h5 = Cpsrisk.Sweeps.water_tank ~horizon:48 ~probe:5 deltas in
-  check (Alcotest.list Alcotest.string) "probe 5: answers" (answers report)
-    (answers (Engine.Sweep.run fallback));
-  checkb "probe 5: some jobs unrolled" true
-    ((Cpsrisk.Sweeps.horizon_counts h5).Cpsrisk.Sweeps.unrolled_at_horizon > 0)
+       (lassos ~horizon:probe
+          (Cpsrisk.Sweeps.all_fault_deltas Cpsrisk.Water_tank.faults)))
+
+(* Ids outside the catalog activate nothing: every dynamics rule joins
+   on the catalog's [fault_on/2] and [mitigation/2] facts, so a fault
+   [F9], a mitigation [M7] and a component name [in_valve] as either
+   leave each catalog subset's answer as it is, through the shortcut and
+   in the full unrolling alike. This is what lets the catalog's 512
+   lassos stand for every facts-only delta. *)
+let test_sweep_unknown_ids () =
+  let catalog = catalog_what_ifs () in
+  let with_unknown =
+    List.map
+      (fun (d : Engine.Delta.t) ->
+        Engine.Delta.make ~label:(Engine.Delta.label d)
+          ~mitigations:("M7" :: "in_valve" :: d.Engine.Delta.mitigations)
+          ("F9" :: "in_valve" :: d.Engine.Delta.faults))
+      catalog
+  in
+  List.iter
+    (fun horizon ->
+      let what = Printf.sprintf "H=%d" horizon in
+      let spec deltas = Cpsrisk.Sweeps.water_tank_spec ~horizon deltas in
+      let reference = answers (Engine.Sweep.run (unrolled (spec catalog))) in
+      check (Alcotest.list Alcotest.string) (what ^ ": shortcut") reference
+        (answers (Engine.Sweep.run (spec with_unknown)));
+      check (Alcotest.list Alcotest.string) (what ^ ": full unrolling")
+        reference
+        (answers (Engine.Sweep.run (unrolled (spec with_unknown)))))
+    [ 13; 48 ]
+
+(* What the traced cli-sweep benchmark run replays in-process: the 128
+   what-ifs at H = 48, where the probe (h0 = 12) answers every job, each
+   through [Job.fingerprint], the cache and [Job.solve] on two domains
+   at once, and every verdict equal to the EPA simulation's. *)
+let test_sweep_pool_replay () =
+  let horizon = 48 in
+  let deltas = Array.of_list (water_tank_what_ifs ()) in
+  let prepared =
+    Engine.Job.prepare
+      (Cpsrisk.Sweeps.water_tank_spec ~horizon (Array.to_list deltas))
+  in
+  let cache = Engine.Cache.create () in
+  let results =
+    Engine.Pool.map ~oversubscribe:true ~jobs:2
+      (fun index ->
+        let delta = deltas.(index) in
+        let fingerprint = Engine.Job.fingerprint prepared delta in
+        let (models, stats, gstats), source =
+          Engine.Cache.find_or_compute_src cache fingerprint (fun () ->
+              Engine.Job.solve prepared delta)
+        in
+        {
+          Engine.Job.index;
+          delta;
+          fingerprint;
+          models;
+          stats;
+          gstats;
+          cached = source <> Engine.Cache.Fresh;
+          source;
+        })
+      (Array.length deltas)
+  in
+  Array.iter
+    (fun (r : Engine.Job.result) ->
+      let label = Engine.Delta.label r.Engine.Job.delta in
+      checkb (label ^ ": fresh") false r.Engine.Job.cached;
+      let violated =
+        Epa.Analysis.violations
+          (Epa.Analysis.run_scenario ~horizon Cpsrisk.Water_tank.system
+             (Cpsrisk.Sweeps.delta_scenario r.Engine.Job.delta))
+      in
+      check
+        (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.bool))
+        label
+        (List.map
+           (fun (req : Epa.Requirement.t) ->
+             let id = req.Epa.Requirement.id in
+             (id, List.mem id violated))
+           Cpsrisk.Water_tank.requirements)
+        (Cpsrisk.Sweeps.verdicts r))
+    results
 
 (* The differential case: every F1-F4 subset under every M1-M5 subset,
    plus deltas with extra rules (which must take the full-H fallback),
@@ -596,35 +767,19 @@ let test_sweep_horizon_differential () =
       Engine.Delta.make ~label:"choice" ~extra:[ "{x;y}1." ] [ "F3" ];
     ]
   in
-  let deltas =
-    List.concat_map
-      (fun mitigations ->
-        Cpsrisk.Sweeps.all_fault_deltas ~mitigations Cpsrisk.Water_tank.faults)
-      (subsets [ "M1"; "M2"; "M3"; "M4"; "M5" ])
-    @ extras
-  in
+  let deltas = catalog_what_ifs () @ extras in
   check Alcotest.int "512 what-ifs + extras" 515 (List.length deltas);
-  (* short probes meet the trace before its lasso settles (F2 overflows
-     at step 3): a lasso read off by one step then folds H onto a
-     horizon with other verdicts *)
-  let faults_only = Cpsrisk.Sweeps.all_fault_deltas Cpsrisk.Water_tank.faults in
   for horizon = 0 to 64 do
     let spec, h = Cpsrisk.Sweeps.water_tank ~horizon deltas in
     let what = Printf.sprintf "H=%d" horizon in
-    let full = answers (Engine.Sweep.run (unrolled spec)) in
-    check (Alcotest.list Alcotest.string) what full
+    check (Alcotest.list Alcotest.string) what
+      (answers (Engine.Sweep.run (unrolled spec)))
       (answers (Engine.Sweep.run spec));
-    check Alcotest.int (what ^ ": extras unrolled") (List.length extras)
-      (Cpsrisk.Sweeps.horizon_counts h).Cpsrisk.Sweeps.unrolled_at_horizon;
-    let reference = List.filteri (fun i _ -> i < List.length faults_only) full in
-    List.iter
-      (fun probe ->
-        let spec, _ = Cpsrisk.Sweeps.water_tank ~horizon ~probe faults_only in
-        check (Alcotest.list Alcotest.string)
-          (Printf.sprintf "%s, probe %d" what probe)
-          reference
-          (answers (Engine.Sweep.run spec)))
-      [ 2; 5 ]
+    check Alcotest.string (what ^ ": extras unrolled")
+      (Printf.sprintf
+         "horizon: H=%d from probe h0=%d: 512 decided at h0, 3 unrolled at H\n"
+         horizon (Cpsrisk.Sweeps.probe_horizon horizon))
+      (Cpsrisk.Sweeps.render_horizon h)
   done;
   List.iter
     (fun horizon ->
@@ -1163,6 +1318,10 @@ let suites =
           test_sweep_horizon_counters;
         Alcotest.test_case "sweep: horizon shortcut = full unrolling" `Quick
           test_sweep_horizon_differential;
+        Alcotest.test_case "sweep: unknown ids answer like the catalog's"
+          `Quick test_sweep_unknown_ids;
+        Alcotest.test_case "sweep: cli-sweep replay at H=48 on two domains"
+          `Quick test_sweep_pool_replay;
         Alcotest.test_case "sweep: grounder work counters pinned" `Quick
           test_sweep_work_counters;
         Alcotest.test_case "par: cheap-tier programs stay on one path" `Quick
