@@ -29,7 +29,6 @@ let benches : Registry.bench list =
     Solver_bench.bench;
     Sweep_bench.bench;
     Analysis_bench.bench;
-    Serve_bench.bench;
     Cegar_bench.bench;
   ]
 

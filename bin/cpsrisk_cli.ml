@@ -811,8 +811,9 @@ let serve_cmd =
               line-delimited JSON protocol (one request object per line, \
               one response object back). Loaded models keep their base \
               encoding grounded and fingerprinted in memory, so what-if \
-              sweeps extend warm state; concurrent sweep requests are \
-              coalesced into single engine batches; with $(b,--cache-dir), \
+              sweeps extend warm state; each connection's requests are \
+              answered on its own thread, and concurrent sweeps of one \
+              model share its answer cache; with $(b,--cache-dir), \
               every solved delta is also persisted content-addressed on \
               disk and survives restarts. Use $(b,cpsrisk request) as the \
               client, or any tool that can write JSON lines to a socket. \

@@ -5,8 +5,8 @@
     Keys are program {!Fingerprint}s; values are whatever the caller
     memoizes (the engine stores solved model lists plus solver stats).
     {!find_or_compute_src} deduplicates in-flight work: while one domain
-    or thread computes a key (the daemon's sweep worker and its
-    [mitigate] handlers share one cache per model), others asking for the
+    or thread computes a key (the daemon's connection threads share one
+    cache per model across sweeps and [mitigate]), others asking for the
     same key block on a condition variable instead of solving the same
     program twice, so the hit/miss accounting stays exact.
 

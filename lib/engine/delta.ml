@@ -37,10 +37,13 @@ let error_to_string e =
   if e.col > 0 then Printf.sprintf "line %d, col %d: %s" e.line e.col e.msg
   else Printf.sprintf "line %d: %s" e.line e.msg
 
+(* A [#] after the [!] belongs to the ASP tail ([#show], [#count]), whose
+   own comments start with [%]. *)
 let strip_comment line =
-  match String.index_opt line '#' with
-  | Some i -> String.sub line 0 i
-  | None -> line
+  match (String.index_opt line '#', String.index_opt line '!') with
+  | Some h, Some b when b < h -> line
+  | Some h, _ -> String.sub line 0 h
+  | None, _ -> line
 
 let ids csv =
   String.split_on_char ',' csv

@@ -39,9 +39,11 @@ val error_to_string : error -> string
 val parse_line : ?line:int -> string -> (t option, error) result
 (** One line of a mutations file:
     [[LABEL:] FAULTS [/ MITIGATIONS] [! ASP statements]] — comma-separated
-    id lists, [-] or an empty list for none, [#] starts a comment.
-    [Ok None] for blank/comment-only lines. The [! ASP] tail is split
-    off at the first [!] before the label, so its rules may hold [:].
+    id lists, [-] or an empty list for none, [#] before the [!] starts a
+    comment. [Ok None] for blank/comment-only lines. The [! ASP] tail is
+    split off at the first [!] before the label, so its rules may hold
+    [:]; it is ASP to the end of the line, so a [#] there is a directive
+    or aggregate ([#show], [#count]) and its comments start with [%].
     It is validated immediately: a syntax error or an unsafe rule there
     is reported against this line ([line] defaults to 1) rather than
     surfacing later, position-free, when the sweep compiles the

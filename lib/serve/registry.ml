@@ -7,9 +7,9 @@ type entry = {
   cache : value Engine.Cache.t;
   frontier : Mitigation.Frontier.t option;
   loaded_at : float;
-  mutable sweeps : int;
-  mutable jobs_served : int;
-  mutable mitigations : int;
+  sweeps : int Atomic.t;
+  jobs_served : int Atomic.t;
+  mitigations : int Atomic.t;
 }
 
 type t = {
@@ -52,9 +52,9 @@ let load t ~name (target : Cpsrisk.Backend.target) =
         | Some f -> Some (f ~cache prepared)
         | None -> None);
       loaded_at = Unix.gettimeofday ();
-      sweeps = 0;
-      jobs_served = 0;
-      mitigations = 0;
+      sweeps = Atomic.make 0;
+      jobs_served = Atomic.make 0;
+      mitigations = Atomic.make 0;
     }
   in
   locked t (fun () ->
@@ -88,9 +88,9 @@ let entry_to_json e =
       ("name", Json.String e.name);
       ("backend", Json.String (Cpsrisk.Backend.name e.backend));
       ("base_atoms", Json.Int (base_atoms e));
-      ("sweeps", Json.Int e.sweeps);
-      ("jobs_served", Json.Int e.jobs_served);
-      ("mitigations", Json.Int e.mitigations);
+      ("sweeps", Json.Int (Atomic.get e.sweeps));
+      ("jobs_served", Json.Int (Atomic.get e.jobs_served));
+      ("mitigations", Json.Int (Atomic.get e.mitigations));
       ("cache_entries", Json.Int (Engine.Cache.length e.cache));
       ("cache_hits", Json.Int (Engine.Cache.hits e.cache));
       ("cache_disk_hits", Json.Int (Engine.Cache.disk_hits e.cache));

@@ -25,9 +25,11 @@ type entry = {
           target carries an action catalog — frontier evaluations and
           sweep jobs answer each other's what-ifs *)
   loaded_at : float;
-  mutable sweeps : int;  (** sweep requests served *)
-  mutable jobs_served : int;  (** delta jobs across those sweeps *)
-  mutable mitigations : int;  (** mitigation-frontier requests served *)
+  sweeps : int Atomic.t;
+      (** sweep requests served; the counters are atomic because every
+          connection thread updates them *)
+  jobs_served : int Atomic.t;  (** delta jobs across those sweeps *)
+  mitigations : int Atomic.t;  (** mitigation-frontier requests served *)
 }
 
 type t

@@ -8,19 +8,10 @@ type config = {
 let default_config =
   { socket = "cpsrisk.sock"; cache_dir = None; cache_mb = None; log = None }
 
-type sweep_request = { entry : Registry.entry; deltas : Engine.Delta.t list }
-
-type sweep_reply = {
-  results : Engine.Job.result array;
-  batch_size : int;  (** requests coalesced into the engine pass *)
-  batch_wall_s : float;
-}
-
 type t = {
   config : config;
   store : Registry.value Store.t option;
   registry : Registry.t;
-  queue : (sweep_request, sweep_reply) Queue.t;
   started_at : float;
   mutable listen_fd : Unix.file_descr option;
   stop_requested : bool Atomic.t;
@@ -30,80 +21,6 @@ let log t fmt =
   Printf.ksprintf
     (fun s -> match t.config.log with Some f -> f s | None -> ())
     fmt
-
-(* ------------------------------------------------------------------ *)
-(* Batched sweep execution                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* One queue batch may mix requests for several models: group them,
-   run one engine pass per model over the concatenated deltas (identical
-   deltas across requests coalesce in the entry's cache), then slice the
-   result array back onto the requests in submission order. *)
-let run_batch (requests : sweep_request array) : sweep_reply array =
-  let t0 = Unix.gettimeofday () in
-  let n = Array.length requests in
-  let replies = Array.make n None in
-  let by_model = Hashtbl.create 4 in
-  Array.iteri
-    (fun i r ->
-      let group =
-        match Hashtbl.find_opt by_model r.entry.Registry.name with
-        | Some g -> g
-        | None ->
-            let g = ref [] in
-            Hashtbl.add by_model r.entry.Registry.name g;
-            g
-      in
-      group := (i, r) :: !group)
-    requests;
-  Hashtbl.iter
-    (fun _name group ->
-      let group = List.rev !group in
-      let entry = (snd (List.hd group)).entry in
-      let union = List.concat_map (fun (_, r) -> r.deltas) group in
-      let report =
-        Engine.Sweep.run_prepared ~cache:entry.Registry.cache
-          entry.Registry.prepared union
-      in
-      entry.Registry.sweeps <- entry.Registry.sweeps + List.length group;
-      entry.Registry.jobs_served <-
-        entry.Registry.jobs_served + List.length union;
-      let offset = ref 0 in
-      List.iter
-        (fun (i, r) ->
-          let len = List.length r.deltas in
-          replies.(i) <-
-            Some
-              {
-                results =
-                  Array.sub report.Engine.Sweep.results !offset len;
-                batch_size = n;
-                batch_wall_s = 0.0 (* patched below *);
-              };
-          offset := !offset + len)
-        group)
-    by_model;
-  let wall = Unix.gettimeofday () -. t0 in
-  Array.map
-    (function
-      | Some r -> { r with batch_wall_s = wall }
-      | None -> assert false (* every request belongs to exactly one group *))
-    replies
-
-(* ------------------------------------------------------------------ *)
-(* Response rendering                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let sweep_response entry (reply : sweep_reply) wall_s =
-  Protocol.ok
-    (("model", Json.String entry.Registry.name)
-    :: Answer.sweep entry.Registry.backend reply.results
-         ~extra:
-           [
-             ("batched_with", Json.Int (reply.batch_size - 1));
-             ("batch_wall_s", Json.Float reply.batch_wall_s);
-             ("wall_s", Json.Float wall_s);
-           ])
 
 (* ------------------------------------------------------------------ *)
 (* Request dispatch                                                    *)
@@ -122,16 +39,6 @@ let target_of_load ~backend ~horizon ~model_src =
       | model -> Ok (Cpsrisk.Backend.target ~model backend)
       | exception Archimate.Text.Error msg ->
           Error (Printf.sprintf "model parse error: %s" msg))
-
-let queue_to_json t =
-  let q = Queue.stats t.queue in
-  Json.Obj
-    [
-      ("submitted", Json.Int q.Queue.submitted);
-      ("batches", Json.Int q.Queue.batches);
-      ("max_batch", Json.Int q.Queue.max_batch);
-      ("pending", Json.Int (Queue.pending t.queue));
-    ]
 
 let store_to_json t =
   match t.store with
@@ -189,17 +96,30 @@ let handle_request t (request : Protocol.request) : Json.t * bool =
                   (Printf.sprintf "mutations: %s"
                      (Engine.Delta.error_to_string e)),
                 false )
-          | Ok deltas -> (
-              match Queue.submit t.queue { entry; deltas } with
-              | reply ->
-                  log t "sweep %s: %d deltas (batch of %d)" model
-                    (List.length deltas) (reply.batch_size);
-                  ( sweep_response entry reply (Unix.gettimeofday () -. t0),
-                    false )
-              | exception Queue.Stopped ->
-                  (Protocol.error "server shutting down", false)
-              | exception e ->
-                  (Protocol.error (Printexc.to_string e), false))))
+          | Ok deltas ->
+              (* runs on this connection's thread; handle_connection
+                 answers an exception it raises *)
+              let t1 = Unix.gettimeofday () in
+              let report =
+                Engine.Sweep.run_prepared ~cache:entry.Registry.cache
+                  entry.Registry.prepared deltas
+              in
+              let batch_wall_s = Unix.gettimeofday () -. t1 in
+              Atomic.incr entry.Registry.sweeps;
+              ignore
+                (Atomic.fetch_and_add entry.Registry.jobs_served
+                   (List.length deltas));
+              log t "sweep %s: %d deltas" model (List.length deltas);
+              ( Protocol.ok
+                  (("model", Json.String model)
+                  :: Answer.sweep entry.Registry.backend
+                       report.Engine.Sweep.results
+                       ~extra:
+                         [
+                           ("batch_wall_s", Json.Float batch_wall_s);
+                           ("wall_s", Json.Float (Unix.gettimeofday () -. t0));
+                         ]),
+                false )))
   | Protocol.Mitigate { model; search } -> (
       match Registry.find t.registry model with
       | None ->
@@ -217,7 +137,7 @@ let handle_request t (request : Protocol.request) : Json.t * bool =
           | Some f -> (
               match Cpsrisk.Pipeline.mitigate_frontier f search with
               | answer, report ->
-                  entry.Registry.mitigations <- entry.Registry.mitigations + 1;
+                  Atomic.incr entry.Registry.mitigations;
                   log t "mitigate %s: %s (%d evals, %d cached)" model
                     (Protocol.search_name search)
                     report.Mitigation.Frontier.r_evals
@@ -243,7 +163,6 @@ let handle_request t (request : Protocol.request) : Json.t * bool =
           [
             ("uptime_s", Json.Float (Unix.gettimeofday () -. t.started_at));
             ("models", Json.Int (Registry.count t.registry));
-            ("queue", queue_to_json t);
             ("store", store_to_json t);
           ],
         false )
@@ -254,7 +173,6 @@ let handle_request t (request : Protocol.request) : Json.t * bool =
               Json.List
                 (List.map Registry.entry_to_json (Registry.list t.registry))
             );
-            ("queue", queue_to_json t);
             ("store", store_to_json t);
           ],
         false )
@@ -328,13 +246,11 @@ let run ?on_ready config =
       config.cache_dir
   in
   let registry = Registry.create ?store () in
-  let queue = Queue.create ~batch:run_batch in
   let t =
     {
       config;
       store;
       registry;
-      queue;
       started_at = Unix.gettimeofday ();
       listen_fd = None;
       stop_requested = Atomic.make false;
@@ -370,12 +286,11 @@ let run ?on_ready config =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
   in
   accept_loop ();
-  (* orderly teardown: finish in-flight connections, drain the queue,
-     persist the store's manifest, remove the socket file *)
+  (* orderly teardown: finish in-flight connections, persist the store's
+     manifest, remove the socket file *)
   List.iter
     (fun th -> try Thread.join th with _ -> ())
     !workers;
-  Queue.stop t.queue;
   (match store with Some s -> Store.close s | None -> ());
   (match t.listen_fd with
   | Some fd -> (try Unix.close fd with Unix.Unix_error _ -> ())

@@ -129,6 +129,27 @@ let test_delta_parse () =
       ("F1 ! activated(f2) :- time(5).", "");
       ("l: F1 ! activated(f2) :- time(5).", "l");
     ];
+  (* '#' starts a comment only before the '!': in the tail it is ASP *)
+  List.iter
+    (fun (line, faults, mitigations, extra) ->
+      match ok (Engine.Delta.parse_line line) with
+      | Some d ->
+          check (Alcotest.list Alcotest.string) (line ^ ": faults") faults
+            d.Engine.Delta.faults;
+          check (Alcotest.list Alcotest.string) (line ^ ": mitigations")
+            mitigations d.Engine.Delta.mitigations;
+          check (Alcotest.list Alcotest.string) (line ^ ": extra") extra
+            d.Engine.Delta.extra
+      | None -> Alcotest.fail (line ^ ": expected a delta"))
+    [
+      ("F1 ! #show p/1. p(a).", [ "F1" ], [], [ "#show p/1. p(a)." ]);
+      ( "F1 ! some :- #count { X : p(X) } >= 1. p(a). % note",
+        [ "F1" ],
+        [],
+        [ "some :- #count { X : p(X) } >= 1. p(a). % note" ] );
+      ("F1 / M1 # note", [ "F1" ], [ "M1" ], []);
+      ("F1 # note ! p(a).", [ "F1" ], [], []);
+    ];
   (match ok (Engine.Delta.parse_line "  # comment only") with
   | None -> ()
   | Some _ -> Alcotest.fail "comment line should produce no delta");

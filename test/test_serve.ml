@@ -1,10 +1,11 @@
 (* The assessment service: the hand-rolled JSON layer, the on-disk
    content-addressed store (eviction, corruption recovery, crash debris,
-   cross-process concurrency), the batching queue, the wire protocol, the
-   model registry, the answer encoders the CLI shares, and a golden of
-   the daemon's responses. The end-to-end daemon path — restart,
-   disk-served re-sweep, bit-for-bit parity with the one-shot CLI — is
-   exercised by test/serve_smoke.sh (@serve-smoke). *)
+   cross-process concurrency), the wire protocol, the model registry,
+   the answer encoders the CLI shares, a golden of the daemon's
+   responses and concurrent connections to one daemon. The end-to-end
+   daemon path — restart, disk-served re-sweep, bit-for-bit parity with
+   the one-shot CLI — is exercised by test/serve_smoke.sh
+   (@serve-smoke). *)
 
 let check = Alcotest.check
 let checkb = Alcotest.check Alcotest.bool
@@ -316,57 +317,6 @@ let test_store_cache_adapter () =
   Serve.Store.close s
 
 (* ------------------------------------------------------------------ *)
-(* Queue                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_queue_batching () =
-  let batches = ref [] in
-  let lock = Mutex.create () in
-  let q =
-    Serve.Queue.create ~batch:(fun reqs ->
-        Mutex.lock lock;
-        batches := Array.to_list reqs :: !batches;
-        Mutex.unlock lock;
-        (* linger so the next submissions pile up into one backlog *)
-        Thread.delay 0.02;
-        Array.map (fun i -> i * 10) reqs)
-  in
-  checki "single request" 10 (Serve.Queue.submit q 1);
-  (* concurrent burst: the worker is busy, so the backlog coalesces *)
-  let results = Array.make 8 0 in
-  let threads =
-    List.init 8 (fun i ->
-        Thread.create (fun () -> results.(i) <- Serve.Queue.submit q (i + 1)) ())
-  in
-  List.iter Thread.join threads;
-  Array.iteri
-    (fun i r -> checki (Printf.sprintf "burst result %d" i) ((i + 1) * 10) r)
-    results;
-  let st = Serve.Queue.stats q in
-  checki "all submitted" 9 st.Serve.Queue.submitted;
-  checkb "burst coalesced" true (st.Serve.Queue.batches < 9);
-  checkb "a multi-request batch happened" true (st.Serve.Queue.max_batch > 1);
-  Serve.Queue.stop q;
-  (match Serve.Queue.submit q 1 with
-  | _ -> Alcotest.fail "submit after stop must raise"
-  | exception Serve.Queue.Stopped -> ());
-  ignore !batches
-
-let test_queue_errors () =
-  let q =
-    Serve.Queue.create ~batch:(fun reqs ->
-        Array.map (fun i -> if i < 0 then failwith "bad request" else i) reqs)
-  in
-  checki "good request" 5 (Serve.Queue.submit q 5);
-  (match Serve.Queue.submit q (-1) with
-  | _ -> Alcotest.fail "batch exception must surface in the submitter"
-  | exception Failure m -> check Alcotest.string "verbatim" "bad request" m);
-  checki "queue survives the exception" 7 (Serve.Queue.submit q 7);
-  Serve.Queue.stop q;
-  (* stop is idempotent *)
-  Serve.Queue.stop q
-
-(* ------------------------------------------------------------------ *)
 (* Protocol                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -646,18 +596,18 @@ let wire_golden_requests =
 
 let wire_golden_responses =
   [
-    "{\"ok\":true,\"model\":\"wt\",\"deltas\":4,\"hits\":1,\"disk_hits\":0,\"misses\":3,\"fresh\":{\"guesses\":0,\"firings\":0,\"conflicts\":0,\"models\":3,\"wall_s\":\"*\"},\"ground\":{\"fresh_rules\":0,\"reused_rules\":0,\"decided\":3},\"batched_with\":0,\"batch_wall_s\":\"*\",\"wall_s\":\"*\",\"results\":[{\"label\":\"s1\",\"fingerprint\":\"e8b8fb8d97698cb97307ee5f2e4a144e\",\"models\":1,\"source\":\"fresh\",\"verdicts\":{\"R1\":false,\"R2\":false}},{\"label\":\"s2\",\"fingerprint\":\"19064283e0f1c3207307ee5f2e4a144e\",\"models\":1,\"source\":\"fresh\",\"verdicts\":{\"R1\":true,\"R2\":false}},{\"label\":\"again\",\"fingerprint\":\"19064283e0f1c3207307ee5f2e4a144e\",\"models\":1,\"source\":\"memory\",\"verdicts\":{\"R1\":true,\"R2\":false}},{\"label\":\"Z\195\188ndung\",\"fingerprint\":\"8894926e9fc452da7307ee5f2e4a144e\",\"models\":1,\"source\":\"fresh\",\"verdicts\":{\"R1\":false,\"R2\":false}}]}";
+    "{\"ok\":true,\"model\":\"wt\",\"deltas\":4,\"hits\":1,\"disk_hits\":0,\"misses\":3,\"fresh\":{\"guesses\":0,\"firings\":0,\"conflicts\":0,\"models\":3,\"wall_s\":\"*\"},\"ground\":{\"fresh_rules\":0,\"reused_rules\":0,\"decided\":3},\"batch_wall_s\":\"*\",\"wall_s\":\"*\",\"results\":[{\"label\":\"s1\",\"fingerprint\":\"e8b8fb8d97698cb97307ee5f2e4a144e\",\"models\":1,\"source\":\"fresh\",\"verdicts\":{\"R1\":false,\"R2\":false}},{\"label\":\"s2\",\"fingerprint\":\"19064283e0f1c3207307ee5f2e4a144e\",\"models\":1,\"source\":\"fresh\",\"verdicts\":{\"R1\":true,\"R2\":false}},{\"label\":\"again\",\"fingerprint\":\"19064283e0f1c3207307ee5f2e4a144e\",\"models\":1,\"source\":\"memory\",\"verdicts\":{\"R1\":true,\"R2\":false}},{\"label\":\"Z\195\188ndung\",\"fingerprint\":\"8894926e9fc452da7307ee5f2e4a144e\",\"models\":1,\"source\":\"fresh\",\"verdicts\":{\"R1\":false,\"R2\":false}}]}";
     "{\"ok\":true,\"model\":\"wt\",\"search\":\"optimal\",\"optimal\":{\"selected\":[\"M1\"],\"cost\":2,\"residual\":0},\"report\":{\"evals\":27,\"hits\":12,\"disk_hits\":0,\"fresh\":15,\"pruned\":11,\"sum_s\":\"*\",\"critical_s\":\"*\",\"wall_s\":\"*\"},\"wall_s\":\"*\"}";
     "{\"ok\":true,\"model\":\"wt\",\"search\":\"optimal\",\"optimal\":{\"selected\":[],\"cost\":0,\"residual\":4},\"report\":{\"evals\":1,\"hits\":1,\"disk_hits\":0,\"fresh\":0,\"pruned\":0,\"sum_s\":\"*\",\"critical_s\":\"*\",\"wall_s\":\"*\"},\"wall_s\":\"*\"}";
     "{\"ok\":true,\"model\":\"wt\",\"search\":\"pareto\",\"pareto\":[{\"selected\":[],\"cost\":0,\"residual\":4},{\"selected\":[\"M1\"],\"cost\":2,\"residual\":0}],\"report\":{\"evals\":30,\"hits\":29,\"disk_hits\":0,\"fresh\":1,\"pruned\":11,\"sum_s\":\"*\",\"critical_s\":\"*\",\"wall_s\":\"*\"},\"wall_s\":\"*\"}";
     "{\"ok\":true,\"model\":\"wt\",\"search\":\"budget-curve\",\"curve\":[{\"budget\":0,\"solution\":{\"selected\":[],\"cost\":0,\"residual\":4}},{\"budget\":1,\"solution\":{\"selected\":[],\"cost\":0,\"residual\":4}},{\"budget\":5,\"solution\":{\"selected\":[\"M1\"],\"cost\":2,\"residual\":0}}],\"report\":{\"evals\":18,\"hits\":18,\"disk_hits\":0,\"fresh\":0,\"pruned\":0,\"sum_s\":\"*\",\"critical_s\":\"*\",\"wall_s\":\"*\"},\"wall_s\":\"*\"}";
-    "{\"ok\":true,\"model\":\"hier\",\"deltas\":2,\"hits\":0,\"disk_hits\":0,\"misses\":2,\"fresh\":{\"guesses\":0,\"firings\":0,\"conflicts\":0,\"models\":2,\"wall_s\":\"*\"},\"ground\":{\"fresh_rules\":0,\"reused_rules\":0,\"decided\":2},\"batched_with\":0,\"batch_wall_s\":\"*\",\"wall_s\":\"*\",\"results\":[{\"label\":\"bare\",\"fingerprint\":\"b4b5f8b4a825f3016d5d8926f07571e7\",\"models\":1,\"source\":\"fresh\",\"residual\":29},{\"label\":\"shield\",\"fingerprint\":\"22697f8f2ba78f216d5d8926f07571e7\",\"models\":1,\"source\":\"fresh\",\"residual\":26}]}";
-    "{\"ok\":true,\"model\":\"wt\",\"deltas\":1,\"hits\":0,\"disk_hits\":0,\"misses\":1,\"fresh\":{\"guesses\":4,\"firings\":272,\"conflicts\":2,\"models\":3,\"wall_s\":\"*\"},\"ground\":{\"fresh_rules\":47,\"reused_rules\":113,\"decided\":0},\"batched_with\":0,\"batch_wall_s\":\"*\",\"wall_s\":\"*\",\"results\":[{\"label\":\"two models\",\"fingerprint\":\"8e2a652b21afaa1b7307ee5f2e4a144e\",\"models\":3,\"source\":\"fresh\"}]}";
+    "{\"ok\":true,\"model\":\"hier\",\"deltas\":2,\"hits\":0,\"disk_hits\":0,\"misses\":2,\"fresh\":{\"guesses\":0,\"firings\":0,\"conflicts\":0,\"models\":2,\"wall_s\":\"*\"},\"ground\":{\"fresh_rules\":0,\"reused_rules\":0,\"decided\":2},\"batch_wall_s\":\"*\",\"wall_s\":\"*\",\"results\":[{\"label\":\"bare\",\"fingerprint\":\"b4b5f8b4a825f3016d5d8926f07571e7\",\"models\":1,\"source\":\"fresh\",\"residual\":29},{\"label\":\"shield\",\"fingerprint\":\"22697f8f2ba78f216d5d8926f07571e7\",\"models\":1,\"source\":\"fresh\",\"residual\":26}]}";
+    "{\"ok\":true,\"model\":\"wt\",\"deltas\":1,\"hits\":0,\"disk_hits\":0,\"misses\":1,\"fresh\":{\"guesses\":4,\"firings\":272,\"conflicts\":2,\"models\":3,\"wall_s\":\"*\"},\"ground\":{\"fresh_rules\":47,\"reused_rules\":113,\"decided\":0},\"batch_wall_s\":\"*\",\"wall_s\":\"*\",\"results\":[{\"label\":\"two models\",\"fingerprint\":\"8e2a652b21afaa1b7307ee5f2e4a144e\",\"models\":3,\"source\":\"fresh\"}]}";
     "{\"ok\":true,\"models\":2,\"answers\":[\"{}\",\"{b}\"],\"guesses\":4,\"conflicts\":0,\"wall_s\":\"*\"}";
     "{\"ok\":true,\"models\":1,\"answers\":[\"{p(1), p(2), p(3), q(1), q(3), r(2)} cost[4@1]\"],\"guesses\":0,\"conflicts\":0,\"wall_s\":\"*\"}";
     "{\"ok\":true,\"models\":0,\"answers\":[],\"guesses\":0,\"conflicts\":0,\"wall_s\":\"*\"}";
     "error: parse error: line 1, col 3: expected a term (found ':-')";
-    "{\"ok\":true,\"model\":\"cell\",\"deltas\":3,\"hits\":0,\"disk_hits\":0,\"misses\":3,\"fresh\":{\"guesses\":0,\"firings\":0,\"conflicts\":0,\"models\":3,\"wall_s\":\"*\"},\"ground\":{\"fresh_rules\":0,\"reused_rules\":0,\"decided\":3},\"batched_with\":0,\"batch_wall_s\":\"*\",\"wall_s\":\"*\",\"results\":[{\"label\":\"{plc}\",\"fingerprint\":\"97286ef5cd38282dd4aa3bf2b759e0a0\",\"models\":1,\"source\":\"fresh\",\"affected\":[\"conveyor\",\"panel\",\"plc\",\"press\"]},{\"label\":\"guarded\",\"fingerprint\":\"a5c935466e84b9a6d4aa3bf2b759e0a0\",\"models\":1,\"source\":\"fresh\",\"affected\":[\"conveyor\",\"panel\",\"plc\",\"press\"]},{\"label\":\"{office}\",\"fingerprint\":\"97607c00060a52d9d4aa3bf2b759e0a0\",\"models\":1,\"source\":\"fresh\",\"affected\":[\"conveyor\",\"fw\",\"office\",\"panel\",\"plc\",\"press\",\"scada\"]}]}";
+    "{\"ok\":true,\"model\":\"cell\",\"deltas\":3,\"hits\":0,\"disk_hits\":0,\"misses\":3,\"fresh\":{\"guesses\":0,\"firings\":0,\"conflicts\":0,\"models\":3,\"wall_s\":\"*\"},\"ground\":{\"fresh_rules\":0,\"reused_rules\":0,\"decided\":3},\"batch_wall_s\":\"*\",\"wall_s\":\"*\",\"results\":[{\"label\":\"{plc}\",\"fingerprint\":\"97286ef5cd38282dd4aa3bf2b759e0a0\",\"models\":1,\"source\":\"fresh\",\"affected\":[\"conveyor\",\"panel\",\"plc\",\"press\"]},{\"label\":\"guarded\",\"fingerprint\":\"a5c935466e84b9a6d4aa3bf2b759e0a0\",\"models\":1,\"source\":\"fresh\",\"affected\":[\"conveyor\",\"panel\",\"plc\",\"press\"]},{\"label\":\"{office}\",\"fingerprint\":\"97607c00060a52d9d4aa3bf2b759e0a0\",\"models\":1,\"source\":\"fresh\",\"affected\":[\"conveyor\",\"fw\",\"office\",\"panel\",\"plc\",\"press\",\"scada\"]}]}";
     "error: model \"cell\" (topology backend) carries no action catalog";
   ]
 
@@ -853,8 +803,9 @@ let test_restart_from_store () =
   Serve.Store.close store
 
 (* A sweep request's "jobs" member is read and ignored: the daemon runs
-   every batch in order on one domain, so a fresh daemon answers the
-   same sweep with the same results and counters with or without it. *)
+   every sweep's jobs in order on one domain, so a fresh daemon answers
+   the same sweep with the same results and counters with or without
+   it. *)
 let test_sweep_ignores_jobs () =
   let answer extra =
     with_daemon @@ fun socket ->
@@ -891,6 +842,174 @@ let test_sweep_ignores_jobs () =
     (Serve.Json.to_string with_jobs);
   checkb "status names no fan-out" true
     (Serve.Json.member "jobs" status = None)
+
+(* Four connections sweep one model at once, each request on its own
+   connection's thread. Their requests overlap: every client also asks
+   for the same 100 solver-path deltas, slow enough that a thread switch
+   lands inside one, so some jobs wait on another thread's in-flight
+   solve of their delta. *)
+let test_concurrent_connections () =
+  let small =
+    [|
+      "F1"; "F2 / M1"; "F1,F3"; "F4 / M2"; "F2,F3 / M1"; "F3,F4 / M2";
+      "F1,F2,F3,F4"; "- / M1"; "F2 ! {x;y}1.";
+    |]
+  in
+  let heavy = Array.init 100 (Printf.sprintf "F1 ! {x;y}1. z(%d).") in
+  let pool = Array.append small heavy in
+  let clients = 4 and per_client = 6 in
+  (* request [r] of client [c]: all heavy lines, or one to three
+     consecutive small ones *)
+  let lines c r =
+    if r mod 3 = 1 then Array.to_list heavy
+    else
+      List.init
+        (1 + ((c + r) mod 3))
+        (fun k -> small.(((2 * c) + r + k) mod Array.length small))
+  in
+  let parse line =
+    match Engine.Delta.parse_line line with
+    | Ok (Some d) -> d
+    | _ -> Alcotest.fail (line ^ ": delta did not parse")
+  in
+  (* [source] is provenance: which thread computes a shared delta first
+     is up to the scheduler *)
+  let answer = function
+    | Serve.Json.Obj fields ->
+        Serve.Json.to_string (Serve.Json.Obj (List.remove_assoc "source" fields))
+    | r -> Alcotest.fail ("result: " ^ Serve.Json.to_string r)
+  in
+  let expected =
+    let results =
+      (Engine.Sweep.run
+         (Cpsrisk.Sweeps.water_tank_spec ~horizon:6
+            (List.map parse (Array.to_list pool))))
+        .Engine.Sweep.results
+    in
+    let encoded =
+      Option.get
+        (Serve.Json.mem_list "results"
+           (Serve.Json.Obj
+              (Serve.Answer.sweep Cpsrisk.Backend.Water_tank results)))
+    in
+    List.combine (Array.to_list pool)
+      (List.map2
+         (fun (r : Engine.Job.result) j ->
+           (Engine.Fingerprint.to_hex r.Engine.Job.fingerprint, answer j))
+         (Array.to_list results) encoded)
+  in
+  let bad_tail = "F1 ! p(a). q(Y) :- p(X), Y = X + 1." in
+  let sweep conn mutations =
+    Serve.Client.call conn
+      (Serve.Protocol.Sweep { model = "wt"; mutations; jobs = None })
+  in
+  with_daemon @@ fun socket ->
+  let ask request =
+    match Serve.Client.request ~socket request with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  ignore
+    (ask
+       (Serve.Json.Obj
+          [
+            ("op", Serve.Json.String "load-model");
+            ("name", Serve.Json.String "wt");
+            ("horizon", Serve.Json.Int 6);
+          ]));
+  (* client 0 also sends a sweep that raises, halfway through *)
+  let outcomes = Array.make clients [] in
+  let client c () =
+    let conn = Serve.Client.connect socket in
+    Fun.protect
+      ~finally:(fun () -> Serve.Client.close conn)
+      (fun () ->
+        for r = 0 to per_client - 1 do
+          if c = 0 && r = per_client / 2 then
+            outcomes.(c) <- (None, sweep conn bad_tail) :: outcomes.(c);
+          let ls = lines c r in
+          outcomes.(c) <-
+            (Some ls, sweep conn (String.concat "\n" ls)) :: outcomes.(c)
+        done)
+  in
+  List.iter Thread.join (List.init clients (fun c -> Thread.create (client c) ()));
+  let fresh = ref 0 and jobs = ref 0 and asked = Hashtbl.create 16 in
+  Array.iteri
+    (fun c outs ->
+      checki
+        (Printf.sprintf "client %d: every request answered" c)
+        (per_client + if c = 0 then 1 else 0)
+        (List.length outs);
+      List.iter
+        (function
+          | None, Ok r ->
+              Alcotest.fail ("a raising sweep answered: " ^ Serve.Json.to_string r)
+          | None, Error msg ->
+              checkb ("a raising sweep is refused: " ^ msg) true
+                (String.starts_with ~prefix:"Asp.Grounder.Unsafe" msg)
+          | Some _, Error e -> Alcotest.fail e
+          | Some ls, Ok r ->
+              let results = Option.get (Serve.Json.mem_list "results" r) in
+              check
+                Alcotest.(list string)
+                (Printf.sprintf "client %d: one-shot answers" c)
+                (List.map (fun l -> snd (List.assoc l expected)) ls)
+                (List.map answer results);
+              jobs := !jobs + List.length ls;
+              List.iter (fun l -> Hashtbl.replace asked (fst (List.assoc l expected)) ()) ls;
+              List.iter
+                (fun j ->
+                  if Serve.Json.mem_string "source" j = Some "fresh" then incr fresh)
+                results)
+        outs)
+    outcomes;
+  (* the in-flight dedup computes each fingerprint exactly once *)
+  checki "fresh answers = distinct fingerprints" (Hashtbl.length asked) !fresh;
+  (match
+     Serve.Json.mem_list "models"
+       (ask (Serve.Json.Obj [ ("op", Serve.Json.String "stats") ]))
+   with
+  | Some [ m ] ->
+      check (Alcotest.option Alcotest.int) "sweeps" (Some (clients * per_client))
+        (Serve.Json.mem_int "sweeps" m);
+      check (Alcotest.option Alcotest.int) "jobs_served" (Some !jobs)
+        (Serve.Json.mem_int "jobs_served" m)
+  | _ -> Alcotest.fail "stats: one model expected");
+  (* a shutdown sent while another connection's sweep runs: that sweep
+     is still answered, before run returns and removes the socket *)
+  let slow =
+    String.concat "\n"
+      (List.init 100 (Printf.sprintf "F1 ! {x;y}1. w(%d)."))
+  in
+  let conn = Serve.Client.connect socket in
+  ignore (Serve.Client.call conn Serve.Protocol.List_models);
+  let reply = ref (Error "no reply") and socket_up = ref false in
+  let sweeper =
+    Thread.create
+      (fun () ->
+        reply := sweep conn slow;
+        socket_up := Sys.file_exists socket;
+        Serve.Client.close conn)
+      ()
+  in
+  Thread.delay 0.03;
+  ignore (ask (Serve.Json.Obj [ ("op", Serve.Json.String "shutdown") ]));
+  Thread.join sweeper;
+  (match !reply with
+  | Ok r ->
+      checki "slow sweep answered in full" 100
+        (List.length (Option.get (Serve.Json.mem_list "results" r)))
+  | Error e -> Alcotest.fail ("sweep cut by shutdown: " ^ e));
+  checkb "run had not returned" true !socket_up;
+  (* let run finish its teardown before with_daemon asks for a shutdown *)
+  let rec await_teardown tries =
+    if Sys.file_exists socket && tries > 0 then begin
+      Thread.delay 0.01;
+      await_teardown (tries - 1)
+    end
+  in
+  await_teardown 500;
+  checkb "run returned" false (Sys.file_exists socket)
 
 (* arithmetic on a symbol is the program's grounding error, answered as
    such — not an escaped exception *)
@@ -932,10 +1051,6 @@ let suites =
           test_store_concurrent;
         Alcotest.test_case "store: Engine.Cache persistence adapter" `Quick
           test_store_cache_adapter;
-        Alcotest.test_case "queue: burst coalesces into batches" `Quick
-          test_queue_batching;
-        Alcotest.test_case "queue: exceptions and stop" `Quick
-          test_queue_errors;
         Alcotest.test_case "protocol: request roundtrip" `Quick
           test_protocol_roundtrip;
         Alcotest.test_case "protocol: rejections and responses" `Quick
@@ -958,5 +1073,7 @@ let suites =
           `Quick test_solve_eval_error;
         Alcotest.test_case "sweep: a jobs member changes nothing" `Quick
           test_sweep_ignores_jobs;
+        Alcotest.test_case "connections: concurrent sweeps, errors, shutdown"
+          `Quick test_concurrent_connections;
       ] );
   ]
