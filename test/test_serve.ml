@@ -876,7 +876,8 @@ let test_concurrent_connections () =
      is up to the scheduler *)
   let answer = function
     | Serve.Json.Obj fields ->
-        Serve.Json.to_string (Serve.Json.Obj (List.remove_assoc "source" fields))
+        Serve.Json.to_string
+          (Serve.Json.Obj (List.remove_assoc "source" fields))
     | r -> Alcotest.fail ("result: " ^ Serve.Json.to_string r)
   in
   let expected =
@@ -932,7 +933,8 @@ let test_concurrent_connections () =
             (Some ls, sweep conn (String.concat "\n" ls)) :: outcomes.(c)
         done)
   in
-  List.iter Thread.join (List.init clients (fun c -> Thread.create (client c) ()));
+  List.iter Thread.join
+    (List.init clients (fun c -> Thread.create (client c) ()));
   let fresh = ref 0 and jobs = ref 0 and asked = Hashtbl.create 16 in
   Array.iteri
     (fun c outs ->
@@ -943,34 +945,38 @@ let test_concurrent_connections () =
       List.iter
         (function
           | None, Ok r ->
-              Alcotest.fail ("a raising sweep answered: " ^ Serve.Json.to_string r)
+              Alcotest.fail
+                ("a raising sweep answered: " ^ Serve.Json.to_string r)
           | None, Error msg ->
               checkb ("a raising sweep is refused: " ^ msg) true
                 (String.starts_with ~prefix:"Asp.Grounder.Unsafe" msg)
           | Some _, Error e -> Alcotest.fail e
           | Some ls, Ok r ->
               let results = Option.get (Serve.Json.mem_list "results" r) in
+              let want = List.map (fun l -> List.assoc l expected) ls in
               check
                 Alcotest.(list string)
                 (Printf.sprintf "client %d: one-shot answers" c)
-                (List.map (fun l -> snd (List.assoc l expected)) ls)
-                (List.map answer results);
+                (List.map snd want) (List.map answer results);
               jobs := !jobs + List.length ls;
-              List.iter (fun l -> Hashtbl.replace asked (fst (List.assoc l expected)) ()) ls;
+              List.iter (fun (fp, _) -> Hashtbl.replace asked fp ()) want;
               List.iter
                 (fun j ->
-                  if Serve.Json.mem_string "source" j = Some "fresh" then incr fresh)
+                  if Serve.Json.mem_string "source" j = Some "fresh" then
+                    incr fresh)
                 results)
         outs)
     outcomes;
   (* the in-flight dedup computes each fingerprint exactly once *)
-  checki "fresh answers = distinct fingerprints" (Hashtbl.length asked) !fresh;
+  checki "fresh answers = distinct fingerprints" (Hashtbl.length asked)
+    !fresh;
   (match
      Serve.Json.mem_list "models"
        (ask (Serve.Json.Obj [ ("op", Serve.Json.String "stats") ]))
    with
   | Some [ m ] ->
-      check (Alcotest.option Alcotest.int) "sweeps" (Some (clients * per_client))
+      check (Alcotest.option Alcotest.int) "sweeps"
+        (Some (clients * per_client))
         (Serve.Json.mem_int "sweeps" m);
       check (Alcotest.option Alcotest.int) "jobs_served" (Some !jobs)
         (Serve.Json.mem_int "jobs_served" m)
