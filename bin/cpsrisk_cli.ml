@@ -515,7 +515,11 @@ let sweep mutations model horizon stats json =
   in
   let deltas = Option.value ~default:target.Cpsrisk.Backend.what_if deltas in
   let report =
-    Engine.Sweep.run { target.Cpsrisk.Backend.spec with Engine.Job.deltas }
+    try Engine.Sweep.run { target.Cpsrisk.Backend.spec with Engine.Job.deltas }
+    with Asp.Grounder.Unsafe msg | Asp.Grounder.Overflow msg ->
+      (* an `! ASP` tail whose rules cannot be ground *)
+      let file = Option.fold ~none:"" ~some:(fun f -> f ^ ": ") mutations in
+      Common.fail "%sgrounding error: %s" file msg
   in
   let backend = target.Cpsrisk.Backend.backend in
   if json then

@@ -15,11 +15,14 @@ let connect socket =
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
 let roundtrip t json =
-  output_string t.oc (Json.to_string json);
-  output_char t.oc '\n';
-  flush t.oc;
-  match input_line t.ic with
+  match
+    output_string t.oc (Json.to_string json);
+    output_char t.oc '\n';
+    flush t.oc;
+    input_line t.ic
+  with
   | exception End_of_file -> Error "connection closed by server"
+  | exception Sys_error msg -> Error ("connection lost: " ^ msg)
   | line -> (
       match Json.parse line with
       | Error msg -> Error (Printf.sprintf "malformed response: %s" msg)

@@ -22,7 +22,8 @@ val roundtrip : t -> Json.t -> (Json.t, string) result
 val request : socket:string -> Json.t -> (Json.t, string) result
 (** One-shot {!roundtrip} on a fresh connection; never raises —
     connection failures come back as [Error] with a hint that the daemon
-    may not be running. *)
+    may not be running, and a connection the daemon closes or resets as
+    [Error] too. *)
 
 val with_connection : socket:string -> (t -> 'a) -> ('a, string) result
 (** Run [f] over a fresh connection, closing it afterwards even on

@@ -285,12 +285,11 @@ let run ?on_ready config =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
   in
   accept_loop ();
-  (* orderly teardown: finish in-flight connections, persist the store's
-     manifest, remove the socket file *)
+  (* orderly teardown: finish in-flight connections, remove the socket
+     file *)
   List.iter
     (fun th -> try Thread.join th with _ -> ())
     !workers;
-  (match store with Some s -> Store.close s | None -> ());
   (match t.listen_fd with
   | Some fd -> (try Unix.close fd with Unix.Unix_error _ -> ())
   | None -> ());

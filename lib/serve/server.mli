@@ -27,6 +27,6 @@ val run : ?on_ready:(unit -> unit) -> config -> unit
     socket file from a dead daemon), call [on_ready], then accept
     connections. Returns after an orderly teardown — every open
     connection served until its client closes it (so a sweep running
-    when [shutdown] arrives is answered), store manifest flushed, socket
-    file removed. Raises [Unix.Unix_error] if the socket cannot be
-    bound. *)
+    when [shutdown] arrives is answered), socket file removed. The
+    store has nothing to flush: every answer is on disk once stored.
+    Raises [Unix.Unix_error] if the socket cannot be bound. *)

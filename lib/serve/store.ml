@@ -14,8 +14,6 @@ let magic = "cpsrisk-store"
        counter, so a v3 payload no longer has the value's layout; v3
        entries are clean misses. *)
 let version = 4
-let manifest_magic = "cpsrisk-manifest"
-let manifest_name = "manifest"
 let entry_suffix = ".ent"
 let tmp_prefix = "tmp-"
 
@@ -35,14 +33,12 @@ type 'a t = {
   index : (string, meta) Hashtbl.t;  (* fingerprint hex -> meta *)
   lock : Mutex.t;
   stats : stats;
-  mutable clock : int;  (* logical LRU clock, persisted via the manifest *)
+  mutable clock : int;  (* logical LRU clock, seeded from entry mtimes *)
   mutable bytes : int;
   mutable tmp_seq : int;
-  mutable closed : bool;
 }
 
 let entry_path t hex = Filename.concat t.dir (hex ^ entry_suffix)
-let manifest_path t = Filename.concat t.dir manifest_name
 
 let locked t f =
   Mutex.lock t.lock;
@@ -107,66 +103,6 @@ let read_entry_file path hex =
               | _ -> Corrupt "bad header")))
 
 (* ------------------------------------------------------------------ *)
-(* Manifest                                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* The manifest is an index + LRU-recency snapshot, not a source of
-   truth: open_ reconciles it against the entry files actually on disk,
-   so a missing or stale manifest only loses access-recency, never
-   entries. Lines: "<fp-hex> <size> <stamp>". *)
-
-let write_manifest_unlocked t =
-  let tmp =
-    Filename.concat t.dir
-      (Printf.sprintf "%s%d-manifest" tmp_prefix (Unix.getpid ()))
-  in
-  let oc = open_out_bin tmp in
-  (match
-     Fun.protect
-       ~finally:(fun () -> close_out_noerr oc)
-       (fun () ->
-         Printf.fprintf oc "%s %d\n" manifest_magic version;
-         Hashtbl.iter
-           (fun hex m -> Printf.fprintf oc "%s %d %d\n" hex m.size m.stamp)
-           t.index)
-   with
-  | () -> ()
-  | exception Sys_error _ -> ());
-  try Sys.rename tmp (manifest_path t) with Sys_error _ -> ()
-
-let read_manifest dir =
-  let path = Filename.concat dir manifest_name in
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match input_line ic with
-          | exception End_of_file -> None
-          | header ->
-              if header <> Printf.sprintf "%s %d" manifest_magic version then
-                None
-              else begin
-                let entries = Hashtbl.create 64 in
-                (try
-                   while true do
-                     let line = input_line ic in
-                     match String.split_on_char ' ' line with
-                     | [ hex; size; stamp ] -> (
-                         match
-                           (int_of_string_opt size, int_of_string_opt stamp)
-                         with
-                         | Some size, Some stamp ->
-                             Hashtbl.replace entries hex { size; stamp }
-                         | _ -> ())
-                     | _ -> ()
-                   done
-                 with End_of_file -> ());
-                Some entries
-              end)
-
-(* ------------------------------------------------------------------ *)
 (* Opening                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -178,29 +114,35 @@ let rec mkdir_p dir =
 
 let open_ ?max_bytes dir =
   mkdir_p dir;
-  let manifest = read_manifest dir in
-  let index = Hashtbl.create 64 in
+  (* the LRU snapshot earlier versions kept beside the entries; unread *)
+  (try Sys.remove (Filename.concat dir "manifest") with Sys_error _ -> ());
   (* scan the directory: leftover tmp files are debris of a killed writer
      (the rename never happened) and are deleted; entry files are the
-     truth the manifest is reconciled against *)
-  Array.iter
-    (fun name ->
-      let path = Filename.concat dir name in
-      if String.length name >= String.length tmp_prefix
-         && String.sub name 0 (String.length tmp_prefix) = tmp_prefix
-      then (try Sys.remove path with Sys_error _ -> ())
-      else if Filename.check_suffix name entry_suffix then begin
-        let hex = Filename.chop_suffix name entry_suffix in
-        let size = try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0 in
-        let stamp =
-          match Option.bind manifest (fun m -> Hashtbl.find_opt m hex) with
-          | Some m -> m.stamp
-          | None -> 0
-        in
-        Hashtbl.replace index hex { size; stamp }
-      end)
-    (try Sys.readdir dir with Sys_error _ -> [||]);
-  let clock = Hashtbl.fold (fun _ m acc -> max acc m.stamp) index 0 in
+     index, and their mtimes (oldest first, ties by fingerprint) give the
+     LRU order, numbered 1..n on the logical clock *)
+  let found =
+    Array.fold_left
+      (fun acc name ->
+        let path = Filename.concat dir name in
+        if String.starts_with ~prefix:tmp_prefix name then begin
+          (try Sys.remove path with Sys_error _ -> ());
+          acc
+        end
+        else if Filename.check_suffix name entry_suffix then
+          match Unix.stat path with
+          | st ->
+              (st.Unix.st_mtime, Filename.chop_suffix name entry_suffix,
+               st.Unix.st_size)
+              :: acc
+          | exception Unix.Unix_error _ -> acc
+        else acc)
+      []
+      (try Sys.readdir dir with Sys_error _ -> [||])
+  in
+  let index = Hashtbl.create 64 in
+  List.iteri
+    (fun i (_, hex, size) -> Hashtbl.replace index hex { size; stamp = i + 1 })
+    (List.sort compare found);
   let bytes = Hashtbl.fold (fun _ m acc -> acc + m.size) index 0 in
   {
     dir;
@@ -208,10 +150,9 @@ let open_ ?max_bytes dir =
     index;
     lock = Mutex.create ();
     stats = { hits = 0; misses = 0; stored = 0; evicted = 0; corrupt = 0 };
-    clock;
+    clock = Hashtbl.length index;
     bytes;
     tmp_seq = 0;
-    closed = false;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -289,6 +230,9 @@ let find t key =
                   Hashtbl.replace t.index hex
                     { size = String.length payload; stamp = t.clock };
                   t.bytes <- t.bytes + String.length payload);
+          (* the entry's mtime carries its recency across restarts *)
+          (try Unix.utimes (entry_path t hex) 0.0 0.0
+           with Unix.Unix_error _ -> ());
           Some v
       | exception _ ->
           locked t (fun () -> drop_corrupt_unlocked t hex);
@@ -325,17 +269,13 @@ let store t key v =
             Hashtbl.replace t.index hex { size; stamp = t.clock };
             t.bytes <- t.bytes + size;
             t.stats.stored <- t.stats.stored + 1;
-            (match t.max_bytes with
+            match t.max_bytes with
             | Some budget -> evict_until_unlocked t budget
-            | None -> ());
-            write_manifest_unlocked t)
+            | None -> ())
     | exception Sys_error _ ->
         (* a failed write must never poison the store: drop the debris *)
         (try Sys.remove tmp with Sys_error _ -> ())
   end
-
-let mem t key =
-  Sys.file_exists (entry_path t (Engine.Fingerprint.to_hex key))
 
 let entries t = locked t (fun () -> Hashtbl.length t.index)
 let total_bytes t = locked t (fun () -> t.bytes)
@@ -351,15 +291,6 @@ let stats t =
         evicted = t.stats.evicted;
         corrupt = t.stats.corrupt;
       })
-
-let flush t = locked t (fun () -> write_manifest_unlocked t)
-
-let close t =
-  locked t (fun () ->
-      if not t.closed then begin
-        t.closed <- true;
-        write_manifest_unlocked t
-      end)
 
 let persist ?rehydrate t =
   let rehydrate = Option.value ~default:Fun.id rehydrate in

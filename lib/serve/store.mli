@@ -27,16 +27,18 @@
     complete new one. A writer killed mid-write leaves only [tmp-] debris,
     which {!open_} sweeps away.
 
-    A [manifest] file snapshots the index and the LRU recency stamps. It
-    is a hint, not a source of truth: {!open_} reconciles it against the
-    entry files actually present, so deleting it only forgets recency.
+    The entry files are the store's only on-disk state: there is no
+    separate index. An entry's modification time is its recency — set
+    when it is published and touched again by every verified hit — so
+    the LRU order survives a restart, and a crash too, with nothing else
+    to write.
 
     {2 Eviction}
 
     With [max_bytes] set, storing an entry evicts least-recently-used
-    entries (by a logical access clock, persisted in the manifest) until
-    the total is back under the bound. A value larger than the whole bound
-    is not admitted at all.
+    entries (by a logical access clock that {!open_} seeds from the entry
+    mtimes) until the total is back under the bound. A value larger than
+    the whole bound is not admitted at all.
 
     {2 Concurrency}
 
@@ -59,22 +61,22 @@ type stats = {
 
 val open_ : ?max_bytes:int -> string -> 'a t
 (** Open (creating if needed) the store rooted at the given directory:
-    delete leftover [tmp-] files, load the manifest and reconcile it with
-    the entry files on disk. [max_bytes] bounds the total entry bytes;
-    omitted means unbounded. *)
+    delete leftover [tmp-] files (and the LRU snapshot file that earlier
+    versions kept beside the entries), then index the entry files on disk,
+    oldest modification time first (ties by fingerprint), as the LRU
+    order. [max_bytes] bounds the total entry bytes; omitted means
+    unbounded. *)
 
 val find : 'a t -> Engine.Fingerprint.t -> 'a option
 (** Read and verify an entry. [None] on a miss, on a stale entry (deleted)
     {e and} on a corrupt entry (deleted and counted in [stats.corrupt]).
-    A hit refreshes the entry's LRU stamp. *)
+    A hit refreshes the entry's LRU stamp and touches its file's mtime,
+    so the refresh survives a restart. *)
 
 val store : 'a t -> Engine.Fingerprint.t -> 'a -> unit
 (** Atomically publish an entry (tmp file + rename), then evict down to
-    [max_bytes] and rewrite the manifest. Write failures (full disk,
+    [max_bytes]. Nothing else is written. Write failures (full disk,
     permissions) leave the store unchanged. *)
-
-val mem : 'a t -> Engine.Fingerprint.t -> bool
-(** Entry file present (without verifying it). *)
 
 val entries : 'a t -> int
 val total_bytes : 'a t -> int
@@ -87,14 +89,6 @@ val stats : 'a t -> stats
 (** Snapshot of the lifetime counters of this handle. *)
 
 val stats_to_json : stats -> Json.t
-
-val flush : 'a t -> unit
-(** Rewrite the manifest now (persists access recency). *)
-
-val close : 'a t -> unit
-(** {!flush} once; further calls are no-ops. The handle itself holds no
-    open file descriptors between operations, so there is nothing else to
-    release. *)
 
 val persist : ?rehydrate:('a -> 'a) -> 'a t -> 'a Engine.Cache.persist
 (** Adapter: use this store as the persistent tier of an

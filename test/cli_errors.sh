@@ -4,7 +4,8 @@
 # status — never cmdliner's 125 for an uncaught exception. A refused
 # input is reported as one `cpsrisk <cmd>: ...` line on stderr; lint and
 # analyze exit 2 on it, every other subcommand 1. A program whose
-# arithmetic cannot be evaluated is refused by `solve` the same way. A
+# arithmetic cannot be evaluated is refused by `solve` the same way, and
+# so is a mutation's `! ASP` tail that cannot be ground by `sweep`. A
 # negative --horizon is a usage error.
 # Usage: cli_errors.sh CLI
 set -eu
@@ -88,6 +89,16 @@ expect 0 sweep colon_tail.txt
 expect 1 sweep unsafe_tail.txt
 grep -q "^cpsrisk sweep: unsafe_tail.txt: line 1, col 5: unsafe ASP after '!': " err.txt ||
   fail "cpsrisk sweep unsafe_tail.txt: stderr: $(cat err.txt)"
+
+# safe ASP tails that fail at grounding: arithmetic on a symbol, and a
+# rule whose atoms never stop growing (refused at the atom cap)
+printf 'F1 ! p(a). q(Y) :- p(X), Y = X + 1.\n' > sym_tail.txt
+printf 'F1 ! p(0). p(X+1) :- p(X).\n' > overflow_tail.txt
+for f in sym_tail overflow_tail; do
+  expect 1 sweep $f.txt
+  grep -q "^cpsrisk sweep: $f.txt: grounding error: " err.txt ||
+    fail "cpsrisk sweep $f.txt: stderr: $(cat err.txt)"
+done
 
 # a negative horizon is a usage error (cmdliner's 124) naming the option,
 # not an empty trace with every requirement violated; 0 stays valid

@@ -6,7 +6,9 @@
 #      (misses = 0);
 #   3. re-sweeping against a RESTARTED daemon is answered entirely from
 #      the persistent store — every job a disk hit, zero fresh grounding
-#      and zero fresh solving, proven by the response's own accounting.
+#      and zero fresh solving, proven by the response's own accounting;
+#   4. after each orderly shutdown the cache directory holds entry files
+#      only: no index file beside them and no tmp- debris.
 set -eu
 
 CLI=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
@@ -45,6 +47,18 @@ stop_daemon() {
   daemon=
 }
 
+only_entries() { # only_entries <when>: the store is its *.ent files
+  ls cache/*.ent > /dev/null 2>&1 \
+    || { echo "serve-smoke: $1: no store entries" >&2; exit 1; }
+  for f in cache/* cache/.[!.]*; do
+    [ -e "$f" ] || continue
+    case $f in
+      *.ent) ;;
+      *) echo "serve-smoke: $1: unexpected store file $f" >&2; exit 1 ;;
+    esac
+  done
+}
+
 expect() { # expect <file> <needle> <what>
   if ! grep -qF "$2" "$1"; then
     echo "serve-smoke: $3: expected $2 in:" >&2
@@ -79,6 +93,7 @@ expect mit2.json '"fresh":0' "warm mitigate repeat runs no fresh solves"
 "$CLI" request mitigate --socket s.sock --name hier --budgets 3,9 > hier.json
 expect hier.json '"curve":[{"budget":3' "hierarchy budget curve"
 stop_daemon
+only_entries "first shutdown"
 
 # --- restarted daemon: everything must come from the persistent store ----
 start_daemon
@@ -91,5 +106,6 @@ expect restart.json '"ground":{"fresh_rules":0' "no fresh grounding"
 diff oneshot.txt restarted.txt \
   || { echo "serve-smoke: restarted sweep differs from one-shot" >&2; exit 1; }
 stop_daemon
+only_entries "restarted shutdown"
 
 echo "serve-smoke: restart served from disk, output identical to one-shot"

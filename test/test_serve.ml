@@ -97,15 +97,13 @@ let test_store_roundtrip () =
     (Serve.Store.find s (fp 1));
   check (Alcotest.option Alcotest.string) "miss" None
     (Serve.Store.find s (fp 99));
-  Serve.Store.close s;
   (* a second handle — as after a daemon restart — sees the entries *)
   let s2 = Serve.Store.open_ dir in
   checki "reopened entries" 2 (Serve.Store.entries s2);
   check (Alcotest.option Alcotest.string) "hit across restart" (Some "two")
     (Serve.Store.find s2 (fp 2));
   let st = Serve.Store.stats s2 in
-  checki "restart hits" 1 st.Serve.Store.hits;
-  Serve.Store.close s2
+  checki "restart hits" 1 st.Serve.Store.hits
 
 let entry_files dir =
   Sys.readdir dir |> Array.to_list
@@ -118,7 +116,6 @@ let test_store_eviction () =
   let probe = Serve.Store.open_ dir in
   Serve.Store.store probe (fp 0) (payload 0);
   let entry_bytes = Serve.Store.total_bytes probe in
-  Serve.Store.close probe;
   Sys.remove (Filename.concat dir (List.hd (entry_files dir)));
   let s = Serve.Store.open_ ~max_bytes:(3 * entry_bytes) dir in
   for i = 1 to 5 do
@@ -136,14 +133,12 @@ let test_store_eviction () =
   checkb "untouched evicted" true (Serve.Store.find s (fp 4) = None);
   (* an entry larger than the whole bound is refused outright *)
   Serve.Store.store s (fp 7) (String.make (4 * entry_bytes) 'x');
-  checkb "oversized not admitted" true (Serve.Store.find s (fp 7) = None);
-  Serve.Store.close s
+  checkb "oversized not admitted" true (Serve.Store.find s (fp 7) = None)
 
 let test_store_corruption () =
   with_tmp_dir @@ fun dir ->
   let s = Serve.Store.open_ dir in
   Serve.Store.store s (fp 1) "payload-one";
-  Serve.Store.close s;
   let file = Filename.concat dir (List.hd (entry_files dir)) in
   (* truncate mid-payload, as a crash during a non-atomic write would *)
   let truncated =
@@ -165,7 +160,6 @@ let test_store_corruption () =
   Serve.Store.store s (fp 1) "payload-one-again";
   check (Alcotest.option Alcotest.string) "re-stored" (Some "payload-one-again")
     (Serve.Store.find s (fp 1));
-  Serve.Store.close s;
   (* flip one payload byte: the MD5 check must reject it *)
   let file = Filename.concat dir (List.hd (entry_files dir)) in
   let data =
@@ -182,8 +176,7 @@ let test_store_corruption () =
   let s = Serve.Store.open_ dir in
   check (Alcotest.option Alcotest.string) "checksum mismatch is a miss" None
     (Serve.Store.find s (fp 1));
-  checki "flip counted corrupt" 1 (Serve.Store.stats s).Serve.Store.corrupt;
-  Serve.Store.close s
+  checki "flip counted corrupt" 1 (Serve.Store.stats s).Serve.Store.corrupt
 
 (* An entry of another store format or written by another OCaml runtime
    is an upgrade leftover, not damage: it reads as a clean miss, is
@@ -201,13 +194,12 @@ let test_store_stale () =
     file
   in
   with_tmp_dir @@ fun dir ->
-  Serve.Store.close (Serve.Store.open_ dir);
+  ignore (Serve.Store.open_ dir);
   (* the same hand-written layout under the current header is a hit *)
   ignore (write_entry dir (fp 1) ~version:"4" ~ocaml:Sys.ocaml_version "current");
   let s = Serve.Store.open_ dir in
   check (Alcotest.option Alcotest.string) "current header hits" (Some "current")
     (Serve.Store.find s (fp 1));
-  Serve.Store.close s;
   List.iter
     (fun (what, key, file) ->
       let s = Serve.Store.open_ dir in
@@ -216,8 +208,7 @@ let test_store_stale () =
       let st = Serve.Store.stats s in
       checki (what ^ ": not corrupt") 0 st.Serve.Store.corrupt;
       checki (what ^ ": one miss") 1 st.Serve.Store.misses;
-      checkb (what ^ ": file removed") false (Sys.file_exists file);
-      Serve.Store.close s)
+      checkb (what ^ ": file removed") false (Sys.file_exists file))
     [
       ( "v2 entry",
         fp 2,
@@ -234,7 +225,6 @@ let test_store_killed_writer () =
   with_tmp_dir @@ fun dir ->
   let s = Serve.Store.open_ dir in
   Serve.Store.store s (fp 1) "survivor";
-  Serve.Store.close s;
   (* a writer killed mid-write leaves only tmp- debris *)
   let debris = Filename.concat dir "tmp-12345-0-deadbeef" in
   let oc = open_out_bin debris in
@@ -244,8 +234,7 @@ let test_store_killed_writer () =
   checkb "debris swept at open" true (not (Sys.file_exists debris));
   checki "published entries unaffected" 1 (Serve.Store.entries s);
   check (Alcotest.option Alcotest.string) "survivor readable" (Some "survivor")
-    (Serve.Store.find s (fp 1));
-  Serve.Store.close s
+    (Serve.Store.find s (fp 1))
 
 (* One writer domain publishing new entries while reader domains hammer
    the same handle and a second same-directory handle: every find must
@@ -285,9 +274,7 @@ let test_store_concurrent () =
         (Printf.sprintf "final value %d" i)
         (Some (Printf.sprintf "value-%d" i))
         (Serve.Store.find writer_store (fp i)))
-    [ 1; n / 2; n ];
-  Serve.Store.close writer_store;
-  Serve.Store.close other_handle
+    [ 1; n / 2; n ]
 
 let test_store_cache_adapter () =
   with_tmp_dir @@ fun dir ->
@@ -302,7 +289,6 @@ let test_store_cache_adapter () =
   let v, src = Engine.Cache.find_or_compute_src cache (fp 1) compute in
   check Alcotest.string "fresh value" "computed" v;
   checkb "fresh provenance" true (src = Engine.Cache.Fresh);
-  Serve.Store.close s;
   (* second process: a cold cache on the same directory hits the disk *)
   let s = Serve.Store.open_ dir in
   let cache = Engine.Cache.create ~persist:(Serve.Store.persist s) () in
@@ -313,8 +299,71 @@ let test_store_cache_adapter () =
   checki "cache counts it" 1 (Engine.Cache.disk_hits cache);
   (* and the now-warm memory tier answers the repeat *)
   let _, src = Engine.Cache.find_or_compute_src cache (fp 1) compute in
-  checkb "memory provenance" true (src = Engine.Cache.Memory);
-  Serve.Store.close s
+  checkb "memory provenance" true (src = Engine.Cache.Memory)
+
+(* Entry mtimes are the LRU order a reopened store starts from, and a
+   hit touches its entry's mtime, so recency survives a restart with
+   nothing else written. *)
+let test_store_mtime_lru () =
+  with_tmp_dir @@ fun dir ->
+  let value = String.make 100 'v' in
+  let s = Serve.Store.open_ dir in
+  List.iter (fun i -> Serve.Store.store s (fp i) value) [ 1; 2; 3 ];
+  let three = Serve.Store.total_bytes s in
+  let path i =
+    Filename.concat dir (Engine.Fingerprint.to_hex (fp i) ^ ".ent")
+  in
+  (* age them out of store order: 2 is the oldest, then 3, then 1 *)
+  let now = Unix.gettimeofday () in
+  List.iter
+    (fun (i, age) -> Unix.utimes (path i) (now -. age) (now -. age))
+    [ (1, 100.); (2, 300.); (3, 200.) ];
+  let s = Serve.Store.open_ dir in
+  check (Alcotest.option Alcotest.string) "oldest hits" (Some value)
+    (Serve.Store.find s (fp 2));
+  let s = Serve.Store.open_ ~max_bytes:three dir in
+  checki "reopened entries" 3 (Serve.Store.entries s);
+  Serve.Store.store s (fp 4) value;
+  checki "one evicted" 1 (Serve.Store.stats s).Serve.Store.evicted;
+  checkb "second-oldest evicted" false (Sys.file_exists (path 3));
+  List.iter
+    (fun i ->
+      checkb (Printf.sprintf "entry %d kept" i) true
+        (Serve.Store.find s (fp i) <> None))
+    [ 1; 2; 4 ]
+
+(* Stores written before entry mtimes carried recency hold an LRU
+   snapshot file, "manifest", beside their v4 entries: such a directory
+   opens with every entry a disk hit and the snapshot removed. *)
+let test_store_old_layout () =
+  with_tmp_dir @@ fun dir ->
+  let value i = Printf.sprintf "value-%d" i in
+  let s = Serve.Store.open_ dir in
+  List.iter (fun i -> Serve.Store.store s (fp i) (value i)) [ 1; 2; 3 ];
+  let snapshot = Filename.concat dir "manifest" in
+  Out_channel.with_open_bin snapshot (fun oc ->
+      output_string oc "cpsrisk-manifest 4\n";
+      List.iteri
+        (fun stamp f ->
+          Printf.fprintf oc "%s %d %d\n"
+            (Filename.chop_suffix f ".ent")
+            (Unix.stat (Filename.concat dir f)).Unix.st_size
+            (stamp + 1))
+        (entry_files dir));
+  let s = Serve.Store.open_ dir in
+  checkb "snapshot removed" false (Sys.file_exists snapshot);
+  checki "every entry indexed" 3 (Serve.Store.entries s);
+  List.iter
+    (fun i ->
+      check (Alcotest.option Alcotest.string)
+        (Printf.sprintf "entry %d hits" i)
+        (Some (value i))
+        (Serve.Store.find s (fp i)))
+    [ 1; 2; 3 ];
+  let st = Serve.Store.stats s in
+  checki "three hits" 3 st.Serve.Store.hits;
+  checki "no misses" 0 st.Serve.Store.misses;
+  checki "none corrupt" 0 st.Serve.Store.corrupt
 
 (* ------------------------------------------------------------------ *)
 (* Protocol                                                             *)
@@ -526,8 +575,7 @@ let test_registry () =
   checki "two lifetime loads" 2 (Serve.Registry.loads reg);
   checkb "evict" true (Serve.Registry.evict reg "wt");
   checkb "evict twice" false (Serve.Registry.evict reg "wt");
-  checki "empty" 0 (Serve.Registry.count reg);
-  Serve.Store.close store
+  checki "empty" 0 (Serve.Registry.count reg)
 
 (* ------------------------------------------------------------------ *)
 (* Wire golden                                                          *)
@@ -799,8 +847,7 @@ let test_restart_from_store () =
                        (fun a -> Asp.Atom.signature a = Cpsrisk.Sweeps.affected_sig)
                        (Asp.Model.to_list m)))
                 models)
-        deltas);
-  Serve.Store.close store
+        deltas)
 
 (* A sweep request's "jobs" member is read and ignored: the daemon runs
    every sweep's jobs in order on one domain, so a fresh daemon answers
@@ -1035,6 +1082,34 @@ let test_solve_eval_error () =
       check Alcotest.string "error" "grounding error: line 1, col 7: arithmetic on \
         non-integer a in rule: q(Y) :- p(X), Y == (X+1)." msg
 
+(* A daemon that closes a connection with the request unread resets it
+   (Linux does so for a Unix socket closed with unread data): the client
+   answers Error instead of raising. *)
+let test_client_reset () =
+  with_tmp_dir @@ fun dir ->
+  Unix.mkdir dir 0o700;
+  let socket = Filename.concat dir "r.sock" in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX socket);
+  Unix.listen fd 1;
+  let listener =
+    Thread.create
+      (fun () ->
+        let client, _ = Unix.accept fd in
+        ignore (Unix.select [ client ] [] [] (-1.0));
+        Unix.close client)
+      ()
+  in
+  let r =
+    Serve.Client.request ~socket
+      (Serve.Json.Obj [ ("op", Serve.Json.String "status") ])
+  in
+  Thread.join listener;
+  Unix.close fd;
+  match r with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a reset connection must come back as Error"
+
 let suites =
   [
     ( "serve",
@@ -1081,5 +1156,11 @@ let suites =
           test_sweep_ignores_jobs;
         Alcotest.test_case "connections: concurrent sweeps, errors, shutdown"
           `Quick test_concurrent_connections;
+        Alcotest.test_case "store: entry mtimes give the LRU order" `Quick
+          test_store_mtime_lru;
+        Alcotest.test_case "store: older layout opens with every entry" `Quick
+          test_store_old_layout;
+        Alcotest.test_case "client: a reset connection is an Error" `Quick
+          test_client_reset;
       ] );
   ]
