@@ -30,28 +30,8 @@
    [tolerance] x the DFS, or the bench exits 2. `dune build
    @bench-smoke` (part of `dune runtest`) enforces this in CI.
 
-   A separate section measures guiding-path parallel enumeration
-   (Engine.Par) with the learned-nogood exchange on and off: each
-   fan-out's measured wall, speedup_vs_seq = sequential wall / that
-   wall, and its critical path (longest branch wall) next to the sum of
-   its branch walls. How the branches interleave their publications
-   depends on the host's cores and load, which changes the work but (by
-   the locality discipline on path-local nogoods) never the answer.
-
    Emits machine-readable JSON (committed as BENCH_solver.json at the
    repo root for the full sweep; the smoke subset runs in seconds). *)
-
-let time ~reps f =
-  let best = ref infinity in
-  let result = ref None in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt;
-    result := Some r
-  done;
-  (Option.get !result, !best)
 
 let pinned_program k =
   let buf = Buffer.create 256 in
@@ -86,44 +66,6 @@ let pigeon_program holes =
   Buffer.add_string buf ":- at(P,H), at(Q,H), P < Q.\n";
   Asp.Parser.parse_program (Buffer.contents buf)
 
-(* The standard direct pigeonhole encoding (pairwise exclusion
-   constraints, no auxiliary placement predicate) for the parallel
-   ladder: its conflict clauses range over the at/2 atoms alone, so the
-   assumption-free share filter lets most of each branch's refutation
-   travel to the others *)
-let pigeon_direct_program holes =
-  let n = holes and pigeons = holes + 1 in
-  let buf = Buffer.create 256 in
-  for p = 1 to pigeons do
-    Buffer.add_string buf
-      (Printf.sprintf "{ %s }.\n"
-         (String.concat " ; "
-            (List.init n (fun h -> Printf.sprintf "at(%d,%d)" p (h + 1)))))
-  done;
-  for p = 1 to pigeons do
-    for h1 = 1 to n do
-      for h2 = h1 + 1 to n do
-        Buffer.add_string buf
-          (Printf.sprintf ":- at(%d,%d), at(%d,%d).\n" p h1 p h2)
-      done
-    done
-  done;
-  for h = 1 to n do
-    for p1 = 1 to pigeons do
-      for p2 = p1 + 1 to pigeons do
-        Buffer.add_string buf
-          (Printf.sprintf ":- at(%d,%d), at(%d,%d).\n" p1 h p2 h)
-      done
-    done
-  done;
-  for p = 1 to pigeons do
-    Buffer.add_string buf
-      (Printf.sprintf ":- %s.\n"
-         (String.concat ", "
-            (List.init n (fun h -> Printf.sprintf "not at(%d,%d)" p (h + 1)))))
-  done;
-  Asp.Parser.parse_program (Buffer.contents buf)
-
 (* a baseline column: the oracle ran, or was skipped for a stated reason *)
 type baseline = Ran of float | Skipped of string
 
@@ -147,7 +89,7 @@ type entry = {
 let run_workload ~reps ~dfs_cap ~naive_cap name param program =
   let g = Asp.Grounder.ground program in
   let (models, stats), cdnl_s =
-    time ~reps (fun () -> Asp.Solver.solve_with_stats g)
+    Registry.time ~reps (fun () -> Asp.Solver.solve_with_stats g)
   in
   let check_count what n =
     if n <> List.length models then begin
@@ -158,7 +100,7 @@ let run_workload ~reps ~dfs_cap ~naive_cap name param program =
   in
   let dfs =
     if param <= dfs_cap then begin
-      match time ~reps (fun () -> Asp_oracle.Dfs.solve g) with
+      match Registry.time ~reps (fun () -> Asp_oracle.Dfs.solve g) with
       | dfs_models, dt ->
           (* the sweep doubles as a coarse differential check *)
           check_count "dfs" (List.length dfs_models);
@@ -169,7 +111,9 @@ let run_workload ~reps ~dfs_cap ~naive_cap name param program =
   in
   let naive =
     if param <= naive_cap then begin
-      match time ~reps (fun () -> Asp_oracle.Naive.solve ~max_guess:64 g) with
+      match
+        Registry.time ~reps (fun () -> Asp_oracle.Naive.solve ~max_guess:64 g)
+      with
       | naive_models, dt ->
           check_count "naive" (List.length naive_models);
           Ran dt
@@ -205,89 +149,7 @@ let run_workload ~reps ~dfs_cap ~naive_cap name param program =
     stats;
   }
 
-type par_entry = {
-  p_workload : string;
-  p_param : int;
-  jobs : int;
-  share : bool;
-  paths : int;
-  par_wall_s : float;
-  critical_s : float;
-  sum_s : float;
-  speedup_vs_seq : float;  (* sequential wall / par_wall_s *)
-  shared_out : int;
-  shared_in : int;
-}
-
-let run_par ~reps ~seq ~seq_wall name param program jobs share =
-  let g = Asp.Grounder.ground program in
-  let r, wall =
-    time ~reps (fun () -> Engine.Par.enumerate ~jobs ~share g)
-  in
-  let par_models = r.Engine.Par.models in
-  if
-    List.length par_models <> List.length seq
-    || not (List.for_all2 Asp.Model.equal par_models seq)
-  then begin
-    Printf.eprintf "par %s %d jobs=%d share=%b diverged from sequential\n"
-      name param jobs share;
-    exit 2
-  end;
-  let sum = Array.fold_left ( +. ) 0.0 r.Engine.Par.path_walls in
-  let critical = Array.fold_left max 0.0 r.Engine.Par.path_walls in
-  let speedup = if wall > 0.0 then seq_wall /. wall else 1.0 in
-  let s = r.Engine.Par.stats in
-  Printf.eprintf
-    "  par %s %d jobs=%d share=%b: %d paths, wall %8.4fs (%.2fx vs seq), \
-     critical %8.4fs, shared %d/%d\n\
-     %!"
-    name param jobs share r.Engine.Par.paths wall speedup critical
-    s.Asp.Solver.Stats.shared_out s.Asp.Solver.Stats.shared_in;
-  {
-    p_workload = name;
-    p_param = param;
-    jobs;
-    share;
-    paths = r.Engine.Par.paths;
-    par_wall_s = wall;
-    critical_s = critical;
-    sum_s = sum;
-    speedup_vs_seq = speedup;
-    shared_out = s.Asp.Solver.Stats.shared_out;
-    shared_in = s.Asp.Solver.Stats.shared_in;
-  }
-
-(* one workload's parallel ladder: sequential baseline, then every
-   jobs / share combination measured against it *)
-let par_ladder ~reps name param program combos =
-  let g = Asp.Grounder.ground program in
-  let (seq, seq_stats), seq_wall =
-    time ~reps (fun () -> Asp.Solver.solve_with_stats g)
-  in
-  ignore seq_stats;
-  List.map
-    (fun (jobs, share) ->
-      if jobs <= 1 then begin
-        Printf.eprintf "  par %s %d jobs=1: seq wall %8.4fs\n%!" name param
-          seq_wall;
-        {
-          p_workload = name;
-          p_param = param;
-          jobs = 1;
-          share = false;
-          paths = 1;
-          par_wall_s = seq_wall;
-          critical_s = seq_wall;
-          sum_s = seq_wall;
-          speedup_vs_seq = 1.0;
-          shared_out = 0;
-          shared_in = 0;
-        }
-      end
-      else run_par ~reps ~seq ~seq_wall name param program jobs share)
-    combos
-
-let emit_json out mode entries par_entries =
+let emit_json out mode entries =
   let oc = open_out out in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
@@ -300,9 +162,7 @@ let emit_json out mode entries par_entries =
   p
     "  \"baselines\": [\"Asp_oracle.Dfs (retained pruned DFS)\", \
      \"Asp_oracle.Naive (exhaustive subset enumeration)\"],\n";
-  p "  \"host_domains\": %d,\n" (Domain.recommended_domain_count ());
-  p "  \"host\": {\"cpu\": %S, \"ocaml\": %S},\n" (Registry.cpu_model ())
-    Sys.ocaml_version;
+  p "%s" (Registry.host_fields ());
   p
     "  \"never_slower\": {\"workloads\": [%s], \"tolerance\": %.2f, \
      \"min_reliable_s\": %.3f},\n"
@@ -350,28 +210,7 @@ let emit_json out mode entries par_entries =
         (if i = List.length entries - 1 then "" else ",");
       ())
     entries;
-  p "  ],\n";
-  p "  \"parallel\": {\n";
-  p
-    "    \"note\": \"guiding-path enumeration with learned-nogood \
-     exchange; wall_s is the measured fan-out wall and speedup_vs_seq \
-     the sequential wall over it\",\n";
-  p "    \"entries\": [\n";
-  List.iteri
-    (fun i e ->
-      p
-        "      {\"workload\": %S, \"param\": %d, \"jobs\": %d, \"share\": \
-         %b, \"paths\": %d,\n\
-        \       \"wall_s\": %.6f, \"critical_s\": %.6f, \"sum_s\": %.6f,\n\
-        \       \"speedup_vs_seq\": %.2f, \"ideal_speedup\": %.2f, \
-         \"shared_out\": %d, \"shared_in\": %d}%s\n"
-        e.p_workload e.p_param e.jobs e.share e.paths e.par_wall_s
-        e.critical_s e.sum_s e.speedup_vs_seq
-        (if e.critical_s > 0.0 then e.sum_s /. e.critical_s else 1.0)
-        e.shared_out e.shared_in
-        (if i = List.length par_entries - 1 then "" else ","))
-    par_entries;
-  p "    ]\n  }\n}\n";
+  p "  ]\n}\n";
   close_out oc
 
 let run ~smoke ~out =
@@ -428,21 +267,7 @@ let run ~smoke ~out =
             ~naive_cap:pigeon_naive_cap "pigeon" h (pigeon_program h))
         pigeon_hs
   in
-  (* parallel enumeration: the largest smoke-safe choice workload, and
-     the pigeonhole refutation where the exchange pays (shared conflict
-     clauses prune the symmetric branches other paths would re-learn) *)
-  let par_choice_k = if smoke then 8 else 12 in
-  let par_pigeon_h = if smoke then 5 else 7 in
-  let ladder = [ (1, false); (2, true); (2, false); (4, true); (4, false) ] in
-  let par_entries =
-    par_ladder ~reps "choice" par_choice_k
-      (Cpsrisk.Cascade.asp_choice_program par_choice_k)
-      ladder
-    @ par_ladder ~reps "pigeon" par_pigeon_h
-        (pigeon_direct_program par_pigeon_h)
-        ladder
-  in
-  emit_json out (if smoke then "smoke" else "full") entries par_entries;
+  emit_json out (if smoke then "smoke" else "full") entries;
   Printf.eprintf "wrote %s\n" out;
   List.map
     (fun e ->
@@ -455,22 +280,11 @@ let run ~smoke ~out =
              | Skipped _ -> ""))
         ~param:(string_of_int e.param) e.workload e.cdnl_s)
     entries
-  @ List.map
-      (fun e ->
-        Registry.row
-          ~note:
-            (Printf.sprintf "%d paths, %.2fx seq, shared %d/%d" e.paths
-               e.speedup_vs_seq e.shared_in e.shared_out)
-          ~param:
-            (Printf.sprintf "%d j%d %s" e.p_param e.jobs
-               (if e.share then "share" else "noshare"))
-          ("par-" ^ e.p_workload) e.par_wall_s)
-      par_entries
 
 let bench =
   {
     Registry.name = "solver";
-    descr = "CDNL solver vs DFS and naive references; parallel ladder";
+    descr = "CDNL solver vs DFS and naive references";
     default_out = "BENCH_solver.json";
     run;
   }

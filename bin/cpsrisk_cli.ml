@@ -10,7 +10,7 @@
      threats     threat landscape of a typed model
      solve       run the embedded ASP solver on a program file
      score       CVSS v3.1 calculator
-     sweep       batch what-if analysis through the parallel sweep engine
+     sweep       batch what-if analysis through the sweep engine
      serve       persistent assessment service on a Unix-domain socket
      request     client for a running assessment service
 
@@ -364,9 +364,9 @@ let threats_cmd =
 (* solve                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let solve file limit optimal stats jobs =
+let solve file limit optimal stats =
   Common.guard "solve" @@ fun () ->
-  match Serve.Answer.solve ?jobs ?limit ~optimal (Common.read_file file) with
+  match Serve.Answer.solve ?limit ~optimal (Common.read_file file) with
   | Error msg -> Common.fail "%s: %s" file msg
   | Ok s ->
       List.iteri
@@ -393,21 +393,12 @@ let program_file =
     & pos 0 (some file) None
     & info [] ~docv:"FILE" ~doc:"ASP program.")
 
-let jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Split the search over $(docv) worker domains; the answer is the \
-           same for every $(docv).")
-
 let solve_cmd =
   Cmd.v
     (Cmd.info "solve" ~doc:"Run the embedded ASP solver on a program file")
     Term.(
       const solve $ program_file $ Common.limit [ "n"; "models" ] $ optimal_arg
-      $ Common.stats $ jobs_arg)
+      $ Common.stats)
 
 (* ------------------------------------------------------------------ *)
 (* score                                                                *)

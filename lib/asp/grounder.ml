@@ -2129,8 +2129,17 @@ let model stats prep e rules (tbl, base_comp, base_by_comp) =
   let dtemplates, dtindex = build_templates rules in
   let nb = Array.length prep.p_templates in
   let dcomp = Array.map (fun t -> comp_of tbl (head_sig t)) dtemplates in
-  let groups = Array.copy base_by_comp in
-  Array.iteri (fun j c -> groups.(c) <- groups.(c) @ [ nb + j ]) dcomp;
+  (* each component's base templates, then its delta templates in index
+     order: the delta's lists are built in one backward pass and appended
+     once, as appending one template at a time is quadratic in a delta's
+     facts *)
+  let deltas = Array.make (Array.length base_by_comp) [] in
+  for j = Array.length dcomp - 1 downto 0 do
+    deltas.(dcomp.(j)) <- (nb + j) :: deltas.(dcomp.(j))
+  done;
+  let groups =
+    Array.map2 (fun b d -> if d = [] then b else b @ d) base_by_comp deltas
+  in
   let comp ti = if ti < nb then base_comp ti else dcomp.(ti - nb) in
   (* a per-call overlay: sized small, the tables grow if they must *)
   let st = new_store ~size:64 ~max_atoms:prep.p_max_atoms (Some e.de_store) in

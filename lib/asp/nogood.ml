@@ -16,8 +16,8 @@ type clause = {
   learnt : bool;
   local : bool;
       (* path-local clause (blocking nogood, bound prune): valid only
-         under this solver's assumptions — resolvents over it must never
-         be exported to other guiding-path domains *)
+         under this search's assumptions, so [reset] detaches it and every
+         resolvent over it before the next search *)
   cid : int;  (* creation stamp: deterministic tie-break for deletion *)
 }
 
@@ -419,8 +419,6 @@ let analyze s confl =
   List.iter (fun v -> Bytes.set s.seen v '\000') !to_clear;
   Array.of_list ((!p lxor 1) :: !tail)
 
-let analyzed_local s = s.analyze_local
-
 (* backjump as far as the learnt clause allows (never above [root]),
    attach it and assert its first literal *)
 let learn s ~root lits =
@@ -449,7 +447,7 @@ let learn s ~root lits =
   if len = 1 then enqueue s lits.(0) None
   else begin
     (* a resolvent over a path-local clause is itself path-local: it must
-       carry the taint so later analyses over it stay unshareable *)
+       carry the taint so that [reset] detaches it with its premises *)
     let c = mk_clause ~local:s.analyze_local s lits true in
     attach s c;
     cvec_push s.learnts c;

@@ -62,7 +62,7 @@ val add_clean : t -> int array -> unit
 
 val decide : t -> int -> unit
 (** Open a new decision level and assert the literal (also used for
-    guiding-path assumptions). *)
+    assumptions). *)
 
 val propagate : t -> clause option
 (** Unit propagation to fixpoint; [Some c] is a conflicting clause. *)
@@ -70,13 +70,6 @@ val propagate : t -> clause option
 val analyze : t -> clause -> int array
 (** 1-UIP conflict analysis; the asserting literal comes first. Only
     valid when the conflict involves the current decision level. *)
-
-val analyzed_local : t -> bool
-(** Whether the last {!analyze} resolved over a path-local clause
-    (blocking nogood, bound prune, or a learnt descendant of one), or left
-    out a level-0 literal assigned after {!seal}. Such resolvents depend
-    on this path's assumptions or incumbent: they must not be published
-    to the {!Exchange}, and {!reset} detaches them. *)
 
 val learn : t -> root:int -> int array -> unit
 (** Backjump as far as the learnt clause allows (never above [root]),
@@ -90,7 +83,10 @@ val add_dynamic : ?local:bool -> t -> learnt:bool -> int array -> dyn_result
     decides whether it is silent ([Sat]), propagating ([Unit]) or
     conflicting. [learnt] clauses are subject to deletion; blocking
     nogoods must be permanent. [local] (default false) marks the clause
-    path-local — see {!analyzed_local}. *)
+    path-local: it depends on this search's assumptions or incumbent, and
+    so does every resolvent {!analyze} derives from it (or from a level-0
+    literal assigned after {!seal}); {!learn} marks such a resolvent
+    local too, and {!reset} detaches them all. *)
 
 val force : t -> int -> clause -> unit
 (** Assert a literal with an attached clause as reason. Used by the
@@ -120,7 +116,7 @@ val reset : t -> unit
 (** Prepare the kernel for another search under other assumptions:
     backtrack to level 0, pop the level-0 facts assigned since {!seal},
     and detach every path-local clause (blocking nogoods, bound prunes and
-    the resolvents {!analyzed_local} marked). What is left is the initial
+    the resolvents that rest on them). What is left is the initial
     clauses, the non-local clauses {!add_dynamic} added, and resolvents
     of those alone; none depends on a search's decisions, so all of them
     hold under any assumptions. Activities and saved phases stay. *)

@@ -9,17 +9,10 @@ module Config = struct
   type t = {
     preprocess : bool;  (* completion-nogood preprocessing (§12.1) *)
     cheap_tier : bool;  (* propagation-only tier for eligible programs *)
-    exchange : (Exchange.t * int) option;
-        (* learned-nogood sharing hub and this solver's path id *)
   }
 
-  let default = { preprocess = true; cheap_tier = true; exchange = None }
+  let default = { preprocess = true; cheap_tier = true }
 end
-
-(* sharing filter: clauses worth exporting are short or have low LBD —
-   everything else costs the importers more than it saves *)
-let share_max_size = 16
-let share_max_lbd = 4
 
 (* Luby restart sequence: 1 1 2 1 1 2 4 ... *)
 let rec luby i =
@@ -439,7 +432,6 @@ exception Finished
    the kernel holding the preprocessed clauses, reused by every search on
    it. Owned by one domain at a time. *)
 type handle = {
-  config : Config.t;
   d : driver;
   unsat : bool;  (* found at preparation: no model under any assumptions *)
   mutable max_learnts : int;  (* learnt clauses that trigger a reduction *)
@@ -477,7 +469,6 @@ let prepare_compiled ~config ~stats (p : Interned.t) =
     with Finished -> true
   in
   {
-    config;
     d;
     unsat;
     max_learnts = max 1000 (List.length comp.Completion.clauses);
@@ -492,7 +483,6 @@ let prepare_compiled ~config ~stats (p : Interned.t) =
 let search_core ?limit ~assumptions ~optimal ~stats h =
   let d = h.d in
   let p = d.p and comp = d.comp and k = d.k in
-  let config = h.config in
   d.stats <- stats;
   Nogood.set_stats k stats;
   Nogood.reset k;
@@ -530,8 +520,8 @@ let search_core ?limit ~assumptions ~optimal ~stats h =
   in
   (try
      if h.unsat || Nogood.unsat k then raise Finished;
-     (* establish the guiding path: each assumption opens its own level,
-        so conflicts never backjump into it *)
+     (* establish the assumptions: each opens its own level, so
+        conflicts never backjump into them *)
      let assume (atom, value) =
        (match Nogood.propagate k with
        | Some _ -> raise Finished
@@ -552,102 +542,12 @@ let search_core ?limit ~assumptions ~optimal ~stats h =
      let root = Nogood.level k in
      let restarts = ref 0 in
      let conflicts_pending = ref 0 in
-     let share = config.Config.exchange in
-     let sharing = Option.is_some share in
-     let cursor =
-       match share with
-       | Some (hub, _) -> Some (Exchange.cursor hub)
-       | None -> None
-     in
-     (* vars this path's guiding assumptions fixed: a learned clause
-        that mentions one carries the path's identity — in every sibling
-        the clause is satisfied by the opposite assumption, so exporting
-        it is pure watch overhead. Only assumption-free clauses travel. *)
-     let assumption_vars =
-       if not sharing then [||]
-       else begin
-         let b = Array.make comp.Completion.n_vars false in
-         List.iter
-           (fun (atom, _) ->
-             match Interned.id p atom with
-             | exception Not_found -> ()
-             | v -> b.(v) <- true)
-           assumptions;
-         b
-       end
-     in
-     (* distinct decision levels in the clause, on the pre-backjump
-        assignment: the usual quality measure for exported clauses *)
-     let lbd lits =
-       let levels = Hashtbl.create 8 in
-       Array.iter
-         (fun l -> Hashtbl.replace levels (Nogood.var_level k (l lsr 1)) ())
-         lits;
-       Hashtbl.length levels
-     in
      let handle_conflict confl =
        if Nogood.level k <= root then raise Finished;
-       let lits = Nogood.analyze k confl in
-       (* publish before [learn] reorders the array and backjumps away
-          the levels the LBD is measured on *)
-       (match share with
-       | Some (hub, me)
-         when (not (Nogood.analyzed_local k))
-              && Array.length lits <= share_max_size
-              && lbd lits <= share_max_lbd
-              && Array.for_all
-                   (fun l -> not assumption_vars.(l lsr 1))
-                   lits ->
-           if Exchange.publish hub ~me lits then
-             stats.Stats.shared_out <- stats.Stats.shared_out + 1
-       | _ -> ());
-       Nogood.learn k ~root lits;
+       Nogood.learn k ~root (Nogood.analyze k confl);
        incr conflicts_pending
      in
-     (* pull clauses other guiding-path domains published; an imported
-        clause already false below the current level is a conflict the
-        event-driven propagator cannot surface, so backtrack to its
-        deepest literal and run the usual analysis from there *)
-     let import_shared () =
-       match (share, cursor) with
-       | Some (hub, me), Some cur ->
-           let acted = ref false in
-           let pending = ref None in
-           let n =
-             Exchange.drain hub ~me cur (fun lits ->
-                 if !pending = None then
-                   (* permanent, not learnt: imports carry no activity, so
-                      the reduction heuristic would evict them first — the
-                      size/LBD export filter bounds the volume instead *)
-                   match Nogood.add_dynamic k ~learnt:false lits with
-                   | Nogood.Sat -> ()
-                   | Nogood.Unit -> acted := true
-                   | Nogood.Empty -> raise Finished
-                   | Nogood.Conflict c -> pending := Some (c, lits))
-           in
-           if n > 0 then stats.Stats.shared_in <- stats.Stats.shared_in + n;
-           (match !pending with
-           | None -> ()
-           | Some (c, lits) ->
-               acted := true;
-               let deepest =
-                 Array.fold_left
-                   (fun m l -> max m (Nogood.var_level k (l lsr 1)))
-                   0 lits
-               in
-               if deepest <= root then raise Finished;
-               Nogood.cancel_until k deepest;
-               handle_conflict c);
-           !acted
-       | _ -> false
-     in
      let n_vars = comp.Completion.n_vars in
-     (* seed from the hub before search: clauses a sibling path already
-        published only help a conflict-light path if they land before the
-        first restart, and an easy path may never restart. Sound for the
-        same reason restart-time imports are: at the root they strengthen
-        the formula monotonically. *)
-     if sharing then ignore (import_shared ());
      while true do
        match Nogood.propagate k with
        | Some confl -> handle_conflict confl
@@ -729,10 +629,9 @@ let search_core ?limit ~assumptions ~optimal ~stats h =
                         | Nogood.Unit | Nogood.Sat -> ())
                     | _ -> ());
                  if not !pruned_here then begin
-                   let restarted =
+                   if
                      !conflicts_pending >= restart_base * luby (!restarts + 1)
-                   in
-                   if restarted then begin
+                   then begin
                      incr restarts;
                      stats.Stats.restarts <- stats.Stats.restarts + 1;
                      conflicts_pending := 0;
@@ -742,31 +641,23 @@ let search_core ?limit ~assumptions ~optimal ~stats h =
                      Nogood.reduce_db k;
                      h.max_learnts <- h.max_learnts + (h.max_learnts / 5)
                    end;
-                   (* imports land only at restarts: at the root they
-                      strengthen the formula monotonically, while mid-burst
-                      they would derail a VSIDS trajectory that is already
-                      paying off *)
-                   let imported =
-                     sharing && restarted && import_shared ()
-                   in
-                   if not imported then
-                     match Nogood.pick_branch k with
-                     | Some lit -> Nogood.decide k lit
-                     | None ->
-                         (* every atom is assigned: bodies and aggregates
-                            must follow by propagation or lazy checks; an
-                            unassigned one can only be an aggregate over an
-                            empty scope or a body var of a degenerate rule —
-                            decide them in id order *)
-                         let v = ref comp.Completion.n_atoms in
-                         while
-                           !v < n_vars && Nogood.value_var k !v <> 0
-                         do
-                           incr v
-                         done;
-                         if !v < n_vars then
-                           Nogood.decide k (Completion.lit_false !v)
-                         else raise Finished
+                   match Nogood.pick_branch k with
+                   | Some lit -> Nogood.decide k lit
+                   | None ->
+                       (* every atom is assigned: bodies and aggregates
+                          must follow by propagation or lazy checks; an
+                          unassigned one can only be an aggregate over an
+                          empty scope or a body var of a degenerate rule —
+                          decide them in id order *)
+                       let v = ref comp.Completion.n_atoms in
+                       while
+                         !v < n_vars && Nogood.value_var k !v <> 0
+                       do
+                         incr v
+                       done;
+                       if !v < n_vars then
+                         Nogood.decide k (Completion.lit_false !v)
+                       else raise Finished
                  end
                end)
      done
@@ -838,43 +729,3 @@ let learnt_nogoods h = Nogood.n_global_learnts h.d.k
 let satisfiable ?config g = solve ?config ~limit:1 g <> []
 
 let cheap_eligible g = Cheap.eligible (Interned.compile g)
-
-(* guiding-path split points for parallel enumeration: choice atoms in
-   interned id order, then atoms under negation — conditioning on any
-   atom partitions the model space, these just split it most evenly *)
-let guiding_atoms (g : Ground.t) n =
-  if n <= 0 then []
-  else begin
-    let p = Interned.compile g in
-    let acc = ref [] in
-    let count = ref 0 in
-    Bitset.iter_true
-      (fun a ->
-        if !count < n then begin
-          acc := p.Interned.atoms.(a) :: !acc;
-          incr count
-        end)
-      p.Interned.choice_atoms;
-    if !count < n then begin
-      let negs = Bitset.create (max p.Interned.n_atoms 1) in
-      Array.iter
-        (fun (r : Interned.rule) -> Array.iter (Bitset.set negs) r.Interned.neg)
-        p.Interned.rules;
-      Array.iter
-        (fun (c : Interned.choice) ->
-          Array.iter (Bitset.set negs) c.Interned.cneg;
-          Array.iter
-            (fun (el : Interned.elem) ->
-              Array.iter (Bitset.set negs) el.Interned.egneg)
-            c.Interned.elems)
-        p.Interned.choices;
-      Bitset.iter_true
-        (fun a ->
-          if !count < n && not (Bitset.get p.Interned.choice_atoms a) then begin
-            acc := p.Interned.atoms.(a) :: !acc;
-            incr count
-          end)
-        negs
-    end;
-    List.rev !acc
-  end

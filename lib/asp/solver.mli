@@ -50,13 +50,12 @@
     that A/B them — no shipped command exposes them.
 
     [?assumptions] fixes atom values under dedicated decision levels
-    before search starts — the guiding-path mechanism used by
-    [Engine.Par] to split enumeration across domains deterministically.
-    [Config.exchange] plugs the solver into a learned-nogood {!Exchange}
-    between such domains: only clauses from 1-UIP analyses untainted by
-    path-local nogoods are published, so imports are sound under any
-    other path's assumptions and the merged result stays bit-for-bit
-    identical to a sequential solve.
+    before search starts, so a solve answers exactly the stable models
+    consistent with them. Conditioning partitions the model space: over
+    the [2^k] sign vectors of any [k] atoms, the assumption-conditioned
+    enumerations are disjoint and their union is the plain enumeration
+    (the test suites check this). [Cegar.Inc]'s Assume mode relies on it
+    to ask one ground program about many candidates.
 
     The full tier runs in two steps, and both are exposed. {!prepare}
     compiles the program, builds its completion, preprocesses it and
@@ -92,9 +91,6 @@ module Config : sig
             bounds, which enclose every stable model. Disabled
             automatically under assumptions and under optimization with
             weak constraints *)
-    exchange : (Exchange.t * int) option;
-        (** learned-nogood sharing: the hub and this solver's path id
-            (default [None]) *)
   }
 
   val default : t
@@ -171,9 +167,3 @@ val satisfiable : ?config:Config.t -> Ground.t -> bool
 val cheap_eligible : Ground.t -> bool
 (** Whether the cheap-tier classifier accepts the program (exposed for
     tests of the tier dispatch; see {!Cheap.eligible}). *)
-
-val guiding_atoms : Ground.t -> int -> Atom.t list
-(** Up to [n] split atoms for guiding-path parallel enumeration: choice
-    atoms in interned id order, then atoms under negation. Conditioning
-    on any atom set partitions the model space, so fanning out over all
-    [2^k] sign vectors and merging is equivalent to a sequential solve. *)

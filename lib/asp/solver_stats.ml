@@ -18,8 +18,6 @@ type t = {
   mutable unfounded_sets : int;
   mutable pre_units : int;
   mutable pre_equivs : int;
-  mutable shared_out : int;
-  mutable shared_in : int;
   mutable cheap : bool;
   mutable wall_s : float;
 }
@@ -40,8 +38,6 @@ let create () =
     unfounded_sets = 0;
     pre_units = 0;
     pre_equivs = 0;
-    shared_out = 0;
-    shared_in = 0;
     cheap = false;
     wall_s = 0.;
   }
@@ -61,8 +57,6 @@ let accumulate dst src =
   dst.unfounded_sets <- dst.unfounded_sets + src.unfounded_sets;
   dst.pre_units <- dst.pre_units + src.pre_units;
   dst.pre_equivs <- dst.pre_equivs + src.pre_equivs;
-  dst.shared_out <- dst.shared_out + src.shared_out;
-  dst.shared_in <- dst.shared_in + src.shared_in;
   dst.cheap <- dst.cheap || src.cheap;
   dst.wall_s <- dst.wall_s +. src.wall_s
 
@@ -70,11 +64,10 @@ let to_string s =
   Printf.sprintf
     "guesses=%d pruned=%d firings=%d leaves=%d models=%d conflicts=%d \
      learned=%d restarts=%d blocks=%d backjumped=%d unfounded=%d/%d \
-     pre=%d/%d shared=%d/%d tier=%s wall=%.6fs"
+     pre=%d/%d tier=%s wall=%.6fs"
     s.guesses s.pruned s.firings s.leaves s.models s.conflicts s.learned
     s.restarts s.model_blocks s.backjumped s.unfounded_sets
-    s.unfounded_checks s.pre_units s.pre_equivs s.shared_out
-    s.shared_in
+    s.unfounded_checks s.pre_units s.pre_equivs
     (if s.cheap then "cheap" else "full")
     s.wall_s
 

@@ -24,8 +24,6 @@ type t = {
   mutable unfounded_sets : int;  (** non-empty unfounded sets found *)
   mutable pre_units : int;  (** preprocessing: literals fixed at level 0 *)
   mutable pre_equivs : int;  (** preprocessing: body vars merged by equivalence *)
-  mutable shared_out : int;  (** learnt nogoods published to the exchange *)
-  mutable shared_in : int;  (** learnt nogoods imported from other domains *)
   mutable cheap : bool;  (** solved on the propagation-only cheap tier *)
   mutable wall_s : float;  (** wall-clock seconds for the whole solve *)
 }
@@ -34,8 +32,8 @@ val create : unit -> t
 
 val accumulate : t -> t -> unit
 (** [accumulate dst src] adds every counter (and wall time) of [src] into
-    [dst] ([cheap] ors); used by the sweep engine and parallel enumeration
-    to merge per-job statistics. *)
+    [dst] ([cheap] ors); used by the sweep engine to merge per-job
+    statistics. *)
 
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

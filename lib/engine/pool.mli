@@ -2,8 +2,11 @@
 
     {!map} fans an indexed task set out over a fixed set of worker domains
     pulling indices from a shared atomic counter — a degenerate but
-    effective form of work stealing for embarrassingly parallel task sets
-    such as {!Par}'s guiding paths, its one production caller.
+    effective form of work stealing for embarrassingly parallel task sets.
+    No command calls it: every product path runs on the calling domain.
+    It stays for the end-to-end benchmark's sweep replay
+    ([bench/e2e/cli_work.ml]) and the tests that run grounder and engine
+    work on several domains at once.
     Results land in a slot array keyed by task {e index}, never by
     completion order, so the output is deterministic regardless of worker
     count or scheduling: [map ~jobs f n] equals [Array.init n f] whenever

@@ -169,7 +169,7 @@ type solved = {
   ground_stats : Asp.Grounder.Stats.t;
 }
 
-let solve ?jobs ?limit ~optimal src =
+let solve ?limit ~optimal src =
   match Asp.Parser.parse_program src with
   | exception Asp.Parser.Error msg -> Error ("parse error: " ^ msg)
   | program -> (
@@ -178,14 +178,11 @@ let solve ?jobs ?limit ~optimal src =
       | exception (Asp.Grounder.Unsafe msg | Asp.Grounder.Overflow msg) ->
           Error ("grounding error: " ^ msg)
       | ground ->
-          let jobs = Option.value jobs ~default:1 in
-          let r =
-            if optimal then Engine.Par.optimal ~jobs ground
-            else Engine.Par.enumerate ~jobs ?limit ground
+          let answers, stats =
+            if optimal then Asp.Solver.solve_optimal_with_stats ground
+            else Asp.Solver.solve_with_stats ?limit ground
           in
-          Ok
-            { answers = r.Engine.Par.models; stats = r.Engine.Par.stats;
-              ground_stats })
+          Ok { answers; stats; ground_stats })
 
 let solved s =
   [

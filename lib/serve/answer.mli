@@ -50,12 +50,11 @@ type solved = {
   ground_stats : Asp.Grounder.Stats.t;
 }
 
-val solve :
-  ?jobs:int -> ?limit:int -> optimal:bool -> string -> (solved, string) result
+val solve : ?limit:int -> optimal:bool -> string -> (solved, string) result
 (** Parse, ground and solve a program text (the solver shows only the
-    [#show] atoms) through {!Engine.Par} on [jobs] worker domains
-    (default 1, inline; more give the same answers). [Error]
-    carries a [parse error: …] or [grounding error: …] line. *)
+    [#show] atoms): every stable model (up to [limit]), or every optimum
+    under [optimal], which ignores [limit]. [Error] carries a
+    [parse error: …] or [grounding error: …] line. *)
 
 val solved : solved -> (string * Json.t) list
 (** [models], [answers], [guesses], [conflicts], [wall_s]. *)

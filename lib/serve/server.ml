@@ -226,16 +226,26 @@ let handle_connection t fd =
               | exception e ->
                   (Protocol.error (Printexc.to_string e), false))
         in
-        output_string oc (Json.to_string response);
-        output_char oc '\n';
-        flush oc;
-        if stop then request_stop t else loop ()
+        match
+          output_string oc (Json.to_string response);
+          output_char oc '\n';
+          flush oc
+        with
+        | () -> if stop then request_stop t else loop ()
+        | exception Sys_error _ ->
+            (* the client hung up before its answer: end this connection
+               only *)
+            if stop then request_stop t
   in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    loop
+  (* closing the channel also closes [fd], and drops whatever a failed
+     write left in its buffer *)
+  Fun.protect ~finally:(fun () -> close_out_noerr oc) loop
 
 let run ?on_ready config =
+  (* a write to a connection whose client has gone must fail that write,
+     not kill the daemon *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ -> ());
   let store =
     Option.map
       (fun dir ->

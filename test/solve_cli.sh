@@ -2,13 +2,13 @@
 # `cpsrisk solve` at the CLI level, over every example program plus the
 # test fixtures:
 #   1. exit 0 on a satisfiable program, 1 on an unsatisfiable one;
-#   2. the Answer lines of `--jobs 2` equal those of the sequential run;
-#   3. `-n 1` reports exactly one of the sequential answers;
-#   4. `--opt` reports only optimal models;
-#   5. `--stats` prints the Ground: and Stats: lines;
-#   6. `#show` answers keep the model count and are sorted by what they
+#   2. `-n 1` reports exactly one of the full run's answers;
+#   3. `--opt` reports only optimal models;
+#   4. `--stats` prints the Ground: and Stats: lines;
+#   5. `#show` answers keep the model count and are sorted by what they
 #      show, then by cost;
-#   7. a model limit below 1 is a usage error (exit 124).
+#   6. a model limit below 1 is a usage error (exit 124), and so is
+#      `--jobs` (the solver has no parallel mode).
 # Usage: solve_cli.sh CLI FIXTURE_DIR EXAMPLE_DIR
 set -eu
 
@@ -32,21 +32,16 @@ for f in "$examples"/*.lp; do
   name=$(basename "$f")
   run "$f"
   expect_code 0 "$name"
-  grep '^Answer' out.txt > seq.txt || fail "$name: no Answer lines"
+  grep '^Answer' out.txt > all.txt || fail "$name: no Answer lines"
   grep -q '^SATISFIABLE' out.txt || fail "$name: no SATISFIABLE line"
-
-  run --jobs 2 "$f"
-  expect_code 0 "--jobs 2 $name"
-  grep '^Answer' out.txt > par.txt || true
-  cmp -s seq.txt par.txt || fail "--jobs 2 $name: answers differ from sequential"
 
   run -n 1 "$f"
   expect_code 0 "-n 1 $name"
   [ "$(grep -c '^Answer' out.txt)" -eq 1 ] || fail "-n 1 $name: not one answer"
   grep -q '^SATISFIABLE (1 model)$' out.txt || fail "-n 1 $name: bad summary"
   model=$(sed -n 's/^Answer 1: //p' out.txt)
-  sed 's/^Answer [0-9]*: //' seq.txt | grep -qxF "$model" \
-    || fail "-n 1 $name: answer $model is not a sequential answer"
+  sed 's/^Answer [0-9]*: //' all.txt | grep -qxF "$model" \
+    || fail "-n 1 $name: answer $model is not one of the full run's"
 
   run --opt "$f"
   expect_code 0 "--opt $name"
@@ -60,8 +55,6 @@ done
 run "$fixtures/unsat.lp"
 expect_code 1 unsat.lp
 [ "$(cat out.txt)" = UNSATISFIABLE ] || fail "unsat.lp: expected UNSATISFIABLE"
-run --jobs 2 "$fixtures/unsat.lp"
-expect_code 1 "--jobs 2 unsat.lp"
 run --stats "$fixtures/unsat.lp"
 expect_code 1 "--stats unsat.lp"
 grep -q '^Ground: ' out.txt && grep -q '^Stats: ' out.txt \
@@ -72,11 +65,9 @@ Answer 1: {b} cost[1@0]
 Answer 2: {b, c} cost[1@0]
 SATISFIABLE (2 models)
 OUT
-for jobs in 1 2; do
-  run --opt --jobs "$jobs" "$fixtures/weak.lp"
-  expect_code 0 "--opt --jobs $jobs weak.lp"
-  cmp -s opt.txt out.txt || fail "--opt --jobs $jobs weak.lp: not the two optima"
-done
+run --opt "$fixtures/weak.lp"
+expect_code 0 "--opt weak.lp"
+cmp -s opt.txt out.txt || fail "--opt weak.lp: not the two optima"
 
 cat > show_dup.txt <<'OUT'
 Answer 1: {c}
@@ -94,12 +85,10 @@ Answer 2: {c} cost[1@0]
 SATISFIABLE (2 models)
 OUT
 for fixture in show_dup show_order show_cost; do
-  for jobs in 1 2; do
-    run --jobs "$jobs" "$fixtures/$fixture.lp"
-    expect_code 0 "--jobs $jobs $fixture.lp"
-    cmp -s "$fixture.txt" out.txt \
-      || fail "--jobs $jobs $fixture.lp: $(tr '\n' ' ' < out.txt)"
-  done
+  run "$fixtures/$fixture.lp"
+  expect_code 0 "$fixture.lp"
+  cmp -s "$fixture.txt" out.txt \
+    || fail "$fixture.lp: $(tr '\n' ' ' < out.txt)"
 done
 
 for limit in 0 -2; do
@@ -109,4 +98,10 @@ for limit in 0 -2; do
   [ ! -s out.txt ] || fail "--models=$limit: printed answers"
 done
 
-echo "solve-cli: exit codes, --jobs parity, -n, --opt, --stats, #show and limit checks pass"
+for opt in "--jobs 2" "-j 2"; do
+  run $opt "$fixtures/weak.lp"
+  expect_code 124 "$opt"
+  [ ! -s out.txt ] || fail "$opt: printed answers"
+done
+
+echo "solve-cli: exit codes, -n, --opt, --stats, #show, limit and --jobs checks pass"

@@ -1088,9 +1088,12 @@ let test_numbering_assumptions () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Par: guiding-path parallel model enumeration                         *)
+(* par: assumption-conditioned solves partition the model space         *)
 (* ------------------------------------------------------------------ *)
 
+(* Splitting on the signs of k atoms and solving each sign vector under
+   [~assumptions] must give back every model exactly once; Assume-mode
+   refinement (Cegar.Inc) relies on this partition. *)
 let par_programs =
   [
     "{ a ; b ; c ; d }. :- a, b.";
@@ -1100,25 +1103,37 @@ let par_programs =
     "p :- not p.";
   ]
 
+let check_split what src seq split =
+  check Alcotest.int
+    (Printf.sprintf "%s model count on:\n%s" what src)
+    (List.length seq) (List.length split);
+  (* [Model.compare] orders by atoms, then by cost *)
+  List.iter2
+    (fun a b ->
+      if Asp.Model.compare a b <> 0 then
+        Alcotest.fail (Printf.sprintf "%s diverged on:\n%s" what src))
+    seq split
+
 let test_par_enumerate () =
   List.iter
     (fun src ->
       let g = Asp.Grounder.ground (Asp.Parser.parse_program src) in
       let seq = Asp.Solver.solve g in
       List.iter
-        (fun jobs ->
-          let r = Engine.Par.enumerate ~oversubscribe:true ~jobs g in
-          check Alcotest.int
-            (Printf.sprintf "par %d model count on:\n%s" jobs src)
-            (List.length seq) (List.length r.Engine.Par.models);
-          if not (List.for_all2 Asp.Model.equal seq r.Engine.Par.models) then
-            Alcotest.fail
-              (Printf.sprintf "par %d enumeration diverged on:\n%s" jobs src);
-          check Alcotest.int
-            (Printf.sprintf "par %d stats model count on:\n%s" jobs src)
-            (List.length seq)
-            r.Engine.Par.stats.Asp.Solver.Stats.models)
-        [ 1; 2; 4 ])
+        (fun k ->
+          check_split (Printf.sprintf "split %d" k) src seq
+            (Asp_oracle.Split.enumerate ~k g);
+          (* the same sign vectors searched in turn on one prepared
+             handle, as Assume mode does: each search drops what the
+             previous one derived for its own assumptions *)
+          let h = Asp.Solver.prepare g in
+          check_split (Printf.sprintf "split %d on one handle" k) src seq
+            (List.sort Asp.Model.compare
+               (List.concat_map
+                  (fun assumptions -> fst (Asp.Solver.search ~assumptions h))
+                  (Asp_oracle.Split.sign_vectors
+                     (Asp_oracle.Split.atoms ~k g)))))
+        [ 1; 2; 3 ])
     par_programs
 
 let test_par_optimal () =
@@ -1127,55 +1142,11 @@ let test_par_optimal () =
       let g = Asp.Grounder.ground (Asp.Parser.parse_program src) in
       let seq = Asp.Solver.solve_optimal g in
       List.iter
-        (fun jobs ->
-          let r = Engine.Par.optimal ~oversubscribe:true ~jobs g in
-          check Alcotest.int
-            (Printf.sprintf "par-opt %d front size on:\n%s" jobs src)
-            (List.length seq) (List.length r.Engine.Par.models);
-          if not (List.for_all2 Asp.Model.equal seq r.Engine.Par.models) then
-            Alcotest.fail
-              (Printf.sprintf "par-opt %d front diverged on:\n%s" jobs src))
-        [ 1; 2; 4 ])
+        (fun k ->
+          check_split (Printf.sprintf "split-opt %d" k) src seq
+            (Asp_oracle.Split.optimal ~k g))
+        [ 1; 2; 3 ])
     par_programs
-
-let test_par_limit_sequential () =
-  let g =
-    Asp.Grounder.ground (Asp.Parser.parse_program "{ a ; b ; c ; d }.")
-  in
-  let r = Engine.Par.enumerate ~oversubscribe:true ~jobs:4 ~limit:3 g in
-  check Alcotest.int "limited count" 3 (List.length r.Engine.Par.models);
-  check Alcotest.int "limit forces one path" 1 r.Engine.Par.paths
-
-(* The cheap tier is off under assumptions, so a cheap-eligible program
-   stays on one path whatever the worker count; every other program of
-   [par_programs] still splits. *)
-let test_par_cheap_sequential () =
-  let g = Asp.Grounder.ground (Cpsrisk.Cascade.asp_choice_program 12) in
-  check Alcotest.bool "choice 12 is cheap-eligible" true
-    (Asp.Solver.cheap_eligible g);
-  let r = Engine.Par.enumerate ~oversubscribe:true ~jobs:4 g in
-  check Alcotest.int "cheap program stays on one path" 1 r.Engine.Par.paths;
-  let seq = Asp.Solver.solve g in
-  check Alcotest.int "model count" (List.length seq)
-    (List.length r.Engine.Par.models);
-  check Alcotest.bool "models equal the sequential run" true
-    (List.for_all2 Asp.Model.equal seq r.Engine.Par.models);
-  let split =
-    List.filter
-      (fun src ->
-        let g = Asp.Grounder.ground (Asp.Parser.parse_program src) in
-        not (Asp.Solver.cheap_eligible g))
-      par_programs
-  in
-  check Alcotest.int "four non-cheap programs" 4 (List.length split);
-  List.iter
-    (fun src ->
-      let g = Asp.Grounder.ground (Asp.Parser.parse_program src) in
-      let r = Engine.Par.enumerate ~oversubscribe:true ~jobs:4 g in
-      check Alcotest.bool
-        (Printf.sprintf "splits:\n%s" src)
-        true (r.Engine.Par.paths > 1))
-    split
 
 (* Non-monotone increments: a delta can retract, through negation, what
    the base alone derives, so a decided model is never the base's model
@@ -1243,20 +1214,6 @@ let test_decide_retracts () =
            (Asp.Solver.solve (Asp.Grounder.extend gprep increment)))
         (List.map Asp.Model.to_string models))
     [ ("{x;y}1.", 3); ("p :- not q. q :- not p.", 2) ]
-
-(* Without weak constraints a cheap-eligible program is optimised on one
-   path, like its enumeration (it was split before, and every path paid
-   a CDNL search). *)
-let test_par_optimal_cheap () =
-  let g = Asp.Grounder.ground (Asp.Parser.parse_program "n(1..12). { c(X) : n(X) }.") in
-  check Alcotest.bool "cheap-eligible" true (Asp.Solver.cheap_eligible g);
-  let r = Engine.Par.optimal ~oversubscribe:true ~jobs:2 g in
-  check Alcotest.int "one path at two jobs" 1 r.Engine.Par.paths;
-  let seq = Asp.Solver.solve_optimal g in
-  check Alcotest.int "model count" (List.length seq)
-    (List.length r.Engine.Par.models);
-  check Alcotest.bool "models equal the sequential run" true
-    (List.for_all2 Asp.Model.equal seq r.Engine.Par.models)
 
 (* [sweep --stats] names solver work only when a fresh job reached the
    solver: jobs the grounder decided have zeroed solver stats, whose
@@ -1333,8 +1290,6 @@ let suites =
           test_par_enumerate;
         Alcotest.test_case "par: optima equal sequential" `Quick
           test_par_optimal;
-        Alcotest.test_case "par: limit stays sequential" `Quick
-          test_par_limit_sequential;
         Alcotest.test_case "sweep: horizon shortcut counters pinned" `Quick
           test_sweep_horizon_counters;
         Alcotest.test_case "sweep: horizon shortcut = full unrolling" `Quick
@@ -1345,12 +1300,8 @@ let suites =
           `Quick test_sweep_pool_replay;
         Alcotest.test_case "sweep: grounder work counters pinned" `Quick
           test_sweep_work_counters;
-        Alcotest.test_case "par: cheap-tier programs stay on one path" `Quick
-          test_par_cheap_sequential;
         Alcotest.test_case "decide: deltas retract base atoms" `Quick
           test_decide_retracts;
-        Alcotest.test_case "par: cheap-tier optimisation stays on one path"
-          `Quick test_par_optimal_cheap;
         Alcotest.test_case "sweep: stats name the solver only when it ran"
           `Quick test_render_decided;
       ] );

@@ -1008,6 +1008,32 @@ let test_decide_corners () =
     ];
   decided "corners" ~past_extend:2 t
 
+(* decide's work grows linearly in a delta's facts: 2N facts allocate
+   less than 3x what N facts do, where a step quadratic in the facts
+   would make it about 4x. Allocation, not time, keeps it deterministic.
+   Each measurement decides on a freshly prepared base. *)
+let test_decide_linear_in_facts () =
+  let base = Asp.Parser.parse_program "q(X) :- p(X). r :- q(1)." in
+  let allocated n =
+    let prep = Asp.Grounder.prepare base in
+    let delta =
+      Asp.Parser.parse_program
+        (String.concat " " (List.init n (Printf.sprintf "p(%d).")))
+    in
+    let before = Gc.allocated_bytes () in
+    let decided = Asp.Grounder.decide prep delta in
+    let bytes = Gc.allocated_bytes () -. before in
+    check Alcotest.bool (Printf.sprintf "%d facts decided" n) true
+      (decided <> None);
+    bytes
+  in
+  let n = 2000 in
+  let one = allocated n and two = allocated (2 * n) in
+  if two >= 3.0 *. one then
+    fail
+      (Printf.sprintf "decide allocated %.0f bytes for %d facts, %.0f for %d"
+         one n two (2 * n))
+
 (* ------------------------------------------------------------------ *)
 (* decide across jobs: one prepared base, many facts-only deltas        *)
 (* ------------------------------------------------------------------ *)
@@ -1240,5 +1266,7 @@ let suites =
           test_decide_corners;
         Alcotest.test_case "decide: one base, many facts-only deltas" `Quick
           test_decide_shared_base;
+        Alcotest.test_case "decide: linear in a delta's facts" `Quick
+          test_decide_linear_in_facts;
       ] );
   ]

@@ -1110,6 +1110,57 @@ let test_client_reset () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "a reset connection must come back as Error"
 
+(* A client that sends a sweep and hangs up before its answer must not
+   take the daemon down: the daemon's write to the closed socket fails
+   (a SIGPIPE would kill the whole process), that connection ends, and
+   the next connection is answered. *)
+let test_client_hangs_up () =
+  with_daemon @@ fun socket ->
+  let ask request =
+    match Serve.Client.request ~socket request with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  ignore
+    (ask
+       (Serve.Json.Obj
+          [
+            ("op", Serve.Json.String "load-model");
+            ("name", Serve.Json.String "wt");
+            ("horizon", Serve.Json.Int 6);
+          ]));
+  let sweep =
+    Serve.Protocol.request_to_json
+      (Serve.Protocol.Sweep
+         {
+           model = "wt";
+           mutations =
+             String.concat "\n"
+               (List.init 40 (Printf.sprintf "F1 ! {x;y}1. z(%d)."));
+           jobs = None;
+         })
+  in
+  let line = Bytes.of_string (Serve.Json.to_string sweep ^ "\n") in
+  for _ = 1 to 3 do
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX socket);
+    let rec send off =
+      if off < Bytes.length line then
+        send (off + Unix.write fd line off (Bytes.length line - off))
+    in
+    send 0;
+    Unix.close fd
+  done;
+  (* the same sweep, read to the end: its jobs were the hung-up
+     requests', so it is answered once they are done *)
+  let again = ask sweep in
+  checki "the sweep is answered on a new connection" 40
+    (List.length (Option.get (Serve.Json.mem_list "results" again)));
+  check (Alcotest.option Alcotest.int) "status still lists the model"
+    (Some 1)
+    (Serve.Json.mem_int "models"
+       (ask (Serve.Json.Obj [ ("op", Serve.Json.String "status") ])))
+
 let suites =
   [
     ( "serve",
@@ -1162,5 +1213,7 @@ let suites =
           test_store_old_layout;
         Alcotest.test_case "client: a reset connection is an Error" `Quick
           test_client_reset;
+        Alcotest.test_case "connections: a client hanging up is survived"
+          `Quick test_client_hangs_up;
       ] );
   ]

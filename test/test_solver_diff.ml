@@ -268,24 +268,24 @@ let diff_one src =
       ( "solve no-preprocess",
         { Asp.Solver.Config.default with preprocess = false } );
       ("solve no-cheap", { Asp.Solver.Config.default with cheap_tier = false });
-      ( "solve raw",
-        {
-          Asp.Solver.Config.default with
-          preprocess = false;
-          cheap_tier = false;
-        } );
+      ("solve raw", { Asp.Solver.Config.preprocess = false; cheap_tier = false });
     ];
-  (* guiding-path parallel enumeration, shared and isolated exchanges:
-     the merged model sets and costs must equal the sequential run *)
+  (* assumptions partition the model space: over 1, 2 and 3 split atoms
+     the sorted union of the sign vectors' models and optima must equal
+     the plain solve's, costs included *)
   List.iter
-    (fun (jobs, share) ->
-      let r = Engine.Par.enumerate ~oversubscribe:true ~jobs ~share g in
+    (fun k ->
       compare_on
-        ~what:(Printf.sprintf "par jobs=%d share=%b" jobs share)
-        ~names:("par", "seq") src
-        (outcome_of_models r.Engine.Par.models)
-        cdnl)
-    [ (2, true); (2, false); (4, true); (4, false) ]
+        ~what:(Printf.sprintf "sign split k=%d" k)
+        ~names:("split", "plain") src
+        (outcome_of_models (Asp_oracle.Split.enumerate ~k g))
+        cdnl;
+      compare_on
+        ~what:(Printf.sprintf "sign split optimal k=%d" k)
+        ~names:("split", "plain") src
+        (outcome_of_models (Asp_oracle.Split.optimal ~k g))
+        cdnl_opt)
+    [ 1; 2; 3 ]
 
 let test_differential_seeded () =
   for seed = 0 to 99 do

@@ -93,21 +93,19 @@ let diff3 ~tag seed src =
     [
       { Asp.Solver.Config.default with preprocess = false };
       { Asp.Solver.Config.default with cheap_tier = false };
-      { Asp.Solver.Config.default with preprocess = false; cheap_tier = false };
+      { Asp.Solver.Config.preprocess = false; cheap_tier = false };
     ];
-  (* guiding-path sharing on a sample of the corpus (every fifth seed,
-     to keep the suite quick): 2- and 4-domain enumeration, shared and
-     isolated, must reproduce the sequential model sets and costs *)
+  (* assumptions partition the model space, on a sample of the corpus
+     (every fifth seed, to keep the suite quick): the sorted union of the
+     sign vectors over 2 and 3 split atoms must reproduce the plain model
+     sets and costs *)
   if seed mod 5 = 0 then
     List.iter
-      (fun (jobs, share) ->
-        let r = Engine.Par.enumerate ~oversubscribe:true ~jobs ~share g in
-        let par = outcome_of_models r.Engine.Par.models in
-        if not (agree par cdnl) then
-          fail_diverge
-            (Printf.sprintf "par jobs=%d share=%b" jobs share)
-            par cdnl)
-      [ (2, true); (2, false); (4, true); (4, false) ]
+      (fun k ->
+        let split = outcome_of_models (Asp_oracle.Split.enumerate ~k g) in
+        if not (agree split cdnl) then
+          fail_diverge (Printf.sprintf "sign split k=%d" k) split cdnl)
+      [ 2; 3 ]
 
 (* ------------------------------------------------------------------ *)
 (* Generator 1: large mixed programs (the original fuzzer)              *)
