@@ -620,10 +620,10 @@ let refine_cmd =
           ~doc:
             "Candidate encoding: $(b,assume) pins hypotheses with solver \
              assumptions over one shared ground program, prepared once \
-             per refinement level and searched once per candidate (its \
-             learned nogoods carry from candidate to candidate); \
-             $(b,increment) extends the warm grounder per candidate \
-             (deduplicated through the cache).")
+             per refinement level and searched once per candidate; \
+             $(b,increment) adds each hypothesis as an entry fact that \
+             the warm grounder decides without the solver (deduplicated \
+             through the cache).")
   in
   Cmd.v
     (Cmd.info "refine"
@@ -635,11 +635,13 @@ let refine_cmd =
              "Runs the layered-zone refinement schedule through the \
               incremental CEGAR driver: the base abstraction is grounded \
               once, every refinement level extends the warm grounder state \
-              of the previous one, candidate hypotheses are assessed in \
-              turn, and (in assume mode) every candidate is a search under \
-              assumptions on one prepared solver per level, so conflict \
-              clauses learned while refuting one candidate prune the \
-              others.";
+              of the previous one, and candidate hypotheses are assessed \
+              in turn. A hypothesis survives a level when the plant is \
+              reachable from its entry point past that level's firewall \
+              rules. That is stratified reachability: in assume mode \
+              each candidate is a search under assumptions on one \
+              prepared solver per level that meets no conflict, and in \
+              increment mode the grounder decides it with no solver.";
          ])
     Term.(
       const refine $ levels_arg $ entries_arg $ mode_arg $ Common.stats

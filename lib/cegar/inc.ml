@@ -88,12 +88,8 @@ let run ?cache spec =
                   in
                   (models, ss, Asp.Grounder.Stats.create ())
               | Increment f ->
-                  let gs = Asp.Grounder.Stats.create () in
-                  let g = Asp.Grounder.extend ~stats:gs cur_prep (f c) in
-                  let models, ss =
-                    Asp.Solver.solve_with_stats ?limit:spec.limit g
-                  in
-                  (models, ss, gs))
+                  Engine.Job.decide_or_solve
+                    (Engine.Job.Enumerate spec.limit) cur_prep (f c))
         in
         (c, value, src))
       survivors
@@ -104,7 +100,8 @@ let run ?cache spec =
         match src with
         | Engine.Cache.Fresh ->
             incr fresh;
-            incr solves;
+            (* a candidate the grounder decided ran no solver *)
+            if gs.Asp.Grounder.Stats.decided = 0 then incr solves;
             Asp.Grounder.Stats.add ~into:gstats gs
         | Engine.Cache.Memory -> incr hits
         | Engine.Cache.Disk -> incr disk)

@@ -28,11 +28,12 @@
       level, where the old program's nogoods would no longer be
       justified. It is built at the first fresh solve against a program,
       so a round answered entirely from the cache builds none.
-    - {b Increment}: a candidate compiles to a program increment applied
-      via {!Asp.Grounder.extend} against the level's warm state, with
-      results deduplicated through {!Engine.Cache} by structural
-      fingerprint — a candidate re-assessed against an unchanged level is
-      a cache hit, not a solve.
+    - {b Increment}: a candidate compiles to a program increment
+      answered against the level's warm state by
+      {!Engine.Job.decide_or_solve}, as every engine job is (a
+      stratified one is decided by the grounder, with no solver), and
+      deduplicated through {!Engine.Cache} by structural fingerprint — a
+      candidate re-assessed against an unchanged level is a cache hit.
 
     The scratch driver {!run_scratch} is the retained oracle: cold
     grounding, no cache, no reused solver, sequential — differential
@@ -84,7 +85,7 @@ type round = {
 
 type stats = {
   s_rounds : int;
-  s_solves : int;  (** fresh solves actually run *)
+  s_solves : int;  (** fresh solves run; decided ones are [s_ground]'s *)
   s_hits : int;  (** assessments answered from cache memory *)
   s_disk_hits : int;
   s_fresh : int;

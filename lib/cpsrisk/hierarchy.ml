@@ -40,8 +40,7 @@ let refine_topology ~levels ~entries =
 let routing_rules =
   {|
 reach(E) :- entry(E).
-{ hop(S, T) : flow(S, T), not blocked(S, T) } 1 :- reach(S).
-reach(T) :- hop(S, T).
+reach(T) :- reach(S), flow(S, T), not blocked(S, T).
 hazard :- reach(N), critical(N).
 :- not hazard.
 |}
@@ -71,9 +70,7 @@ let refine_spec ?(levels = default_levels) ?(entries = default_entries)
         topology ^ "{ entry(E) : entry_node(E) }.\n" ^ routing_rules
     | `Increment -> topology ^ routing_rules
   in
-  let entry_atom c =
-    Asp.Atom.make "entry" [ Asp.Term.const (candidate_entry c) ]
-  in
+  let entry_atom e = Asp.Atom.make "entry" [ Asp.Term.const e ] in
   let mode =
     match mode with
     | `Assume ->
@@ -82,14 +79,12 @@ let refine_spec ?(levels = default_levels) ?(entries = default_entries)
             let mine = candidate_entry c in
             List.init entries (fun i ->
                 let e = entry_const (i + 1) in
-                (Asp.Atom.make "entry" [ Asp.Term.const e ], String.equal e mine)))
+                (entry_atom e, String.equal e mine)))
     | `Increment ->
         Cegar.Inc.Increment
           (fun c ->
-            Asp.Parser.parse_program
-              (Printf.sprintf "entry(%s)."
-                 (Asp.Term.to_string
-                    (List.hd (entry_atom c).Asp.Atom.args))))
+            Asp.Program.of_rules
+              [ Asp.Rule.fact (entry_atom (candidate_entry c)) ])
   in
   {
     Cegar.Inc.base = Asp.Parser.parse_program base_src;
@@ -105,7 +100,7 @@ let refine_spec ?(levels = default_levels) ?(entries = default_entries)
             [ entry_fault (i + 1) ]);
     mode;
     keep = (fun models -> models <> []);
-    (* survival is satisfiability — one route suffices as witness *)
+    (* survival is satisfiability: the hazard model, if there is one *)
     limit = Some 1;
     max_atoms = 16384;
   }

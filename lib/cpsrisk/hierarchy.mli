@@ -10,17 +10,16 @@
     hypotheses [e1..eC] connect through per-entry gateways into a zone
     chain [z1 → … → zL → core → plant] with dead-end decoys and skip
     edges. A candidate claims "the attacker enters here and reaches the
-    plant"; the encoding opens a routing choice
+    plant"; the encoding is stratified reachability
 
-    {v { hop(S,T) : flow(S,T), not blocked(S,T) } 1 :- reach(S). v}
+    {v reach(T) :- reach(S), flow(S, T), not blocked(S, T). v}
 
-    and demands [:- not hazard.] — a candidate survives iff some route
-    exists (SAT). Refinement level [k] adds [blocked/2] facts: the
-    firewall on gateway [k] (eliminating entry hypothesis [k]) and the
-    decoy on zone [k]. Dead-end routes conflict with the hazard
-    constraint, so solves learn nogoods that hold for every candidate —
-    the workload {!Cegar.Inc}'s Assume mode carries from one candidate's
-    search to the next on one prepared solver.
+    and demands [:- not hazard.] — a candidate survives iff the plant is
+    reachable from its entry. Refinement level [k] adds [blocked/2]
+    facts: the firewall on gateway [k] (eliminating entry hypothesis
+    [k]) and the decoy on zone [k]. With no route to choose, an
+    Increment candidate is decided by the grounder, and an Assume search
+    meets no conflict.
 
     {b Frontier side.} A deterministic error-propagation plant (no
     choice, unique stable model): attacks injected at fixed sources
@@ -47,12 +46,13 @@ val refine_spec :
   Cegar.Inc.spec
 (** The CEGAR schedule: base abstraction plus [levels] structural
     increments over [entries] candidates (entry hypothesis [i] is the
-    delta with fault ["Ei"]). [`Assume] (default) pins the hypothesis by
-    solver assumptions over the choice-opened [entry/1] atoms — all
-    candidates of a round share one ground program, enabling nogood
-    carry. [`Increment] compiles each hypothesis to an [entry(ei).]
-    fact grounded incrementally per candidate. Survivorship is identical
-    in both modes. Requires [1 <= levels < entries]. *)
+    delta with fault ["Ei"], entering at node [ei]). [`Assume]
+    (default) pins the hypothesis by solver assumptions over the
+    choice-opened [entry/1] atoms — all candidates of a round share one
+    prepared solver. [`Increment] compiles each hypothesis to an
+    [entry(ei).] fact that {!Asp.Grounder.decide} answers against the
+    level's warm state. Survivorship is identical in both modes.
+    Requires [1 <= levels < entries]. *)
 
 val spurious_entries : levels:int -> string list
 (** The fault ids eliminated by the schedule, in elimination order. *)

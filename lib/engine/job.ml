@@ -79,13 +79,10 @@ let fingerprint p delta =
     (Fingerprint.extend p.p_base_fp (p.p_spec.compile delta))
     p.p_mode_fp
 
-(* A stratified job has its one candidate model decided by the grounder;
-   with no weak constraint in it, that is also its optimum. *)
-let full p delta =
-  let s = p.p_spec in
+(* A stratified increment has its one candidate model decided by the
+   grounder; with no weak constraint in it, that is also its optimum. *)
+let decide_or_solve mode g increment =
   let gstats = Asp.Grounder.Stats.create () in
-  let increment = s.compile delta in
-  let g = ground p in
   match Asp.Grounder.decide ~stats:gstats g increment with
   | Some models ->
       let stats = Asp.Solver.Stats.create () in
@@ -94,11 +91,14 @@ let full p delta =
   | None ->
       let program = Asp.Grounder.extend ~stats:gstats g increment in
       let models, stats =
-        match s.mode with
+        match mode with
         | Enumerate limit -> Asp.Solver.solve_with_stats ?limit program
         | Optimal -> Asp.Solver.solve_optimal_with_stats program
       in
       (models, stats, gstats)
+
+let full p delta =
+  decide_or_solve p.p_spec.mode (ground p) (p.p_spec.compile delta)
 
 let solve p delta =
   match p.p_spec.shortcut with

@@ -79,20 +79,24 @@ val fingerprint : prepared -> Delta.t -> Fingerprint.t
 (** Content address of the job: base extended with the compiled increment,
     mixed with the solve mode and the grounder's atom cap. *)
 
+val decide_or_solve : mode -> Asp.Grounder.prepared -> Asp.Program.t -> answer
+(** [decide_or_solve mode g increment] answers [g]'s base plus
+    [increment]. A stratified normal program (every what-if simulation
+    the backends generate, every hierarchy refinement candidate) is
+    decided by {!Asp.Grounder.decide}: its one model, or none when a
+    constraint fails, with no ground program and no solver; its grounder
+    stats count one [decided], its solver stats only [models]. Any other
+    program is ground with {!Asp.Grounder.extend} and solved in [mode].
+    Either way only the atoms of the program's [#show] signatures are
+    built, so the cache and the store keep only what an answer is read
+    from. [g] is only read (its decide memo is filled under a lock):
+    safe to call from any domain. *)
+
 val solve : prepared -> Delta.t -> answer
-(** Answer the job, through the spec's [shortcut] when it has one. The
-    generic answer: a stratified normal job — every what-if simulation
-    the backends generate — is decided by the grounder alone
-    ({!Asp.Grounder.decide}): its one model, or none when a constraint
-    fails, with no ground program and no solver. Its grounder stats
-    count one [decided], and its solver stats are empty but for
-    [models]. Any other job is ground with {!Asp.Grounder.extend} and
-    solved. Either way only the atoms of the program's [#show]
-    signatures (base plus increment) are built, so what the cache and
-    the store keep is only what an answer is read from; a program
-    without [#show] keeps whole models. The prepared state is only read
-    (the grounder's per-base reuse and a deferred base grounding are
-    filled under a lock): safe to call from any domain. *)
+(** Answer the job, through the spec's [shortcut] when it has one; the
+    generic answer is {!decide_or_solve} of the compiled delta against
+    the base (a deferred base is ground at first need, under a lock).
+    Safe to call from any domain. *)
 
 val run : answer Cache.t -> prepared -> index:int -> Delta.t -> result
 (** One job: {!fingerprint} the delta, look it up in the cache, and on a

@@ -150,6 +150,106 @@ let check_outcome_equal tag (a : Cegar.Inc.outcome) (b : Cegar.Inc.outcome) =
         (labels rb.Cegar.Inc.r_eliminated))
     a.Cegar.Inc.rounds b.Cegar.Inc.rounds
 
+(* The choice encoding of the hierarchy's routing, "the attacker picks a
+   route": one hop at a time out of every reached node, and a candidate
+   survives when some pick reaches the plant. It asks the stratified
+   spec's question with many models per candidate and answers it by
+   CDNL, so it is the differential oracle of that spec and the program
+   for the cases that need several routes (nogood carry, model limits,
+   [hop] atoms). Built from [Cpsrisk.Hierarchy.refine_spec] by swapping
+   its one routing step [reach(T) :- reach(S), flow(S, T), ...] for the
+   choice; everything else (topology, levels, candidates) is shared. *)
+let route_choice =
+  Asp.Program.rules
+    (Asp.Parser.parse_program
+       "{ hop(S, T) : flow(S, T), not blocked(S, T) } 1 :- reach(S).\n\
+        reach(T) :- hop(S, T).\n")
+
+let is_route_step = function
+  | Asp.Rule.Rule
+      { head = Asp.Rule.Head { Asp.Atom.pred = "reach"; _ }; body; _ } ->
+      List.exists
+        (function
+          | Asp.Lit.Pos { Asp.Atom.pred = "flow"; _ } -> true | _ -> false)
+        body
+  | _ -> false
+
+let choice_spec ?levels ?entries ?mode () =
+  let spec = Cpsrisk.Hierarchy.refine_spec ?levels ?entries ?mode () in
+  let rules = Asp.Program.rules spec.Cegar.Inc.base in
+  if List.length (List.filter is_route_step rules) <> 1 then
+    fail "choice_spec: the hierarchy spec has no single routing step";
+  {
+    spec with
+    Cegar.Inc.base =
+      Asp.Program.of_rules
+        (List.concat_map
+           (fun r -> if is_route_step r then route_choice else [ r ])
+           rules);
+  }
+
+(* The arguments of [program]'s [pred] facts, printed. *)
+let facts pred program =
+  List.filter_map
+    (function
+      | Asp.Rule.Rule { head = Asp.Rule.Head a; body = []; _ }
+        when a.Asp.Atom.pred = pred ->
+          Some (List.map Asp.Term.to_string a.Asp.Atom.args)
+      | _ -> None)
+    (Asp.Program.rules program)
+
+(* The hazard by graph search: a candidate survives a round when a
+   breadth-first walk from its entry node over the spec's [flow] facts,
+   minus the [blocked] facts of the levels so far, meets a [critical]
+   node. Candidate [Ei] enters at [ei], as [refine_spec] documents. *)
+let bfs_rounds (spec : Cegar.Inc.spec) =
+  let flow = facts "flow" spec.Cegar.Inc.base in
+  let critical = List.concat (facts "critical" spec.Cegar.Inc.base) in
+  let reaches blocked entry =
+    let rec walk seen = function
+      | [] -> false
+      | n :: _ when List.mem n critical -> true
+      | n :: rest ->
+          let next =
+            List.filter_map
+              (function
+                | [ s; t ]
+                  when s = n
+                       && (not (List.mem [ s; t ] blocked))
+                       && not (List.mem t seen) ->
+                    Some t
+                | _ -> None)
+              flow
+          in
+          walk (next @ seen) (rest @ next)
+    in
+    walk [ entry ] [ entry ]
+  in
+  let entry c = String.lowercase_ascii (List.hd c.Engine.Delta.faults) in
+  let rec go blocked survivors = function
+    | [] -> []
+    | (label, structure) :: levels ->
+        let blocked = blocked @ facts "blocked" structure in
+        let surv, elim =
+          List.partition (fun c -> reaches blocked (entry c)) survivors
+        in
+        (label, labels surv, labels elim) :: go blocked surv levels
+  in
+  go [] spec.Cegar.Inc.candidates
+    (("base", Asp.Program.empty)
+    :: List.map
+         (fun (l : Cegar.Inc.level) ->
+           (l.Cegar.Inc.l_label, l.Cegar.Inc.l_structure))
+         spec.Cegar.Inc.levels)
+
+let round_keys (o : Cegar.Inc.outcome) =
+  List.map
+    (fun (r : Cegar.Inc.round) ->
+      ( r.Cegar.Inc.r_label,
+        labels r.Cegar.Inc.r_survivors,
+        labels r.Cegar.Inc.r_eliminated ))
+    o.Cegar.Inc.rounds
+
 let test_inc_hierarchy_schedule () =
   let spec = Cpsrisk.Hierarchy.refine_spec () in
   let o = Cegar.Inc.run spec in
@@ -232,7 +332,7 @@ let test_inc_empty_level_is_cached () =
     >= List.length last.Cegar.Inc.r_survivors)
 
 let test_inc_stats_shape () =
-  let spec = Cpsrisk.Hierarchy.refine_spec () in
+  let spec = choice_spec () in
   let o = Cegar.Inc.run spec in
   let s = o.Cegar.Inc.stats in
   check_outcome_equal "same survivors as scratch" o
@@ -244,14 +344,15 @@ let test_inc_stats_shape () =
     (s.Cegar.Inc.s_carried > 0)
 
 let test_inc_cache_keyed_by_limit () =
-  (* with [keep] = at least two models, a run whose cached answers were
-     cut at one model would eliminate every candidate: the limit must be
-     part of the key, in both modes *)
+  (* with [keep] = at least two models (two routes, so the choice
+     encoding), a run whose cached answers were cut at one model would
+     eliminate every candidate: the limit must be part of the key, in
+     both modes *)
   List.iter
     (fun (tag, mode) ->
       let spec =
         {
-          (Cpsrisk.Hierarchy.refine_spec ~levels:3 ~entries:6 ~mode ()) with
+          (choice_spec ~levels:3 ~entries:6 ~mode ()) with
           Cegar.Inc.limit = None;
           keep = (fun models -> List.length models >= 2);
         }
@@ -266,6 +367,70 @@ let test_inc_cache_keyed_by_limit () =
       check_outcome_equal (tag ^ ": after a limit-1 run on the same cache")
         (Cegar.Inc.run ~cache spec) oracle)
     [ ("assume", `Assume); ("increment", `Increment) ]
+
+(* Every schedule these tests run, and the e2e one (10 levels, 14
+   entries). *)
+let differential_schedules =
+  [ (6, 9); (3, 5); (2, 4); (3, 6); (10, 14) ]
+  @ List.map
+      (fun seed ->
+        let levels = 1 + (seed mod 4) in
+        (levels, levels + 1 + (seed * 3 mod 4)))
+      [ 0; 1; 2; 3; 4; 5 ]
+
+(* The stratified spec against two independent oracles, in both modes:
+   its incremental and scratch drivers, the choice encoding's scratch
+   driver and the graph search agree on every round's label, survivors
+   and eliminated set. *)
+let test_inc_stratified_differential () =
+  let rounds = Alcotest.(list (triple string (list string) (list string))) in
+  List.iter
+    (fun (levels, entries) ->
+      List.iter
+        (fun (mode_tag, mode) ->
+          let tag = Printf.sprintf "%s L=%d C=%d" mode_tag levels entries in
+          let spec = Cpsrisk.Hierarchy.refine_spec ~levels ~entries ~mode () in
+          let bfs = bfs_rounds spec in
+          let choice =
+            Cegar.Inc.run_scratch (choice_spec ~levels ~entries ~mode ())
+          in
+          check rounds (tag ^ ": choice oracle = graph search") bfs
+            (round_keys choice);
+          List.iter
+            (fun (driver, o) ->
+              check rounds
+                (Printf.sprintf "%s: %s = graph search" tag driver)
+                bfs (round_keys o);
+              check_outcome_equal
+                (Printf.sprintf "%s: %s = choice oracle" tag driver)
+                o choice)
+            [
+              ("run", Cegar.Inc.run spec);
+              ("run_scratch", Cegar.Inc.run_scratch spec);
+            ])
+        [ ("assume", `Assume); ("increment", `Increment) ])
+    differential_schedules
+
+(* On the stratified spec an Increment candidate is a facts-only delta
+   the grounder decides: no assessment reaches the solver. In Assume
+   mode every fresh assessment is still a search on the level's
+   prepared solver. *)
+let test_inc_increment_decided () =
+  let run mode =
+    (Cegar.Inc.run
+       (Cpsrisk.Hierarchy.refine_spec ~levels:10 ~entries:14 ~mode ()))
+      .Cegar.Inc.stats
+  in
+  let s = run `Increment in
+  check Alcotest.int "fresh assessments" 109 s.Cegar.Inc.s_fresh;
+  check Alcotest.int "decided by the grounder" 109
+    s.Cegar.Inc.s_ground.Asp.Grounder.Stats.decided;
+  check Alcotest.int "solver runs" 0 s.Cegar.Inc.s_solves;
+  let a = run `Assume in
+  check Alcotest.int "assume: every fresh assessment searched"
+    a.Cegar.Inc.s_fresh a.Cegar.Inc.s_solves;
+  check Alcotest.int "assume: none decided" 0
+    a.Cegar.Inc.s_ground.Asp.Grounder.Stats.decided
 
 let test_inc_empty_candidates () =
   let spec = Cpsrisk.Hierarchy.refine_spec () in
@@ -349,5 +514,9 @@ let suites =
           test_inc_cache_keyed_by_limit;
         Alcotest.test_case "assumption sets keyed by atom content" `Quick
           test_inc_assumption_key_collision;
+        Alcotest.test_case "stratified spec = choice oracle = graph search"
+          `Quick test_inc_stratified_differential;
+        Alcotest.test_case "increment candidates decided by the grounder"
+          `Quick test_inc_increment_decided;
       ] );
   ]

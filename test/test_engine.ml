@@ -1041,9 +1041,11 @@ let test_numbering_plant () =
 
 (* An extended program solved by CDNL under assumptions on a base atom
    and on an atom only the increment has equals the whole-model oracle's
-   models consistent with the assumptions. *)
+   models consistent with the assumptions. The program is the choice
+   encoding of the hierarchy's routing, whose [hop] atoms give it many
+   models. *)
 let test_numbering_assumptions () =
-  let spec = Cpsrisk.Hierarchy.refine_spec ~levels:2 ~entries:3 () in
+  let spec = Test_cegar.choice_spec ~levels:2 ~entries:3 () in
   let level = (List.hd spec.Cegar.Inc.levels).Cegar.Inc.l_structure in
   let gprep = Asp.Grounder.prepare spec.Cegar.Inc.base in
   let g = Asp.Grounder.extend gprep level in
