@@ -5,21 +5,16 @@
 
    Sections (every one checked bit-identical to its oracle first):
 
-   - refine:       Cegar.Inc.run (assume mode: one prepared solver per
-                   level, searched under each candidate's assumptions;
-                   increment mode: each candidate's entry fact decided
+   - refine:       Cegar.Inc.run (each candidate's entry fact decided
                    by the grounder against the level's warm state, no
                    solver) vs Cegar.Inc.run_scratch — the
                    accumulated-reground loop the incremental driver
                    replaces, which grounds cold and solves every
                    candidate. The spec is stratified reachability, so
                    the rows count solves and grounder decisions apart.
-                   Measured two ways: a single cold pass
-                   (where the win is grounding reuse, in assume mode
-                   preparing each ground program once instead of once
-                   per candidate, and in increment mode skipping the
-                   solver; kept honest by the never-slower
-                   guard), and the iterative
+                   Measured two ways: a single cold pass (where the win
+                   is grounding reuse and skipping the solver; kept
+                   honest by the never-slower guard), and the iterative
                    workload the incremental engine exists for — the
                    analyst retracts one confirmed hypothesis at a time
                    and re-runs the schedule, with one Engine.Cache
@@ -65,7 +60,6 @@ type refine_entry = {
   re_solves : int;
   re_decided : int;
   re_hits : int;
-  re_carried : int;
   re_fresh_rules : int;
   re_reused_rules : int;
 }
@@ -78,7 +72,6 @@ let refine_entry name (o : Cegar.Inc.outcome) w =
     re_solves = s.Cegar.Inc.s_solves;
     re_decided = s.Cegar.Inc.s_ground.Asp.Grounder.Stats.decided;
     re_hits = s.Cegar.Inc.s_hits;
-    re_carried = s.Cegar.Inc.s_carried;
     re_fresh_rules = s.Cegar.Inc.s_ground.Asp.Grounder.Stats.fresh_rules;
     re_reused_rules = s.Cegar.Inc.s_ground.Asp.Grounder.Stats.reused_rules;
   }
@@ -105,83 +98,72 @@ let run ~smoke ~out =
      each later pass retracts one more confirmed entry hypothesis and
      re-runs the whole schedule *)
   let passes = if smoke then 4 else 6 in
-  let bench_mode name mode =
-    let spec = Cpsrisk.Hierarchy.refine_spec ~levels ~entries ~mode () in
-    let spec_at j =
-      { spec with
-        Cegar.Inc.candidates =
-          List.filteri (fun i _ -> i >= j) spec.Cegar.Inc.candidates
-      }
-    in
-    (* single cold pass, best of reps *)
-    let scratch, scratch_s = best (fun () -> Cegar.Inc.run_scratch spec) in
-    let inc, inc_s = best (fun () -> Cegar.Inc.run spec) in
-    if outcome_key inc <> outcome_key scratch then begin
-      Printf.eprintf "cegar_bench: %s disagrees with scratch\n" name;
-      exit 2
-    end;
-    Printf.eprintf
-      "  refine-%-10s: inc %8.4fs, scratch %8.4fs (%.1fx), %d solves / %d \
-       decided / %d hits, carried %d, reused %d instances\n%!"
-      name inc_s scratch_s (scratch_s /. inc_s)
-      inc.Cegar.Inc.stats.Cegar.Inc.s_solves
-      inc.Cegar.Inc.stats.Cegar.Inc.s_ground.Asp.Grounder.Stats.decided
-      inc.Cegar.Inc.stats.Cegar.Inc.s_hits
-      inc.Cegar.Inc.stats.Cegar.Inc.s_carried
-      inc.Cegar.Inc.stats.Cegar.Inc.s_ground.Asp.Grounder.Stats.reused_rules;
-    (* never-slower guard: the warm path must not lose to the oracle
-       even on a single cold pass, where the cache cannot help *)
-    if scratch_s >= min_reliable_s && inc_s > scratch_s *. tolerance then begin
-      Printf.eprintf
-        "cegar_bench: incremental %s %.4fs slower than scratch %.4fs x %.2f\n"
-        name inc_s scratch_s tolerance;
-      exit 2
-    end;
-    (* iterative retraction passes: one shared cache for the incremental
-       driver, fresh in every rep; scratch by definition repays
-       everything each pass. Best of reps, like the single pass *)
-    let specs = List.init passes spec_at in
-    let scratch_outs, scratch_total =
-      best (fun () -> List.map Cegar.Inc.run_scratch specs)
-    in
-    let inc_outs, inc_total =
-      best (fun () ->
-          let cache = Engine.Cache.create () in
-          List.map (fun s -> Cegar.Inc.run ~cache s) specs)
-    in
-    List.iter2
-      (fun a b ->
-        if outcome_key a <> outcome_key b then begin
-          Printf.eprintf "cegar_bench: %s iterative pass disagrees\n" name;
-          exit 2
-        end)
-      inc_outs scratch_outs;
-    let sum f = List.fold_left (fun acc o -> acc + f o.Cegar.Inc.stats) 0 in
-    let it_solves = sum (fun s -> s.Cegar.Inc.s_solves) inc_outs in
-    let it_hits = sum (fun s -> s.Cegar.Inc.s_hits) inc_outs in
-    Printf.eprintf
-      "  retract-%-9s: inc %8.4fs, scratch %8.4fs (%.1fx) over %d passes, \
-       %d solves / %d hits\n%!"
-      name inc_total scratch_total (scratch_total /. inc_total) passes
-      it_solves it_hits;
-    if scratch_total >= min_reliable_s && inc_total > scratch_total *. tolerance
-    then begin
-      Printf.eprintf
-        "cegar_bench: iterative %s %.4fs slower than scratch %.4fs x %.2f\n"
-        name inc_total scratch_total tolerance;
-      exit 2
-    end;
-    ( refine_entry "scratch" scratch scratch_s,
-      refine_entry name inc inc_s,
-      (scratch_total, inc_total, it_solves, it_hits) )
+  let spec = Cpsrisk.Hierarchy.refine_spec ~levels ~entries () in
+  let spec_at j =
+    { spec with
+      Cegar.Inc.candidates =
+        List.filteri (fun i _ -> i >= j) spec.Cegar.Inc.candidates
+    }
   in
-  let scratch_a, assume_e, assume_it = bench_mode "assume" `Assume in
-  let _, increment_e, increment_it = bench_mode "increment" `Increment in
-  let iterative_speedup =
-    let s, i, _, _ = assume_it in
-    let s', i', _, _ = increment_it in
-    Float.max (s /. i) (s' /. i')
+  (* single cold pass, best of reps *)
+  let scratch, scratch_s = best (fun () -> Cegar.Inc.run_scratch spec) in
+  let inc, inc_s = best (fun () -> Cegar.Inc.run spec) in
+  if outcome_key inc <> outcome_key scratch then begin
+    Printf.eprintf "cegar_bench: incremental refine disagrees with scratch\n";
+    exit 2
+  end;
+  Printf.eprintf
+    "  refine          : inc %8.4fs, scratch %8.4fs (%.1fx), %d solves / %d \
+     decided / %d hits, reused %d instances\n%!"
+    inc_s scratch_s (scratch_s /. inc_s)
+    inc.Cegar.Inc.stats.Cegar.Inc.s_solves
+    inc.Cegar.Inc.stats.Cegar.Inc.s_ground.Asp.Grounder.Stats.decided
+    inc.Cegar.Inc.stats.Cegar.Inc.s_hits
+    inc.Cegar.Inc.stats.Cegar.Inc.s_ground.Asp.Grounder.Stats.reused_rules;
+  (* never-slower guard: the warm path must not lose to the oracle even on
+     a single cold pass, where the cache cannot help *)
+  if scratch_s >= min_reliable_s && inc_s > scratch_s *. tolerance then begin
+    Printf.eprintf
+      "cegar_bench: incremental refine %.4fs slower than scratch %.4fs x %.2f\n"
+      inc_s scratch_s tolerance;
+    exit 2
+  end;
+  (* iterative retraction passes: one shared cache for the incremental
+     driver, fresh in every rep; scratch by definition repays everything
+     each pass. Best of reps, like the single pass *)
+  let specs = List.init passes spec_at in
+  let scratch_outs, scratch_total =
+    best (fun () -> List.map Cegar.Inc.run_scratch specs)
   in
+  let inc_outs, inc_total =
+    best (fun () ->
+        let cache = Engine.Cache.create () in
+        List.map (fun s -> Cegar.Inc.run ~cache s) specs)
+  in
+  List.iter2
+    (fun a b ->
+      if outcome_key a <> outcome_key b then begin
+        Printf.eprintf "cegar_bench: iterative refine pass disagrees\n";
+        exit 2
+      end)
+    inc_outs scratch_outs;
+  let sum f = List.fold_left (fun acc o -> acc + f o.Cegar.Inc.stats) 0 in
+  let it_solves = sum (fun s -> s.Cegar.Inc.s_solves) inc_outs in
+  let it_hits = sum (fun s -> s.Cegar.Inc.s_hits) inc_outs in
+  let it_speedup = scratch_total /. inc_total in
+  Printf.eprintf
+    "  retract         : inc %8.4fs, scratch %8.4fs (%.1fx) over %d passes, \
+     %d solves / %d hits\n%!"
+    inc_total scratch_total it_speedup passes it_solves it_hits;
+  if scratch_total >= min_reliable_s && inc_total > scratch_total *. tolerance
+  then begin
+    Printf.eprintf
+      "cegar_bench: iterative refine %.4fs slower than scratch %.4fs x %.2f\n"
+      inc_total scratch_total tolerance;
+    exit 2
+  end;
+  let scratch_e = refine_entry "scratch" scratch scratch_s in
+  let inc_e = refine_entry "increment" inc inc_s in
 
   (* --- pareto: branch-and-bound walk vs exhaustive warm search -------- *)
   let f_seq = Cpsrisk.Hierarchy.frontier () in
@@ -257,39 +239,30 @@ let run ~smoke ~out =
   p "  \"refine\": {\n";
   p "    \"levels\": %d, \"entries\": %d,\n" levels entries;
   p "    \"entries_list\": [\n";
-  let pe i (e : refine_entry) last =
+  let pe (e : refine_entry) last =
     p
       "      {\"name\": %S, \"wall_s\": %.6f, \"speedup_vs_scratch\": \
        %.2f, \"solves\": %d, \"decided\": %d, \"cache_hits\": %d,\n\
-      \       \"nogoods_carried\": %d, \
-       \"ground_fresh_rules\": %d, \"ground_reused_rules\": %d}%s\n"
+      \       \"ground_fresh_rules\": %d, \"ground_reused_rules\": %d}%s\n"
       e.re_name e.re_wall_s
-      (scratch_a.re_wall_s /. e.re_wall_s)
-      e.re_solves e.re_decided e.re_hits e.re_carried e.re_fresh_rules
-      e.re_reused_rules
-      (if last then "" else ",");
-    ignore i
+      (scratch_e.re_wall_s /. e.re_wall_s)
+      e.re_solves e.re_decided e.re_hits e.re_fresh_rules e.re_reused_rules
+      (if last then "" else ",")
   in
-  pe 0 scratch_a false;
-  pe 1 assume_e false;
-  pe 2 increment_e true;
+  pe scratch_e false;
+  pe inc_e true;
   p "    ],\n";
   p "    \"iterative\": {\n";
   p "      \"workload\": \"retract one confirmed hypothesis per pass and \
      re-run the schedule; one Engine.Cache shared across incremental \
      passes\",\n";
   p "      \"passes\": %d,\n" passes;
-  let pit name (s, i, solves, hits) last =
-    p
-      "      %S: {\"scratch_total_s\": %.6f, \"inc_total_s\": %.6f, \
-       \"speedup\": %.2f, \"solves\": %d, \"cache_hits\": %d}%s\n"
-      name s i (s /. i) solves hits
-      (if last then "" else ",")
-  in
-  pit "assume" assume_it false;
-  pit "increment" increment_it true;
+  p
+    "      \"scratch_total_s\": %.6f, \"inc_total_s\": %.6f, \"speedup\": \
+     %.2f, \"solves\": %d, \"cache_hits\": %d\n"
+    scratch_total inc_total it_speedup it_solves it_hits;
   p "    },\n";
-  p "    \"incremental_speedup\": %.2f\n" iterative_speedup;
+  p "    \"incremental_speedup\": %.2f\n" it_speedup;
   p "  },\n";
   p "  \"pareto\": {\n";
   let actions = List.length (Mitigation.Frontier.actions f_walk) in
@@ -317,24 +290,19 @@ let run ~smoke ~out =
       ~note:
         (Printf.sprintf
            "%.1fx scratch, %d solves / %d decided / %d hits, reused %d"
-           (scratch_a.re_wall_s /. e.re_wall_s)
+           (scratch_e.re_wall_s /. e.re_wall_s)
            e.re_solves e.re_decided e.re_hits e.re_reused_rules)
       ~param:(Printf.sprintf "%dx%d" levels entries)
       ("refine-" ^ e.re_name) e.re_wall_s
   in
-  let retract_row name (s, i, solves, hits) =
+  [
+    refine_row scratch_e;
+    refine_row inc_e;
     Registry.row
       ~note:
         (Printf.sprintf "%.1fx scratch over %d passes, %d solves / %d hits"
-           (s /. i) passes solves hits)
-      ~param:(string_of_int passes) ("retract-" ^ name) i
-  in
-  [
-    refine_row scratch_a;
-    refine_row assume_e;
-    refine_row increment_e;
-    retract_row "assume" assume_it;
-    retract_row "increment" increment_it;
+           it_speedup passes it_solves it_hits)
+      ~param:(string_of_int passes) "retract-increment" inc_total;
     Registry.row
       ~note:
         (Printf.sprintf "%.1fx exhaustive, %s, front %d points"

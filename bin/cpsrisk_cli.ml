@@ -585,10 +585,8 @@ let sweep_cmd =
 (* refine / mitigate                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let refine levels entries mode stats json =
-  match
-    Cegar.Inc.run (Cpsrisk.Hierarchy.refine_spec ~levels ~entries ~mode ())
-  with
+let refine levels entries (_mode : [ `Assume | `Increment ]) stats json =
+  match Cegar.Inc.run (Cpsrisk.Hierarchy.refine_spec ~levels ~entries ()) with
   | outcome ->
       if json then Common.print_json (Serve.Answer.refine outcome)
       else print_string (Cpsrisk.Pipeline.render_refine ~stats outcome);
@@ -618,12 +616,9 @@ let refine_cmd =
       & opt (enum [ ("assume", `Assume); ("increment", `Increment) ]) `Assume
       & info [ "mode" ] ~docv:"MODE"
           ~doc:
-            "Candidate encoding: $(b,assume) pins hypotheses with solver \
-             assumptions over one shared ground program, prepared once \
-             per refinement level and searched once per candidate; \
-             $(b,increment) adds each hypothesis as an entry fact that \
-             the warm grounder decides without the solver (deduplicated \
-             through the cache).")
+            "Accepted for compatibility with scripts that pass it: \
+             $(b,assume) and $(b,increment) run the same refinement, \
+             with the same output.")
   in
   Cmd.v
     (Cmd.info "refine"
@@ -638,10 +633,10 @@ let refine_cmd =
               of the previous one, and candidate hypotheses are assessed \
               in turn. A hypothesis survives a level when the plant is \
               reachable from its entry point past that level's firewall \
-              rules. That is stratified reachability: in assume mode \
-              each candidate is a search under assumptions on one \
-              prepared solver per level that meets no conflict, and in \
-              increment mode the grounder decides it with no solver.";
+              rules. That is stratified reachability: each candidate adds \
+              its entry point as a fact, and the grounder decides it \
+              against the level's warm state with no solver (the cache \
+              answers a candidate it has already seen).";
          ])
     Term.(
       const refine $ levels_arg $ entries_arg $ mode_arg $ Common.stats

@@ -14,18 +14,13 @@ type clause = {
   mutable lits : int array;
   mutable act : float;
   learnt : bool;
-  local : bool;
-      (* path-local clause (blocking nogood, bound prune): valid only
-         under this search's assumptions, so [reset] detaches it and every
-         resolvent over it before the next search *)
   cid : int;  (* creation stamp: deterministic tie-break for deletion *)
 }
 
 (* growable clause vector with in-place compaction *)
 type cvec = { mutable data : clause array; mutable sz : int }
 
-let dummy_clause =
-  { lits = [||]; act = 0.; learnt = false; local = false; cid = -1 }
+let dummy_clause = { lits = [||]; act = 0.; learnt = false; cid = -1 }
 let cvec_create () = { data = [||]; sz = 0 }
 
 let cvec_push v c =
@@ -41,7 +36,7 @@ let cvec_push v c =
 type t = {
   nvars : int;
   branchable : int;  (* vars below this bound live in the decision heap *)
-  mutable stats : Solver_stats.t;
+  stats : Solver_stats.t;
   value : int array;  (* var -> 0 undef / 1 true / -1 false *)
   vlevel : int array;
   reason : clause option array;
@@ -57,20 +52,12 @@ type t = {
   mutable cla_inc : float;
   phase : bool array;  (* saved phase: last value the variable took *)
   seen : Bytes.t;
-  prov : Bytes.t;
-      (* per var: assigned at level 0 after [seal] — provisional, taken
-         back by [reset] *)
   heap : int array;  (* binary max-heap of branchable vars by activity *)
   hpos : int array;  (* var -> heap slot, -1 when absent *)
   mutable hsz : int;
   mutable next_cid : int;
   mutable undo_hook : int -> unit;
-  mutable analyze_local : bool;
-      (* last analysis resolved over a path-local clause *)
   mutable unsat : bool;  (* conflict at level 0: no model at all *)
-  mutable sealed : bool;  (* [seal] ran: later level-0 facts are provisional *)
-  mutable mark : int;  (* level-0 trail prefix [reset] keeps *)
-  mutable n_local : int;  (* path-local clauses created since [reset] *)
 }
 
 let create ?branchable ~nvars ~stats () =
@@ -96,17 +83,12 @@ let create ?branchable ~nvars ~stats () =
       cla_inc = 1.;
       phase = Array.make n false;
       seen = Bytes.make n '\000';
-      prov = Bytes.make n '\000';
       heap = Array.init branchable (fun i -> i);
       hpos = Array.init n (fun v -> if v < branchable then v else -1);
       hsz = branchable;
       next_cid = 0;
       undo_hook = (fun _ -> ());
-      analyze_local = false;
       unsat = false;
-      sealed = false;
-      mark = 0;
-      n_local = 0;
     }
   in
   (* all activities are zero, so the ascending id order is a valid heap
@@ -165,7 +147,6 @@ let heap_insert s v =
   end
 
 let set_undo_hook s f = s.undo_hook <- f
-let set_stats s stats = s.stats <- stats
 let unsat s = s.unsat
 let level s = s.n_levels
 let trail_size s = s.trail_sz
@@ -179,13 +160,6 @@ let value_lit s l =
 let var_level s v = s.vlevel.(v)
 let n_learnts s = s.learnts.sz
 
-let n_global_learnts s =
-  let n = ref 0 in
-  for i = 0 to s.learnts.sz - 1 do
-    if not s.learnts.data.(i).local then incr n
-  done;
-  !n
-
 (* the decision literal that opened level [l] (1-based) *)
 let decision_lit s l = s.trail.(s.trail_lim.(l - 1))
 
@@ -193,8 +167,6 @@ let enqueue s lit reason =
   let v = lit lsr 1 in
   s.value.(v) <- (if lit land 1 = 0 then 1 else -1);
   s.vlevel.(v) <- s.n_levels;
-  if s.n_levels = 0 then
-    Bytes.set s.prov v (if s.sealed then '\001' else '\000');
   s.reason.(v) <- reason;
   s.phase.(v) <- lit land 1 = 0;
   s.trail.(s.trail_sz) <- lit;
@@ -228,10 +200,9 @@ let cancel_until s lvl =
     s.n_levels <- lvl
   end
 
-let mk_clause ?(local = false) s lits learnt =
-  let c = { lits; act = 0.; learnt; local; cid = s.next_cid } in
+let mk_clause s lits learnt =
+  let c = { lits; act = 0.; learnt; cid = s.next_cid } in
   s.next_cid <- s.next_cid + 1;
-  if local then s.n_local <- s.n_local + 1;
   c
 
 let attach s c =
@@ -372,7 +343,6 @@ let propagate s =
    first) — [learn] below performs the backjump and attachment. *)
 let analyze s confl =
   s.stats.Solver_stats.conflicts <- s.stats.Solver_stats.conflicts + 1;
-  s.analyze_local <- false;
   let tail = ref [] in
   let pathc = ref 0 in
   let p = ref (-1) in
@@ -382,7 +352,6 @@ let analyze s confl =
   let looping = ref true in
   while !looping do
     let cl = !c in
-    if cl.local then s.analyze_local <- true;
     if cl.learnt then bump_clause s cl;
     let lits = cl.lits in
     let start = if !p = -1 then 0 else 1 in
@@ -396,10 +365,6 @@ let analyze s confl =
         if s.vlevel.(v) >= s.n_levels then incr pathc
         else tail := q :: !tail
       end
-      else if s.vlevel.(v) = 0 && Bytes.get s.prov v = '\001' then
-        (* a provisional level-0 fact left out of the clause may rest on a
-           path-local clause: the resolvent holds on this path only *)
-        s.analyze_local <- true
     done;
     while Bytes.get s.seen (s.trail.(!idx) lsr 1) = '\000' do
       decr idx
@@ -419,9 +384,9 @@ let analyze s confl =
   List.iter (fun v -> Bytes.set s.seen v '\000') !to_clear;
   Array.of_list ((!p lxor 1) :: !tail)
 
-(* backjump as far as the learnt clause allows (never above [root]),
-   attach it and assert its first literal *)
-let learn s ~root lits =
+(* backjump as far as the learnt clause allows, attach it and assert its
+   first literal *)
+let learn s lits =
   s.stats.Solver_stats.learned <- s.stats.Solver_stats.learned + 1;
   let len = Array.length lits in
   let bj =
@@ -438,17 +403,14 @@ let learn s ~root lits =
       s.vlevel.(lits.(1) lsr 1)
     end
   in
-  let target = max bj root in
-  let skipped = s.n_levels - 1 - target in
+  let skipped = s.n_levels - 1 - bj in
   if skipped > 0 then
     s.stats.Solver_stats.backjumped <-
       s.stats.Solver_stats.backjumped + skipped;
-  cancel_until s target;
+  cancel_until s bj;
   if len = 1 then enqueue s lits.(0) None
   else begin
-    (* a resolvent over a path-local clause is itself path-local: it must
-       carry the taint so that [reset] detaches it with its premises *)
-    let c = mk_clause ~local:s.analyze_local s lits true in
+    let c = mk_clause s lits true in
     attach s c;
     cvec_push s.learnts c;
     bump_clause s c;
@@ -464,7 +426,7 @@ type dyn_result = Sat | Unit | Conflict of clause | Empty
    conflicting. A unit clause (size 1 after inspection) is asserted with
    itself as reason but left unattached: once the search retracts below
    the asserting level, the lazy check that produced it fires again. *)
-let add_dynamic ?(local = false) s ~learnt lits =
+let add_dynamic s ~learnt lits =
   let len = Array.length lits in
   if len = 0 then begin
     s.unsat <- true;
@@ -482,7 +444,7 @@ let add_dynamic ?(local = false) s ~learnt lits =
     Array.sort
       (fun a b -> compare (keyof b) (keyof a))
       lits;
-    let c = mk_clause ~local s lits learnt in
+    let c = mk_clause s lits learnt in
     if len >= 2 then begin
       attach s c;
       if learnt then begin
@@ -550,33 +512,4 @@ let rec pick_branch s =
     if s.value.(v) = 0 then
       Some (if s.phase.(v) then 2 * v else (2 * v) + 1)
     else pick_branch s
-  end
-
-let seal s =
-  s.mark <- s.trail_sz;
-  s.sealed <- true
-
-(* keep only the clauses [keep] accepts, in order *)
-let filter_cvec v keep =
-  let j = ref 0 in
-  for i = 0 to v.sz - 1 do
-    let c = v.data.(i) in
-    if keep c then begin
-      v.data.(!j) <- c;
-      incr j
-    end
-  done;
-  v.sz <- !j
-
-(* back to the sealed level-0 assignment, minus every path-local clause:
-   what is left is the program's clauses and the resolvents that rest on
-   them alone *)
-let reset s =
-  pop_to s s.mark;
-  s.n_levels <- 0;
-  if s.n_local > 0 then begin
-    let global c = not c.local in
-    Array.iter (fun ws -> filter_cvec ws global) s.watches;
-    filter_cvec s.learnts global;
-    s.n_local <- 0
   end

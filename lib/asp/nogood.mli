@@ -24,10 +24,6 @@ val set_undo_hook : t -> (int -> unit) -> unit
     recent first; the solver uses it to roll back its lazy-propagator
     state (atom bitset, scope counters). *)
 
-val set_stats : t -> Solver_stats.t -> unit
-(** Count into another record from now on: each search on a reused
-    kernel reports its own counters. *)
-
 val unsat : t -> bool
 (** A conflict surfaced at level 0: the clause set has no model. *)
 
@@ -45,9 +41,6 @@ val value_lit : t -> int -> int
 val var_level : t -> int -> int
 val n_learnts : t -> int
 
-val n_global_learnts : t -> int
-(** Learned clauses that are not path-local: the ones {!reset} keeps. *)
-
 val decision_lit : t -> int -> int
 (** The decision literal that opened the given level (1-based). *)
 
@@ -61,8 +54,7 @@ val add_clean : t -> int array -> unit
     per-clause re-checking of {!add_initial}. *)
 
 val decide : t -> int -> unit
-(** Open a new decision level and assert the literal (also used for
-    assumptions). *)
+(** Open a new decision level and assert the literal. *)
 
 val propagate : t -> clause option
 (** Unit propagation to fixpoint; [Some c] is a conflicting clause. *)
@@ -71,22 +63,18 @@ val analyze : t -> clause -> int array
 (** 1-UIP conflict analysis; the asserting literal comes first. Only
     valid when the conflict involves the current decision level. *)
 
-val learn : t -> root:int -> int array -> unit
-(** Backjump as far as the learnt clause allows (never above [root]),
-    attach it, assert its first literal, and decay activities. *)
+val learn : t -> int array -> unit
+(** Backjump as far as the learnt clause allows, attach it, assert its
+    first literal, and decay activities. *)
 
 type dyn_result = Sat | Unit | Conflict of clause | Empty
 
-val add_dynamic : ?local:bool -> t -> learnt:bool -> int array -> dyn_result
+val add_dynamic : t -> learnt:bool -> int array -> dyn_result
 (** Add a clause discovered during search (lazy aggregate/bound
-    explanations, loop nogoods, blocking nogoods): the current assignment
-    decides whether it is silent ([Sat]), propagating ([Unit]) or
-    conflicting. [learnt] clauses are subject to deletion; blocking
-    nogoods must be permanent. [local] (default false) marks the clause
-    path-local: it depends on this search's assumptions or incumbent, and
-    so does every resolvent {!analyze} derives from it (or from a level-0
-    literal assigned after {!seal}); {!learn} marks such a resolvent
-    local too, and {!reset} detaches them all. *)
+    explanations, loop nogoods, blocking nogoods, bound prunes): the
+    current assignment decides whether it is silent ([Sat]), propagating
+    ([Unit]) or conflicting. [learnt] clauses are subject to deletion;
+    blocking nogoods must be permanent. *)
 
 val force : t -> int -> clause -> unit
 (** Assert a literal with an attached clause as reason. Used by the
@@ -105,18 +93,3 @@ val pick_branch : t -> int option
     lowest id on ties, saved-phase polarity (initially false) — the same
     choice the former linear scan made, found in O(log n). [None] when
     every branchable variable is assigned. *)
-
-val seal : t -> unit
-(** Mark the level-0 assignment so far (the initial clauses propagated to
-    fixpoint) as the part {!reset} keeps. Level-0 facts assigned later —
-    learnt units, or propagation when no assumption opened a level — are
-    provisional. *)
-
-val reset : t -> unit
-(** Prepare the kernel for another search under other assumptions:
-    backtrack to level 0, pop the level-0 facts assigned since {!seal},
-    and detach every path-local clause (blocking nogoods, bound prunes and
-    the resolvents that rest on them). What is left is the initial
-    clauses, the non-local clauses {!add_dynamic} added, and resolvents
-    of those alone; none depends on a search's decisions, so all of them
-    hold under any assumptions. Activities and saved phases stay. *)

@@ -27,7 +27,7 @@ type driver = {
   p : Interned.t;
   comp : Completion.t;
   k : Nogood.t;
-  mutable stats : Stats.t;
+  stats : Stats.t;
   abits : Bitset.t;  (* currently-true atoms, kept in sync with the trail *)
   mutable cursor : int;  (* trail positions < cursor have been scanned *)
   agg_left : int array;  (* per count: unassigned scope atoms *)
@@ -428,66 +428,13 @@ let rec bound_exceeds lb (best : Model.cost) =
 
 exception Finished
 
-(* A prepared full-tier solver: the compiled program, its completion and
-   the kernel holding the preprocessed clauses, reused by every search on
-   it. Owned by one domain at a time. *)
-type handle = {
-  d : driver;
-  unsat : bool;  (* found at preparation: no model under any assumptions *)
-  mutable max_learnts : int;  (* learnt clauses that trigger a reduction *)
-}
-
-(* the preparation half of the full tier: completion, kernel, preprocessing
-   and the level-0 propagation every search starts from; [p] is already
+(* the full tier: completion, kernel, preprocessing, then one CDNL search
+   from the level-0 assignment, counting into [stats]; [p] is already
    compiled so the cheap-tier dispatcher below shares the work *)
-let prepare_compiled ~config ~stats (p : Interned.t) =
+let solve_full ?limit ~config ~optimal ~stats (p : Interned.t) =
   let comp = Completion.compile p in
   let d = make_driver p comp stats in
   let k = d.k in
-  let unsat =
-    try
-      if comp.Completion.unsat then raise Finished;
-      (if config.Config.preprocess then begin
-         let body_base = comp.Completion.n_atoms + comp.Completion.n_counts in
-         let pre =
-           Preprocess.run ~elim_bodies:comp.Completion.tight
-             ~nvars:comp.Completion.n_vars ~body_base ~stats
-             comp.Completion.clauses
-         in
-         if pre.Preprocess.unsat then raise Finished;
-         List.iter
-           (fun l -> Nogood.add_initial k [| l |])
-           pre.Preprocess.forced;
-         List.iter (fun c -> Nogood.add_clean k c) pre.Preprocess.clauses
-       end
-       else
-         List.iter (fun c -> Nogood.add_initial k c) comp.Completion.clauses);
-      if Nogood.unsat k then raise Finished;
-      (match Nogood.propagate k with Some _ -> raise Finished | None -> ());
-      Nogood.seal k;
-      false
-    with Finished -> true
-  in
-  {
-    d;
-    unsat;
-    max_learnts = max 1000 (List.length comp.Completion.clauses);
-  }
-
-(* the search half: one CDNL run under [assumptions], counting into
-   [stats]. It starts from the sealed level-0 assignment with every
-   path-local clause of an earlier search detached (Nogood.reset), so a
-   handle answers each call as a fresh solve would, while keeping the
-   clauses it learned from the program alone, the activities and the
-   saved phases. *)
-let search_core ?limit ~assumptions ~optimal ~stats h =
-  let d = h.d in
-  let p = d.p and comp = d.comp and k = d.k in
-  d.stats <- stats;
-  Nogood.set_stats k stats;
-  Nogood.reset k;
-  Array.fill d.scc_dirty 0 (Array.length d.scc_dirty) true;
-  d.any_dirty <- Array.length comp.Completion.sccs > 0;
   let models = ref [] in
   let seen : (Bitset.t, unit) Hashtbl.t = Hashtbl.create 64 in
   let n_found = ref 0 in
@@ -519,32 +466,26 @@ let search_core ?limit ~assumptions ~optimal ~stats h =
     end
   in
   (try
-     if h.unsat || Nogood.unsat k then raise Finished;
-     (* establish the assumptions: each opens its own level, so
-        conflicts never backjump into them *)
-     let assume (atom, value) =
-       (match Nogood.propagate k with
-       | Some _ -> raise Finished
-       | None -> ());
-       scan d;
-       match Interned.id p atom with
-       | exception Not_found -> if value then raise Finished
-       | v -> (
-           let lit =
-             if value then Completion.lit_true v else Completion.lit_false v
-           in
-           match Nogood.value_lit k lit with
-           | 1 -> ()
-           | -1 -> raise Finished
-           | _ -> Nogood.decide k lit)
-     in
-     List.iter assume assumptions;
-     let root = Nogood.level k in
+     if comp.Completion.unsat then raise Finished;
+     (if config.Config.preprocess then begin
+        let body_base = comp.Completion.n_atoms + comp.Completion.n_counts in
+        let pre =
+          Preprocess.run ~elim_bodies:comp.Completion.tight
+            ~nvars:comp.Completion.n_vars ~body_base ~stats
+            comp.Completion.clauses
+        in
+        if pre.Preprocess.unsat then raise Finished;
+        List.iter (fun l -> Nogood.add_initial k [| l |]) pre.Preprocess.forced;
+        List.iter (fun c -> Nogood.add_clean k c) pre.Preprocess.clauses
+      end
+      else List.iter (fun c -> Nogood.add_initial k c) comp.Completion.clauses);
+     if Nogood.unsat k then raise Finished;
+     let max_learnts = ref (max 1000 (List.length comp.Completion.clauses)) in
      let restarts = ref 0 in
      let conflicts_pending = ref 0 in
      let handle_conflict confl =
-       if Nogood.level k <= root then raise Finished;
-       Nogood.learn k ~root (Nogood.analyze k confl);
+       if Nogood.level k = 0 then raise Finished;
+       Nogood.learn k (Nogood.analyze k confl);
        incr conflicts_pending
      in
      let n_vars = comp.Completion.n_vars in
@@ -560,12 +501,12 @@ let search_core ?limit ~assumptions ~optimal ~stats h =
            | Quiet ->
                if Nogood.trail_size k = n_vars then begin
                  record_model ();
-                 if Nogood.level k <= root then raise Finished;
-                 (* block exactly this assignment: atoms fixed below the
-                    root are common to the whole branch and stay out *)
+                 if Nogood.level k = 0 then raise Finished;
+                 (* block exactly this assignment: atoms fixed at level 0
+                    are common to every model and stay out *)
                  let lits = ref [] in
                  for a = 0 to comp.Completion.n_atoms - 1 do
-                   if Nogood.var_level k a > root then
+                   if Nogood.var_level k a > 0 then
                      lits :=
                        (if Bitset.get d.abits a then Completion.lit_false a
                         else Completion.lit_true a)
@@ -577,7 +518,7 @@ let search_core ?limit ~assumptions ~optimal ~stats h =
                     pop levels until the blocking nogood frees a literal,
                     then resume — the next model is usually adjacent, so
                     the assignment prefix is worth keeping (no thrash) *)
-                 match Nogood.add_dynamic k ~learnt:false ~local:true arr with
+                 match Nogood.add_dynamic k ~learnt:false arr with
                  | Nogood.Empty -> raise Finished
                  | Nogood.Sat | Nogood.Unit ->
                      (* unreachable: every literal is false at the model *)
@@ -586,7 +527,7 @@ let search_core ?limit ~assumptions ~optimal ~stats h =
                      stats.Stats.model_blocks <-
                        stats.Stats.model_blocks + 1;
                      let rec retreat () =
-                       if Nogood.level k <= root then raise Finished;
+                       if Nogood.level k = 0 then raise Finished;
                        Nogood.cancel_until k (Nogood.level k - 1);
                        let unassigned = ref 0 in
                        let ulit = ref (-1) in
@@ -613,17 +554,13 @@ let search_core ?limit ~assumptions ~optimal ~stats h =
                     match !best with
                     | Some b when bound_exceeds (lower_bound d) b ->
                         stats.Stats.pruned <- stats.Stats.pruned + 1;
-                        if Nogood.level k <= root then raise Finished;
+                        if Nogood.level k = 0 then raise Finished;
                         let lits =
-                          Array.init
-                            (Nogood.level k - root)
-                            (fun i ->
-                              Nogood.decision_lit k (root + i + 1) lxor 1)
+                          Array.init (Nogood.level k) (fun i ->
+                              Nogood.decision_lit k (i + 1) lxor 1)
                         in
                         pruned_here := true;
-                        (match
-                           Nogood.add_dynamic k ~learnt:true ~local:true lits
-                         with
+                        (match Nogood.add_dynamic k ~learnt:true lits with
                         | Nogood.Conflict c -> handle_conflict c
                         | Nogood.Empty -> raise Finished
                         | Nogood.Unit | Nogood.Sat -> ())
@@ -635,11 +572,11 @@ let search_core ?limit ~assumptions ~optimal ~stats h =
                      incr restarts;
                      stats.Stats.restarts <- stats.Stats.restarts + 1;
                      conflicts_pending := 0;
-                     Nogood.cancel_until k root
+                     Nogood.cancel_until k 0
                    end;
-                   if Nogood.n_learnts k > h.max_learnts then begin
+                   if Nogood.n_learnts k > !max_learnts then begin
                      Nogood.reduce_db k;
-                     h.max_learnts <- h.max_learnts + (h.max_learnts / 5)
+                     max_learnts := !max_learnts + (!max_learnts / 5)
                    end;
                    match Nogood.pick_branch k with
                    | Some lit -> Nogood.decide k lit
@@ -671,18 +608,16 @@ let search_core ?limit ~assumptions ~optimal ~stats h =
   else result
 
 (* tier dispatch: the cheap propagation-only tier answers whole-program
-   enumeration (no assumptions, and no weak constraints when optimizing —
-   a zero-cost optimum is just the enumeration); everything else runs the
-   full CDNL tier *)
-let solve_core ?limit ?(assumptions = []) ?(config = Config.default) ~optimal
-    (g : Ground.t) =
+   enumeration (and optimization without weak constraints — a zero-cost
+   optimum is just the enumeration); everything else runs the full CDNL
+   tier *)
+let solve_core ?limit ?(config = Config.default) ~optimal (g : Ground.t) =
   let t0 = Unix.gettimeofday () in
   let stats = Stats.create () in
   let p = Interned.compile g in
   let cheap =
     if
       config.Config.cheap_tier
-      && assumptions = []
       && ((not optimal) || Array.length p.Interned.weaks = 0)
     then Cheap.solve ?limit ~stats p
     else None
@@ -690,41 +625,19 @@ let solve_core ?limit ?(assumptions = []) ?(config = Config.default) ~optimal
   let result =
     match cheap with
     | Some models -> models
-    | None ->
-        search_core ?limit ~assumptions ~optimal ~stats
-          (prepare_compiled ~config ~stats p)
+    | None -> solve_full ?limit ~config ~optimal ~stats p
   in
   stats.Stats.wall_s <- Unix.gettimeofday () -. t0;
   (result, stats)
 
-let solve_with_stats ?limit ?assumptions ?config g =
-  solve_core ?limit ?assumptions ?config ~optimal:false g
+let solve_with_stats ?limit ?config g =
+  solve_core ?limit ?config ~optimal:false g
 
-let solve ?limit ?assumptions ?config g =
-  fst (solve_with_stats ?limit ?assumptions ?config g)
+let solve ?limit ?config g = fst (solve_with_stats ?limit ?config g)
 
-let solve_optimal_with_stats ?assumptions ?config g =
-  solve_core ?assumptions ?config ~optimal:true g
+let solve_optimal_with_stats ?config g = solve_core ?config ~optimal:true g
 
-let solve_optimal ?assumptions ?config g =
-  fst (solve_optimal_with_stats ?assumptions ?config g)
-
-let prepare ?(config = Config.default) g =
-  prepare_compiled ~config ~stats:(Stats.create ()) (Interned.compile g)
-
-let search_on ~optimal ?limit ?(assumptions = []) h =
-  let t0 = Unix.gettimeofday () in
-  let stats = Stats.create () in
-  let result = search_core ?limit ~assumptions ~optimal ~stats h in
-  stats.Stats.wall_s <- Unix.gettimeofday () -. t0;
-  (result, stats)
-
-let search ?limit ?assumptions h =
-  search_on ~optimal:false ?limit ?assumptions h
-
-let search_optimal ?assumptions h = search_on ~optimal:true ?assumptions h
-
-let learnt_nogoods h = Nogood.n_global_learnts h.d.k
+let solve_optimal ?config g = fst (solve_optimal_with_stats ?config g)
 
 let satisfiable ?config g = solve ?config ~limit:1 g <> []
 

@@ -47,38 +47,11 @@
     choice atoms. Stratified programs — the sweeps' what-if simulations
     among them — always qualify. Both are on by default; the {!Config}
     switches are library-level, for the differential tests and benches
-    that A/B them — no shipped command exposes them.
-
-    [?assumptions] fixes atom values under dedicated decision levels
-    before search starts, so a solve answers exactly the stable models
-    consistent with them. Conditioning partitions the model space: over
-    the [2^k] sign vectors of any [k] atoms, the assumption-conditioned
-    enumerations are disjoint and their union is the plain enumeration
-    (the test suites check this). [Cegar.Inc]'s Assume mode relies on it
-    to ask one ground program about many candidates.
-
-    The full tier runs in two steps, and both are exposed. {!prepare}
-    compiles the program, builds its completion, preprocesses it and
-    loads the clauses into a {!handle}; {!search} runs one CDNL search on
-    the handle under a set of assumptions. [solve] and its variants are
-    prepare-then-search-once. A caller that asks many questions of one
-    ground program — [Cegar.Inc]'s Assume mode solves every candidate of
-    a refinement round as assumptions over the same program — prepares
-    once and searches many times, as incremental SAT solvers do. Each
-    search starts at level 0 from the prepared assignment. Before it
-    starts, the handle drops what the previous search derived for its
-    own path: blocking nogoods, bound prunes, the resolvents that rest on
-    them, and level-0 facts found during that search. It keeps the other
-    learned nogoods, which follow from the program alone and so hold
-    under any assumptions, and it keeps the VSIDS activities and saved
-    phases. The model {e set} of a search therefore equals a fresh
-    solve's. Under a [limit], the models returned may be different ones,
-    because the search path differs. *)
+    that A/B them — no shipped command exposes them. *)
 
 module Stats = Solver_stats
-(** Search statistics; fresh per [solve_*_with_stats] and {!search}
-    call, so repeated or re-entrant solves report independent counters and
-    wall times. *)
+(** Search statistics; fresh per [solve_*_with_stats] call, so repeated
+    or re-entrant solves report independent counters and wall times. *)
 
 module Config : sig
   type t = {
@@ -89,78 +62,32 @@ module Config : sig
             tier (default on): no aggregates or choice bounds, and every
             negated literal and choice guard decided by the well-founded
             bounds, which enclose every stable model. Disabled
-            automatically under assumptions and under optimization with
-            weak constraints *)
+            automatically under optimization with weak constraints *)
   }
 
   val default : t
 end
 
-val solve :
-  ?limit:int ->
-  ?assumptions:(Atom.t * bool) list ->
-  ?config:Config.t ->
-  Ground.t ->
-  Model.t list
+val solve : ?limit:int -> ?config:Config.t -> Ground.t -> Model.t list
 (** All stable models (up to [limit], default unlimited). A model holds
     only the atoms of the program's [#show] signatures (every atom when
     it declares none): they are the only atoms built, never a whole model
     projected afterwards. The count is kept — stable models are distinct,
     but two may show the same atoms, and both are returned. The list is
-    sorted by what the models show ({!Model.compare}). Under
-    [assumptions], exactly the stable models consistent with the assumed
-    atom values. *)
+    sorted by what the models show ({!Model.compare}). *)
 
 val solve_with_stats :
   ?limit:int ->
-  ?assumptions:(Atom.t * bool) list ->
   ?config:Config.t ->
   Ground.t ->
   Model.t list * Stats.t
 (** Same as {!solve}, also returning search statistics. *)
 
-val solve_optimal :
-  ?assumptions:(Atom.t * bool) list ->
-  ?config:Config.t ->
-  Ground.t ->
-  Model.t list
+val solve_optimal : ?config:Config.t -> Ground.t -> Model.t list
 (** Models with the minimal weak-constraint cost (all optima). *)
 
 val solve_optimal_with_stats :
-  ?assumptions:(Atom.t * bool) list ->
-  ?config:Config.t ->
-  Ground.t ->
-  Model.t list * Stats.t
-
-(** {1 A reusable solver} *)
-
-type handle
-(** One ground program, prepared for the full tier. A handle is mutable
-    and not thread-safe: one domain at a time may search on it. *)
-
-val prepare : ?config:Config.t -> Ground.t -> handle
-(** Compile, complete and preprocess the program once. The cheap tier is
-    not consulted: every search on a handle runs the full tier. *)
-
-val search :
-  ?limit:int ->
-  ?assumptions:(Atom.t * bool) list ->
-  handle ->
-  Model.t list * Stats.t
-(** The stable models consistent with [assumptions] (up to [limit]),
-    sorted, with the statistics of this search alone (preparation is not
-    counted). Without a limit the list equals {!solve_with_stats}'s on
-    the same program and assumptions. With a limit it has the same
-    length, but it can hold other models. *)
-
-val search_optimal :
-  ?assumptions:(Atom.t * bool) list -> handle -> Model.t list * Stats.t
-(** {!solve_optimal_with_stats} on a handle: every optimum consistent
-    with [assumptions]. *)
-
-val learnt_nogoods : handle -> int
-(** The learned nogoods the next {!search} starts with: those the earlier
-    searches derived from the program alone. *)
+  ?config:Config.t -> Ground.t -> Model.t list * Stats.t
 
 val satisfiable : ?config:Config.t -> Ground.t -> bool
 

@@ -2,15 +2,11 @@ module Fp = Engine.Fingerprint
 
 type level = { l_label : string; l_structure : Asp.Program.t }
 
-type mode =
-  | Assume of (Engine.Delta.t -> (Asp.Atom.t * bool) list)
-  | Increment of (Engine.Delta.t -> Asp.Program.t)
-
 type spec = {
   base : Asp.Program.t;
   levels : level list;
   candidates : Engine.Delta.t list;
-  mode : mode;
+  increment : Engine.Delta.t -> Asp.Program.t;
   keep : Asp.Model.t list -> bool;
   limit : int option;
   max_atoms : int;
@@ -43,16 +39,12 @@ type outcome = {
 type value = Engine.Job.answer
 
 (* The cache key of candidate [c] over the level fingerprint [fp]: its
-   assumptions or increment, then the model limit, which decides how many
-   models the cached answer holds (None -> 0, Some l -> 1 + l, as in
-   {!Engine.Job}'s mode key). *)
+   increment, then the model limit, which decides how many models the
+   cached answer holds (None -> 0, Some l -> 1 + l, as in {!Engine.Job}'s
+   mode key). *)
 let candidate_fp spec fp c =
-  let fp =
-    match spec.mode with
-    | Assume f -> Fp.combine fp (Fp.assumptions (f c))
-    | Increment f -> Fp.extend fp (f c)
-  in
-  Fp.combine fp
+  Fp.combine
+    (Fp.extend fp (spec.increment c))
     (Fp.ints [ (match spec.limit with None -> 0 | Some l -> 1 + l) ])
 
 let run ?cache spec =
@@ -64,32 +56,18 @@ let run ?cache spec =
     ref (Asp.Grounder.prepare ~max_atoms:spec.max_atoms ~stats:gstats spec.base)
   in
   let fp = ref (Fp.program spec.base) in
-  (* Assume mode: one solver per ground program, prepared at the first
-     fresh solve against it and replaced at every structural level *)
-  let solver_of prep = lazy (Asp.Solver.prepare (Asp.Grounder.base prep)) in
-  let solver = ref (solver_of !prep) in
-  let hits = ref 0 and disk = ref 0 and fresh = ref 0 in
-  let carried = ref 0 and solves = ref 0 in
+  let hits = ref 0 and disk = ref 0 and fresh = ref 0 and solves = ref 0 in
   (* Assess the surviving candidates of one round, in order on this
      domain; counters are tallied from the results. *)
   let assess survivors =
-    let cur_fp = !fp and cur_prep = !prep and cur_solver = !solver in
+    let cur_fp = !fp and cur_prep = !prep in
     List.map
       (fun c ->
         let cfp = candidate_fp spec cur_fp c in
         let value, src =
           Engine.Cache.find_or_compute_src cache cfp (fun () ->
-              match spec.mode with
-              | Assume f ->
-                  let h = Lazy.force cur_solver in
-                  carried := !carried + Asp.Solver.learnt_nogoods h;
-                  let models, ss =
-                    Asp.Solver.search ?limit:spec.limit ~assumptions:(f c) h
-                  in
-                  (models, ss, Asp.Grounder.Stats.create ())
-              | Increment f ->
-                  Engine.Job.decide_or_solve
-                    (Engine.Job.Enumerate spec.limit) cur_prep (f c))
+              Engine.Job.decide_or_solve
+                (Engine.Job.Enumerate spec.limit) cur_prep (spec.increment c))
         in
         (c, value, src))
       survivors
@@ -133,10 +111,7 @@ let run ?cache spec =
     (fun k l ->
       if Asp.Program.rules l.l_structure <> [] then begin
         prep := Asp.Grounder.extend_prepare ~stats:gstats !prep l.l_structure;
-        fp := Fp.extend !fp l.l_structure;
-        (* the ground program changed: the old program's learned clauses
-           are no longer justified *)
-        solver := solver_of !prep
+        fp := Fp.extend !fp l.l_structure
       end;
       do_round (k + 1) l.l_label)
     spec.levels;
@@ -151,7 +126,7 @@ let run ?cache spec =
         s_hits = !hits;
         s_disk_hits = !disk;
         s_fresh = !fresh;
-        s_carried = !carried;
+        s_carried = 0;
         s_ground = gstats;
         s_wall_s = Unix.gettimeofday () -. t0;
       };
@@ -167,29 +142,15 @@ let run_scratch spec =
   let survivors = ref spec.candidates in
   let program = ref spec.base in
   let do_round lvl label =
-    (* cold every round: one scratch ground shared by the round's
-       assumption solves, or one per candidate increment *)
-    let ground_shared =
-      match spec.mode with
-      | Assume _ when !survivors <> [] ->
-          Some
-            (Asp.Grounder.ground ~max_atoms:spec.max_atoms ~stats:gstats
-               !program)
-      | _ -> None
-    in
+    (* cold every round: one scratch ground per candidate increment *)
     let surv = ref [] and elim = ref [] in
     List.iter
       (fun c ->
         incr solves;
         let models =
-          match spec.mode with
-          | Assume f ->
-              Asp.Solver.solve ?limit:spec.limit ~assumptions:(f c)
-                (Option.get ground_shared)
-          | Increment f ->
-              Asp.Solver.solve ?limit:spec.limit
-                (Asp.Grounder.ground ~max_atoms:spec.max_atoms ~stats:gstats
-                   (Asp.Program.append !program (f c)))
+          Asp.Solver.solve ?limit:spec.limit
+            (Asp.Grounder.ground ~max_atoms:spec.max_atoms ~stats:gstats
+               (Asp.Program.append !program (spec.increment c)))
         in
         if spec.keep models then surv := c :: !surv else elim := c :: !elim)
       !survivors;

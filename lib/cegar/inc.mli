@@ -10,57 +10,32 @@
     accumulated program from nothing every round.
 
     Candidates are {!Engine.Delta}s assessed against each level and kept
-    or eliminated by a caller predicate over the stable models. Two
-    candidate encodings are supported:
-
-    - {b Assume}: a candidate compiles to solver assumptions over
-      choice-opened control atoms. All candidates of a round then solve
-      the {e identical} ground program, so the driver prepares it once
-      ({!Asp.Solver.prepare}: compile, complete, preprocess, load the
-      clauses) and answers every candidate by one {!Asp.Solver.search}
-      under its assumptions on that handle. Between searches the handle
-      keeps the learned nogoods that follow from the program alone —
-      path-local ones (blocking nogoods, bound prunes and their
-      resolvents) are dropped — so what one candidate's refutation
-      learned prunes the next candidate's search, soundly under any
-      assumption set. The handle lives while the program is unchanged,
-      across re-assessment rounds, and is replaced at every structural
-      level, where the old program's nogoods would no longer be
-      justified. It is built at the first fresh solve against a program,
-      so a round answered entirely from the cache builds none.
-    - {b Increment}: a candidate compiles to a program increment
-      answered against the level's warm state by
-      {!Engine.Job.decide_or_solve}, as every engine job is (a
-      stratified one is decided by the grounder, with no solver), and
-      deduplicated through {!Engine.Cache} by structural fingerprint — a
-      candidate re-assessed against an unchanged level is a cache hit.
+    or eliminated by a caller predicate over the stable models. A
+    candidate compiles to a program increment, answered against the
+    level's warm state by {!Engine.Job.decide_or_solve}, as every engine
+    job is (a stratified one is decided by the grounder, with no
+    solver), and deduplicated through {!Engine.Cache} by structural
+    fingerprint — a candidate re-assessed against an unchanged level is a
+    cache hit.
 
     The scratch driver {!run_scratch} is the retained oracle: cold
-    grounding, no cache, no reused solver, sequential — differential
-    tests pin {!run}'s rounds, survivors and verdicts bit-for-bit against
-    it. *)
+    grounding, no cache, sequential — differential tests pin {!run}'s
+    rounds, survivors and verdicts bit-for-bit against it. *)
 
 type level = {
   l_label : string;
   l_structure : Asp.Program.t;
       (** the structural increment this level adds; an empty program is a
-          re-assessment round (same ground program — in Assume mode its
-          survivors are answered from the cache) *)
+          re-assessment round (same ground program, so its survivors are
+          answered from the cache) *)
 }
-
-type mode =
-  | Assume of (Engine.Delta.t -> (Asp.Atom.t * bool) list)
-      (** candidate -> assumption set. Every assumed atom must exist in
-          the (choice-opened) universe: assuming an absent atom true is
-          UNSAT by construction. *)
-  | Increment of (Engine.Delta.t -> Asp.Program.t)
-      (** candidate -> program increment over the level's base *)
 
 type spec = {
   base : Asp.Program.t;
   levels : level list;
   candidates : Engine.Delta.t list;
-  mode : mode;
+  increment : Engine.Delta.t -> Asp.Program.t;
+      (** candidate -> program increment over the level's base *)
   keep : Asp.Model.t list -> bool;
       (** survival predicate over the candidate's stable models (sorted,
           deduplicated — order-canonical, so verdicts are deterministic) *)
@@ -90,9 +65,10 @@ type stats = {
   s_disk_hits : int;
   s_fresh : int;
   s_carried : int;
-      (** learned nogoods the round's solver held at the start of each
-          fresh solve, summed (Assume mode; {!Asp.Solver.learnt_nogoods}):
-          what earlier candidates' searches left for later ones *)
+      (** always 0: no solver is reused across candidates, so no learned
+          nogood is carried from one to the next. Kept only because the
+          end-to-end benchmark reads it; it goes when the benchmark's
+          [cegar.inc.carried] metric does. *)
   s_ground : Asp.Grounder.Stats.t;
       (** aggregated grounding effort — fresh vs reused instance counts
           show extend-vs-scratch sharing *)
@@ -111,9 +87,8 @@ type value = Engine.Job.answer
 
 val run : ?cache:value Engine.Cache.t -> spec -> outcome
 (** The incremental driver. Candidates of a round are assessed in order
-    on the calling domain, each against the level's warm state; in Assume
-    mode every fresh solve is a search on the one prepared solver of the
-    current ground program. A caller-supplied [cache] survives
+    on the calling domain, each against the level's warm state. A
+    caller-supplied [cache] survives
     across calls (and, with a persist hook, across processes).
     Deterministic: [rounds] and [confirmed] are {!run_scratch}'s. Raises
     [Invalid_argument] on an empty candidate list, and like
@@ -121,6 +96,7 @@ val run : ?cache:value Engine.Cache.t -> spec -> outcome
 
 val run_scratch : spec -> outcome
 (** The retained scratch oracle: every round re-grounds the accumulated
-    program cold ({!Asp.Grounder.ground]) and solves each candidate from
-    scratch, sequentially, with no cache. [run spec] and [run_scratch spec]
-    agree bit-for-bit on [rounds] and [confirmed]. *)
+    program plus each candidate's increment cold ({!Asp.Grounder.ground})
+    and solves it from scratch, sequentially, with no cache. [run spec]
+    and [run_scratch spec] agree bit-for-bit on [rounds] and
+    [confirmed]. *)

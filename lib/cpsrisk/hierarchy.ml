@@ -10,14 +10,13 @@ let entry_const i = Printf.sprintf "e%d" i
 
 let spurious_entries ~levels = List.init levels (fun k -> entry_fault (k + 1))
 
-(* Topology facts shared by both candidate encodings: per-entry gateways
-   into the zone chain, dead-end decoys off every zone, and skip edges
-   off the odd zones so surviving hypotheses admit several routes. *)
+(* Topology facts: per-entry gateways into the zone chain, dead-end
+   decoys off every zone, and skip edges off the odd zones so surviving
+   hypotheses admit several routes. *)
 let refine_topology ~levels ~entries =
   let b = Buffer.create 1024 in
   let edge s t = Buffer.add_string b (Printf.sprintf "flow(%s, %s).\n" s t) in
   for i = 1 to entries do
-    Buffer.add_string b (Printf.sprintf "entry_node(%s).\n" (entry_const i));
     edge (entry_const i) (Printf.sprintf "gw%d" i);
     edge (Printf.sprintf "gw%d" i) "z1"
   done;
@@ -57,37 +56,16 @@ let candidate_entry (d : Engine.Delta.t) =
   | _ ->
       invalid_arg "Hierarchy.refine_spec: candidates carry one entry fault"
 
+(* [mode] is accepted and ignored: both values build this one spec (see
+   hierarchy.mli) *)
 let refine_spec ?(levels = default_levels) ?(entries = default_entries)
-    ?(mode = `Assume) () =
+    ?mode:(_ : [ `Assume | `Increment ] option) () =
   if levels < 1 || levels >= entries then
     invalid_arg "Hierarchy.refine_spec: need 1 <= levels < entries";
-  let topology = refine_topology ~levels ~entries in
-  let base_src =
-    match mode with
-    | `Assume ->
-        (* every hypothesis opened by choice, pinned per candidate by
-           assumptions: all candidates share one ground program *)
-        topology ^ "{ entry(E) : entry_node(E) }.\n" ^ routing_rules
-    | `Increment -> topology ^ routing_rules
-  in
-  let entry_atom e = Asp.Atom.make "entry" [ Asp.Term.const e ] in
-  let mode =
-    match mode with
-    | `Assume ->
-        Cegar.Inc.Assume
-          (fun c ->
-            let mine = candidate_entry c in
-            List.init entries (fun i ->
-                let e = entry_const (i + 1) in
-                (entry_atom e, String.equal e mine)))
-    | `Increment ->
-        Cegar.Inc.Increment
-          (fun c ->
-            Asp.Program.of_rules
-              [ Asp.Rule.fact (entry_atom (candidate_entry c)) ])
-  in
   {
-    Cegar.Inc.base = Asp.Parser.parse_program base_src;
+    Cegar.Inc.base =
+      Asp.Parser.parse_program
+        (refine_topology ~levels ~entries ^ routing_rules);
     levels =
       List.init levels (fun k ->
           {
@@ -98,7 +76,13 @@ let refine_spec ?(levels = default_levels) ?(entries = default_entries)
       List.init entries (fun i ->
           Engine.Delta.make ~label:(entry_fault (i + 1))
             [ entry_fault (i + 1) ]);
-    mode;
+    increment =
+      (fun c ->
+        Asp.Program.of_rules
+          [
+            Asp.Rule.fact
+              (Asp.Atom.make "entry" [ Asp.Term.const (candidate_entry c) ]);
+          ]);
     keep = (fun models -> models <> []);
     (* survival is satisfiability: the hazard model, if there is one *)
     limit = Some 1;

@@ -17,9 +17,8 @@
     and demands [:- not hazard.] — a candidate survives iff the plant is
     reachable from its entry. Refinement level [k] adds [blocked/2]
     facts: the firewall on gateway [k] (eliminating entry hypothesis
-    [k]) and the decoy on zone [k]. With no route to choose, an
-    Increment candidate is decided by the grounder, and an Assume search
-    meets no conflict.
+    [k]) and the decoy on zone [k]. With no route to choose, every
+    candidate is decided by the grounder, with no solver.
 
     {b Frontier side.} A deterministic error-propagation plant (no
     choice, unique stable model): attacks injected at fixed sources
@@ -46,13 +45,12 @@ val refine_spec :
   Cegar.Inc.spec
 (** The CEGAR schedule: base abstraction plus [levels] structural
     increments over [entries] candidates (entry hypothesis [i] is the
-    delta with fault ["Ei"], entering at node [ei]). [`Assume]
-    (default) pins the hypothesis by solver assumptions over the
-    choice-opened [entry/1] atoms — all candidates of a round share one
-    prepared solver. [`Increment] compiles each hypothesis to an
-    [entry(ei).] fact that {!Asp.Grounder.decide} answers against the
-    level's warm state. Survivorship is identical in both modes.
-    Requires [1 <= levels < entries]. *)
+    delta with fault ["Ei"], entering at node [ei]). Each hypothesis
+    compiles to an [entry(ei).] fact that {!Asp.Grounder.decide} answers
+    against the level's warm state. [mode] is ignored: both values build
+    this one spec. It remains only because the end-to-end benchmark
+    passes it, and goes with the benchmark's [--mode] runs. Requires
+    [1 <= levels < entries]. *)
 
 val spurious_entries : levels:int -> string list
 (** The fault ids eliminated by the schedule, in elimination order. *)

@@ -233,9 +233,9 @@ let render_refine ?(stats = false) (o : Cegar.Inc.outcome) =
   if stats then begin
     let s = o.Cegar.Inc.stats in
     p
-      "rounds %d  solves %d  hits %d  disk %d  fresh %d  carried %d\n"
+      "rounds %d  solves %d  hits %d  disk %d  fresh %d\n"
       s.Cegar.Inc.s_rounds s.Cegar.Inc.s_solves s.Cegar.Inc.s_hits
-      s.Cegar.Inc.s_disk_hits s.Cegar.Inc.s_fresh s.Cegar.Inc.s_carried;
+      s.Cegar.Inc.s_disk_hits s.Cegar.Inc.s_fresh;
     p "ground: %s\n"
       (Asp.Grounder.Stats.to_string s.Cegar.Inc.s_ground);
     p "wall: %.3fs\n" s.Cegar.Inc.s_wall_s

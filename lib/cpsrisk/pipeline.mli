@@ -62,7 +62,8 @@ val render_refine : ?stats:bool -> Cegar.Inc.outcome -> string
 (** The rounds and verdicts of the hierarchical case study
     ({!Hierarchy.refine_spec}) run through the incremental CEGAR engine
     ({!Cegar.Inc.run}); [stats] adds the solve, cache and grounding
-    counters. *)
+    counters ([solves] counts the candidates the grounder could not
+    decide). *)
 
 (** {2 Engine-backed mitigation frontier (step 7 at scale)} *)
 

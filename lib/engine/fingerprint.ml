@@ -98,17 +98,6 @@ let rule r = { empty with rules = fold_rule empty.rules r }
 
 let ints ns = { empty with rules = List.fold_left fold_int empty.rules ns }
 
-(* both streams fold the same bytes; the second starts one tag byte
-   later, so a collision has to happen in two different states at once *)
-let assumptions l =
-  let fold h =
-    List.fold_left
-      (fun h (a, v) -> byte (fold_atom h a) (Bool.to_int v))
-      (fold_int h (List.length l))
-      l
-  in
-  { rules = fold empty.rules; shows = fold (byte fnv_offset 0xa5) }
-
 let combine a b =
   {
     rules = fold_int (fold_int a.rules (Int64.to_int b.rules)) (Int64.to_int b.shows);

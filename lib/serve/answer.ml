@@ -111,7 +111,6 @@ let refine (o : Cegar.Inc.outcome) =
             ("hits", Json.Int s.Cegar.Inc.s_hits);
             ("disk_hits", Json.Int s.Cegar.Inc.s_disk_hits);
             ("fresh", Json.Int s.Cegar.Inc.s_fresh);
-            ("carried", Json.Int s.Cegar.Inc.s_carried);
             ( "ground",
               Json.Obj
                 [

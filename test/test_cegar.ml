@@ -155,9 +155,9 @@ let check_outcome_equal tag (a : Cegar.Inc.outcome) (b : Cegar.Inc.outcome) =
    survives when some pick reaches the plant. It asks the stratified
    spec's question with many models per candidate and answers it by
    CDNL, so it is the differential oracle of that spec and the program
-   for the cases that need several routes (nogood carry, model limits,
-   [hop] atoms). Built from [Cpsrisk.Hierarchy.refine_spec] by swapping
-   its one routing step [reach(T) :- reach(S), flow(S, T), ...] for the
+   for the cases that need several routes (model limits, [hop] atoms).
+   Built from [Cpsrisk.Hierarchy.refine_spec] by swapping its one
+   routing step [reach(T) :- reach(S), flow(S, T), ...] for the
    choice; everything else (topology, levels, candidates) is shared. *)
 let route_choice =
   Asp.Program.rules
@@ -174,8 +174,8 @@ let is_route_step = function
         body
   | _ -> false
 
-let choice_spec ?levels ?entries ?mode () =
-  let spec = Cpsrisk.Hierarchy.refine_spec ?levels ?entries ?mode () in
+let choice_spec ?levels ?entries () =
+  let spec = Cpsrisk.Hierarchy.refine_spec ?levels ?entries () in
   let rules = Asp.Program.rules spec.Cegar.Inc.base in
   if List.length (List.filter is_route_step rules) <> 1 then
     fail "choice_spec: the hierarchy spec has no single routing step";
@@ -270,22 +270,18 @@ let test_inc_hierarchy_schedule () =
     (Cpsrisk.Hierarchy.spurious_entries ~levels:6)
 
 let test_inc_matches_scratch () =
-  List.iter
-    (fun (tag, mode) ->
-      let spec = Cpsrisk.Hierarchy.refine_spec ~levels:3 ~entries:5 ~mode () in
-      let oracle = Cegar.Inc.run_scratch spec in
-      check_outcome_equal tag (Cegar.Inc.run spec) oracle)
-    [ ("assume", `Assume); ("increment", `Increment) ]
+  let spec = Cpsrisk.Hierarchy.refine_spec ~levels:3 ~entries:5 () in
+  check_outcome_equal "L=3 C=5" (Cegar.Inc.run spec)
+    (Cegar.Inc.run_scratch spec)
 
 let test_inc_seeded_matches_scratch () =
-  (* seeded schedule shapes: every (levels, entries, mode) combination
-     must agree with the scratch oracle bit-for-bit *)
+  (* seeded schedule shapes: every (levels, entries) combination must
+     agree with the scratch oracle bit-for-bit *)
   List.iter
     (fun seed ->
       let levels = 1 + (seed mod 4) in
       let entries = levels + 1 + (seed * 3 mod 4) in
-      let mode = if seed mod 2 = 0 then `Assume else `Increment in
-      let spec = Cpsrisk.Hierarchy.refine_spec ~levels ~entries ~mode () in
+      let spec = Cpsrisk.Hierarchy.refine_spec ~levels ~entries () in
       check_outcome_equal
         (Printf.sprintf "seed %d (L=%d C=%d)" seed levels entries)
         (Cegar.Inc.run spec)
@@ -308,8 +304,8 @@ let test_inc_cache_reuse () =
     second.Cegar.Inc.stats.Cegar.Inc.s_hits
 
 let test_inc_empty_level_is_cached () =
-  (* an empty structural increment is a re-assessment round: in Assume
-     mode the ground program is unchanged, so it costs only cache hits *)
+  (* an empty structural increment is a re-assessment round: the ground
+     program is unchanged, so it costs only cache hits *)
   let spec = Cpsrisk.Hierarchy.refine_spec ~levels:2 ~entries:4 () in
   let spec =
     {
@@ -338,35 +334,26 @@ let test_inc_stats_shape () =
   check_outcome_equal "same survivors as scratch" o
     (Cegar.Inc.run_scratch spec);
   check Alcotest.bool "grounding reused instances across levels" true
-    (s.Cegar.Inc.s_ground.Asp.Grounder.Stats.reused_rules > 0);
-  check Alcotest.bool "later candidates start with nogoods learned on \
-                       earlier ones" true
-    (s.Cegar.Inc.s_carried > 0)
+    (s.Cegar.Inc.s_ground.Asp.Grounder.Stats.reused_rules > 0)
 
 let test_inc_cache_keyed_by_limit () =
   (* with [keep] = at least two models (two routes, so the choice
      encoding), a run whose cached answers were cut at one model would
-     eliminate every candidate: the limit must be part of the key, in
-     both modes *)
-  List.iter
-    (fun (tag, mode) ->
-      let spec =
-        {
-          (choice_spec ~levels:3 ~entries:6 ~mode ()) with
-          Cegar.Inc.limit = None;
-          keep = (fun models -> List.length models >= 2);
-        }
-      in
-      let oracle = Cegar.Inc.run_scratch spec in
-      check (Alcotest.list Alcotest.string)
-        (tag ^ ": scratch confirms")
-        [ "E4"; "E5"; "E6" ]
-        (labels oracle.Cegar.Inc.confirmed);
-      let cache = Engine.Cache.create () in
-      ignore (Cegar.Inc.run ~cache { spec with Cegar.Inc.limit = Some 1 });
-      check_outcome_equal (tag ^ ": after a limit-1 run on the same cache")
-        (Cegar.Inc.run ~cache spec) oracle)
-    [ ("assume", `Assume); ("increment", `Increment) ]
+     eliminate every candidate: the limit must be part of the key *)
+  let spec =
+    {
+      (choice_spec ~levels:3 ~entries:6 ()) with
+      Cegar.Inc.limit = None;
+      keep = (fun models -> List.length models >= 2);
+    }
+  in
+  let oracle = Cegar.Inc.run_scratch spec in
+  check (Alcotest.list Alcotest.string) "scratch confirms" [ "E4"; "E5"; "E6" ]
+    (labels oracle.Cegar.Inc.confirmed);
+  let cache = Engine.Cache.create () in
+  ignore (Cegar.Inc.run ~cache { spec with Cegar.Inc.limit = Some 1 });
+  check_outcome_equal "after a limit-1 run on the same cache"
+    (Cegar.Inc.run ~cache spec) oracle
 
 (* Every schedule these tests run, and the e2e one (10 levels, 14
    entries). *)
@@ -378,59 +365,50 @@ let differential_schedules =
         (levels, levels + 1 + (seed * 3 mod 4)))
       [ 0; 1; 2; 3; 4; 5 ]
 
-(* The stratified spec against two independent oracles, in both modes:
-   its incremental and scratch drivers, the choice encoding's scratch
-   driver and the graph search agree on every round's label, survivors
-   and eliminated set. *)
+(* The stratified spec against two independent oracles: its incremental
+   and scratch drivers, the choice encoding's scratch driver and the
+   graph search agree on every round's label, survivors and eliminated
+   set. *)
 let test_inc_stratified_differential () =
   let rounds = Alcotest.(list (triple string (list string) (list string))) in
   List.iter
     (fun (levels, entries) ->
+      let tag = Printf.sprintf "L=%d C=%d" levels entries in
+      let spec = Cpsrisk.Hierarchy.refine_spec ~levels ~entries () in
+      let bfs = bfs_rounds spec in
+      let choice = Cegar.Inc.run_scratch (choice_spec ~levels ~entries ()) in
+      check rounds (tag ^ ": choice oracle = graph search") bfs
+        (round_keys choice);
       List.iter
-        (fun (mode_tag, mode) ->
-          let tag = Printf.sprintf "%s L=%d C=%d" mode_tag levels entries in
-          let spec = Cpsrisk.Hierarchy.refine_spec ~levels ~entries ~mode () in
-          let bfs = bfs_rounds spec in
-          let choice =
-            Cegar.Inc.run_scratch (choice_spec ~levels ~entries ~mode ())
-          in
-          check rounds (tag ^ ": choice oracle = graph search") bfs
-            (round_keys choice);
-          List.iter
-            (fun (driver, o) ->
-              check rounds
-                (Printf.sprintf "%s: %s = graph search" tag driver)
-                bfs (round_keys o);
-              check_outcome_equal
-                (Printf.sprintf "%s: %s = choice oracle" tag driver)
-                o choice)
-            [
-              ("run", Cegar.Inc.run spec);
-              ("run_scratch", Cegar.Inc.run_scratch spec);
-            ])
-        [ ("assume", `Assume); ("increment", `Increment) ])
+        (fun (driver, o) ->
+          check rounds
+            (Printf.sprintf "%s: %s = graph search" tag driver)
+            bfs (round_keys o);
+          check_outcome_equal
+            (Printf.sprintf "%s: %s = choice oracle" tag driver)
+            o choice)
+        [
+          ("run", Cegar.Inc.run spec);
+          ("run_scratch", Cegar.Inc.run_scratch spec);
+        ])
     differential_schedules
 
-(* On the stratified spec an Increment candidate is a facts-only delta
-   the grounder decides: no assessment reaches the solver. In Assume
-   mode every fresh assessment is still a search on the level's
-   prepared solver. *)
+(* On the stratified spec a candidate is a facts-only delta the grounder
+   decides: no assessment reaches the solver. Both [--mode] values build
+   this one spec. *)
 let test_inc_increment_decided () =
-  let run mode =
-    (Cegar.Inc.run
-       (Cpsrisk.Hierarchy.refine_spec ~levels:10 ~entries:14 ~mode ()))
-      .Cegar.Inc.stats
-  in
-  let s = run `Increment in
-  check Alcotest.int "fresh assessments" 109 s.Cegar.Inc.s_fresh;
-  check Alcotest.int "decided by the grounder" 109
-    s.Cegar.Inc.s_ground.Asp.Grounder.Stats.decided;
-  check Alcotest.int "solver runs" 0 s.Cegar.Inc.s_solves;
-  let a = run `Assume in
-  check Alcotest.int "assume: every fresh assessment searched"
-    a.Cegar.Inc.s_fresh a.Cegar.Inc.s_solves;
-  check Alcotest.int "assume: none decided" 0
-    a.Cegar.Inc.s_ground.Asp.Grounder.Stats.decided
+  List.iter
+    (fun (tag, mode) ->
+      let s =
+        (Cegar.Inc.run
+           (Cpsrisk.Hierarchy.refine_spec ~levels:10 ~entries:14 ~mode ()))
+          .Cegar.Inc.stats
+      in
+      check Alcotest.int (tag ^ ": fresh assessments") 109 s.Cegar.Inc.s_fresh;
+      check Alcotest.int (tag ^ ": decided by the grounder") 109
+        s.Cegar.Inc.s_ground.Asp.Grounder.Stats.decided;
+      check Alcotest.int (tag ^ ": solver runs") 0 s.Cegar.Inc.s_solves)
+    [ ("assume", `Assume); ("increment", `Increment) ]
 
 let test_inc_empty_candidates () =
   let spec = Cpsrisk.Hierarchy.refine_spec () in
@@ -441,40 +419,6 @@ let test_inc_empty_candidates () =
   match Cegar.Inc.run_scratch spec with
   | exception Invalid_argument _ -> ()
   | _ -> fail "empty candidate list accepted by scratch driver"
-
-(* e7396 and e41785 hash alike under [Hashtbl.hash] on their printed
-   atoms: a cache key built from 30-bit per-atom hashes gave candidate B
-   candidate A's answer *)
-let test_inc_assumption_key_collision () =
-  let base =
-    Asp.Parser.parse_program
-      "cand(e7396). cand(e41785). ok(e7396).\n\
-       { entry(E) : cand(E) } 1.\n\
-       good :- entry(E), ok(E).\n\
-       :- not good.\n"
-  in
-  let entry e = Asp.Atom.make "entry" [ Asp.Term.const e ] in
-  let spec =
-    {
-      Cegar.Inc.base;
-      levels = [];
-      candidates =
-        [
-          Engine.Delta.make ~label:"A" [ "e7396" ];
-          Engine.Delta.make ~label:"B" [ "e41785" ];
-        ];
-      mode =
-        Cegar.Inc.Assume
-          (fun d -> [ (entry (List.hd d.Engine.Delta.faults), true) ]);
-      keep = (fun models -> models <> []);
-      limit = Some 1;
-      max_atoms = 1024;
-    }
-  in
-  let oracle = Cegar.Inc.run_scratch spec in
-  check (Alcotest.list Alcotest.string) "scratch confirms A only" [ "A" ]
-    (labels oracle.Cegar.Inc.confirmed);
-  check_outcome_equal "colliding assumption sets" (Cegar.Inc.run spec) oracle
 
 let suites =
   [
@@ -512,8 +456,6 @@ let suites =
           test_inc_empty_candidates;
         Alcotest.test_case "cache keyed by model limit" `Quick
           test_inc_cache_keyed_by_limit;
-        Alcotest.test_case "assumption sets keyed by atom content" `Quick
-          test_inc_assumption_key_collision;
         Alcotest.test_case "stratified spec = choice oracle = graph search"
           `Quick test_inc_stratified_differential;
         Alcotest.test_case "increment candidates decided by the grounder"

@@ -1039,116 +1039,41 @@ let test_numbering_plant () =
   in
   check_numbering (Cpsrisk.Backend.target ~model Cpsrisk.Backend.Topology) deltas
 
-(* An extended program solved by CDNL under assumptions on a base atom
-   and on an atom only the increment has equals the whole-model oracle's
-   models consistent with the assumptions. The program is the choice
-   encoding of the hierarchy's routing, whose [hop] atoms give it many
-   models. *)
-let test_numbering_assumptions () =
+(* An extended program solved by CDNL equals the whole-model oracle,
+   with atoms numbered in the base and in the increment. The program is
+   the choice encoding of the hierarchy's routing with two entry
+   points, whose [hop] atoms give it several models. *)
+let test_numbering_extended () =
   let spec = Test_cegar.choice_spec ~levels:2 ~entries:3 () in
   let level = (List.hd spec.Cegar.Inc.levels).Cegar.Inc.l_structure in
+  let increment =
+    List.fold_left
+      (fun acc c -> Asp.Program.append acc (spec.Cegar.Inc.increment c))
+      level
+      (List.tl spec.Cegar.Inc.candidates)
+  in
   let gprep = Asp.Grounder.prepare spec.Cegar.Inc.base in
-  let g = Asp.Grounder.extend gprep level in
+  let g = Asp.Grounder.extend gprep increment in
   let nbase = Array.length g.Asp.Ground.numbering.Asp.Ground.by_id in
   let p = Asp.Interned.compile g in
-  let entry = Asp.Atom.make "entry" [ Asp.Term.const "e2" ] in
-  let blocked = Asp.Atom.make "blocked" [ Asp.Term.const "gw1"; Asp.Term.const "z1" ] in
-  let hop = Asp.Atom.make "hop" [ Asp.Term.const "gw3"; Asp.Term.const "z1" ] in
-  checkb "entry(e2) is a base atom" true (Asp.Interned.id p entry < nbase);
-  checkb "hop(gw3,z1) is a base atom" true (Asp.Interned.id p hop < nbase);
-  checkb "blocked(gw1,z1) is an increment atom" true (Asp.Interned.id p blocked >= nbase);
+  let atom pred args = Asp.Atom.make pred (List.map Asp.Term.const args) in
+  checkb "flow(gw3,z1) is a base atom" true
+    (Asp.Interned.id p (atom "flow" [ "gw3"; "z1" ]) < nbase);
+  List.iter
+    (fun a ->
+      checkb (Asp.Atom.to_string a ^ " is an increment atom") true
+        (Asp.Interned.id p a >= nbase))
+    [ atom "blocked" [ "gw1"; "z1" ]; atom "entry" [ "e2" ]; atom "hop" [ "gw3"; "z1" ] ];
   let oracle =
     Asp_oracle.Dfs.solve
-      (Asp.Grounder.ground (Asp.Program.append spec.Cegar.Inc.base level))
+      (Asp.Grounder.ground (Asp.Program.append spec.Cegar.Inc.base increment))
   in
-  checkb "the extended program has models" true (oracle <> []);
-  List.iter
-    (fun (assumptions, consistent) ->
-      let label =
-        String.concat ", "
-          (List.map
-             (fun (a, v) -> (if v then "" else "not ") ^ Asp.Atom.to_string a)
-             assumptions)
-      in
-      let want =
-        List.filter
-          (fun m -> List.for_all (fun (a, v) -> Asp.Model.holds m a = v) assumptions)
-          oracle
-      in
-      checkb (label ^ ": consistent with some model") consistent (want <> []);
-      check
-        (Alcotest.list Alcotest.string)
-        (label ^ ": CDNL under assumptions equals the oracle")
-        (List.map Asp.Model.to_string want)
-        (List.map Asp.Model.to_string (Asp.Solver.solve ~assumptions g)))
-    [
-      ([ (entry, true) ], true);
-      ([ (entry, false); (hop, true) ], true);
-      ([ (blocked, true) ], true);
-      ([ (blocked, false) ], false);
-      ([ (entry, true); (blocked, true); (hop, false) ], true);
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* par: assumption-conditioned solves partition the model space         *)
-(* ------------------------------------------------------------------ *)
-
-(* Splitting on the signs of k atoms and solving each sign vector under
-   [~assumptions] must give back every model exactly once; Assume-mode
-   refinement (Cegar.Inc) relies on this partition. *)
-let par_programs =
-  [
-    "{ a ; b ; c ; d }. :- a, b.";
-    "{ c0 ; c1 ; c2 }. p :- q. q :- p. p :- c0. :- not p.";
-    "a :- not b. b :- not a. { c : a ; d }.";
-    "{ a ; b ; c }. :~ a. [-2@1] :~ b. [1@1] :~ c. [1@2]";
-    "p :- not p.";
-  ]
-
-let check_split what src seq split =
-  check Alcotest.int
-    (Printf.sprintf "%s model count on:\n%s" what src)
-    (List.length seq) (List.length split);
-  (* [Model.compare] orders by atoms, then by cost *)
-  List.iter2
-    (fun a b ->
-      if Asp.Model.compare a b <> 0 then
-        Alcotest.fail (Printf.sprintf "%s diverged on:\n%s" what src))
-    seq split
-
-let test_par_enumerate () =
-  List.iter
-    (fun src ->
-      let g = Asp.Grounder.ground (Asp.Parser.parse_program src) in
-      let seq = Asp.Solver.solve g in
-      List.iter
-        (fun k ->
-          check_split (Printf.sprintf "split %d" k) src seq
-            (Asp_oracle.Split.enumerate ~k g);
-          (* the same sign vectors searched in turn on one prepared
-             handle, as Assume mode does: each search drops what the
-             previous one derived for its own assumptions *)
-          let h = Asp.Solver.prepare g in
-          check_split (Printf.sprintf "split %d on one handle" k) src seq
-            (List.sort Asp.Model.compare
-               (List.concat_map
-                  (fun assumptions -> fst (Asp.Solver.search ~assumptions h))
-                  (Asp_oracle.Split.sign_vectors
-                     (Asp_oracle.Split.atoms ~k g)))))
-        [ 1; 2; 3 ])
-    par_programs
-
-let test_par_optimal () =
-  List.iter
-    (fun src ->
-      let g = Asp.Grounder.ground (Asp.Parser.parse_program src) in
-      let seq = Asp.Solver.solve_optimal g in
-      List.iter
-        (fun k ->
-          check_split (Printf.sprintf "split-opt %d" k) src seq
-            (Asp_oracle.Split.optimal ~k g))
-        [ 1; 2; 3 ])
-    par_programs
+  checkb "the extended program has several models" true (List.length oracle > 1);
+  check
+    (Alcotest.list Alcotest.string)
+    "CDNL equals the oracle"
+    (List.map Asp.Model.to_string oracle)
+    (List.map Asp.Model.to_string (Asp.Solver.solve g))
 
 (* Non-monotone increments: a delta can retract, through negation, what
    the base alone derives, so a decided model is never the base's model
@@ -1284,14 +1209,10 @@ let suites =
           test_numbering_hierarchy;
         Alcotest.test_case "numbering: plant jobs equal the oracle" `Quick
           test_numbering_plant;
-        Alcotest.test_case "numbering: extended CDNL under assumptions" `Quick
-          test_numbering_assumptions;
+        Alcotest.test_case "numbering: extended CDNL equals the oracle" `Quick
+          test_numbering_extended;
         Alcotest.test_case "job: cached models projected on #show" `Quick
           test_projection_readings;
-        Alcotest.test_case "par: enumeration equals sequential" `Quick
-          test_par_enumerate;
-        Alcotest.test_case "par: optima equal sequential" `Quick
-          test_par_optimal;
         Alcotest.test_case "sweep: horizon shortcut counters pinned" `Quick
           test_sweep_horizon_counters;
         Alcotest.test_case "sweep: horizon shortcut = full unrolling" `Quick

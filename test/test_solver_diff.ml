@@ -269,23 +269,7 @@ let diff_one src =
         { Asp.Solver.Config.default with preprocess = false } );
       ("solve no-cheap", { Asp.Solver.Config.default with cheap_tier = false });
       ("solve raw", { Asp.Solver.Config.preprocess = false; cheap_tier = false });
-    ];
-  (* assumptions partition the model space: over 1, 2 and 3 split atoms
-     the sorted union of the sign vectors' models and optima must equal
-     the plain solve's, costs included *)
-  List.iter
-    (fun k ->
-      compare_on
-        ~what:(Printf.sprintf "sign split k=%d" k)
-        ~names:("split", "plain") src
-        (outcome_of_models (Asp_oracle.Split.enumerate ~k g))
-        cdnl;
-      compare_on
-        ~what:(Printf.sprintf "sign split optimal k=%d" k)
-        ~names:("split", "plain") src
-        (outcome_of_models (Asp_oracle.Split.optimal ~k g))
-        cdnl_opt)
-    [ 1; 2; 3 ]
+    ]
 
 let test_differential_seeded () =
   for seed = 0 to 99 do
