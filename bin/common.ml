@@ -128,8 +128,8 @@ let search =
       & opt (some (list int)) None
       & info [ "budgets" ] ~docv:"B1,B2,..."
           ~doc:
-            "Sweep these budgets; sweeps share one cache, so subsets within \
-             several budgets are solved once.")
+            "Sweep these budgets in one walk up to the largest, so an \
+             action set within several budgets is evaluated once.")
   in
   let pareto =
     Arg.(value & flag & info [ "pareto" ] ~doc:"Compute the full cost/residual front.")

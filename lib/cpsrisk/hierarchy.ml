@@ -64,8 +64,10 @@ let refine_spec ?(levels = default_levels) ?(entries = default_entries)
     invalid_arg "Hierarchy.refine_spec: need 1 <= levels < entries";
   {
     Cegar.Inc.base =
-      Asp.Parser.parse_program
-        (refine_topology ~levels ~entries ^ routing_rules);
+      (* [keep] reads only whether a model exists *)
+      Asp.Program.add_show ("hazard", 0)
+        (Asp.Parser.parse_program
+           (refine_topology ~levels ~entries ^ routing_rules));
     levels =
       List.init levels (fun k ->
           {
@@ -159,13 +161,13 @@ error(T) :- error(S), flow(S, T), not shielded(T).
   Asp.Parser.parse_program (Buffer.contents b)
 
 let frontier_compile (d : Engine.Delta.t) =
-  let b = Buffer.create 64 in
-  List.iter
-    (fun m ->
-      Buffer.add_string b
-        (Printf.sprintf "active(%s).\n" (String.lowercase_ascii m)))
-    d.Engine.Delta.mitigations;
-  Asp.Parser.parse_program (Buffer.contents b)
+  Asp.Program.of_rules
+    (List.map
+       (fun m ->
+         Asp.Rule.fact
+           (Asp.Atom.make "active"
+              [ Asp.Term.const (String.lowercase_ascii m) ]))
+       d.Engine.Delta.mitigations)
 
 let frontier_delta ~active = Engine.Delta.make ~mitigations:active []
 
@@ -173,13 +175,17 @@ let frontier_delta ~active = Engine.Delta.make ~mitigations:active []
    models hold nothing else. *)
 let error_sig = ("error", 1)
 
+(* each weighted asset's [error/1] atom, built once *)
+let weighted_errors =
+  List.map
+    (fun (c, w) -> (Asp.Atom.make (fst error_sig) [ Asp.Term.const c ], w))
+    weights
+
 let frontier_measure = function
   | [ m ] ->
       List.fold_left
-        (fun acc (c, w) ->
-          let erred = Asp.Atom.make (fst error_sig) [ Asp.Term.const c ] in
-          if Asp.Model.holds m erred then acc + w else acc)
-        0 weights
+        (fun acc (erred, w) -> if Asp.Model.holds m erred then acc + w else acc)
+        0 weighted_errors
   | models ->
       invalid_arg
         (Printf.sprintf

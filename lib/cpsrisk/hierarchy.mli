@@ -47,7 +47,8 @@ val refine_spec :
     increments over [entries] candidates (entry hypothesis [i] is the
     delta with fault ["Ei"], entering at node [ei]). Each hypothesis
     compiles to an [entry(ei).] fact that {!Asp.Grounder.decide} answers
-    against the level's warm state. [mode] is ignored: both values build
+    against the level's warm state. The base shows only [hazard/0]:
+    [keep] reads only whether a model exists. [mode] is ignored: both values build
     this one spec. It remains only because the end-to-end benchmark
     passes it, and goes with the benchmark's [--mode] runs. Requires
     [1 <= levels < entries]. *)

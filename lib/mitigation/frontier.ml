@@ -114,60 +114,93 @@ let with_report body =
   (result, { !c with r_wall_s = Unix.gettimeofday () -. t0 })
 
 (* The one walk of every search: branch-and-bound over the same
-   inclusion-order DFS as {!Optimizer.fold_subsets_within_budget}. A
-   node's bound set is its own full-inclusion leaf (selected ∪
-   remaining): under a monotone residual its value lower-bounds every
-   leaf of the subtree, and costs are non-negative, so [cost] of the
-   node lower-bounds their costs. [cut ~cost bound] sees both ([bound]
-   evaluates on demand, through the cache, which makes within-budget
-   bound evaluations free at their own leaves); a search cuts only where
-   no leaf of the subtree can change its answer. [leaf] takes every
-   evaluated leaf. Without [monotone] nothing is cut. *)
-let walk t c budget ~cut ~leaf =
-  let rec go remaining cost selected =
-    let bound () =
-      eval t c
-        (List.rev_append selected
-           (List.map (fun (a : Action.t) -> a.Action.id) remaining))
-    in
-    if t.f_monotone && cut ~cost bound then
-      c := { !c with r_pruned = !c.r_pruned + 1 }
-    else
-      match remaining with
-      | [] -> leaf (eval t c (List.rev selected))
-      | (a : Action.t) :: rest ->
-          go rest cost selected;
-          let cost' = cost + a.Action.cost in
-          if match budget with Some b -> cost' <= b | None -> true then
-            go rest cost' (a.Action.id :: selected)
-  in
-  go t.f_actions 0 []
+   inclusion-order DFS as {!Optimizer.fold_subsets_within_budget}, with
+   every subset costing more than [limit] left out. A node's bound set
+   is its own full-inclusion leaf (selected ∪ remaining): under a
+   monotone residual its value lower-bounds every leaf of the subtree,
+   and costs are non-negative, so [cost] of the node lower-bounds their
+   costs. [cut ~cost bound] sees both, and a search cuts only where no
+   leaf of the subtree can change its answer. [leaf] takes every
+   evaluated leaf. Without [monotone] nothing is cut.
 
-(* A subtree is cut iff every leaf loses to the incumbent under
-   {!Optimizer.better}'s strict total order, so the result is exactly
-   the exhaustive one. *)
-let optimal_in t c budget =
-  let best = ref None in
-  walk t c budget
-    ~cut:(fun ~cost bound ->
-      match !best with
-      | Some (b : Optimizer.solution) ->
-          let r = (bound ()).Optimizer.residual in
-          r > b.Optimizer.residual
-          || (r = b.Optimizer.residual && cost > b.Optimizer.cost)
-      | None -> false)
-    ~leaf:(fun s ->
-      match !best with
-      | Some b when not (Optimizer.better s b) -> ()
-      | _ -> best := Some s);
+   Every action set is evaluated at most once. The bound is lazy, and
+   the include child shares its parent's, since it is the same set. A
+   node where no remaining action fits [limit] has its selection as its
+   only leaf: that set is evaluated alone (it is the node's own bound
+   when nothing remains), and the bound is consulted there only if it
+   is already forced. Each remaining action carries the least cost of
+   it and those after it, which makes that test O(1). *)
+let walk t c limit ~cut ~leaf =
+  let suffix =
+    List.fold_right
+      (fun (a : Action.t) acc ->
+        match acc with
+        | [] -> [ (a, a.Action.cost, []) ]
+        | ((b : Action.t), least, ids) :: _ ->
+            (a, min a.Action.cost least, b.Action.id :: ids) :: acc)
+      t.f_actions []
+  in
+  let pruned ~cost bound =
+    t.f_monotone && cut ~cost bound
+    && (c := { !c with r_pruned = !c.r_pruned + 1 };
+        true)
+  in
+  let rec go remaining cost selected bound =
+    match remaining with
+    | ((a : Action.t), least, rest_ids) :: rest when cost + least <= limit ->
+        if not (pruned ~cost bound) then begin
+          go rest cost selected
+            (lazy (eval t c (List.rev_append selected rest_ids)));
+          let cost' = cost + a.Action.cost in
+          if cost' <= limit then go rest cost' (a.Action.id :: selected) bound
+        end
+    | _ ->
+        if not (Lazy.is_val bound && pruned ~cost bound) then
+          leaf (if remaining = [] then Lazy.force bound else eval t c selected)
+  in
+  go suffix 0 []
+    (lazy (eval t c (List.map (fun (a : Action.t) -> a.Action.id) t.f_actions)))
+
+(* The best selection for each budget ([max_int]: none), in one walk up
+   to the largest. A budget cuts a node once it has an incumbent and
+   either the node costs more than the budget or every leaf of the
+   subtree loses to the incumbent under {!Optimizer.better}'s strict
+   total order; a node is cut only when every budget cuts it, so each
+   result is exactly the exhaustive one. A leaf competes for each budget
+   it fits, and the empty selection for every budget, which is the
+   answer when a budget is negative. *)
+let optima t c budgets =
+  let best = List.map (fun b -> (b, ref None)) budgets in
+  if budgets <> [] then
+    walk t c (List.fold_left max min_int budgets)
+      ~cut:(fun ~cost bound ->
+        List.for_all
+          (fun (b, best) ->
+            match !best with
+            | Some (i : Optimizer.solution) ->
+                cost > b
+                ||
+                let r = (Lazy.force bound).Optimizer.residual in
+                r > i.Optimizer.residual
+                || (r = i.Optimizer.residual && cost > i.Optimizer.cost)
+            | None -> false)
+          best)
+      ~leaf:(fun (s : Optimizer.solution) ->
+        List.iter
+          (fun (b, best) ->
+            if s.Optimizer.cost <= b || s.Optimizer.selected = [] then
+              match !best with
+              | Some i when not (Optimizer.better s i) -> ()
+              | _ -> best := Some s)
+          best);
   (* the empty selection is the first leaf walked, and nothing is cut
      before there is an incumbent *)
-  Option.get !best
+  List.map (fun (b, best) -> (b, Option.get !best)) best
 
-let optimal ?budget t = with_report (fun c -> optimal_in t c budget)
+let optimal ?(budget = max_int) t =
+  with_report (fun c -> snd (List.hd (optima t c [ budget ])))
 
-let budget_sweep t ~budgets =
-  with_report (fun c -> List.map (fun b -> (b, optimal_in t c (Some b))) budgets)
+let budget_sweep t ~budgets = with_report (fun c -> optima t c budgets)
 
 (* A subtree is cut iff a front member strictly dominates (cost S,
    residual (S ∪ R)): it then dominates every leaf of the subtree, which
@@ -177,11 +210,11 @@ let budget_sweep t ~budgets =
 let pareto t =
   with_report (fun c ->
       let front = ref [] in
-      walk t c None
+      walk t c max_int
         ~cut:(fun ~cost bound ->
           !front <> []
           &&
-          let b = { (bound ()) with Optimizer.cost } in
+          let b = { (Lazy.force bound) with Optimizer.cost } in
           List.exists (fun f -> Optimizer.dominates f b) !front)
         ~leaf:(fun s -> front := Optimizer.insert_front !front s);
       Optimizer.sort_front !front)

@@ -8,15 +8,19 @@
     set compiles it to an {!Engine.Delta}, answers the increment against
     the warm state ({!Engine.Job.solve}: decided by the grounder, or
     {!Asp.Grounder.extend} and solved — never a scratch re-ground), and
-    memoizes the result by structural fingerprint. Identical residual
-    sub-problems dedupe — across the budgets of a sweep, across repeated
-    requests, and (with a persistent cache) across processes.
+    memoizes the result by structural fingerprint. A search evaluates
+    each action set at most once; the cache dedupes across searches —
+    repeated requests and (with a persistent cache) processes.
 
     All three searches walk {!Optimizer.fold_subsets_within_budget}'s
     inclusion-order DFS once, with the cost pruning of a budget and a
     residual bound per node: the residual of the node's full-inclusion
-    leaf [S ∪ R]. Each search cuts a subtree only where no leaf in it
-    can change its answer, and keeps {!Optimizer}'s order, tie-breaking
+    leaf [S ∪ R]. The bound is evaluated only when a cut test needs it,
+    and a node's include child, whose bound set is the same, reuses it.
+    A node where no remaining action fits the budget has [S] as its only
+    leaf within budget: [S] alone is evaluated there, not [S ∪ R]. Each
+    search cuts a subtree only where no leaf in it can change its
+    answer, and keeps {!Optimizer}'s order, tie-breaking
     and running front ({!Optimizer.better}, {!Optimizer.insert_front}),
     so results are bit-for-bit those of the scratch oracle
     ({!scratch_problem} + the exhaustive {!Optimizer} functions): same
@@ -82,7 +86,7 @@ val optimal : ?budget:int -> t -> Optimizer.solution * report
     [residual (S ∪ R) > best.residual], or equal with [cost S >
     best.cost] — every leaf in it then loses to the incumbent under the
     total order (costs are non-negative), so pruning is invisible in the
-    result. Bound evaluations are cache-shared full-inclusion leaves. *)
+    result. It is {!budget_sweep} with the one budget. *)
 
 val pareto : t -> Optimizer.solution list * report
 (** The full budget/benefit Pareto frontier — exactly {!Optimizer.pareto}
@@ -95,11 +99,15 @@ val pareto : t -> Optimizer.solution list * report
 
 val budget_sweep :
   t -> budgets:int list -> (int * Optimizer.solution) list * report
-(** {!optimal}'s walk once per budget, in the given order, all budgets
-    sharing the frontier's cache: a later budget's bound and leaf
-    evaluations are mostly cache hits, and the report's hit counters
-    make the dedup rate visible. Results are exactly
-    {!Optimizer.budget_sweep} of {!scratch_problem}. *)
+(** {!optimal} for every budget, in the given order, from one walk up to
+    the largest budget that keeps an incumbent per budget. A budget
+    cuts a node once it has an incumbent and either the node costs more
+    than the budget or its bound loses to that incumbent, as in
+    {!optimal}; the walk cuts a node only when every budget does. A
+    leaf competes for every budget it fits, and the empty selection for
+    every budget, so a negative budget gets the empty selection.
+    Results are exactly {!Optimizer.budget_sweep} of {!scratch_problem};
+    repeated and unsorted budgets cost nothing extra. *)
 
 val problem : t -> Optimizer.problem
 (** The frontier as an {!Optimizer.problem} whose [residual] goes through

@@ -434,15 +434,18 @@ let test_sweep_decided () =
               (Cpsrisk.Sweeps.verdicts r))
           report.Engine.Sweep.results)
     [ 1; 2; 12; 48 ];
-  (* the full catalog's searches: every fresh evaluation is decided, and
-     the walk cuts subtrees in both *)
+  (* the full catalog's searches: each asks for every action set once,
+     every fresh evaluation is decided, and the walk cuts subtrees in
+     both *)
   let cache, decided = counting_cache () in
   let _, report =
     Mitigation.Frontier.pareto (Cpsrisk.Hierarchy.frontier ~cache ())
   in
+  check Alcotest.int "hierarchy pareto: evaluations" 406
+    report.Mitigation.Frontier.r_evals;
   check Alcotest.int "hierarchy pareto: fresh evaluations" 406
     report.Mitigation.Frontier.r_fresh;
-  check Alcotest.int "hierarchy pareto: subtrees cut" 378
+  check Alcotest.int "hierarchy pareto: subtrees cut" 344
     report.Mitigation.Frontier.r_pruned;
   check Alcotest.int "hierarchy pareto: every evaluation decided"
     report.Mitigation.Frontier.r_fresh !decided;
@@ -454,9 +457,11 @@ let test_sweep_decided () =
       (Cpsrisk.Hierarchy.frontier ~cache ())
       ~budgets:[ 15; 18; 21; 24 ]
   in
+  check Alcotest.int "hierarchy budget_sweep: evaluations" 188
+    report.Mitigation.Frontier.r_evals;
   check Alcotest.int "hierarchy budget_sweep: fresh evaluations" 188
     report.Mitigation.Frontier.r_fresh;
-  check Alcotest.int "hierarchy budget_sweep: subtrees cut" 452
+  check Alcotest.int "hierarchy budget_sweep: subtrees cut" 155
     report.Mitigation.Frontier.r_pruned;
   check Alcotest.int "hierarchy budget_sweep: every evaluation decided"
     report.Mitigation.Frontier.r_fresh !decided;

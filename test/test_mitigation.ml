@@ -238,17 +238,25 @@ let sub_frontier ?cache ?(measure = Cpsrisk.Hierarchy.frontier_measure) () =
     ~delta:Cpsrisk.Hierarchy.frontier_delta ~measure
     (Engine.Job.prepare (Cpsrisk.Hierarchy.frontier_spec ()))
 
+(* On a private cache a search that asks for each action set at most
+   once meets no cache hit: every evaluation is fresh. *)
+let asks_once what (r : Mitigation.Frontier.report) =
+  check Alcotest.int (what ^ ": cache hits") 0 r.Mitigation.Frontier.r_hits;
+  check Alcotest.int (what ^ ": fresh = evals") r.Mitigation.Frontier.r_evals
+    r.Mitigation.Frontier.r_fresh
+
 let test_frontier_optimal_matches_scratch () =
-  let f = sub_frontier () in
-  let oracle = Mitigation.Frontier.scratch_problem f in
+  let oracle = Mitigation.Frontier.scratch_problem (sub_frontier ()) in
   List.iter
     (fun budget ->
-      let got, _ = Mitigation.Frontier.optimal ?budget f in
+      let what =
+        Printf.sprintf "budget %s"
+          (match budget with None -> "-" | Some b -> string_of_int b)
+      in
+      let got, report = Mitigation.Frontier.optimal ?budget (sub_frontier ()) in
       let want = Mitigation.Optimizer.optimal ?budget oracle in
-      check sol
-        (Printf.sprintf "budget %s"
-           (match budget with None -> "-" | Some b -> string_of_int b))
-        want got)
+      check sol what want got;
+      asks_once what report)
     [ None; Some 0; Some 5; Some 11 ]
 
 let test_frontier_pareto_matches_scratch () =
@@ -256,12 +264,11 @@ let test_frontier_pareto_matches_scratch () =
   let got, report = Mitigation.Frontier.pareto f in
   let want = Mitigation.Optimizer.pareto (Mitigation.Frontier.scratch_problem f) in
   check (Alcotest.list sol) "identical front" want got;
-  (* the walk reaches 231 of the 256 subsets' leaves and bounds: a
+  (* the walk asks for 110 of the 256 subsets, as leaves or bounds: a
      subtree goes once a front member strictly dominates its bound *)
-  check Alcotest.int "evaluations" 231
-    report.Mitigation.Frontier.r_evals;
-  check Alcotest.int "fresh evaluations" 110 report.Mitigation.Frontier.r_fresh;
-  check Alcotest.int "subtrees cut" 89 report.Mitigation.Frontier.r_pruned
+  asks_once "pareto" report;
+  check Alcotest.int "evaluations" 110 report.Mitigation.Frontier.r_evals;
+  check Alcotest.int "subtrees cut" 78 report.Mitigation.Frontier.r_pruned
 
 let test_frontier_budget_sweep_matches_scratch () =
   let f = sub_frontier () in
@@ -277,14 +284,11 @@ let test_frontier_budget_sweep_matches_scratch () =
       check Alcotest.int "budget order" b b';
       check sol (Printf.sprintf "optimum at budget %d" b) w g)
     want got;
-  (* ascending budgets re-visit the smaller budgets' bound and leaf
-     sets: the shared cache must absorb well over half of the
-     evaluations *)
-  check Alcotest.bool "sweep mostly deduped" true
-    (report.Mitigation.Frontier.r_hits * 2 > report.Mitigation.Frontier.r_evals);
-  check Alcotest.int "evaluations" 564 report.Mitigation.Frontier.r_evals;
-  check Alcotest.int "fresh evaluations" 95 report.Mitigation.Frontier.r_fresh;
-  check Alcotest.int "subtrees cut" 185 report.Mitigation.Frontier.r_pruned
+  (* one walk up to the largest budget serves every budget: no set is
+     asked for twice *)
+  asks_once "budget sweep" report;
+  check Alcotest.int "evaluations" 95 report.Mitigation.Frontier.r_evals;
+  check Alcotest.int "subtrees cut" 72 report.Mitigation.Frontier.r_pruned
 
 let test_frontier_full_catalog_consistent () =
   (* the full 12-action catalog, warm path only: the branch-and-bound
@@ -341,9 +345,11 @@ let test_frontier_monotone_residual () =
    and many ties, where strict dominance and the (cost, residual)
    representative rule meet: the walk must keep the exhaustive
    searches' front, optima, representatives and order, for budgets that
-   are negative, zero, unsorted and repeated. The residual depends on
-   the active set only, so one memoised scratch table serves every
-   vector, and one cache serves every frontier. *)
+   are negative, zero, unsorted, repeated or absent, with and without
+   the monotone licence, and each search must ask for every action set
+   at most once. The residual depends on the active set only, so one
+   memoised scratch table serves every vector, and one cache serves
+   every frontier. *)
 let test_frontier_cut_differential () =
   let base = sub_frontier () in
   let scratch = Mitigation.Frontier.scratch_problem base in
@@ -357,15 +363,27 @@ let test_frontier_cut_differential () =
         Hashtbl.replace table key r;
         r
   in
+  (* the action sets the running search has asked for, and its repeats *)
+  let asked = Hashtbl.create 256 and repeats = ref 0 in
+  let delta ~active =
+    if Hashtbl.mem asked active then incr repeats
+    else Hashtbl.replace asked active ();
+    Cpsrisk.Hierarchy.frontier_delta ~active
+  in
   let cache = Engine.Cache.create () in
   let prepared = Engine.Job.prepare (Cpsrisk.Hierarchy.frontier_spec ()) in
   let budgets = [ 4; -3; 0; 4; 9; 1; 0; 30 ] in
-  let balanced what (r : Mitigation.Frontier.report) =
+  let search what run =
+    Hashtbl.reset asked;
+    repeats := 0;
+    let got, (r : Mitigation.Frontier.report) = run () in
     check Alcotest.int
       (what ^ ": hits + disk hits + fresh = evals")
       r.Mitigation.Frontier.r_evals
       (r.Mitigation.Frontier.r_hits + r.Mitigation.Frontier.r_disk_hits
-     + r.Mitigation.Frontier.r_fresh)
+     + r.Mitigation.Frontier.r_fresh);
+    check Alcotest.int (what ^ ": no action set asked for twice") 0 !repeats;
+    got
   in
   for seed = 1 to 40 do
     let st = Random.State.make [| seed |] in
@@ -378,24 +396,33 @@ let test_frontier_cut_differential () =
             ~blocks:a.Mitigation.Action.blocks)
         (Mitigation.Frontier.actions base)
     in
-    let f =
-      Mitigation.Frontier.make ~cache ~actions
-        ~delta:Cpsrisk.Hierarchy.frontier_delta
-        ~measure:Cpsrisk.Hierarchy.frontier_measure prepared
-    in
     let oracle = { Mitigation.Optimizer.actions; residual } in
-    let what = Printf.sprintf "seed %d" seed in
-    let front, r = Mitigation.Frontier.pareto f in
-    check (Alcotest.list sol) (what ^ ": pareto") (Mitigation.Optimizer.pareto oracle)
-      front;
-    balanced (what ^ " pareto") r;
-    let curve, r = Mitigation.Frontier.budget_sweep f ~budgets in
-    check
-      (Alcotest.list (Alcotest.pair Alcotest.int sol))
-      (what ^ ": budget sweep")
-      (Mitigation.Optimizer.budget_sweep oracle ~budgets)
-      curve;
-    balanced (what ^ " budget_sweep") r
+    List.iter
+      (fun monotone ->
+        let f =
+          Mitigation.Frontier.make ~cache ~monotone ~actions ~delta
+            ~measure:Cpsrisk.Hierarchy.frontier_measure prepared
+        in
+        let what =
+          Printf.sprintf "seed %d%s" seed
+            (if monotone then "" else " non-monotone")
+        in
+        check (Alcotest.list sol) (what ^ ": pareto")
+          (Mitigation.Optimizer.pareto oracle)
+          (search (what ^ " pareto") (fun () -> Mitigation.Frontier.pareto f));
+        check sol (what ^ ": unbounded optimum")
+          (Mitigation.Optimizer.optimal oracle)
+          (search (what ^ " optimal") (fun () -> Mitigation.Frontier.optimal f));
+        List.iter
+          (fun budgets ->
+            check
+              (Alcotest.list (Alcotest.pair Alcotest.int sol))
+              (what ^ ": budget sweep")
+              (Mitigation.Optimizer.budget_sweep oracle ~budgets)
+              (search (what ^ " budget_sweep") (fun () ->
+                   Mitigation.Frontier.budget_sweep f ~budgets)))
+          [ budgets; [] ])
+      [ true; false ]
   done
 
 let test_frontier_counts_own_evals () =

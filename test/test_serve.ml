@@ -645,10 +645,10 @@ let wire_golden_requests =
 let wire_golden_responses =
   [
     "{\"ok\":true,\"model\":\"wt\",\"deltas\":4,\"hits\":1,\"disk_hits\":0,\"misses\":3,\"fresh\":{\"guesses\":0,\"firings\":0,\"conflicts\":0,\"models\":3,\"wall_s\":\"*\"},\"ground\":{\"fresh_rules\":0,\"reused_rules\":0,\"decided\":3},\"batch_wall_s\":\"*\",\"wall_s\":\"*\",\"results\":[{\"label\":\"s1\",\"fingerprint\":\"e8b8fb8d97698cb97307ee5f2e4a144e\",\"models\":1,\"source\":\"fresh\",\"verdicts\":{\"R1\":false,\"R2\":false}},{\"label\":\"s2\",\"fingerprint\":\"19064283e0f1c3207307ee5f2e4a144e\",\"models\":1,\"source\":\"fresh\",\"verdicts\":{\"R1\":true,\"R2\":false}},{\"label\":\"again\",\"fingerprint\":\"19064283e0f1c3207307ee5f2e4a144e\",\"models\":1,\"source\":\"memory\",\"verdicts\":{\"R1\":true,\"R2\":false}},{\"label\":\"Z\195\188ndung\",\"fingerprint\":\"8894926e9fc452da7307ee5f2e4a144e\",\"models\":1,\"source\":\"fresh\",\"verdicts\":{\"R1\":false,\"R2\":false}}]}";
-    "{\"ok\":true,\"model\":\"wt\",\"search\":\"optimal\",\"optimal\":{\"selected\":[\"M1\"],\"cost\":2,\"residual\":0},\"report\":{\"evals\":27,\"hits\":12,\"disk_hits\":0,\"fresh\":15,\"pruned\":11,\"sum_s\":\"*\",\"critical_s\":\"*\",\"wall_s\":\"*\"},\"wall_s\":\"*\"}";
+    "{\"ok\":true,\"model\":\"wt\",\"search\":\"optimal\",\"optimal\":{\"selected\":[\"M1\"],\"cost\":2,\"residual\":0},\"report\":{\"evals\":15,\"hits\":0,\"disk_hits\":0,\"fresh\":15,\"pruned\":10,\"sum_s\":\"*\",\"critical_s\":\"*\",\"wall_s\":\"*\"},\"wall_s\":\"*\"}";
     "{\"ok\":true,\"model\":\"wt\",\"search\":\"optimal\",\"optimal\":{\"selected\":[],\"cost\":0,\"residual\":4},\"report\":{\"evals\":1,\"hits\":1,\"disk_hits\":0,\"fresh\":0,\"pruned\":0,\"sum_s\":\"*\",\"critical_s\":\"*\",\"wall_s\":\"*\"},\"wall_s\":\"*\"}";
-    "{\"ok\":true,\"model\":\"wt\",\"search\":\"pareto\",\"pareto\":[{\"selected\":[],\"cost\":0,\"residual\":4},{\"selected\":[\"M1\"],\"cost\":2,\"residual\":0}],\"report\":{\"evals\":30,\"hits\":29,\"disk_hits\":0,\"fresh\":1,\"pruned\":11,\"sum_s\":\"*\",\"critical_s\":\"*\",\"wall_s\":\"*\"},\"wall_s\":\"*\"}";
-    "{\"ok\":true,\"model\":\"wt\",\"search\":\"budget-curve\",\"curve\":[{\"budget\":0,\"solution\":{\"selected\":[],\"cost\":0,\"residual\":4}},{\"budget\":1,\"solution\":{\"selected\":[],\"cost\":0,\"residual\":4}},{\"budget\":5,\"solution\":{\"selected\":[\"M1\"],\"cost\":2,\"residual\":0}}],\"report\":{\"evals\":18,\"hits\":18,\"disk_hits\":0,\"fresh\":0,\"pruned\":0,\"sum_s\":\"*\",\"critical_s\":\"*\",\"wall_s\":\"*\"},\"wall_s\":\"*\"}";
+    "{\"ok\":true,\"model\":\"wt\",\"search\":\"pareto\",\"pareto\":[{\"selected\":[],\"cost\":0,\"residual\":4},{\"selected\":[\"M1\"],\"cost\":2,\"residual\":0}],\"report\":{\"evals\":16,\"hits\":15,\"disk_hits\":0,\"fresh\":1,\"pruned\":10,\"sum_s\":\"*\",\"critical_s\":\"*\",\"wall_s\":\"*\"},\"wall_s\":\"*\"}";
+    "{\"ok\":true,\"model\":\"wt\",\"search\":\"budget-curve\",\"curve\":[{\"budget\":0,\"solution\":{\"selected\":[],\"cost\":0,\"residual\":4}},{\"budget\":1,\"solution\":{\"selected\":[],\"cost\":0,\"residual\":4}},{\"budget\":5,\"solution\":{\"selected\":[\"M1\"],\"cost\":2,\"residual\":0}}],\"report\":{\"evals\":4,\"hits\":4,\"disk_hits\":0,\"fresh\":0,\"pruned\":0,\"sum_s\":\"*\",\"critical_s\":\"*\",\"wall_s\":\"*\"},\"wall_s\":\"*\"}";
     "{\"ok\":true,\"model\":\"hier\",\"deltas\":2,\"hits\":0,\"disk_hits\":0,\"misses\":2,\"fresh\":{\"guesses\":0,\"firings\":0,\"conflicts\":0,\"models\":2,\"wall_s\":\"*\"},\"ground\":{\"fresh_rules\":0,\"reused_rules\":0,\"decided\":2},\"batch_wall_s\":\"*\",\"wall_s\":\"*\",\"results\":[{\"label\":\"bare\",\"fingerprint\":\"b4b5f8b4a825f3016d5d8926f07571e7\",\"models\":1,\"source\":\"fresh\",\"residual\":29},{\"label\":\"shield\",\"fingerprint\":\"22697f8f2ba78f216d5d8926f07571e7\",\"models\":1,\"source\":\"fresh\",\"residual\":26}]}";
     "{\"ok\":true,\"model\":\"wt\",\"deltas\":1,\"hits\":0,\"disk_hits\":0,\"misses\":1,\"fresh\":{\"guesses\":4,\"firings\":272,\"conflicts\":2,\"models\":3,\"wall_s\":\"*\"},\"ground\":{\"fresh_rules\":47,\"reused_rules\":113,\"decided\":0},\"batch_wall_s\":\"*\",\"wall_s\":\"*\",\"results\":[{\"label\":\"two models\",\"fingerprint\":\"8e2a652b21afaa1b7307ee5f2e4a144e\",\"models\":3,\"source\":\"fresh\"}]}";
     "{\"ok\":true,\"models\":2,\"answers\":[\"{}\",\"{b}\"],\"guesses\":4,\"conflicts\":0,\"wall_s\":\"*\"}";
