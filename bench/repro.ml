@@ -125,7 +125,9 @@ let print_fig3 () =
   Printf.printf "  %d hazardous scenarios confirmed by behaviour-level EPA\n"
     (List.length hazardous);
   print_endline "\nfocus 3 (mitigation plan): optimal selection";
-  let sol = Mitigation.Optimizer.optimal Cpsrisk.Water_tank.optimization_problem in
+  let sol =
+    Mitigation.Optimizer.optimal (Cpsrisk.Water_tank.optimization_problem ())
+  in
   Format.printf "  %a@." Mitigation.Optimizer.pp_solution sol
 
 (* ------------------------------------------------------------------ *)
@@ -186,7 +188,7 @@ let print_listings () =
 
 let print_opt () =
   section "X1: §IV.D — mitigation cost-benefit optimization";
-  let problem = Cpsrisk.Water_tank.optimization_problem in
+  let problem = Cpsrisk.Water_tank.optimization_problem () in
   print_endline "budget sweep (residual = severity-weighted violations):";
   List.iter
     (fun (budget, sol) ->
@@ -512,7 +514,7 @@ let timing_tests () =
       (stage (fun () ->
            ignore
              (Mitigation.Optimizer.budget_sweep
-                Cpsrisk.Water_tank.optimization_problem ~budgets:[ 0; 2; 7 ])));
+                (Cpsrisk.Water_tank.optimization_problem ()) ~budgets:[ 0; 2; 7 ])));
     Test.make ~name:"uncertainty/rst+oat"
       (stage (fun () ->
            let wide =

@@ -19,6 +19,12 @@
    grounder's [ground_firings] and [ground_passes] show what was left to
    derive.
 
+   A fourth row, epa-pipeline, times the Fig. 1 pipeline ([Pipeline.run]
+   on the water tank, best of several runs) and counts the transition
+   systems its EPA steps ask [build] for: its deterministic guard exits 2
+   unless that equals the distinct effective fault sets of the scenarios
+   steps 4 and 7 evaluate (16; one scope per scenario made 528).
+
    Every engine mode is checked bit-identical to seq-cold (same models per
    job). Emits JSON (committed as BENCH_sweep.json at the repo root for the
    full run; `dune build @sweep-smoke` runs a seconds-scale subset as part
@@ -61,7 +67,72 @@ let entry_of_report name (r : Engine.Sweep.report) wall_s =
     ground_passes = r.Engine.Sweep.ground.Asp.Grounder.Stats.passes;
   }
 
-let emit_json out mode ~deltas ~horizon ~seed ~base_atoms entries =
+type pipeline = { p_wall_s : float; p_builds : int; p_effective_sets : int }
+
+let rec subsets = function
+  | [] -> [ [] ]
+  | x :: rest ->
+      let s = subsets rest in
+      s @ List.map (fun l -> x :: l) s
+
+(* the effective fault sets of every scenario the pipeline evaluates:
+   the fault sweep unmitigated (step 4) and under every mitigation
+   subset (step 7, no budget) *)
+let pipeline_effective_sets () =
+  let sys = Cpsrisk.Water_tank.system in
+  subsets
+    (List.map
+       (fun (a : Mitigation.Action.t) -> a.Mitigation.Action.id)
+       Cpsrisk.Water_tank.mitigations)
+  |> List.concat_map (fun mitigations ->
+         Epa.Scenario.all_combinations ~mitigations sys.Epa.Analysis.catalog)
+  |> List.map
+       (Epa.Scenario.effective_faults ~catalog:sys.Epa.Analysis.catalog
+          ~blocks:sys.Epa.Analysis.blocks)
+  |> List.sort_uniq compare |> List.length
+
+let epa_pipeline ~smoke =
+  let builds = ref 0 in
+  let system =
+    {
+      Cpsrisk.Water_tank.system with
+      Epa.Analysis.build =
+        (fun ~faults ->
+          incr builds;
+          Cpsrisk.Water_tank.build_dynamics ~faults);
+    }
+  in
+  let config =
+    { (Cpsrisk.Pipeline.water_tank_config ()) with Cpsrisk.Pipeline.system }
+  in
+  let (), wall_s =
+    Registry.time
+      ~reps:(if smoke then 3 else 20)
+      (fun () ->
+        builds := 0;
+        ignore (Cpsrisk.Pipeline.run config))
+  in
+  let p =
+    {
+      p_wall_s = wall_s;
+      p_builds = !builds;
+      p_effective_sets = pipeline_effective_sets ();
+    }
+  in
+  (* more builds: some effective set was built twice; fewer: some
+     scenario was answered without the config's own system *)
+  if p.p_builds <> p.p_effective_sets then begin
+    Printf.eprintf
+      "sweep_bench: Pipeline.run asked build for %d transition systems, \
+       for %d distinct effective fault sets\n"
+      p.p_builds p.p_effective_sets;
+    exit 2
+  end;
+  Printf.eprintf "  epa-pipeline  : %8.4fs, %d builds for %d effective sets\n%!"
+    p.p_wall_s p.p_builds p.p_effective_sets;
+  p
+
+let emit_json out mode ~deltas ~horizon ~seed ~base_atoms ~pipeline entries =
   let cold_s =
     match entries with e :: _ -> e.wall_s | [] -> assert false
   in
@@ -93,7 +164,12 @@ let emit_json out mode ~deltas ~horizon ~seed ~base_atoms entries =
         (if i = List.length entries - 1 then "" else ",");
       ())
     entries;
-  p "  ]\n}\n";
+  p "  ],\n";
+  p
+    "  \"epa_pipeline\": {\"wall_s\": %.6f, \"builds\": %d, \
+     \"effective_sets\": %d}\n"
+    pipeline.p_wall_s pipeline.p_builds pipeline.p_effective_sets;
+  p "}\n";
   close_out oc
 
 let run ~smoke ~out =
@@ -149,9 +225,11 @@ let run ~smoke ~out =
       ground_passes = cold_ground.Asp.Grounder.Stats.passes }
   in
   let entries = [ cold_entry; e1; e1c ] in
+  let pipeline = epa_pipeline ~smoke in
   emit_json out
     (if smoke then "smoke" else "full")
-    ~deltas:n ~horizon ~seed ~base_atoms:(Engine.Sweep.base_atoms r1) entries;
+    ~deltas:n ~horizon ~seed ~base_atoms:(Engine.Sweep.base_atoms r1)
+    ~pipeline entries;
   Printf.eprintf "wrote %s\n" out;
   let total_models = List.fold_left (fun acc ms -> acc + List.length ms) 0 cold in
   List.map
@@ -162,6 +240,13 @@ let run ~smoke ~out =
              e.hits e.misses)
         ~param:(string_of_int n) e.name e.wall_s)
     entries
+  @ [
+      Registry.row
+        ~note:
+          (Printf.sprintf "%d builds for %d effective sets" pipeline.p_builds
+             pipeline.p_effective_sets)
+        ~param:"" "epa-pipeline" pipeline.p_wall_s;
+    ]
 
 let bench =
   {

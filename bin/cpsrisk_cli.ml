@@ -24,13 +24,15 @@ open Cmdliner
 
 let casestudy backend =
   print_endline "Water tank case study (paper §VII)\n";
+  (* Table II and the sweep share their evaluated effective fault sets *)
+  let scope = Epa.Analysis.scope Cpsrisk.Water_tank.system in
   (match backend with
   | `Dynamics ->
       print_string
         (Cpsrisk.Report.table_ii
            ~fault_ids:[ "F1"; "F2"; "F3"; "F4" ]
            ~mitigation_ids:[ "M1"; "M2" ]
-           (Cpsrisk.Water_tank.table_ii_rows ()))
+           (Cpsrisk.Water_tank.table_ii_rows ~scope ()))
   | `Asp ->
       List.iter
         (fun (label, scenario) ->
@@ -43,7 +45,9 @@ let casestudy backend =
                   verdicts)))
         Cpsrisk.Water_tank.paper_scenarios);
   print_newline ();
-  let rows = Cpsrisk.Water_tank.full_sweep ~mitigations:[ "M1"; "M2" ] () in
+  let rows =
+    Cpsrisk.Water_tank.full_sweep ~scope ~mitigations:[ "M1"; "M2" ] ()
+  in
   (match Epa.Analysis.most_severe rows with
   | worst :: _ ->
       Printf.printf
@@ -513,15 +517,25 @@ let sweep mutations model horizon stats json =
       Common.fail "%sgrounding error: %s" file msg
   in
   let backend = target.Cpsrisk.Backend.backend in
+  (* the universe of the base that answered the jobs: at the water tank's
+     probe horizon unless a job was unrolled at H *)
+  let base_atoms, base_at =
+    match target.Cpsrisk.Backend.horizon with
+    | Some h ->
+        let n, at = Cpsrisk.Sweeps.base_universe h report in
+        (n, Some at)
+    | None -> (Engine.Sweep.base_atoms report, None)
+  in
   if json then
     Common.print_json
       (Serve.Json.Obj
          (Serve.Answer.sweep backend report.Engine.Sweep.results
             ~extra:
-              [
-                ("base_atoms", Serve.Json.Int (Engine.Sweep.base_atoms report));
-                ("wall_s", Serve.Json.Float report.Engine.Sweep.wall_s);
-              ]))
+              ([ ("base_atoms", Serve.Json.Int base_atoms) ]
+              @ (match base_at with
+                | Some at -> [ ("base_at", Serve.Json.String at) ]
+                | None -> [])
+              @ [ ("wall_s", Serve.Json.Float report.Engine.Sweep.wall_s) ])))
   else begin
     Array.iter
       (fun (r : Engine.Job.result) ->
@@ -532,7 +546,10 @@ let sweep mutations model horizon stats json =
       report.Engine.Sweep.results;
     if stats then begin
       print_newline ();
-      print_string (Engine.Sweep.render report);
+      print_string
+        (Engine.Sweep.render
+           ?base:(Option.map (Printf.sprintf "%d atoms at %s" base_atoms) base_at)
+           report);
       Option.iter
         (fun h -> print_string (Cpsrisk.Sweeps.render_horizon h))
         target.Cpsrisk.Backend.horizon

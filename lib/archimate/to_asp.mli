@@ -16,3 +16,11 @@ val facts : Model.t -> Asp.Program.t
 val sanitize : string -> string
 (** Lower-cases and maps non-identifier characters to [_] so that arbitrary
     model ids/kinds are valid ASP constants. *)
+
+val const : string -> Asp.Term.t
+(** The constant of an arbitrary id: [Asp.Term.const (sanitize id)]. *)
+
+val fact : string -> Asp.Term.t list -> Asp.Rule.t
+(** [fact pred args] is the fact [pred(args).], built without printing
+    and parsing: the rule a parse of its text gives, and the same
+    fingerprint. *)

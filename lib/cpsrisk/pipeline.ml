@@ -24,7 +24,7 @@ type config = {
   topology : Epa.Propagation.network;
   system : Epa.Analysis.system;
   actions : Mitigation.Action.t list;
-  residual : active:string list -> int;
+  weights : (string * int) list;
   budget : int option;
   semantic_lint : (string * Asp.Program.t) list;
 }
@@ -35,7 +35,7 @@ let water_tank_config ?budget ?(semantic_lint = false) () =
     topology = Water_tank.topology;
     system = Water_tank.system;
     actions = Water_tank.mitigations;
-    residual = Water_tank.residual_loss;
+    weights = Water_tank.requirement_weights;
     budget;
     semantic_lint =
       (if semantic_lint then
@@ -142,8 +142,10 @@ let run config =
   in
   let scenario_count = List.length scenarios in
   logf "step 3 (reasoning): %d fault-combination scenarios" scenario_count;
-  (* 4. hazard identification: exhaustive EPA *)
-  let rows = Epa.Analysis.run config.system in
+  (* 4. hazard identification: exhaustive EPA, through the scope step 7
+     evaluates its mitigation candidates in too *)
+  let scope = Epa.Analysis.scope config.system in
+  let rows = Epa.Analysis.sweep scope in
   let hazardous = Epa.Analysis.hazardous rows in
   logf "step 4 (hazard identification): %d/%d scenarios violate requirements"
     (List.length hazardous) scenario_count;
@@ -189,7 +191,10 @@ let run config =
   | [] -> logf "step 6 (risk analysis): no hazards to rank");
   (* 7. mitigation strategy *)
   let problem =
-    { Mitigation.Optimizer.actions = config.actions; residual = config.residual }
+    {
+      Mitigation.Optimizer.actions = config.actions;
+      residual = Epa.Analysis.loss ~weights:config.weights scope;
+    }
   in
   let plan = Mitigation.Optimizer.optimal ?budget:config.budget problem in
   logf "step 7 (mitigation): selected {%s} at cost %d, residual loss %d"
@@ -258,19 +263,17 @@ type frontier_answer =
 
 (* The water-tank catalog over the paper's attack scenario (F4, the
    workstation compromise inducing F1–F3): each action set is one warm
-   delta; the residual weighs the violated requirements as
-   {!Water_tank.residual_loss} does (R1 physical damage 3, R2 lost
-   alerting 1). Monotone: mitigations only ever block activations. *)
+   delta; the residual weighs the violated requirements by
+   {!Water_tank.requirement_weights}, as {!Water_tank.residual_loss}
+   does. Monotone: mitigations only ever block activations. *)
 let water_tank_measure = function
   | [ m ] ->
       List.fold_left
-        (fun acc (req, weight) ->
-          if Asp.Model.holds m (Sweeps.violated_atom req) then acc + weight
+        (fun acc (r : Epa.Requirement.t) ->
+          if Asp.Model.holds m (Sweeps.violated_atom r) then
+            acc + List.assoc r.Epa.Requirement.id Water_tank.requirement_weights
           else acc)
-        0
-        (List.map2
-           (fun r w -> (r, w))
-           Water_tank.requirements [ 3; 1 ])
+        0 Water_tank.requirements
   | models ->
       invalid_arg
         (Printf.sprintf

@@ -36,7 +36,9 @@ type config = {
   topology : Epa.Propagation.network;
   system : Epa.Analysis.system;
   actions : Mitigation.Action.t list;
-  residual : active:string list -> int;
+  weights : (string * int) list;
+      (** severity weight per requirement id: step 7's residual of a
+          mitigation set is {!Epa.Analysis.loss} over [system] *)
   budget : int option;
   semantic_lint : (string * Asp.Program.t) list;
       (** named ASP encodings to gate the run on: any non-[Info] L2xx
@@ -49,7 +51,13 @@ val water_tank_config : ?budget:int -> ?semantic_lint:bool -> unit -> config
     temporal ASP programs of every paper scenario. *)
 
 val run : config -> artifacts
-(** Fails fast — raises [Invalid_argument] listing the offending
+(** Steps 4 and 7 evaluate through one {!Epa.Analysis.scope} over
+    [config.system]: the fault sweep and every candidate mitigation set
+    share it, so each distinct effective fault set is built and checked
+    once (16 transition systems for the water tank, where a scope per
+    residual call made 528).
+
+    Fails fast — raises [Invalid_argument] listing the offending
     diagnostics — when the model fails structural validation, or when an
     encoding listed in [config.semantic_lint] carries a semantic lint
     warning or error. *)
@@ -85,8 +93,8 @@ val water_tank_frontier_of :
     scenario (F4 — the infected engineering workstation inducing F1–F3),
     over already-warm prepared state (a prepared
     {!Sweeps.water_tank_spec}): candidate action sets are warm deltas,
-    the residual weighs violated requirements as
-    {!Water_tank.residual_loss} does (R1 at 3, R2 at 1). *)
+    the residual weighs violated requirements by
+    {!Water_tank.requirement_weights} (R1 at 3, R2 at 1). *)
 
 val mitigate_frontier :
   Mitigation.Frontier.t ->

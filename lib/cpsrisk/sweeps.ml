@@ -67,6 +67,7 @@ type horizon = {
   h0 : int;
   at_probe : int Atomic.t;
   unrolled : int Atomic.t;
+  probe : Engine.Job.prepared option;  (** the h0 base, when h0 <> h *)
 }
 
 let render_horizon t =
@@ -76,21 +77,31 @@ let render_horizon t =
 
 let water_tank ?(horizon = Water_tank.default_horizon) ?mode deltas =
   let h0 = probe_horizon horizon in
-  let t =
-    { h = horizon; h0; at_probe = Atomic.make 0; unrolled = Atomic.make 0 }
-  in
   let spec ~shortcut h =
     Engine.Job.spec ?mode ~shortcut ~compile:water_tank_compile ~deltas
       (Asp.Program.add_show violated_sig (Water_tank.asp_base ~horizon:h ()))
   in
-  let probe =
-    if h0 = horizon then fun ~full -> full
+  let probe_base =
+    if h0 = horizon then None
     else
       (* any shortcut defers the grounding of the probe base to its first
          job, so a target whose answers all come from the cache never
          grounds it *)
-      let p = Engine.Job.prepare (spec ~shortcut:(fun ~full -> full) h0) in
-      fun ~full:_ delta -> Engine.Job.solve p delta
+      Some (Engine.Job.prepare (spec ~shortcut:(fun ~full -> full) h0))
+  in
+  let t =
+    {
+      h = horizon;
+      h0;
+      at_probe = Atomic.make 0;
+      unrolled = Atomic.make 0;
+      probe = probe_base;
+    }
+  in
+  let probe =
+    match probe_base with
+    | None -> fun ~full -> full
+    | Some p -> fun ~full:_ delta -> Engine.Job.solve p delta
   in
   (* [extra] rules may break determinism or time-homogeneity *)
   let answer ~full delta =
@@ -104,6 +115,15 @@ let water_tank ?(horizon = Water_tank.default_horizon) ?mode deltas =
     end
   in
   (spec ~shortcut:answer horizon, t)
+
+let base_universe t report =
+  if Atomic.get t.unrolled > 0 then
+    (Engine.Sweep.base_atoms report, Printf.sprintf "H=%d" t.h)
+  else
+    ( (match t.probe with
+      | Some p -> Engine.Job.base_atoms p
+      | None -> Engine.Sweep.base_atoms report),
+      Printf.sprintf "h0=%d" t.h0 )
 
 let water_tank_spec ?horizon ?mode deltas =
   fst (water_tank ?horizon ?mode deltas)
@@ -139,19 +159,13 @@ affected(C) :- error(C).
 |}
 
 let topology_compile (d : Engine.Delta.t) =
-  let buf = Buffer.create 128 in
-  List.iter
-    (fun c ->
-      Buffer.add_string buf
-        (Printf.sprintf "injected(%s).\n" (Archimate.To_asp.sanitize c)))
-    d.Engine.Delta.faults;
-  List.iter
-    (fun m ->
-      Buffer.add_string buf
-        (Printf.sprintf "active_mitigation(%s).\n" (Archimate.To_asp.sanitize m)))
-    d.Engine.Delta.mitigations;
+  let open Archimate.To_asp in
   Asp.Program.append
-    (Asp.Parser.parse_program (Buffer.contents buf))
+    (Asp.Program.of_rules
+       (List.map (fun c -> fact "injected" [ const c ]) d.Engine.Delta.faults
+       @ List.map
+           (fun m -> fact "active_mitigation" [ const m ])
+           d.Engine.Delta.mitigations))
     (extra_program d)
 
 (* Same for the topology reading ({!affected}). *)

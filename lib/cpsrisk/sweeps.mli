@@ -75,6 +75,13 @@ val render_horizon : horizon -> string
     not count) as one [sweep --stats] line, newline included: the jobs
     decided at h0 and the jobs unrolled at H. *)
 
+val base_universe : horizon -> Engine.Sweep.report -> int * string
+(** The size of the base universe that answered the report's jobs (the
+    report of a sweep over this handle's spec), with its horizon as a
+    label: the probe's base, ["h0=12"], when no job was unrolled, else
+    the H base, ["H=48"]. It grounds no base that no job used: a sweep
+    decided entirely at the probe never grounds the H base. *)
+
 val verdicts : Engine.Job.result -> (string * bool) list
 (** [(requirement id, violated?)] from a water-tank job's unique stable
     model; raises [Invalid_argument] if the model is not unique. *)

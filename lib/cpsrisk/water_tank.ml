@@ -132,6 +132,8 @@ let mitigations =
 
 let blocks = Mitigation.Action.blocks_relation mitigations
 
+let requirement_weights = [ ("R1", 3); ("R2", 1) ]
+
 let requirements =
   [
     Epa.Requirement.make ~id:"R1"
@@ -272,12 +274,18 @@ let paper_scenarios =
     ("S7", Epa.Scenario.make ~mitigations:both [ "F1"; "F2"; "F3" ]);
   ]
 
-let table_ii_rows () =
+let scope_or_own = function
+  | Some scope -> scope
+  | None -> Epa.Analysis.scope system
+
+let table_ii_rows ?scope () =
+  let scope = scope_or_own scope in
   List.map
-    (fun (label, scenario) -> (label, Epa.Analysis.run_scenario system scenario))
+    (fun (label, scenario) -> (label, Epa.Analysis.evaluate scope scenario))
     paper_scenarios
 
-let full_sweep ?mitigations () = Epa.Analysis.run ?mitigations system
+let full_sweep ?scope ?mitigations () =
+  Epa.Analysis.sweep ?mitigations (scope_or_own scope)
 
 (* ------------------------------------------------------------------ *)
 (* ASP backend                                                          *)
@@ -382,14 +390,9 @@ let asp_base ?(horizon = default_horizon) () =
 
 (* ids may come from a user's mutations file: sanitized like the topology
    backend's, any id compiles to a constant (an unknown one activates
-   nothing) *)
+   nothing); the facts are built as terms, not printed and parsed *)
 let asp_activation_facts (scenario : Epa.Scenario.t) =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun f ->
-      Buffer.add_string buf
-        (Printf.sprintf "activated(%s).\n" (Archimate.To_asp.sanitize f)))
-    scenario.Epa.Scenario.faults;
+  let open Archimate.To_asp in
   let mitigation_site = function
     | "m1" | "m2" -> "ews"
     | "m3" -> "hmi"
@@ -397,13 +400,16 @@ let asp_activation_facts (scenario : Epa.Scenario.t) =
     | "m5" -> "in_valve"
     | other -> other
   in
-  List.iter
-    (fun m ->
-      let m = Archimate.To_asp.sanitize m in
-      Buffer.add_string buf
-        (Printf.sprintf "active_mitigation(%s, %s).\n" (mitigation_site m) m))
-    scenario.Epa.Scenario.mitigations;
-  Asp.Parser.parse_program (Buffer.contents buf)
+  let active_mitigation m =
+    let m = sanitize m in
+    fact "active_mitigation"
+      [ Asp.Term.const (mitigation_site m); Asp.Term.const m ]
+  in
+  Asp.Program.of_rules
+    (List.map
+       (fun f -> fact "activated" [ const f ])
+       scenario.Epa.Scenario.faults
+    @ List.map active_mitigation scenario.Epa.Scenario.mitigations)
 
 let asp_program ?horizon ~scenario () =
   Asp.Program.append (asp_base ?horizon ()) (asp_activation_facts scenario)
@@ -624,14 +630,12 @@ let asp_optimal_mitigations ?horizon ?budget () =
 (* ------------------------------------------------------------------ *)
 
 let residual_loss ~active =
-  let rows = full_sweep ~mitigations:active () in
-  List.fold_left
-    (fun acc row ->
-      let violations = Epa.Analysis.violations row in
-      acc
-      + (if List.mem "R1" violations then 3 else 0)
-      + if List.mem "R2" violations then 1 else 0)
-    0 rows
+  Epa.Analysis.loss ~weights:requirement_weights (Epa.Analysis.scope system)
+    ~active
 
-let optimization_problem =
-  { Mitigation.Optimizer.actions = mitigations; residual = residual_loss }
+let optimization_problem () =
+  {
+    Mitigation.Optimizer.actions = mitigations;
+    residual =
+      Epa.Analysis.loss ~weights:requirement_weights (Epa.Analysis.scope system);
+  }

@@ -28,6 +28,13 @@ val topology : Epa.Propagation.network
 val faults : Epa.Fault.t list
 val mitigations : Mitigation.Action.t list
 val requirements : Epa.Requirement.t list
+
+val requirement_weights : (string * int) list
+(** Severity weight of each requirement in the residual loss, the one
+    table every water-tank residual reads ({!residual_loss}, the
+    engine-backed frontier's measure): 3 for R1 (physical damage), 1 for
+    R2 (lost alerting). *)
+
 val blocks : string -> string list
 
 val build_dynamics : faults:string list -> Ltl.Ts.t
@@ -53,12 +60,18 @@ val uncertain_system : Epa.Analysis.system
 val paper_scenarios : (string * Epa.Scenario.t) list
 (** S1…S7 of Table II with their printed fault/mitigation activations. *)
 
-val table_ii_rows : unit -> (string * Epa.Analysis.row) list
+val table_ii_rows :
+  ?scope:Epa.Analysis.scope -> unit -> (string * Epa.Analysis.row) list
 (** The Table II reproduction: each paper scenario evaluated on the
-    dynamics backend. *)
+    dynamics backend. [scope] (a scope over {!system}; default: one of
+    its own) lets a caller share the evaluated effective sets with
+    {!full_sweep}, as [casestudy] does. *)
 
-val full_sweep : ?mitigations:string list -> unit -> Epa.Analysis.row list
-(** All 2⁴ fault combinations under the given mitigation set. *)
+val full_sweep :
+  ?scope:Epa.Analysis.scope -> ?mitigations:string list -> unit ->
+  Epa.Analysis.row list
+(** All 2⁴ fault combinations under the given mitigation set, through
+    [scope] (a scope over {!system}; default: one of its own). *)
 
 val default_horizon : int
 (** 12, the temporal horizon of {!asp_base} (and so of a sweep) unless
@@ -113,6 +126,10 @@ val asp_optimal_mitigations : ?horizon:int -> ?budget:int -> unit -> string list
 val residual_loss : active:string list -> int
 (** Optimization objective for the mitigation step: total severity-weighted
     violations across the fault sweep under the given active mitigations
-    (weight 3 for R1 — physical damage — and 1 for R2). *)
+    ({!requirement_weights}), in a scope of its own. *)
 
-val optimization_problem : Mitigation.Optimizer.problem
+val optimization_problem : unit -> Mitigation.Optimizer.problem
+(** The mitigation catalog with {!residual_loss} as its residual, every
+    call of which evaluates through one scope the problem owns: a search
+    over it builds each effective fault set once (16 for the whole
+    subset space) instead of 16 per candidate. *)

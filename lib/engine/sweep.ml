@@ -66,11 +66,16 @@ let hit_rate r =
   if n = 0 then 0.0
   else float_of_int (r.hits + r.disk_hits) /. float_of_int n
 
-let render ?(verbose = false) r =
+let render ?(verbose = false) ?base r =
   let buf = Buffer.create 256 in
   let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  p "sweep: %d jobs in %.3fs (base universe %d atoms)\n"
-    (Array.length r.results) r.wall_s (base_atoms r);
+  let base =
+    match base with
+    | Some b -> b
+    | None -> Printf.sprintf "%d atoms" (base_atoms r)
+  in
+  p "sweep: %d jobs in %.3fs (base universe %s)\n" (Array.length r.results)
+    r.wall_s base;
   p "cache: %d memory hits / %d disk hits / %d fresh solves (%.1f%% hit rate)\n"
     r.hits r.disk_hits r.misses
     (100.0 *. hit_rate r);

@@ -55,14 +55,19 @@ val tally :
 
 val base_atoms : report -> int
 (** {!Job.base_atoms} of the sweep's base: the universe size every
-    generic job extends. *)
+    generic job extends. A spec's shortcut may have answered every job
+    without that base (the water tank's probe horizon does); this
+    grounds it then. *)
 
 val hit_rate : report -> float
 (** Memory + disk hits over total jobs, in [0, 1]; 0 on an empty sweep. *)
 
-val render : ?verbose:bool -> report -> string
-(** Human-readable summary. The fresh solver work line sums the solver
-    stats of the fresh jobs when one of them reached the solver; when the
+val render : ?verbose:bool -> ?base:string -> report -> string
+(** Human-readable summary. [base] describes the base universe in the
+    first line (default ["N atoms"] of {!base_atoms}); a caller whose
+    jobs were answered against another base passes its own, as
+    [sweep --stats] does with ["209 atoms at h0=12"]. The fresh solver
+    work line sums the solver stats of the fresh jobs when one of them reached the solver; when the
     grounder decided them all, it says so and counts them. [verbose] adds
     one line per job (label, model count, cache provenance — [*] memory,
     [+] disk — and fingerprint). *)

@@ -11,26 +11,61 @@ type row = {
   verdicts : (string * Requirement.verdict) list;
 }
 
-let run_scenario ?horizon sys scenario =
+(* [build] sees only the effective faults, so the verdicts are a function
+   of that (sorted, duplicate-free) list: one model check per distinct
+   list, however many scenarios close onto it *)
+type scope = {
+  system : system;
+  horizon : int option;
+  memo : (string list, (string * Requirement.verdict) list) Hashtbl.t;
+}
+
+let scope ?horizon system = { system; horizon; memo = Hashtbl.create 16 }
+
+let evaluate sc scenario =
+  let sys = sc.system in
   let effective =
     Scenario.effective_faults ~catalog:sys.catalog ~blocks:sys.blocks scenario
   in
-  let ts = sys.build ~faults:effective in
   let verdicts =
-    List.map
-      (fun (r : Requirement.t) -> (r.Requirement.id, Requirement.check ?horizon ts r))
-      sys.requirements
+    match Hashtbl.find_opt sc.memo effective with
+    | Some verdicts -> verdicts
+    | None ->
+        let ts = sys.build ~faults:effective in
+        let verdicts =
+          List.map
+            (fun (r : Requirement.t) ->
+              (r.Requirement.id, Requirement.check ?horizon:sc.horizon ts r))
+            sys.requirements
+        in
+        Hashtbl.replace sc.memo effective verdicts;
+        verdicts
   in
   { scenario; effective; verdicts }
 
+let sweep ?max_faults ?mitigations sc =
+  Scenario.all_combinations ?max_faults ?mitigations sc.system.catalog
+  |> List.map (evaluate sc)
+
+let run_scenario ?horizon sys scenario = evaluate (scope ?horizon sys) scenario
+
 let run ?horizon ?max_faults ?mitigations sys =
-  Scenario.all_combinations ?max_faults ?mitigations sys.catalog
-  |> List.map (run_scenario ?horizon sys)
+  sweep ?max_faults ?mitigations (scope ?horizon sys)
 
 let violations row =
   List.filter_map
     (fun (id, v) -> if Requirement.violated v then Some id else None)
     row.verdicts
+
+let loss ~weights sc ~active =
+  List.fold_left
+    (fun acc row ->
+      List.fold_left
+        (fun acc id ->
+          acc + Option.value ~default:0 (List.assoc_opt id weights))
+        acc (violations row))
+    0
+    (sweep ~mitigations:active sc)
 
 let hazardous rows = List.filter (fun r -> violations r <> []) rows
 

@@ -251,7 +251,7 @@ let test_asp_mitigation_optimum_agrees () =
      search over the same objective *)
   let asp_selected, asp_residual = Cpsrisk.Water_tank.asp_optimal_mitigations () in
   let ocaml =
-    Mitigation.Optimizer.optimal Cpsrisk.Water_tank.optimization_problem
+    Mitigation.Optimizer.optimal (Cpsrisk.Water_tank.optimization_problem ())
   in
   check (Alcotest.list Alcotest.string) "same selection"
     ocaml.Mitigation.Optimizer.selected asp_selected;
@@ -267,7 +267,7 @@ let test_asp_mitigation_budget_agrees () =
       in
       let ocaml =
         Mitigation.Optimizer.optimal ~budget
-          Cpsrisk.Water_tank.optimization_problem
+          (Cpsrisk.Water_tank.optimization_problem ())
       in
       check Alcotest.int
         (Printf.sprintf "budget %d residual" budget)
@@ -342,12 +342,155 @@ let test_residual_loss_decreases () =
 let test_optimizer_prefers_cheaper_equivalent () =
   (* M1 and M2 both block F4; the optimum must pick M1 (cost 2 < 5) *)
   let s =
-    Mitigation.Optimizer.optimal ~budget:6 Cpsrisk.Water_tank.optimization_problem
+    Mitigation.Optimizer.optimal ~budget:6
+      (Cpsrisk.Water_tank.optimization_problem ())
   in
   check Alcotest.bool "M1 selected" true
     (List.mem "M1" s.Mitigation.Optimizer.selected);
   check Alcotest.bool "M2 skipped" false
     (List.mem "M2" s.Mitigation.Optimizer.selected)
+
+(* -------------------------------------------------------------------- *)
+(* Evaluation by effective fault set (Epa.Analysis.scope)                *)
+(* -------------------------------------------------------------------- *)
+
+let rec subsets = function
+  | [] -> [ [] ]
+  | x :: rest ->
+      let s = subsets rest in
+      s @ List.map (fun l -> x :: l) s
+
+let mitigation_subsets =
+  subsets
+    (List.map
+       (fun (a : Mitigation.Action.t) -> a.Mitigation.Action.id)
+       Cpsrisk.Water_tank.mitigations)
+
+(* a row with its counterexample traces, as text *)
+let row_text (row : Epa.Analysis.row) =
+  Format.asprintf "%s effective={%s} %s"
+    (Epa.Scenario.label row.Epa.Analysis.scenario)
+    (String.concat "," row.Epa.Analysis.effective)
+    (String.concat "; "
+       (List.map
+          (fun (id, v) -> Format.asprintf "%s %a" id Epa.Requirement.pp_verdict v)
+          row.Epa.Analysis.verdicts))
+
+(* All 16 fault sets under all 32 mitigation subsets through one scope
+   per horizon: each row equals the one its scenario gets alone, in a
+   scope of its own, and the scope built one transition system per
+   distinct effective set. A memo keyed on anything coarser than the
+   effective set (the activated faults, say) answers a mitigated
+   scenario with an unmitigated one's verdicts. *)
+let test_scope_differential () =
+  List.iter
+    (fun horizon ->
+      let builds = ref 0 in
+      let scope =
+        Epa.Analysis.scope ~horizon
+          {
+            Cpsrisk.Water_tank.system with
+            Epa.Analysis.build =
+              (fun ~faults ->
+                incr builds;
+                Cpsrisk.Water_tank.build_dynamics ~faults);
+          }
+      in
+      List.iter
+        (fun mitigations ->
+          List.iter
+            (fun scenario ->
+              check Alcotest.string
+                (Printf.sprintf "H=%d %s" horizon (Epa.Scenario.label scenario))
+                (row_text
+                   (Epa.Analysis.run_scenario ~horizon
+                      Cpsrisk.Water_tank.system scenario))
+                (row_text (Epa.Analysis.evaluate scope scenario)))
+            (Epa.Scenario.all_combinations ~mitigations
+               Cpsrisk.Water_tank.faults))
+        mitigation_subsets;
+      check Alcotest.int
+        (Printf.sprintf "H=%d: one build per effective set" horizon)
+        16 !builds)
+    [ 0; 1; 12; 48 ]
+
+(* the residual without a shared scope: every scenario in a scope of its
+   own, so no two share a transition system *)
+let unmemoised_problem =
+  let residual ~active =
+    List.fold_left
+      (fun acc scenario ->
+        let row =
+          Epa.Analysis.run_scenario Cpsrisk.Water_tank.system scenario
+        in
+        List.fold_left
+          (fun acc id ->
+            acc + List.assoc id Cpsrisk.Water_tank.requirement_weights)
+          acc
+          (Epa.Analysis.violations row))
+      0
+      (Epa.Scenario.all_combinations ~mitigations:active
+         Cpsrisk.Water_tank.faults)
+  in
+  { Mitigation.Optimizer.actions = Cpsrisk.Water_tank.mitigations; residual }
+
+let test_scope_searches () =
+  let memo = Cpsrisk.Water_tank.optimization_problem () in
+  let solution = Alcotest.testable Mitigation.Optimizer.pp_solution ( = ) in
+  List.iter
+    (fun active ->
+      check Alcotest.int
+        ("residual of {" ^ String.concat "," active ^ "}")
+        (unmemoised_problem.Mitigation.Optimizer.residual ~active)
+        (Cpsrisk.Water_tank.residual_loss ~active))
+    mitigation_subsets;
+  let budgets = List.init 16 Fun.id in
+  List.iter
+    (fun budget ->
+      check solution
+        (Printf.sprintf "optimal at budget %d" budget)
+        (Mitigation.Optimizer.optimal ~budget unmemoised_problem)
+        (Mitigation.Optimizer.optimal ~budget memo))
+    budgets;
+  check (Alcotest.list solution) "pareto"
+    (Mitigation.Optimizer.pareto unmemoised_problem)
+    (Mitigation.Optimizer.pareto memo);
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int solution))
+    "budget sweep 0..15"
+    (Mitigation.Optimizer.budget_sweep unmemoised_problem ~budgets)
+    (Mitigation.Optimizer.budget_sweep memo ~budgets)
+
+(* Steps 4 and 7 of the pipeline share one scope over the config's own
+   system: 16 builds, one per effective set. Evaluating each scenario on
+   its own builds 528 (16 at step 4, 32 x 16 at step 7); step 4 alone
+   reaches only 9 distinct sets, so the sets with F4 but not all of
+   F1-F3 (F4 under M3, M4 or M5) show that step 7 read the config's
+   system. *)
+let test_pipeline_builds () =
+  let asked = ref [] in
+  let system =
+    {
+      Cpsrisk.Water_tank.system with
+      Epa.Analysis.build =
+        (fun ~faults ->
+          asked := faults :: !asked;
+          Cpsrisk.Water_tank.build_dynamics ~faults);
+    }
+  in
+  let a =
+    Cpsrisk.Pipeline.run
+      { (Cpsrisk.Pipeline.water_tank_config ()) with Cpsrisk.Pipeline.system }
+  in
+  check Alcotest.int "builds" 16 (List.length !asked);
+  check Alcotest.int "distinct effective sets" 16
+    (List.length (List.sort_uniq compare !asked));
+  check Alcotest.bool "step 7 built {F2,F3,F4}" true
+    (List.mem [ "F2"; "F3"; "F4" ] !asked);
+  check Alcotest.string "log unchanged"
+    (Cpsrisk.Pipeline.render_log
+       (Cpsrisk.Pipeline.run (Cpsrisk.Pipeline.water_tank_config ())))
+    (Cpsrisk.Pipeline.render_log a)
 
 (* -------------------------------------------------------------------- *)
 (* Pipeline (Fig. 1)                                                     *)
@@ -582,6 +725,14 @@ let suites =
         Alcotest.test_case "residual decreases" `Quick test_residual_loss_decreases;
         Alcotest.test_case "cheaper equivalent preferred" `Quick
           test_optimizer_prefers_cheaper_equivalent;
+      ] );
+    ( "cpsrisk.scope",
+      [
+        Alcotest.test_case "rows equal run_scenario's" `Quick
+          test_scope_differential;
+        Alcotest.test_case "searches equal the unmemoised ones" `Quick
+          test_scope_searches;
+        Alcotest.test_case "pipeline builds 16" `Quick test_pipeline_builds;
       ] );
     ( "cpsrisk.pipeline",
       [

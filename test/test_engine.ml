@@ -640,6 +640,16 @@ let test_sweep_horizon_counters () =
   check Alcotest.string "--stats line"
     "horizon: H=48 from probe h0=12: 128 decided at h0, 0 unrolled at H\n"
     (Cpsrisk.Sweeps.render_horizon h);
+  (* the base that answered the jobs is the probe's; the H base, which
+     no job used, is not ground to report it *)
+  let atoms, at = Cpsrisk.Sweeps.base_universe h report in
+  check Alcotest.string "--stats base universe"
+    "sweep: 128 jobs in 0.000s (base universe 209 atoms at h0=12)"
+    (List.hd
+       (String.split_on_char '\n'
+          (Engine.Sweep.render
+             ~base:(Printf.sprintf "%d atoms at %s" atoms at)
+             { report with Engine.Sweep.wall_s = 0.0 })));
   (* the CLI target carries the same handle *)
   let target = Cpsrisk.Backend.target ~horizon:48 Cpsrisk.Backend.Water_tank in
   checkb "water-tank target has a horizon shortcut" true
@@ -726,6 +736,96 @@ let test_sweep_unknown_ids () =
         (answers (Engine.Sweep.run (unrolled (spec with_unknown)))))
     [ 13; 48 ]
 
+(* The what-if compilers build their facts as terms; printing the facts
+   and parsing them back is the oracle: every program, and so every job
+   fingerprint and every store key, must be the one it gives. *)
+let printed_activation_facts (d : Engine.Delta.t) =
+  let buf = Buffer.create 256 in
+  List.iter
+    (fun f ->
+      Printf.bprintf buf "activated(%s).\n" (Archimate.To_asp.sanitize f))
+    d.Engine.Delta.faults;
+  let site = function
+    | "m1" | "m2" -> "ews"
+    | "m3" -> "hmi"
+    | "m4" -> "out_valve"
+    | "m5" -> "in_valve"
+    | other -> other
+  in
+  List.iter
+    (fun m ->
+      let m = Archimate.To_asp.sanitize m in
+      Printf.bprintf buf "active_mitigation(%s, %s).\n" (site m) m)
+    d.Engine.Delta.mitigations;
+  Asp.Parser.parse_program (Buffer.contents buf)
+
+let printed_topology_facts (d : Engine.Delta.t) =
+  let buf = Buffer.create 128 in
+  List.iter
+    (fun c -> Printf.bprintf buf "injected(%s).\n" (Archimate.To_asp.sanitize c))
+    d.Engine.Delta.faults;
+  List.iter
+    (fun m ->
+      Printf.bprintf buf "active_mitigation(%s).\n"
+        (Archimate.To_asp.sanitize m))
+    d.Engine.Delta.mitigations;
+  Asp.Parser.parse_program (Buffer.contents buf)
+
+let test_compile_matches_printed () =
+  let odd =
+    [
+      Engine.Delta.make ~label:"sanitized" ~mitigations:[ "M-1"; "Zündung" ]
+        [ "9x"; "F1"; "Zündung" ];
+      Engine.Delta.make ~mitigations:[ "M5"; "M4"; "M3" ] [ "F-2"; "in_valve" ];
+      Engine.Delta.make ~label:"with rules" ~mitigations:[ "M1" ]
+        ~extra:[ "holds(level, high, 0)." ] [ "F2" ];
+    ]
+  in
+  let what_ifs =
+    catalog_what_ifs () @ water_tank_what_ifs () @ odd
+    @ Cpsrisk.Sweeps.model_element_deltas Cpsrisk.Water_tank.refined_model
+  in
+  let extra (d : Engine.Delta.t) =
+    List.fold_left
+      (fun acc src -> Asp.Program.append acc (Asp.Parser.parse_program src))
+      Asp.Program.empty d.Engine.Delta.extra
+  in
+  let pin name (spec : Engine.Job.spec) printed =
+    let oracle =
+      {
+        spec with
+        Engine.Job.compile = (fun d -> Asp.Program.append (printed d) (extra d));
+      }
+    in
+    let p = Engine.Job.prepare spec and o = Engine.Job.prepare oracle in
+    List.iter
+      (fun d ->
+        let what = name ^ " " ^ Engine.Delta.label d in
+        check Alcotest.string (what ^ ": program")
+          (Asp.Program.to_string (oracle.Engine.Job.compile d))
+          (Asp.Program.to_string (spec.Engine.Job.compile d));
+        checkb (what ^ ": fingerprint") true
+          (Engine.Fingerprint.equal (Engine.Job.fingerprint o d)
+             (Engine.Job.fingerprint p d)))
+      what_ifs
+  in
+  pin "water-tank" (Cpsrisk.Sweeps.water_tank_spec ~horizon:48 [])
+    printed_activation_facts;
+  pin "topology"
+    (Cpsrisk.Sweeps.topology_spec Cpsrisk.Water_tank.refined_model [])
+    printed_topology_facts;
+  (* an id that sanitizes to the keyword [not] cannot be printed and
+     parsed back; as a term it is one more unknown constant *)
+  let sweep mitigations faults =
+    answers
+      (Engine.Sweep.run
+         (Cpsrisk.Sweeps.water_tank_spec
+            [ Engine.Delta.make ~label:"k" ~mitigations faults ]))
+  in
+  check (Alcotest.list Alcotest.string) "keyword ids answer like unknown ids"
+    (sweep [ "M9" ] [ "F2"; "F9" ])
+    (sweep [ "not" ] [ "F2"; "NOT" ])
+
 (* What the traced cli-sweep benchmark run replays in-process: the 128
    what-ifs at H = 48, where the probe (h0 = 12) answers every job, each
    through [Job.fingerprint], the cache and [Job.solve] on two domains
@@ -798,14 +898,21 @@ let test_sweep_horizon_differential () =
   for horizon = 0 to 64 do
     let spec, h = Cpsrisk.Sweeps.water_tank ~horizon deltas in
     let what = Printf.sprintf "H=%d" horizon in
+    let report = Engine.Sweep.run spec in
     check (Alcotest.list Alcotest.string) what
       (answers (Engine.Sweep.run (unrolled spec)))
-      (answers (Engine.Sweep.run spec));
+      (answers report);
     check Alcotest.string (what ^ ": extras unrolled")
       (Printf.sprintf
          "horizon: H=%d from probe h0=%d: 512 decided at h0, 3 unrolled at H\n"
          horizon (Cpsrisk.Sweeps.probe_horizon horizon))
-      (Cpsrisk.Sweeps.render_horizon h)
+      (Cpsrisk.Sweeps.render_horizon h);
+    (* an unrolled job used the H base: that is the one reported *)
+    check
+      (Alcotest.pair Alcotest.int Alcotest.string)
+      (what ^ ": base universe")
+      (Engine.Sweep.base_atoms report, Printf.sprintf "H=%d" horizon)
+      (Cpsrisk.Sweeps.base_universe h report)
   done;
   List.iter
     (fun horizon ->
@@ -1224,6 +1331,8 @@ let suites =
           test_sweep_horizon_differential;
         Alcotest.test_case "sweep: unknown ids answer like the catalog's"
           `Quick test_sweep_unknown_ids;
+        Alcotest.test_case "sweep: compiled facts equal the printed ones"
+          `Quick test_compile_matches_printed;
         Alcotest.test_case "sweep: cli-sweep replay at H=48 on two domains"
           `Quick test_sweep_pool_replay;
         Alcotest.test_case "sweep: grounder work counters pinned" `Quick
